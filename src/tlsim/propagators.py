@@ -19,6 +19,17 @@ form; the limit is the incident field modulated by the slit transmission.
 Everything is vectorized over the detector coordinate and over slit centers;
 the scalar entry points route through the same code path so grid samples and
 direct calls agree bit for bit.
+
+Behind grating 1 the fuzzy-slit sum over N1*N0 paths is factorised when that
+saves exponentials (N1*N0 > N1 + N0 + 2).  For fixed z every path phase is
+quadratic in x with a path-independent x^2 coefficient and an x^1
+coefficient affine in (x1, x0), so around a tile centre x_c the sum splits
+into a per-tile path matrix, one phase table over x1, one over x0 and a
+common chirp.  Tile centres sit on a lattice in absolute x whose spacing
+follows from the geometry, and the contraction runs in a fixed order, so a
+sample's value does not depend on which other samples share its row.  The
+hard-edged comb and small path counts (every single-path call) keep the
+direct one-exponential-per-path kernel.
 """
 
 from __future__ import annotations
@@ -246,7 +257,9 @@ def behind_row(
 
     Covers the standard fuzzy-slit form, the paraxial limit (z_s = -inf) and
     the hard-edged comb form (``hard=True``); z == z1 evaluates the analytic
-    limit (incident field times slit transmission).
+    limit (incident field times slit transmission).  Fuzzy slits with
+    N1*N0 > N1 + N0 + 2 are summed by :func:`_behind_factorised`; the rule
+    depends on the slit counts alone, so a scalar call and a row agree.
     """
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
     x1s = np.atleast_1d(np.asarray(x1s, dtype=float))
@@ -268,6 +281,16 @@ def behind_row(
         p3 = (x0s - x_s) ** 2 / (lam * (z0 - z_s))
     p23 = (dx10 * dx10 - u * u / sig0) / L10 + p3[None, :]
     bq = (dx10 - u / sig0) / L10
+
+    n1, n0 = len(x1s), len(x0s)
+    if not hard and n1 * n0 > n1 + n0 + 2:
+        r = 0.0 if paraxial else (z1 - z0) / (z0 - z_s)
+        alpha = (1.0 - 1.0 / sig0) / L10
+        beta = r / (sig0 * L10) - alpha
+        gamma = -x_s * r / (sig0 * L10)
+        return _behind_factorised(
+            lam, z0, z1, b1, z, sig0, p23, bq, alpha, beta, gamma, x0s, x1s, x
+        )
 
     dx1 = x[None, :] - x1s[:, None]
 
@@ -309,8 +332,9 @@ def behind_row(
     w = dx1 / Lz
     t1 = dx1 * w
 
-    # The quadratic phase is assembled in place in one (paths, nx) buffer;
-    # this is the innermost cost of every grid row.
+    # Direct kernel: one exponential per path term, with the quadratic phase
+    # assembled in place in one (paths, nx) buffer.  Only the hard-edged
+    # comb and path counts too small to factorise come here.
     if hard:
         acc = np.empty((len(x1s), len(x0s), K, x.shape[0]), dtype=complex)
         np.subtract(
@@ -332,6 +356,102 @@ def behind_row(
     np.exp(acc, out=acc)
     psi = reduce_paths(acc.reshape(-1, x.shape[0]))
     return pref * psi / d
+
+
+# Largest |log| of a phase-table entry inside one tile.  Table entries then
+# lie in [e^-B, e^B], so a tile's products M*U*V stay within e^(+-2B) of its
+# largest path term: far from overflow, and terms M drops to underflow stay
+# negligible wherever the tables could amplify them.
+_TILE_LOG_BOUND = 64.0
+
+
+def _behind_factorised(
+    lam: float,
+    z0: float,
+    z1: float,
+    b1: float,
+    z: float,
+    sig0: complex,
+    p23: np.ndarray,
+    bq: np.ndarray,
+    alpha: complex,
+    beta: complex,
+    gamma: complex,
+    x0s: np.ndarray,
+    x1s: np.ndarray,
+    x: np.ndarray,
+) -> np.ndarray:
+    """Fuzzy-slit behind-G1 sum over all (x1, x0) paths, factorised on x-tiles.
+
+    Path (x1, x0) contributes exp(i*pi*phi) / D with
+
+        phi(x) = A (x - x1)^2 + B bq (x - x1) + p23 - c bq^2,
+        bq = alpha x1 + beta x0 + gamma,
+
+    where A, B and c are written so that nothing cancels as z -> z1; at
+    z == z1 they give the plane limit.  Around a tile centre x_c, with
+    delta = x - x_c,
+
+        phi(x) = phi(x_c) + A delta (2 x_c + delta)
+                 + delta (c_u x1 + c_v x0 + c_s),
+
+    so one exponential per path and tile (the matrix M), one per slit and
+    sample (the tables U over x1 and V over x0; ``g1`` = c_u x1 and ``g0`` =
+    c_v x0 + c_s below) and a common chirp replace one exponential per path
+    and sample.  Each tile's M is scaled to a largest magnitude of 1, and the
+    scale comes back with the chirp in the log domain: far off-axis M alone
+    would underflow and the chirp alone overflow.
+    """
+    sig1 = _sigma1_behind(lam, z0, z1, b1, z, 1.0)
+    d2 = sig0 * sig1 - (z - z1) / (z1 - z0)
+    _check_branch(d2)
+    a_quad = (
+        complex((sig0 - 1.0) / (z1 - z0)) + 1j * sig0 * lam / (2.0 * math.pi * b1 * b1)
+    ) / (lam * d2)
+    b_lin = 2.0 * sig0 / d2
+    const = p23 - (lam * (z - z1) * sig0 / d2) * (bq * bq)
+    g1 = (b_lin * alpha - 2.0 * a_quad) * x1s
+    g0 = (b_lin * beta) * x0s + b_lin * gamma
+
+    # Tile lattice in absolute x: |pi Im(g) delta| <= _TILE_LOG_BOUND within
+    # a tile.  The spacing depends on the geometry only, never on x.
+    span = math.pi * max(float(np.max(np.abs(g1.imag))), float(np.max(np.abs(g0.imag))))
+    if span > 0.0:
+        h = 2.0 * _TILE_LOG_BOUND / span
+        tiles, tile_of = np.unique(np.rint(x / h), return_inverse=True)
+        xc = tiles * h
+    else:  # no table entry changes magnitude: one tile at x = 0
+        xc, tile_of = np.zeros(1), np.zeros(x.shape, dtype=np.intp)
+    delta = x - xc[tile_of]
+
+    # (N0, tiles, N1) path matrices, each tile scaled to a largest |M| of 1.
+    dxc = xc[:, None] - x1s[None, :]
+    m = (b_lin * bq.T)[:, None, :] * dxc
+    m += a_quad * dxc * dxc
+    m += const.T[:, None, :]
+    m *= 1j * math.pi
+    scale = m.real.max(axis=(0, 2))
+    m -= scale[:, None]
+    np.exp(m, out=m)
+
+    ipd = (1j * math.pi) * delta
+    u_tab = np.exp(ipd[:, None] * g1)
+    v_tab = np.exp(g0[:, None] * ipd)
+
+    # Fixed-order contraction over x0, then the pairwise fold over x1.
+    acc = m[0].take(tile_of, axis=0)
+    acc *= v_tab[0][:, None]
+    tmp = np.empty_like(acc)
+    for k in range(1, len(x0s)):
+        np.take(m[k], tile_of, axis=0, out=tmp, mode="clip")  # unbuffered; indices in range
+        tmp *= v_tab[k][:, None]
+        acc += tmp
+    acc *= u_tab
+    s = reduce_paths(acc.T)
+    with np.errstate(divide="ignore"):
+        log_s = np.log(s)
+    chirp = (a_quad * ipd) * (2.0 * xc[tile_of] + delta)
+    return np.exp(log_s + chirp + scale[tile_of]) / np.sqrt(d2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Superposition of single-path wave functions over grating slits.
 
-The summation order over slit indices is a fixed deterministic reduction
-(numpy's pairwise ``add.reduce`` over the slit-pair axis), identical for a
-scalar detector point and for a whole row of points, so grid samples are
-bit-equal to direct point calls.
+The sum over slits runs inside the propagators' row kernels in an order
+fixed by the slit counts alone: the pairwise fold of ``reduce_paths``, after
+a sequential contraction over grating-0 slits where the behind-G1 kernel is
+factorised.  It is the same for a scalar detector point and for a whole row
+of points, so grid samples are bit-equal to direct point calls.
 """
 
 from __future__ import annotations

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tlsim.core import GratingSpec, Particle, SourceSpec, PARAXIAL_ZS
+
+# Property tests draw the same examples on every run, and a slow example is
+# not a failure.
+settings.register_profile("tlsim", derandomize=True, deadline=None)
+settings.load_profile("tlsim")
 
 
 @pytest.fixture(scope="session")

@@ -90,6 +90,14 @@ class TestEvaluateGrid:
         assert np.array_equal(f1.values, f3.values)
         assert f1.fingerprint == f2.fingerprint
 
+    def test_parallel_bit_identical_32_33(self, fullerene):
+        scn = _scenario(fullerene, n0=32, n1=33)
+        grid = _small_grid()
+        f1 = evaluate_grid(scn, grid, workers=1)
+        assert all(
+            np.array_equal(f1.values, evaluate_grid(scn, grid, workers=w).values) for w in (2, 3)
+        )
+
     def test_region_grid_mismatch(self, fullerene):
         scn = _scenario(fullerene, region="behind")
         with pytest.raises(DomainError):

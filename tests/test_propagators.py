@@ -3,12 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from tlsim.core import HBAR, PARAXIAL_ZS, DomainError, GratingSpec, Particle, centered_axis
+from tlsim.core import (
+    HBAR, PARAXIAL_ZS, DomainError, GratingSpec, Particle, centered_axis, slit_positions,
+)
 from tlsim.oracle import composite_gauss_legendre, quadrature_oracle
 from tlsim.propagators import (
     BranchCutError,
     PathContext,
+    behind_row,
     comb_form_factor,
     d_term,
     free_kernel,
@@ -17,8 +22,9 @@ from tlsim.propagators import (
     psi_between,
     psi_hard_edge,
     psi_paraxial,
+    reduce_paths,
 )
-from tlsim.superposition import FieldRequest, density, superpose_between
+from tlsim.superposition import FieldRequest, density, superpose_behind, superpose_between
 
 
 def _ctx_between(particle, b0=37.5e-9, x_s=1e-6, z_s=-0.5, x0=2.5e-7):
@@ -342,3 +348,95 @@ class TestPsiParaxial:
         pp /= pp.max()
         pf /= pf.max()
         assert math.sqrt(float(np.mean((pp - pf) ** 2))) < 0.01
+
+
+class TestFactorisedBehind:
+    """Slit combs with N1*N0 > N1 + N0 + 2 take the factorised behind-G1 kernel."""
+
+    def test_comb_matches_oracle_sum(self, fullerene):
+        # narrow slits on a 250 nm pitch put every detector point inside the
+        # diffraction cone of all 20 paths, so each path's quadrature converges
+        g0 = GratingSpec(4, 250e-9, 30e-9, 0.0)
+        g1 = GratingSpec(5, 250e-9, 30e-9, 0.05)
+        x_s, z_s = 1.5e-6, -0.5
+        req = FieldRequest(particle=fullerene, grating0=g0, grating1=g1, x_s=x_s, z_s=z_s,
+                           region="behind")
+        for x, z in ((3e-7, 0.0625), (-5e-7, 0.08), (4e-7, 0.1), (-2e-7, 0.12)):
+            ref = sum(
+                quadrature_oracle(
+                    PathContext(particle=fullerene, grating0=g0, grating1=g1, x_s=x_s,
+                                z_s=z_s, x0=float(x0), x1=float(x1)),
+                    x, z,
+                )
+                for x1 in slit_positions(g1)
+                for x0 in slit_positions(g0)
+            )
+            assert abs(superpose_behind(req, x, z) - ref) <= 1e-10 * abs(ref)
+
+    @settings(max_examples=150)
+    @given(
+        lam=st.floats(3e-12, 8e-12),
+        b0=st.floats(20e-9, 100e-9),
+        b1=st.floats(20e-9, 100e-9),
+        pitch_scale=st.floats(2.5, 8.0),
+        z1=st.floats(0.02, 0.08),
+        z_s=st.one_of(st.just(PARAXIAL_ZS), st.floats(-1.0, -0.3)),
+        x_s=st.floats(-3e-6, 3e-6).filter(lambda v: v != 0.0),
+        n0=st.integers(2, 9),
+        n1=st.integers(2, 9),
+        z_kind=st.sampled_from(["plane", "plane+1e-12", "plane+1e-7m", "beyond"]),
+        beyond=st.floats(0.01, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_direct_sum(self, lam, b0, b1, pitch_scale, z1, z_s, x_s, n0, n1,
+                                z_kind, beyond, seed):
+        assume(n1 * n0 > n1 + n0 + 2)
+        x0s = slit_positions(GratingSpec(n0, pitch_scale * b0, b0, 0.0))
+        x1s = slit_positions(GratingSpec(n1, pitch_scale * b1, b1, z1))
+        span = max(abs(x0s[0]), abs(x1s[0])) + 3e-6
+        x = np.sort(np.random.default_rng(seed).uniform(-span, span, 41))
+        tails = np.array([1e-5, 3e-5, 1e-4, 3e-4, 1e-3])
+        x = np.concatenate([-tails[::-1], x, tails])
+        z = {"plane": z1, "plane+1e-12": z1 * (1.0 + 1e-12),
+             "plane+1e-7m": z1 + 1e-7, "beyond": z1 * (1.0 + beyond)}[z_kind]
+
+        got = behind_row(lam, z_s, x_s, 0.0, z1, b0, b1, x0s, x1s, x, z)
+        assert np.all(np.isfinite(got))
+
+        terms = np.stack([
+            _behind_path_closed_form(lam, z_s, x_s, z1, b0, b1, x0, x1, x, z)
+            for x1 in x1s for x0 in x0s
+        ])
+        ref = reduce_paths(terms)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+        # far into the tails each sample still matches to round-off of its own
+        # terms, down to where they leave the normal floating-point range
+        assert np.all(np.abs(got - ref) <= 1e-9 * reduce_paths(np.abs(terms)) + 1e-300)
+        if z_kind != "plane+1e-12":
+            # the seed's one-exponential-per-path kernel (single-path calls
+            # never factorise); just past the plane its 1/(z - z1) terms
+            # cancel to ~1e-5, so it is compared only where it is accurate
+            direct = reduce_paths(np.stack([
+                behind_row(lam, z_s, x_s, 0.0, z1, b0, b1, [x0], [x1], x, z)
+                for x1 in x1s for x0 in x0s
+            ]))
+            assert np.max(np.abs(direct - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def _behind_path_closed_form(lam, z_s, x_s, z1, b0, b1, x0, x1, x, z):
+    """One behind-G1 path term exp(i pi phi) / D (G0 at z = 0), one exponential
+    per sample, with the phase written so that nothing cancels as z -> z1:
+    phi = A (x - x1)^2 + B bq (x - x1) + p23 - c bq^2."""
+    paraxial = z_s == PARAXIAL_ZS
+    sig0 = complex(1.0 if paraxial else z1 / -z_s + 1.0, lam * z1 / (2 * math.pi * b0 * b0))
+    sig1 = complex(z / z1, lam * (z - z1) / (2 * math.pi * b1 * b1))
+    d2 = sig0 * sig1 - (z - z1) / z1
+    u = (x1 - x0) - (0.0 if paraxial else (x0 - x_s) * z1 / -z_s)
+    p3 = 0.0 if paraxial else (x0 - x_s) ** 2 / (lam * -z_s)
+    p23 = ((x1 - x0) ** 2 - u * u / sig0) / (lam * z1) + p3
+    bq = ((x1 - x0) - u / sig0) / (lam * z1)
+    a = ((sig0 - 1.0) / z1 + 1j * sig0 * lam / (2 * math.pi * b1 * b1)) / (lam * d2)
+    b = 2.0 * sig0 / d2
+    c = lam * (z - z1) * sig0 / d2
+    dx = x - x1
+    return np.exp(1j * math.pi * (a * dx * dx + b * bq * dx + p23 - c * bq * bq)) / cmath.sqrt(d2)

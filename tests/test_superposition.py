@@ -114,6 +114,22 @@ class TestSuperposeBehind:
         for j in (0, 4, 8):
             assert superpose_behind(req, float(x[j]), 0.07) == row[j]
 
+    @pytest.mark.parametrize("n0, n1, x_s, z_s, propagator", [
+        (32, 33, 1e-6, -0.5, "standard"),
+        (8, 9, 0.0, PARAXIAL_ZS, "paraxial"),
+    ])
+    def test_scalar_equals_row_factorised(self, fullerene, rng, n0, n1, x_s, z_s, propagator):
+        # irregularly spaced samples spanning many x-tiles: no sample's value
+        # may depend on the other samples of its row
+        req = _req(fullerene, n0=n0, n1=n1, x_s=x_s, z_s=z_s, propagator=propagator)
+        x = np.sort(rng.uniform(-6e-6, 6e-6, 61))
+        perm = rng.permutation(x.size)
+        for z in (0.05, 0.0500001, 0.07, 0.14):
+            row = superpose_behind(req, x, z)
+            assert all(superpose_behind(req, float(xj), z) == row[j] for j, xj in enumerate(x))
+            assert np.array_equal(superpose_behind(req, x[perm], z), row[perm])
+            assert np.array_equal(superpose_behind(req, x[::3], z), row[::3])
+
     def test_region_violation(self, fullerene):
         req = _req(fullerene, region="between")
         with pytest.raises(DomainError):
