@@ -17,11 +17,9 @@ from .core import (
     Particle,
     SourceSpec,
     SpectralSpec,
-    SpreadingParams,
     flight_context,
     particle_from_wavelength,
     slit_positions,
-    spreading,
     talbot_length,
     xi0,
 )
@@ -56,8 +54,9 @@ from .propagators import (
     psi_between,
     psi_hard_edge,
     psi_paraxial,
+    spreading_sigma,
 )
 from .scenario import Scenario
-from .superposition import FieldRequest, density, superpose_behind, superpose_between
+from .superposition import density, superpose_behind, superpose_between
 
 __version__ = "0.1.0"

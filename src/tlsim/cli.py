@@ -23,7 +23,7 @@ import numpy as np
 from .coherence import density_profile, fringe_metrics
 from .config import ConfigError, config_help, parse_config, parse_length
 from .core import DomainError, centered_axis
-from .fieldgrid import evaluate_grid, export_csv, export_meta, export_pgm
+from .fieldgrid import evaluate_grid, export_csv, export_meta, export_pgm, export_table_csv
 from .oracle import OracleConvergenceError, quadrature_oracle, random_oracle_case
 from .presets import preset_names, run_preset
 from .propagators import psi_behind, psi_hard_edge
@@ -118,10 +118,7 @@ def cmd_scan(args) -> int:
             fp = os.path.join(args.out, f"{stem}.{param}_{i}.field.pgm")
             export_pgm(field, fp)
             print(f"wrote {fp}")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(f"{param},p_min,p_max,visibility\n")
-        for row in rows:
-            fh.write(",".join(f"{u:.17g}" for u in row) + "\n")
+    export_table_csv(out_path, f"{param},p_min,p_max,visibility", rows)
     print(f"wrote {out_path}")
     return 0
 

@@ -41,7 +41,6 @@ class CoherenceKernelSpec:
 
     sigma_I: float
     x_positions: tuple[float, ...]
-    z_s: float
 
     def __post_init__(self) -> None:
         if not (self.sigma_I > 0.0):
@@ -67,15 +66,6 @@ class CoherenceKernelSpec:
         else:
             arg = (dx * dx) / (2.0 * self.sigma_I * self.sigma_I)
         return np.exp(-arg) / _SQRT_2PI
-
-
-def gsm_kernel(xa: float, xb: float, sigma_I: float) -> float:
-    """Gaussian coherence kernel mu(x', x''); symmetric, 1/(sqrt(2 pi) sigma) on
-    the diagonal."""
-    if not (sigma_I > 0.0) or sigma_I == COHERENT_SIGMA:
-        raise DomainError(f"gsm_kernel needs finite positive sigma_I, got {sigma_I}")
-    d = xa - xb
-    return math.exp(-(d * d) / (2.0 * sigma_I * sigma_I)) / (_SQRT_2PI * sigma_I)
 
 
 def gsm_average(psi_per_source: np.ndarray, spec: CoherenceKernelSpec):
@@ -157,10 +147,9 @@ def field_at(scn: Scenario, x: np.ndarray, z: float, *, x_s: float | None = None
     scenario region (the z == z1 row belongs to the behind form only when the
     scenario is restricted to the behind region).
     """
-    req = scn.request(x_s=x_s, lam=lam)
-    if scn.region == "between" or (scn.region == "full" and z <= scn.z1):
-        return superpose_between(req, x, z)
-    return superpose_behind(req, x, z)
+    between = scn.region == "between" or (scn.region == "full" and z <= scn.z1)
+    superpose = superpose_between if between else superpose_behind
+    return superpose(scn, x, z, x_s=x_s, lam=lam)
 
 
 def source_field_matrix(scn: Scenario, x: np.ndarray, z: float, *, lam: float | None = None) -> np.ndarray:
@@ -172,11 +161,7 @@ def density_profile(scn: Scenario, x: np.ndarray, z: float, *, lam: float | None
     """Density at one z for the scenario's source model (point, line, or GSM),
     at a single wavelength."""
     if scn.source.kind == "line" and len(scn.source.x_positions) > 1:
-        spec = CoherenceKernelSpec(
-            sigma_I=scn.source.sigma_I,
-            x_positions=scn.source.x_positions,
-            z_s=scn.source.z_s,
-        )
+        spec = CoherenceKernelSpec(sigma_I=scn.source.sigma_I, x_positions=scn.source.x_positions)
         return gsm_average(source_field_matrix(scn, x, z, lam=lam), spec)
     return density(field_at(scn, x, z, lam=lam))
 
@@ -217,7 +202,7 @@ def coherence_sweep(
     F = source_field_matrix(scn, x, z)
     out = []
     for s in sigmas:
-        spec = CoherenceKernelSpec(sigma_I=s, x_positions=scn.source.x_positions, z_s=scn.source.z_s)
+        spec = CoherenceKernelSpec(sigma_I=s, x_positions=scn.source.x_positions)
         out.append((s, fringe_metrics(gsm_average(F, spec))))
     return out
 

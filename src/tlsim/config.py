@@ -234,18 +234,18 @@ def build_run_config(vals: dict) -> RunConfig:
     """
     problems: list[tuple[int, str]] = []
 
-    def attempt(fn):
+    def attempt(section, fn):
         try:
             return fn()
         except DomainError as exc:
-            problems.append((0, str(exc)))
+            problems.append((0, f"{section}: {exc}"))
             return None
 
     particle = attempt(
-        lambda: Particle(mass=vals["particle.mass"], lambda_dB=vals["particle.lambda"])
+        "particle", lambda: Particle(mass=vals["particle.mass"], lambda_dB=vals["particle.lambda"])
     )
     g0 = attempt(
-        lambda: GratingSpec(
+        "grating0", lambda: GratingSpec(
             n_slits=vals["grating0.slits"],
             pitch=vals["grating0.pitch"],
             half_width=vals["grating0.half_width"],
@@ -255,7 +255,7 @@ def build_run_config(vals: dict) -> RunConfig:
         )
     )
     g1 = attempt(
-        lambda: GratingSpec(
+        "grating1", lambda: GratingSpec(
             n_slits=vals["grating1.slits"],
             pitch=vals["grating1.pitch"],
             half_width=vals["grating1.half_width"],
@@ -281,9 +281,9 @@ def build_run_config(vals: dict) -> RunConfig:
             spectral=spectral,
         )
 
-    source = attempt(make_source)
+    source = attempt("source", make_source)
     grid = attempt(
-        lambda: GridSpec(
+        "grid", lambda: GridSpec(
             x_min=vals["grid.x_min"],
             x_max=vals["grid.x_max"],
             z_min=vals["grid.z_min"],
@@ -296,7 +296,7 @@ def build_run_config(vals: dict) -> RunConfig:
     scenario = None
     if particle is not None and g0 is not None and g1 is not None and source is not None:
         scenario = attempt(
-            lambda: Scenario(
+            "scenario", lambda: Scenario(
                 particle=particle,
                 grating0=g0,
                 grating1=g1,

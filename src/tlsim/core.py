@@ -1,4 +1,4 @@
-"""Domain types and geometric/spreading parameters for the two-grating simulator.
+"""Domain types and geometric helpers for the two-grating simulator.
 
 All lengths are meters, times are seconds, masses are kilograms. Value types
 are immutable after construction and every operation here is a pure function,
@@ -103,10 +103,12 @@ class GratingSpec:
             raise DomainError(f"n_slits must be >= 1, got {self.n_slits}")
         if self.n_slits > MAX_SLITS:
             raise DomainError(f"n_slits must be <= {MAX_SLITS}, got {self.n_slits}")
-        if not (self.pitch > 0.0):
-            raise DomainError(f"pitch must be positive, got {self.pitch}")
-        if not (self.half_width > 0.0):
-            raise DomainError(f"half_width must be positive, got {self.half_width}")
+        if not (0.0 < self.pitch < math.inf):
+            raise DomainError(f"pitch must be finite and positive, got {self.pitch}")
+        if not (0.0 < self.half_width < math.inf):
+            raise DomainError(f"half_width must be finite and positive, got {self.half_width}")
+        if not math.isfinite(self.z_pos):
+            raise DomainError(f"grating z must be finite, got {self.z_pos}")
         if 2.0 * self.half_width > self.pitch:
             raise DomainError(
                 f"open windows overlap: 2*half_width={2.0 * self.half_width} > pitch={self.pitch}"
@@ -115,11 +117,6 @@ class GratingSpec:
             raise DomainError(f"comb_k must be >= 1, got {self.comb_k}")
         if not (self.comb_eta > 0.0):
             raise DomainError(f"comb_eta must be positive, got {self.comb_eta}")
-
-    @property
-    def sigma0(self) -> float:
-        """Effective slit half-width b/sqrt(2) feeding the spreading factors."""
-        return self.half_width / math.sqrt(2.0)
 
     @property
     def span(self) -> float:
@@ -231,62 +228,6 @@ def flight_context(geom: Geometry, particle: Particle, z_s: float) -> tuple[floa
     tau0 = (geom.z1 - geom.z0) / v
     tau1 = (geom.z2 - geom.z1) / v
     return T, tau0, tau1
-
-
-@dataclass(frozen=True)
-class SpreadingParams:
-    """Dimensionless spreading/geometry parameters attached to one grating.
-
-    ``Sigma_j`` is the complex distance-dependent spreading; ``xi0`` the
-    source-tilt parameter of the path through this grating (1.0 in the
-    paraxial limit and for a source aligned with the slit).
-    """
-
-    sigma_j0: float
-    Sigma_j: complex
-    xi0: float = 1.0
-
-
-def spreading_sigma(
-    grating: GratingSpec,
-    lam: float,
-    z_prev: float,
-    z_next: float,
-    *,
-    hard_edge: bool = False,
-) -> complex:
-    """Complex spreading Sigma for a grating between planes z_prev and z_next.
-
-    Sigma = (z_next - z_prev)/(z_j - z_prev) + i*lam*(z_next - z_j)/(4*pi*sigma0^2),
-    with the imaginary part scaled by K^2/eta^2 when the grating's hard-edged
-    comb model (comb_k > 1) is in force.  ``z_prev = -inf`` gives the paraxial
-    real part 1.
-    """
-    if not (lam > 0.0):
-        raise DomainError(f"wavelength must be positive, got {lam}")
-    zj = grating.z_pos
-    if not (z_prev < zj):
-        raise DomainError(f"coincident or inverted planes: z_prev={z_prev} >= z_j={zj}")
-    if z_next < zj:
-        raise DomainError(f"need z_next >= z_j, got z_next={z_next}, z_j={zj}")
-    real = 1.0 if is_paraxial(z_prev) else (z_next - z_prev) / (zj - z_prev)
-    scale = (grating.comb_k / grating.comb_eta) ** 2 if (hard_edge and grating.comb_k > 1) else 1.0
-    imag = lam * (z_next - zj) / (4.0 * math.pi * grating.sigma0**2) * scale
-    return complex(real, imag)
-
-
-def spreading(
-    grating: GratingSpec,
-    lam: float,
-    z_prev: float,
-    z_next: float,
-    *,
-    hard_edge: bool = False,
-    xi0_value: float = 1.0,
-) -> SpreadingParams:
-    """Bundle sigma_j0, Sigma_j and (optionally) a path's xi0 for one grating."""
-    sig = spreading_sigma(grating, lam, z_prev, z_next, hard_edge=hard_edge)
-    return SpreadingParams(sigma_j0=grating.sigma0, Sigma_j=sig, xi0=xi0_value)
 
 
 def xi0(x0: float, x1: float, x_s: float, z0: float, z1: float, z_s: float) -> float:

@@ -8,6 +8,7 @@ happens anywhere; cross-sections return the nearest sampled row.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -31,6 +32,10 @@ class GridSpec:
     nz: int
 
     def __post_init__(self) -> None:
+        bounds = (self.x_min, self.x_max, self.z_min, self.z_max)
+        if not all(math.isfinite(v) for v in bounds):
+            raise DomainError(f"grid bounds must be finite, got x [{self.x_min}, {self.x_max}], "
+                              f"z [{self.z_min}, {self.z_max}]")
         if not (self.x_min < self.x_max):
             raise DomainError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if not (self.z_min < self.z_max):
@@ -274,13 +279,17 @@ def export_field(field: DensityField, fmt: str, path, scn: Scenario | None = Non
         raise DomainError(f"unknown export format {fmt!r}")
 
 
-def export_profile_csv(profile: Profile, path) -> None:
-    """x_m,p samples of one cross-section at full double precision."""
+def export_table_csv(path, header: str, rows) -> None:
+    """A header, then one comma-separated line of 17-significant-digit values per row."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# z_m = {profile.z:.17g}\n")
-            fh.write("x_m,p\n")
-            for xv, pv in zip(profile.x, profile.p):
-                fh.write(f"{xv:.17g},{pv:.17g}\n")
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     except OSError as exc:
-        raise IOError(f"writing profile CSV to {path}: {exc}") from exc
+        raise IOError(f"writing CSV to {path}: {exc}") from exc
+
+
+def export_profile_csv(profile: Profile, path) -> None:
+    """x_m,p samples of one cross-section at full double precision."""
+    export_table_csv(path, f"# z_m = {profile.z:.17g}\nx_m,p", zip(profile.x, profile.p))

@@ -34,6 +34,7 @@ from .fieldgrid import (
     export_meta,
     export_pgm,
     export_profile_csv,
+    export_table_csv,
 )
 from .scenario import Scenario, fingerprint, scenario_lines
 
@@ -289,13 +290,6 @@ def preset_run_config(name: str, nx: int | None = None, nz: int | None = None):
     return build_run_config(vals)
 
 
-def _write_sweep_csv(path, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
 def _meta_for(scn: Scenario, path, note: str, extra_lines: list[str]) -> None:
     lines = scenario_lines(scn) + extra_lines
     lines.append(f"note = {note}")
@@ -368,9 +362,7 @@ def run_preset(
         F = source_field_matrix(scn, x, z)
         extra = [f"profile.z = {z:.17g}", "profile.samples = 2048"]
         for sigma in entry["sigmas"]:
-            spec = CoherenceKernelSpec(
-                sigma_I=sigma, x_positions=scn.source.x_positions, z_s=scn.source.z_s
-            )
+            spec = CoherenceKernelSpec(sigma_I=sigma, x_positions=scn.source.x_positions)
             p = gsm_average(F, spec)
             met = fringe_metrics(p)
             tag = f"sigma{sigma / _UM:g}um"
@@ -385,7 +377,7 @@ def run_preset(
     if kind == "sigma-sweep":
         rows = coherence_sweep(scn, entry["sigmas"])
         table = [(s, m.p_min, m.p_max, m.visibility) for s, m in rows]
-        _write_sweep_csv(path("sweep.csv"), "sigma_i_m,p_min,p_max,visibility", table)
+        export_table_csv(path("sweep.csv"), "sigma_i_m,p_min,p_max,visibility", table)
         echo(f"{name}: sigma_I(m)  P_min  P_max  V")
         for s, pmin, pmax, vis in table:
             echo(f"{name}: {s:.6g}  {pmin:.6g}  {pmax:.6g}  {vis:.4f}")
@@ -394,7 +386,7 @@ def run_preset(
 
     if kind == "resonance":
         rows = resonance_scan(scn, entry["lambdas"])
-        _write_sweep_csv(path("sweep.csv"), "lambda_m,velocity_mps,p_max", rows)
+        export_table_csv(path("sweep.csv"), "lambda_m,velocity_mps,p_max", rows)
         echo(f"{name}: lambda(m)  velocity(m/s)  P_max")
         for lam, v, pmax in rows:
             echo(f"{name}: {lam:.6g}  {v:.4g}  {pmax:.6g}")
@@ -433,10 +425,8 @@ def run_preset(
             pa = density_profile(scn_k, x, za)
             pb = density_profile(scn_k, x, zb)
             _, dp = focusing_contrast(Profile(za, x, pa), Profile(zb, x, pb))
-            with open(path(f"contrast_k{k}.csv"), "w", encoding="utf-8") as fh:
-                fh.write("x_m,p_za,p_zb,delta_p\n")
-                for j in range(len(x)):
-                    fh.write(f"{x[j]:.17g},{pa[j]:.17g},{pb[j]:.17g},{dp[j]:.17g}\n")
+            export_table_csv(path(f"contrast_k{k}.csv"), "x_m,p_za,p_zb,delta_p",
+                             zip(x, pa, pb, dp))
             inside = np.abs(x) < b1
             peak = float(dp.max())
             well = float(dp[inside].min())

@@ -45,6 +45,7 @@ from .core import (
     GratingSpec,
     Particle,
     is_paraxial,
+    xi0_grouped,
 )
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -106,18 +107,41 @@ def d_term(Sigma0: complex, Sigma1: complex, z0: float, z1: float, z2: float) ->
     """Common divisor D = sqrt(Sigma0*Sigma1 - (z2-z1)/(z1-z0)), principal branch."""
     if not (z1 > z0):
         raise DomainError(f"need z1 > z0, got z0={z0}, z1={z1}")
-    arg = complex(Sigma0) * complex(Sigma1) - (z2 - z1) / (z1 - z0)
-    if arg == 0:
+    return complex(np.sqrt(_d_squared(complex(Sigma0), complex(Sigma1), z0, z1, z2)))
+
+
+def _d_squared(sig0: complex, sig1: complex, z0: float, z1: float, z: float) -> complex:
+    """D^2 = Sigma0*Sigma1 - (z-z1)/(z1-z0), checked against the branch cut.
+
+    Valid geometries keep D^2 off the negative real axis (Im > 0 whenever a
+    grating has been crossed); a violation means inputs outside the model.
+    """
+    d2 = sig0 * sig1 - (z - z1) / (z1 - z0)
+    if d2 == 0:
         raise DomainError("degenerate geometry: D^2 = 0")
-    _check_branch(arg)
-    return complex(np.sqrt(arg))
+    if d2.imag < 0.0 and d2.real <= 0.0:
+        raise BranchCutError(f"D^2 = {d2} crosses the principal branch cut")
+    return d2
 
 
-def _check_branch(d_squared: complex) -> None:
-    # Valid geometries keep D^2 off the negative real axis (Im > 0 whenever a
-    # grating has been crossed); a violation means inputs outside the model.
-    if d_squared.imag < 0.0 and d_squared.real <= 0.0:
-        raise BranchCutError(f"D^2 = {d_squared} crosses the principal branch cut")
+def spreading_sigma(
+    lam: float, z_prev: float, z_j: float, z_next: float, b: float, scale: float = 1.0
+) -> complex:
+    """Complex spreading Sigma of the grating at z_j with slit half-width b.
+
+    Sigma = (z_next - z_prev)/(z_j - z_prev) + i*lam*(z_next - z_j)/(2*pi*b^2)*scale,
+    where 2*pi*b^2 = 4*pi*sigma0^2 for the effective width sigma0 = b/sqrt(2).
+    ``scale`` is K^2/eta^2 for a hard-edged comb and 1 otherwise; the previous
+    plane ``z_prev = -inf`` (paraxial source) gives the real part 1.
+    """
+    if not (0.0 < lam < math.inf):
+        raise DomainError(f"wavelength must be finite and positive, got {lam}")
+    if not (z_prev < z_j):
+        raise DomainError(f"coincident or inverted planes: z_prev={z_prev} >= z_j={z_j}")
+    if z_next < z_j:
+        raise DomainError(f"need z_next >= z_j, got z_next={z_next}, z_j={z_j}")
+    real = 1.0 if is_paraxial(z_prev) else (z_next - z_prev) / (z_j - z_prev)
+    return complex(real, lam * (z_next - z_j) / (2.0 * math.pi * b * b) * scale)
 
 
 def gaussian_slit(xi, b: float):
@@ -171,29 +195,6 @@ def reduce_paths(terms: np.ndarray) -> np.ndarray:
     return terms[0]
 
 
-def _sigma0_between(lam: float, z_s: float, z0: float, b0: float, z: float) -> complex:
-    real = 1.0 if is_paraxial(z_s) else (z - z_s) / (z0 - z_s)
-    return complex(real, lam * (z - z0) / (2.0 * math.pi * b0 * b0))
-
-
-def _sigma0_behind(lam: float, z_s: float, z0: float, z1: float, b0: float) -> complex:
-    real = 1.0 if is_paraxial(z_s) else (z1 - z_s) / (z0 - z_s)
-    return complex(real, lam * (z1 - z0) / (2.0 * math.pi * b0 * b0))
-
-
-def _sigma1_behind(
-    lam: float, z0: float, z1: float, b1: float, z: float, comb_scale: float
-) -> complex:
-    return complex(
-        (z - z0) / (z1 - z0),
-        lam * (z - z1) / (2.0 * math.pi * b1 * b1) * comb_scale,
-    )
-
-
-# note: 4*pi*sigma0^2 = 2*pi*b^2 since sigma0 = b/sqrt(2); the kernels above
-# use the b-form directly.
-
-
 def between_row(
     lam: float,
     z_s: float,
@@ -210,6 +211,7 @@ def between_row(
     """
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
     x = np.asarray(x, dtype=float)
+    sig0 = spreading_sigma(lam, z_s, z0, z, b0)  # also checks lam and z_s < z0 <= z
     paraxial = is_paraxial(z_s)
     dx = x[None, :] - x0s[:, None]
 
@@ -226,10 +228,6 @@ def between_row(
         phase = (1j * math.pi) * ((dx * dx * c + 2.0 * dx * g[:, None]) / lam + p3[:, None])
         return reduce_paths(np.exp(phase))
 
-    if z < z0:
-        raise DomainError(f"between-region evaluation needs z >= z0, got z={z}, z0={z0}")
-
-    sig0 = _sigma0_between(lam, z_s, z0, b0, z)
     u = dx - g[:, None] * (z - z0)
     bracket = (dx * dx - u * u / sig0) / (lam * (z - z0)) + p3[:, None]
     psi = reduce_paths(np.exp((1j * math.pi) * bracket))
@@ -268,17 +266,13 @@ def behind_row(
     if z < z1:
         raise DomainError(f"behind-region evaluation needs z >= z1, got z={z}, z1={z1}")
 
-    sig0 = _sigma0_behind(lam, z_s, z0, z1, b0)
+    sig0 = spreading_sigma(lam, z_s, z0, z1, b0)
     comb_scale = (comb_k / comb_eta) ** 2 if (hard and comb_k > 1) else 1.0
     L10 = lam * (z1 - z0)
 
     dx10 = x1s[:, None] - x0s[None, :]
-    if paraxial:
-        u = dx10
-        p3 = np.zeros(len(x0s))
-    else:
-        u = dx10 - ((x0s - x_s) * ((z1 - z0) / (z0 - z_s)))[None, :]
-        p3 = (x0s - x_s) ** 2 / (lam * (z0 - z_s))
+    u = xi0_grouped(x0s[None, :], x1s[:, None], x_s, z0, z1, z_s)
+    p3 = np.zeros(len(x0s)) if paraxial else (x0s - x_s) ** 2 / (lam * (z0 - z_s))
     p23 = (dx10 * dx10 - u * u / sig0) / L10 + p3[None, :]
     bq = (dx10 - u / sig0) / L10
 
@@ -294,17 +288,12 @@ def behind_row(
 
     dx1 = x[None, :] - x1s[:, None]
 
-    if hard:
-        K, eta = comb_k, comb_eta
-        mk = comb_offsets(K)
-        ck = mk * mk / (2.0 * math.pi * eta * eta)
-        fk = K * mk / (2.0 * math.pi * eta * eta * b1)
-        pref = _SQRT_2_OVER_PI / eta
-    else:
-        K = 1
-        ck = np.zeros(1)
-        fk = np.zeros(1)
-        pref = 1.0
+    # A fuzzy slit is the one-term comb: offset 0, so ck = fk = 0.
+    K, eta = (comb_k, comb_eta) if hard else (1, 1.0)
+    mk = comb_offsets(K)
+    ck = mk * mk / (2.0 * math.pi * eta * eta)
+    fk = K * mk / (2.0 * math.pi * eta * eta * b1)
+    pref = _SQRT_2_OVER_PI / eta if hard else 1.0
 
     if z == z1:
         # Analytic z -> z1 limit.
@@ -322,9 +311,7 @@ def behind_row(
         psi = reduce_paths(terms.reshape(-1, x.shape[0]))
         return pref * psi / np.sqrt(sig0)
 
-    sig1 = _sigma1_behind(lam, z0, z1, b1, z, comb_scale)
-    d2 = sig0 * sig1 - (z - z1) / (z1 - z0)
-    _check_branch(d2)
+    d2 = _d_squared(sig0, spreading_sigma(lam, z0, z1, z, b1, comb_scale), z0, z1, z)
     d = complex(np.sqrt(d2))
     Lz = lam * (z - z1)
     c_quad = Lz * sig0 / d2
@@ -335,23 +322,15 @@ def behind_row(
     # Direct kernel: one exponential per path term, with the quadratic phase
     # assembled in place in one (paths, nx) buffer.  Only the hard-edged
     # comb and path counts too small to factorise come here.
-    if hard:
-        acc = np.empty((len(x1s), len(x0s), K, x.shape[0]), dtype=complex)
-        np.subtract(
-            w[:, None, None, :], bq[:, :, None, None] - (1j * fk)[None, None, :, None],
-            out=acc,
-        )
-        np.multiply(acc, acc, out=acc)
-        np.multiply(acc, -c_quad, out=acc)
-        acc += t1[:, None, None, :]
-        acc += (p23[:, :, None] + (1j * ck)[None, None, :])[:, :, :, None]
-    else:
-        acc = np.empty((len(x1s), len(x0s), x.shape[0]), dtype=complex)
-        np.subtract(w[:, None, :], bq[:, :, None], out=acc)
-        np.multiply(acc, acc, out=acc)
-        np.multiply(acc, -c_quad, out=acc)
-        acc += t1[:, None, :]
-        acc += p23[:, :, None]
+    acc = np.empty((len(x1s), len(x0s), K, x.shape[0]), dtype=complex)
+    np.subtract(
+        w[:, None, None, :], bq[:, :, None, None] - (1j * fk)[None, None, :, None],
+        out=acc,
+    )
+    np.multiply(acc, acc, out=acc)
+    np.multiply(acc, -c_quad, out=acc)
+    acc += t1[:, None, None, :]
+    acc += (p23[:, :, None] + (1j * ck)[None, None, :])[:, :, :, None]
     np.multiply(acc, 1j * math.pi, out=acc)
     np.exp(acc, out=acc)
     psi = reduce_paths(acc.reshape(-1, x.shape[0]))
@@ -402,9 +381,7 @@ def _behind_factorised(
     scale comes back with the chirp in the log domain: far off-axis M alone
     would underflow and the chirp alone overflow.
     """
-    sig1 = _sigma1_behind(lam, z0, z1, b1, z, 1.0)
-    d2 = sig0 * sig1 - (z - z1) / (z1 - z0)
-    _check_branch(d2)
+    d2 = _d_squared(sig0, spreading_sigma(lam, z0, z1, z, b1), z0, z1, z)
     a_quad = (
         complex((sig0 - 1.0) / (z1 - z0)) + 1j * sig0 * lam / (2.0 * math.pi * b1 * b1)
     ) / (lam * d2)

@@ -14,7 +14,8 @@ from .core import (
     SourceSpec,
     talbot_length,
 )
-from .superposition import PROPAGATORS, FieldRequest
+
+PROPAGATORS = ("standard", "paraxial", "hard-edge")
 
 
 @dataclass(frozen=True)
@@ -77,23 +78,6 @@ class Scenario:
             return self
         return dataclasses.replace(
             self, particle=dataclasses.replace(self.particle, lambda_dB=lam)
-        )
-
-    def request(self, x_s: float | None = None, lam: float | None = None) -> FieldRequest:
-        """Single-source-point, single-wavelength evaluation request."""
-        scn = self if lam is None else self.with_wavelength(lam)
-        if x_s is None:
-            if len(scn.source.x_positions) != 1 and not scn.source.paraxial:
-                raise DomainError("distributed source: pass an explicit x_s")
-            x_s = 0.0 if scn.source.paraxial else scn.source.x_positions[0]
-        return FieldRequest(
-            particle=scn.particle,
-            grating0=scn.grating0,
-            grating1=scn.grating1,
-            x_s=x_s,
-            z_s=scn.source.z_s,
-            region=scn.region,
-            propagator=scn.propagator,
         )
 
 

@@ -41,7 +41,7 @@ from tlsim.propagators import (
     psi_hard_edge,
 )
 from tlsim.scenario import Scenario
-from tlsim.superposition import FieldRequest, density, superpose_between
+from tlsim.superposition import density, superpose_between
 
 LAMBDA = 5e-12
 MASS = 1.2e-24
@@ -130,8 +130,9 @@ def test_criterion_03_talbot_self_imaging():
     particle = _paper_particle()
     g0 = GratingSpec(64, PITCH, 37.5e-9, 0.0)
     g1 = GratingSpec(1, PITCH, 75e-9, 2.0 * Z_TALBOT)  # parked far downstream
-    req = FieldRequest(particle=particle, grating0=g0, grating1=g1, x_s=0.0,
-                       z_s=PARAXIAL_ZS, region="between", propagator="paraxial")
+    src = SourceSpec(kind="point", x_positions=(0.0,), z_s=PARAXIAL_ZS)
+    req = Scenario(particle=particle, grating0=g0, grating1=g1, source=src,
+                   region="between", propagator="paraxial")
     # N0 = 64 slits sit at half-integer multiples of the pitch; the half-length
     # image is shifted by d/2 onto integer multiples (the slit midpoints)
     worst_half = 0.0

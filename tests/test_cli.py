@@ -53,6 +53,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert "line 1" in err and "line 2" in err
 
+    @pytest.mark.parametrize("line", ["grid.x_min = -inf", "grating1.pitch = inf"])
+    def test_non_finite_geometry_exits_1_without_files(self, tmp_path, capsys, line):
+        cfg = tmp_path / "inf.cfg"
+        key = line.split("=")[0]
+        kept = [ln for ln in SMALL_CONFIG.splitlines() if not ln.startswith(key)]
+        cfg.write_text("\n".join(kept + [line]) + "\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 1
 

@@ -13,7 +13,6 @@ from tlsim.coherence import (
     focusing_contrast,
     gaussian_spectral_weights,
     gsm_average,
-    gsm_kernel,
     resonance_scan,
     spectral_average,
     source_field_matrix,
@@ -25,16 +24,16 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _kernel_spec(xs, sigma):
-    return CoherenceKernelSpec(sigma_I=sigma, x_positions=tuple(xs), z_s=-0.5)
+    return CoherenceKernelSpec(sigma_I=sigma, x_positions=tuple(xs))
 
 
 class TestKernel:
     def test_symmetry_and_diagonal_exact(self, rng):
         for _ in range(50):
-            a, b = rng.uniform(-5e-6, 5e-6, 2)
-            s = 10.0 ** rng.uniform(-8, -5)
-            assert gsm_kernel(a, b, s) == gsm_kernel(b, a, s)
-            assert gsm_kernel(a, a, s) == 1.0 / (SQRT_2PI * s)
+            xs = np.sort(rng.uniform(-5e-6, 5e-6, 6))
+            m = _kernel_spec(xs, 10.0 ** rng.uniform(-8, -5)).scaled_matrix()
+            assert np.array_equal(m, m.T)
+            assert np.all(np.diag(m) == 1.0 / SQRT_2PI)
 
     def test_scaled_matrix_limits(self):
         xs = (-1e-6, 0.0, 1e-6)
@@ -51,7 +50,7 @@ class TestKernel:
         with pytest.raises(DomainError):
             _kernel_spec((0.0, 0.0), 1e-6)
         with pytest.raises(DomainError):
-            gsm_kernel(0.0, 0.0, COHERENT_SIGMA)
+            _kernel_spec((0.0,), 0.0)
 
 
 class TestGsmAverage:

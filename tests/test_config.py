@@ -123,6 +123,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sweep.values given without sweep.param"):
             parse_config(MINIMAL + "sweep.values = 1um\n")
 
+    @pytest.mark.parametrize("line, section", [
+        ("grating1.pitch = inf", "grating1"),
+        ("grating0.half_width = inf", "grating0"),
+        ("grating1.z = inf", "grating1"),
+        ("grid.x_min = -inf", "grid"),
+        ("grid.z_max = inf", "grid"),
+    ])
+    def test_non_finite_geometry_rejected(self, line, section):
+        with pytest.raises(ConfigError, match=f"{section}: .*finite"):
+            parse_config(MINIMAL + line + "\n")
+
     def test_multiple_invariant_violations_collected(self):
         text = MINIMAL + "source.zs = 0.1\ngrid.nx = 1\n"
         with pytest.raises(ConfigError) as err:

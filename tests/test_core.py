@@ -16,12 +16,11 @@ from tlsim.core import (
     flight_context,
     particle_from_wavelength,
     slit_positions,
-    spreading,
-    spreading_sigma,
     talbot_length,
     xi0,
     xi0_grouped,
 )
+from tlsim.propagators import behind_row, spreading_sigma
 
 
 class TestParticle:
@@ -94,57 +93,60 @@ class TestSpreading:
     def test_worked_value(self):
         # Sigma for G0 between source at -0.5 m and G1 at 0.05 m; the
         # expected value is 0.55/0.5 + i * lam*0.05 / (2 pi b0^2).
-        g0 = GratingSpec(1, 500e-9, 37.5e-9, 0.0)
-        sig = spreading_sigma(g0, 5e-12, -0.5, 0.05)
+        sig = spreading_sigma(5e-12, -0.5, 0.0, 0.05, 37.5e-9)
         expect_im = 5e-12 * 0.05 / (2.0 * math.pi * 37.5e-9**2)
         assert sig.real == pytest.approx(1.1, rel=1e-12)
         assert sig.imag == pytest.approx(expect_im, rel=1e-12)
         assert sig.imag == pytest.approx(28.294, rel=1e-3)
 
     def test_at_grating_plane_sigma_is_one(self):
-        g1 = GratingSpec(1, 500e-9, 75e-9, 0.05)
-        sig = spreading_sigma(g1, 5e-12, 0.0, 0.05)
+        sig = spreading_sigma(5e-12, 0.0, 0.05, 0.05, 75e-9)
         assert sig == complex(1.0, 0.0)
 
     def test_hard_edge_scaling(self):
-        g = GratingSpec(1, 500e-9, 75e-9, 0.05, comb_k=2, comb_eta=1.0)
-        plain = spreading_sigma(g, 5e-12, 0.0, 0.1, hard_edge=False)
-        hard = spreading_sigma(g, 5e-12, 0.0, 0.1, hard_edge=True)
+        # K = 2, eta = 1: the comb scales the imaginary part by (K/eta)^2
+        plain = spreading_sigma(5e-12, 0.0, 0.05, 0.1, 75e-9)
+        hard = spreading_sigma(5e-12, 0.0, 0.05, 0.1, 75e-9, scale=(2 / 1.0) ** 2)
         assert hard.real == plain.real
         assert hard.imag == pytest.approx(4.0 * plain.imag, rel=1e-15)
 
     def test_k1_comb_is_plain_gaussian(self):
-        # comb_k = 1 means the fuzzy Gaussian slit; eta has no effect on Sigma
-        g = GratingSpec(1, 500e-9, 75e-9, 0.05, comb_k=1, comb_eta=1.5)
-        plain = spreading_sigma(g, 5e-12, 0.0, 0.1, hard_edge=False)
-        hard = spreading_sigma(g, 5e-12, 0.0, 0.1, hard_edge=True)
-        assert hard == plain
+        # comb_k = 1 means the fuzzy Gaussian slit; eta has no effect on Sigma,
+        # so the K = 1 comb is the fuzzy field times its prefactor sqrt(2/pi)/eta
+        args = (5e-12, -0.5, 0.0, 0.0, 0.05, 37.5e-9, 75e-9, [2.5e-7], [-2.5e-7])
+        x = np.linspace(-1e-6, 1e-6, 9)
+        plain = behind_row(*args, x, 0.1)
+        hard = behind_row(*args, x, 0.1, comb_k=1, comb_eta=1.5, hard=True)
+        assert np.allclose(hard, math.sqrt(2.0 / math.pi) / 1.5 * plain, rtol=1e-15, atol=0)
 
     def test_im_positive_re_above_one(self, rng):
         for _ in range(100):
             zj = rng.uniform(0.01, 0.1)
-            g = GratingSpec(1, 500e-9, rng.uniform(20e-9, 100e-9), zj)
+            b = rng.uniform(20e-9, 100e-9)
             z_prev = -rng.uniform(0.1, 1.0)
             z_next = zj + rng.uniform(1e-4, 0.2)
-            sig = spreading_sigma(g, rng.uniform(3e-12, 8e-12), z_prev, z_next)
+            sig = spreading_sigma(rng.uniform(3e-12, 8e-12), z_prev, zj, z_next, b)
             assert sig.imag > 0.0
             assert sig.real > 1.0
 
     def test_paraxial_real_part_is_one(self):
-        g = GratingSpec(1, 500e-9, 37.5e-9, 0.0)
-        sig = spreading_sigma(g, 5e-12, PARAXIAL_ZS, 0.05)
+        sig = spreading_sigma(5e-12, PARAXIAL_ZS, 0.0, 0.05, 37.5e-9)
         assert sig.real == 1.0
 
     def test_coincident_planes_error(self):
-        g = GratingSpec(1, 500e-9, 37.5e-9, 0.0)
         with pytest.raises(DomainError):
-            spreading_sigma(g, 5e-12, 0.0, 0.05)
+            spreading_sigma(5e-12, 0.0, 0.0, 0.05, 37.5e-9)
 
-    def test_bundle_carries_sigma0(self):
-        g = GratingSpec(1, 500e-9, 37.5e-9, 0.0)
-        params = spreading(g, 5e-12, -0.5, 0.05)
-        assert params.sigma_j0 == pytest.approx(37.5e-9 / math.sqrt(2.0), rel=1e-15)
-        assert params.xi0 == 1.0
+    def test_b_form_equals_sigma0_form(self):
+        # the paper writes the spreading with sigma0 = b/sqrt(2): 4 pi sigma0^2 = 2 pi b^2
+        sigma0 = 37.5e-9 / math.sqrt(2.0)
+        sig = spreading_sigma(5e-12, -0.5, 0.0, 0.05, 37.5e-9)
+        assert sig.imag == pytest.approx(5e-12 * 0.05 / (4.0 * math.pi * sigma0**2), rel=1e-15)
+
+    def test_rejects_non_finite_wavelength(self):
+        for lam in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                spreading_sigma(lam, -0.5, 0.0, 0.05, 37.5e-9)
 
 
 class TestXi0:
@@ -215,6 +217,21 @@ class TestValidation:
             GratingSpec(1, 500e-9, 75e-9, 0.0, comb_k=0)
         with pytest.raises(DomainError):
             GratingSpec(1, 500e-9, 75e-9, 0.0, comb_eta=0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_grating_pitch_must_be_finite(self, bad):
+        with pytest.raises(DomainError):
+            GratingSpec(1, bad, 75e-9, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_grating_half_width_must_be_finite(self, bad):
+        with pytest.raises(DomainError):
+            GratingSpec(1, 500e-9, bad, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_grating_z_must_be_finite(self, bad):
+        with pytest.raises(DomainError):
+            GratingSpec(1, 500e-9, 75e-9, bad)
 
     def test_source_ordering(self):
         with pytest.raises(DomainError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,14 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             GridSpec(0.0, 1.0, 0.0, 1.0, 1, 4)
 
+    @pytest.mark.parametrize("field", ["x_min", "x_max", "z_min", "z_max"])
+    @pytest.mark.parametrize("bad", [-math.inf, math.inf, math.nan])
+    def test_bounds_must_be_finite(self, field, bad):
+        bounds = {"x_min": -1e-6, "x_max": 1e-6, "z_min": 0.0, "z_max": 0.1}
+        bounds[field] = bad
+        with pytest.raises(DomainError):
+            GridSpec(nx=4, nz=4, **bounds)
+
     def test_axes_endpoints_exact(self):
         g = GridSpec(-1e-6, 3e-6, 0.05, 0.06, 17, 11)
         assert g.x_axis()[0] == -1e-6 and g.x_axis()[-1] == 3e-6
@@ -53,25 +63,23 @@ class TestEvaluateGrid:
         scn = _scenario(fullerene, n0=1, n1=1, region="behind")
         grid = GridSpec(-1e-6, 1e-6, 0.06, 0.1, 2, 2)
         field = evaluate_grid(scn, grid, workers=1)
-        req = scn.request()
         for i, z in enumerate(grid.z_axis()):
             for j, x in enumerate(grid.x_axis()):
-                assert field.values[i, j] == density(superpose_behind(req, float(x), float(z)))
+                assert field.values[i, j] == density(superpose_behind(scn, float(x), float(z)))
 
     def test_spot_checks_bit_equal(self, fullerene, rng):
         scn = _scenario(fullerene, n0=4, n1=3)
         grid = _small_grid()
         field = evaluate_grid(scn, grid, workers=1)
-        req = scn.request()
         xs, zs = grid.x_axis(), grid.z_axis()
         for _ in range(10):
             i = int(rng.integers(0, grid.nz))
             j = int(rng.integers(0, grid.nx))
             z = float(zs[i])
             if z <= scn.z1:
-                expect = density(superpose_between(req, float(xs[j]), z))
+                expect = density(superpose_between(scn, float(xs[j]), z))
             else:
-                expect = density(superpose_behind(req, float(xs[j]), z))
+                expect = density(superpose_behind(scn, float(xs[j]), z))
             assert field.values[i, j] == expect
 
     def test_symmetric_scenario_mirror_columns(self, fullerene):
@@ -110,18 +118,16 @@ class TestEvaluateGrid:
         scn = _scenario(fullerene, n0=3, n1=2)
         grid = GridSpec(-1e-6, 1e-6, 0.0, 0.1, 9, 3)  # middle row exactly at z1
         field = evaluate_grid(scn, grid, workers=1)
-        req = scn.request()
         x = grid.x_axis()
-        expect = density(superpose_between(req, x, 0.05))
+        expect = density(superpose_between(scn, x, 0.05))
         assert np.array_equal(field.values[1], expect)
 
     def test_boundary_row_uses_behind_limit_for_behind_region(self, fullerene):
         scn = _scenario(fullerene, n0=3, n1=2, region="behind")
         grid = GridSpec(-1e-6, 1e-6, 0.05, 0.1, 9, 3)
         field = evaluate_grid(scn, grid, workers=1)
-        req = scn.request()
         x = grid.x_axis()
-        expect = density(superpose_behind(req, x, 0.05))
+        expect = density(superpose_behind(scn, x, 0.05))
         assert np.array_equal(field.values[0], expect)
 
 

@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tlsim.core import (
-    HBAR, PARAXIAL_ZS, DomainError, GratingSpec, Particle, centered_axis, slit_positions,
+    HBAR, PARAXIAL_ZS, DomainError, GratingSpec, Particle, SourceSpec, centered_axis,
+    slit_positions,
 )
 from tlsim.oracle import composite_gauss_legendre, quadrature_oracle
 from tlsim.propagators import (
@@ -23,8 +24,16 @@ from tlsim.propagators import (
     psi_hard_edge,
     psi_paraxial,
     reduce_paths,
+    spreading_sigma,
 )
-from tlsim.superposition import FieldRequest, density, superpose_behind, superpose_between
+from tlsim.scenario import Scenario
+from tlsim.superposition import density, superpose_behind, superpose_between
+
+
+def _scenario(particle, g0, g1, x_s, z_s, region, propagator="standard"):
+    src = SourceSpec(kind="point", x_positions=(x_s,), z_s=z_s)
+    return Scenario(particle=particle, grating0=g0, grating1=g1, source=src,
+                    region=region, propagator=propagator)
 
 
 def _ctx_between(particle, b0=37.5e-9, x_s=1e-6, z_s=-0.5, x0=2.5e-7):
@@ -150,14 +159,12 @@ class TestPsiBetween:
         # source aligned with the slit: both phase summands vanish at x = x0,
         # so psi there is exactly the 1/sqrt(Sigma) prefactor, and |psi|
         # peaks at the slit center for small z - z0
-        from tlsim.core import spreading_sigma
-
         ctx = _ctx_between(fullerene, x_s=2.5e-7, x0=2.5e-7)
         z = 1e-4
         x = np.linspace(0.0, 5e-7, 101)
         p = density(psi_between(ctx, x, z))
         assert x[np.argmax(p)] == pytest.approx(2.5e-7, abs=5e-9)
-        sig = spreading_sigma(ctx.grating0, ctx.lam, ctx.z_s, z)
+        sig = spreading_sigma(ctx.lam, ctx.z_s, 0.0, z, ctx.grating0.half_width)
         assert psi_between(ctx, 2.5e-7, z) == pytest.approx(1.0 / cmath.sqrt(sig), rel=1e-13)
 
     def test_gaussian_beam_width_grows(self, fullerene):
@@ -322,8 +329,7 @@ class TestPsiParaxial:
         zT = 2 * d * d / 5e-12
         g0 = GratingSpec(64, d, 37.5e-9, 0.0)
         g1 = GratingSpec(1, d, 75e-9, 2 * zT)
-        req = FieldRequest(particle=fullerene, grating0=g0, grating1=g1, x_s=0.0,
-                           z_s=PARAXIAL_ZS, region="between", propagator="paraxial")
+        req = _scenario(fullerene, g0, g1, 0.0, PARAXIAL_ZS, "between", "paraxial")
         for m in (-2, 0, 3):
             xwin = centered_axis((m - 0.5) * d, (m + 0.5) * d, 201)
             p = density(superpose_between(req, xwin, zT / 2))
@@ -339,10 +345,8 @@ class TestPsiParaxial:
         g0 = GratingSpec(32, 500e-9, 37.5e-9, 0.0)
         g1 = GratingSpec(33, 500e-9, 75e-9, 0.05)
         x = centered_axis(-1e-6, 1e-6, 512)
-        req_par = FieldRequest(particle=fullerene, grating0=g0, grating1=g1, x_s=0.0,
-                               z_s=PARAXIAL_ZS, region="behind", propagator="paraxial")
-        req_fin = FieldRequest(particle=fullerene, grating0=g0, grating1=g1, x_s=0.0,
-                               z_s=-50.0, region="behind", propagator="standard")
+        req_par = _scenario(fullerene, g0, g1, 0.0, PARAXIAL_ZS, "behind", "paraxial")
+        req_fin = _scenario(fullerene, g0, g1, 0.0, -50.0, "behind")
         pp = density(superpose_behind(req_par, x, 0.1))
         pf = density(superpose_behind(req_fin, x, 0.1))
         pp /= pp.max()
@@ -359,8 +363,7 @@ class TestFactorisedBehind:
         g0 = GratingSpec(4, 250e-9, 30e-9, 0.0)
         g1 = GratingSpec(5, 250e-9, 30e-9, 0.05)
         x_s, z_s = 1.5e-6, -0.5
-        req = FieldRequest(particle=fullerene, grating0=g0, grating1=g1, x_s=x_s, z_s=z_s,
-                           region="behind")
+        req = _scenario(fullerene, g0, g1, x_s, z_s, "behind")
         for x, z in ((3e-7, 0.0625), (-5e-7, 0.08), (4e-7, 0.1), (-2e-7, 0.12)):
             ref = sum(
                 quadrature_oracle(

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
-from tlsim.core import PARAXIAL_ZS, DomainError, GratingSpec, centered_axis, slit_positions
+from tlsim.core import (
+    PARAXIAL_ZS, DomainError, GratingSpec, SourceSpec, centered_axis, slit_positions,
+)
 from tlsim.propagators import PathContext, psi_behind, psi_between
-from tlsim.superposition import FieldRequest, density, superpose_behind, superpose_between
+from tlsim.scenario import Scenario
+from tlsim.superposition import density, superpose_behind, superpose_between
 
 
 def _req(particle, n0=4, n1=3, x_s=0.0, z_s=-0.5, region="full", propagator="standard",
          comb_k=1, comb_eta=1.0):
     g0 = GratingSpec(n0, 500e-9, 37.5e-9, 0.0)
     g1 = GratingSpec(n1, 500e-9, 75e-9, 0.05, comb_k=comb_k, comb_eta=comb_eta)
-    return FieldRequest(particle=particle, grating0=g0, grating1=g1, x_s=x_s, z_s=z_s,
-                        region=region, propagator=propagator)
+    src = SourceSpec(kind="point", x_positions=(x_s,), z_s=z_s)
+    return Scenario(particle=particle, grating0=g0, grating1=g1, source=src,
+                    region=region, propagator=propagator)
 
 
 class TestSuperposeBetween:
@@ -166,6 +170,37 @@ class TestRequestValidation:
     def test_g0_comb_rejected(self, fullerene):
         g0 = GratingSpec(2, 500e-9, 37.5e-9, 0.0, comb_k=4)
         g1 = GratingSpec(1, 500e-9, 75e-9, 0.05)
+        src = SourceSpec(kind="point", x_positions=(0.0,), z_s=-0.5)
         with pytest.raises(DomainError):
-            FieldRequest(particle=fullerene, grating0=g0, grating1=g1,
-                         x_s=0.0, z_s=-0.5)
+            Scenario(particle=fullerene, grating0=g0, grating1=g1, source=src)
+
+
+class TestCallShape:
+    @pytest.mark.parametrize("z_s, propagator, comb_k", [
+        (-0.5, "standard", 1),
+        (PARAXIAL_ZS, "paraxial", 1),
+        (-0.5, "hard-edge", 4),
+    ])
+    def test_lam_keyword_equals_rebuilt_scenario(self, fullerene, z_s, propagator, comb_k):
+        scn = _req(fullerene, n0=5, n1=4, x_s=0.0 if propagator == "paraxial" else 1e-6,
+                   z_s=z_s, propagator=propagator, comb_k=comb_k, comb_eta=1.5)
+        x = np.linspace(-2e-6, 2e-6, 41)
+        for lam in (3e-12, 7.25e-12):
+            other = scn.with_wavelength(lam)
+            for z in (0.05, 0.09):
+                assert np.array_equal(superpose_behind(scn, x, z, lam=lam),
+                                      superpose_behind(other, x, z))
+            assert np.array_equal(superpose_between(scn, x, 0.03, lam=lam),
+                                  superpose_between(other, x, 0.03))
+
+    def test_line_source_needs_explicit_x_s(self, fullerene, line_source_33):
+        point = _req(fullerene)
+        scn = Scenario(particle=fullerene, grating0=point.grating0, grating1=point.grating1,
+                       source=line_source_33)
+        with pytest.raises(DomainError):
+            superpose_behind(scn, 0.0, 0.08)
+        with pytest.raises(DomainError):
+            superpose_between(scn, 0.0, 0.02)
+        x_s = line_source_33.x_positions[3]
+        assert superpose_behind(scn, 0.0, 0.08, x_s=x_s) == superpose_behind(
+            _req(fullerene, x_s=x_s), 0.0, 0.08)
