@@ -23,7 +23,7 @@ import numpy as np
 from .coherence import density_profile, fringe_metrics
 from .config import ConfigError, config_help, parse_config, parse_length
 from .core import DomainError, centered_axis
-from .fieldgrid import evaluate_grid, export_csv, export_meta, export_pgm, export_table_csv
+from .fieldgrid import evaluate_grid, export_field, export_table_csv
 from .oracle import OracleConvergenceError, quadrature_oracle, random_oracle_case
 from .presets import preset_names, run_preset
 from .propagators import psi_behind, psi_hard_edge
@@ -48,19 +48,8 @@ def cmd_run(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     stem = _stem(args.config)
     field = evaluate_grid(rc.scenario, rc.grid, workers=args.threads)
-    written = []
-    if "csv" in rc.formats:
-        p = os.path.join(args.out, f"{stem}.field.csv")
-        export_csv(field, p)
-        written.append(p)
-    if "pgm" in rc.formats:
-        p = os.path.join(args.out, f"{stem}.field.pgm")
-        export_pgm(field, p, log_scale=args.log_scale or rc.log_scale)
-        written.append(p)
-    if "meta" in rc.formats:
-        p = os.path.join(args.out, f"{stem}.meta.txt")
-        export_meta(field, rc.scenario, p)
-        written.append(p)
+    written = export_field(field, rc.scenario, os.path.join(args.out, stem), rc.formats,
+                           log_scale=args.log_scale or rc.log_scale)
     print(f"{stem}: p_min={field.p_min:.6g} p_max={field.p_max:.6g}")
     for p in written:
         print(f"wrote {p}")
@@ -115,8 +104,7 @@ def cmd_scan(args) -> int:
         print(f"{stem}: {v:.6g}  {met.p_min:.6g}  {met.p_max:.6g}  {met.visibility:.4f}")
         if args.fields:
             field = evaluate_grid(scn_v, rc.grid, workers=args.threads)
-            fp = os.path.join(args.out, f"{stem}.{param}_{i}.field.pgm")
-            export_pgm(field, fp)
+            [fp] = export_field(field, scn_v, os.path.join(args.out, f"{stem}.{param}_{i}"), ("pgm",))
             print(f"wrote {fp}")
     export_table_csv(out_path, f"{param},p_min,p_max,visibility", rows)
     print(f"wrote {out_path}")

@@ -20,7 +20,7 @@ from .core import (
     SpectralSpec,
 )
 from .fieldgrid import GridSpec
-from .scenario import Scenario, resolve_propagator
+from .scenario import SWEEPABLE_PARAMS, Scenario, resolve_propagator
 
 # decimal exponent per unit; lengths are converted with a single
 # correctly-rounded decimal->binary conversion so '500nm' == 5e-7 exactly
@@ -163,13 +163,10 @@ SCHEMA: dict[str, tuple] = {
     "output.formats": (_parse_formats, ("csv", "pgm", "meta"), False, "list", "csv,pgm,meta"),
     "output.log_scale": (_parse_bool, False, False, "bool", "PGM maps 4 decades of log10"),
     "sweep.param": (
-        _parse_choice("sigma_I", "lambda", "K1", "eta1", "zs", "xs"),
-        None, False, "choice", "sweepable parameter",
+        _parse_choice(*SWEEPABLE_PARAMS), None, False, "choice", "sweepable parameter",
     ),
     "sweep.values": (_parse_length_list, None, False, "list", "sweep values (units allowed)"),
 }
-
-SWEEPABLE = ("sigma_I", "lambda", "K1", "eta1", "zs", "xs")
 
 
 @dataclass(frozen=True)
@@ -200,38 +197,27 @@ def config_help() -> str:
     return "configuration keys (file format: 'key = value', '#' comments):\n" + "\n".join(rows)
 
 
-def _source_positions(vals: dict) -> tuple[float, ...]:
-    if vals["source.kind"] == "point":
-        return (vals["source.xs"],)
-    lo, hi, step = vals["source.xs_min"], vals["source.xs_max"], vals["source.xs_step"]
+def _inclusive_range(vals: dict, prefix: str) -> tuple[float, ...]:
+    """min, min + step, ... up to max, from the keys ``<prefix>_min/_max/_step``."""
+    lo, hi, step = (vals[f"{prefix}_{end}"] for end in ("min", "max", "step"))
     if not (step > 0.0):
-        raise DomainError(f"source.xs_step must be positive, got {step}")
+        raise DomainError(f"{prefix}_step must be positive, got {step}")
     if hi < lo:
-        raise DomainError(f"source.xs_max={hi} < source.xs_min={lo}")
-    count = int(round((hi - lo) / step)) + 1
-    return tuple(lo + k * step for k in range(count))
-
-
-def _lambda_band(vals: dict) -> tuple[float, ...]:
-    lo, hi, step = (
-        vals["spectral.lambda_min"],
-        vals["spectral.lambda_max"],
-        vals["spectral.lambda_step"],
-    )
-    if not (step > 0.0):
-        raise DomainError(f"spectral.lambda_step must be positive, got {step}")
-    if hi < lo:
-        raise DomainError(f"spectral.lambda_max={hi} < spectral.lambda_min={lo}")
-    count = int(round((hi - lo) / step)) + 1
-    return tuple(lo + k * step for k in range(count))
+        raise DomainError(f"{prefix}_max={hi} < {prefix}_min={lo}")
+    span = (hi - lo) / step
+    if not all(math.isfinite(v) for v in (lo, step, span)):
+        raise DomainError(f"{prefix}_min/_max/_step must give a finite range, got {lo}, {hi}, {step}")
+    return tuple(lo + k * step for k in range(int(round(span)) + 1))
 
 
 def build_run_config(vals: dict) -> RunConfig:
-    """Assemble and validate a RunConfig from a complete value mapping.
+    """Assemble and validate a RunConfig from a value mapping; optional keys
+    it leaves out take their SCHEMA defaults.
 
     Collects every independent invariant violation into one ConfigError
     rather than stopping at the first.
     """
+    vals = {key: spec[1] for key, spec in SCHEMA.items() if not spec[2]} | vals
     problems: list[tuple[int, str]] = []
 
     def attempt(section, fn):
@@ -271,11 +257,12 @@ def build_run_config(vals: dict) -> RunConfig:
             spectral = SpectralSpec(
                 mean_lambda=vals["spectral.mean"],
                 sigma_g=vals["spectral.sigma"],
-                lambda_list=_lambda_band(vals),
+                lambda_list=_inclusive_range(vals, "spectral.lambda"),
             )
         return SourceSpec(
             kind=vals["source.kind"],
-            x_positions=_source_positions(vals),
+            x_positions=((vals["source.xs"],) if vals["source.kind"] == "point"
+                         else _inclusive_range(vals, "source.xs")),
             z_s=vals["source.zs"],
             sigma_I=vals["source.sigma_i"],
             spectral=spectral,
@@ -362,14 +349,8 @@ def parse_config(text: str) -> RunConfig:
             problems.append((lineno, f"{key}: {exc}"))
 
     for key, (conv, default, required, unit, text_) in SCHEMA.items():
-        if key in vals:
-            continue
-        if key in key_lines:
-            continue  # present but malformed; already reported
-        if required:
+        if required and key not in key_lines:
             problems.append((0, f"missing required key {key!r}"))
-        elif default is not None or key in ("sweep.param", "sweep.values"):
-            vals[key] = default
 
     if problems:
         raise ConfigError(problems)

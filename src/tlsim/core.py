@@ -115,8 +115,8 @@ class GratingSpec:
             )
         if self.comb_k < 1:
             raise DomainError(f"comb_k must be >= 1, got {self.comb_k}")
-        if not (self.comb_eta > 0.0):
-            raise DomainError(f"comb_eta must be positive, got {self.comb_eta}")
+        if not (0.0 < self.comb_eta < math.inf):
+            raise DomainError(f"comb_eta must be finite and positive, got {self.comb_eta}")
 
     @property
     def span(self) -> float:
@@ -145,12 +145,12 @@ class SpectralSpec:
     def __post_init__(self) -> None:
         if not (self.sigma_g > 0.0):
             raise DomainError(f"sigma_g must be positive, got {self.sigma_g}")
-        if not (self.mean_lambda > 0.0):
-            raise DomainError(f"mean_lambda must be positive, got {self.mean_lambda}")
+        if not (0.0 < self.mean_lambda < math.inf):
+            raise DomainError(f"mean_lambda must be finite and positive, got {self.mean_lambda}")
         if len(self.lambda_list) == 0:
             raise DomainError("lambda_list must not be empty")
-        if any(not (lam > 0.0) for lam in self.lambda_list):
-            raise DomainError("all lambda_list entries must be positive")
+        if any(not (0.0 < lam < math.inf) for lam in self.lambda_list):
+            raise DomainError("all lambda_list entries must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -173,6 +173,8 @@ class SourceSpec:
             raise DomainError(f"source kind must be 'point' or 'line', got {self.kind!r}")
         if len(self.x_positions) == 0:
             raise DomainError("source needs at least one x position")
+        if not all(math.isfinite(x) for x in self.x_positions):
+            raise DomainError(f"source x positions must be finite, got {self.x_positions}")
         if self.kind == "point" and len(self.x_positions) != 1:
             raise DomainError("point source must have exactly one x position")
         if self.kind == "line" and len(self.x_positions) > 1:

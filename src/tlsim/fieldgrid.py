@@ -250,33 +250,38 @@ def read_pgm(path) -> np.ndarray:
     return vals.astype(np.uint16)
 
 
-def export_meta(field: DensityField, scn: Scenario, path, extra: dict | None = None) -> None:
-    """Plain-text metadata: scenario echo, grid, extrema, fingerprint."""
-    lines = scenario_lines(scn) + field.grid.lines()
-    lines.append(f"field.p_min = {field.p_min:.17g}")
-    lines.append(f"field.p_max = {field.p_max:.17g}")
-    if extra:
-        lines.extend(f"{k} = {v}" for k, v in extra.items())
-    lines.append(f"fingerprint = {field.fingerprint}")
+def export_meta(path, scn: Scenario, lines: list[str], fingerprint: str) -> None:
+    """Plain-text metadata: scenario echo, the given lines, fingerprint."""
+    text = "\n".join(scenario_lines(scn) + lines + [f"fingerprint = {fingerprint}"])
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text + "\n")
     except OSError as exc:
         raise IOError(f"writing metadata to {path}: {exc}") from exc
 
 
-def export_field(field: DensityField, fmt: str, path, scn: Scenario | None = None, **kw) -> None:
-    """Dispatch on format: 'csv', 'pgm' or 'meta'."""
-    if fmt == "csv":
-        export_csv(field, path)
-    elif fmt == "pgm":
-        export_pgm(field, path, log_scale=bool(kw.get("log_scale", False)))
-    elif fmt == "meta":
-        if scn is None:
-            raise DomainError("meta export needs the scenario")
-        export_meta(field, scn, path, extra=kw.get("extra"))
-    else:
-        raise DomainError(f"unknown export format {fmt!r}")
+def export_field(field: DensityField, scn: Scenario, prefix: str, formats, *,
+                 log_scale: bool = False, extra: list[str] | None = None) -> list[str]:
+    """Write ``<prefix>.field.csv``, ``.field.pgm`` and ``.meta.txt`` for each of
+    'csv', 'pgm', 'meta' in ``formats``; returns the paths written.  The meta
+    file adds the grid, the extrema and the ``extra`` lines to the scenario echo."""
+    if not set(formats) <= {"csv", "pgm", "meta"}:
+        raise DomainError(f"unknown export format in {tuple(formats)}")
+    written: list[str] = []
+    if "csv" in formats:
+        written.append(f"{prefix}.field.csv")
+        export_csv(field, written[-1])
+    if "pgm" in formats:
+        written.append(f"{prefix}.field.pgm")
+        export_pgm(field, written[-1], log_scale=log_scale)
+    if "meta" in formats:
+        written.append(f"{prefix}.meta.txt")
+        lines = field.grid.lines() + [
+            f"field.p_min = {field.p_min:.17g}",
+            f"field.p_max = {field.p_max:.17g}",
+        ]
+        export_meta(written[-1], scn, lines + (extra or []), field.fingerprint)
+    return written
 
 
 def export_table_csv(path, header: str, rows) -> None:

@@ -24,35 +24,18 @@ from .coherence import (
     resonance_scan,
     source_field_matrix,
 )
-from .config import SCHEMA, build_run_config
+from .config import build_run_config
 from .core import DomainError, centered_axis
 from .fieldgrid import (
     Profile,
     cross_section,
     evaluate_grid,
-    export_csv,
+    export_field,
     export_meta,
-    export_pgm,
     export_profile_csv,
     export_table_csv,
 )
-from .scenario import Scenario, fingerprint, scenario_lines
-
-
-def default_values() -> dict:
-    vals = {}
-    for key, (conv, default, required, unit, help_) in SCHEMA.items():
-        if not required:
-            vals[key] = default
-    return vals
-
-
-def _preset_values(overrides: dict) -> dict:
-    vals = default_values()
-    vals["particle.lambda"] = 5e-12
-    vals.update(overrides)
-    return vals
-
+from .scenario import fingerprint
 
 _UM = 1e-6
 _NM = 1e-9
@@ -79,6 +62,24 @@ _SLIT_ZOOM = {
     "grid.nx": 512,
     "grid.nz": 400,
 }
+
+
+def _fig19(eta: float) -> dict:
+    return {
+        "grating0.slits": 2,
+        "grating1.slits": 1,
+        "grating1.comb_k": 7,
+        "grating1.comb_eta": eta,
+        "scenario.propagator": "hard-edge",
+        "scenario.region": "behind",
+        "grid.x_min": -125 * _NM,
+        "grid.x_max": 125 * _NM,
+        "grid.z_min": 0.05,
+        "grid.z_max": 0.054,
+        "grid.nx": 512,
+        "grid.nz": 320,
+    }
+
 
 PRESETS: dict[str, dict] = {
     "fig4a": {
@@ -190,7 +191,7 @@ PRESETS: dict[str, dict] = {
         "lambdas": tuple(3e-12 + 0.25e-12 * k for k in range(17)),
     },
     "fig12": {
-        "kind": "spectral-field",
+        "kind": "field",
         "note": "wavelength-averaged density, mean 5 pm, sigma_g 2.25 pm",
         "config": {
             "source.zs": _PARAXIAL,
@@ -242,35 +243,12 @@ PRESETS: dict[str, dict] = {
     "fig19a": {
         "kind": "field",
         "note": "single hard-edged slit, K1 = 7, eta = 0.2",
-        "config": None,  # filled below
+        "config": _fig19(0.2),
     },
-    "fig19b": {"kind": "field", "note": "K1 = 7, eta = 0.5", "config": None},
-    "fig19c": {"kind": "field", "note": "K1 = 7, eta = 0.8", "config": None},
-    "fig19d": {"kind": "field", "note": "K1 = 7, eta = 1.1", "config": None},
+    "fig19b": {"kind": "field", "note": "K1 = 7, eta = 0.5", "config": _fig19(0.5)},
+    "fig19c": {"kind": "field", "note": "K1 = 7, eta = 0.8", "config": _fig19(0.8)},
+    "fig19d": {"kind": "field", "note": "K1 = 7, eta = 1.1", "config": _fig19(1.1)},
 }
-
-
-def _fig19(eta: float) -> dict:
-    return {
-        "grating0.slits": 2,
-        "grating1.slits": 1,
-        "grating1.comb_k": 7,
-        "grating1.comb_eta": eta,
-        "scenario.propagator": "hard-edge",
-        "scenario.region": "behind",
-        "grid.x_min": -125 * _NM,
-        "grid.x_max": 125 * _NM,
-        "grid.z_min": 0.05,
-        "grid.z_max": 0.054,
-        "grid.nx": 512,
-        "grid.nz": 320,
-    }
-
-
-PRESETS["fig19a"]["config"] = _fig19(0.2)
-PRESETS["fig19b"]["config"] = _fig19(0.5)
-PRESETS["fig19c"]["config"] = _fig19(0.8)
-PRESETS["fig19d"]["config"] = _fig19(1.1)
 
 
 def preset_names() -> list[str]:
@@ -282,7 +260,7 @@ def preset_run_config(name: str, nx: int | None = None, nz: int | None = None):
         raise DomainError(
             f"unknown preset {name!r}; available: {', '.join(preset_names())}"
         )
-    vals = _preset_values(PRESETS[name]["config"])
+    vals = {"particle.lambda": 5e-12, **PRESETS[name]["config"]}
     if nx is not None:
         vals["grid.nx"] = nx
     if nz is not None:
@@ -290,12 +268,91 @@ def preset_run_config(name: str, nx: int | None = None, nz: int | None = None):
     return build_run_config(vals)
 
 
-def _meta_for(scn: Scenario, path, note: str, extra_lines: list[str]) -> None:
-    lines = scenario_lines(scn) + extra_lines
-    lines.append(f"note = {note}")
-    lines.append(f"fingerprint = {fingerprint(scn, extra_lines)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+# Table drivers: each writes its tables through ``path(kind_ext)``, reports
+# through ``say`` and returns the lines its meta file adds to the scenario echo.
+
+
+def _gsm_profiles(entry, scn, grid, path, say) -> list[str]:
+    z = scn.z0 + scn.z_talbot
+    lo, hi = scn.metrics_window()
+    x = centered_axis(lo, hi, 2048)
+    F = source_field_matrix(scn, x, z)
+    for sigma in entry["sigmas"]:
+        spec = CoherenceKernelSpec(sigma_I=sigma, x_positions=scn.source.x_positions)
+        p = gsm_average(F, spec)
+        met = fringe_metrics(p)
+        export_profile_csv(Profile(z=z, x=x, p=p), path(f"profile_sigma{sigma / _UM:g}um.csv"))
+        say(f"sigma_I={sigma:.3g} m  P_min={met.p_min:.6g} "
+            f"P_max={met.p_max:.6g} V={met.visibility:.4f}")
+    return [f"profile.z = {z:.17g}", "profile.samples = 2048"]
+
+
+def _sigma_sweep(entry, scn, grid, path, say) -> list[str]:
+    rows = coherence_sweep(scn, entry["sigmas"])
+    table = [(s, m.p_min, m.p_max, m.visibility) for s, m in rows]
+    export_table_csv(path("sweep.csv"), "sigma_i_m,p_min,p_max,visibility", table)
+    say("sigma_I(m)  P_min  P_max  V")
+    for s, pmin, pmax, vis in table:
+        say(f"{s:.6g}  {pmin:.6g}  {pmax:.6g}  {vis:.4f}")
+    return [f"sweep.z = {scn.z0 + scn.z_talbot:.17g}"]
+
+
+def _resonance(entry, scn, grid, path, say) -> list[str]:
+    rows = resonance_scan(scn, entry["lambdas"])
+    export_table_csv(path("sweep.csv"), "lambda_m,velocity_mps,p_max", rows)
+    say("lambda(m)  velocity(m/s)  P_max")
+    for lam, v, pmax in rows:
+        say(f"{lam:.6g}  {v:.4g}  {pmax:.6g}")
+    best = max(rows, key=lambda r: r[2])
+    say(f"peak emittance at lambda={best[0]:.6g} m (v={best[1]:.4g} m/s)")
+    return [f"detector.z = {scn.z0 + 2 * (scn.z1 - scn.z0):.17g}"]
+
+
+def _profiles(entry, scn, grid, path, say) -> list[str]:
+    x = centered_axis(grid.x_min, grid.x_max, 1024)
+    extra = []
+    for frac in entry["z_fractions"]:
+        z = scn.z0 + frac * scn.z_talbot
+        prof = Profile(z=z, x=x, p=density_profile(scn, x, z))
+        tag = f"z{frac:g}zT"
+        export_profile_csv(prof, path(f"profile_{tag}.csv"))
+        integral = prof.integral()
+        extra.append(f"profile.{tag}.integral = {integral:.17g}")
+        say(f"z/zT={frac:g}  integral={integral:.6g}  max={prof.p.max():.6g}")
+    return extra
+
+
+def _contrast(entry, scn, grid, path, say) -> list[str]:
+    zt = scn.z_talbot
+    fa, fb = entry["z_fractions"]
+    za, zb = scn.z0 + fa * zt, scn.z0 + fb * zt
+    x = centered_axis(-125 * _NM, 125 * _NM, 1024)
+    inside = np.abs(x) < scn.grating1.half_width
+    extra = [f"contrast.za = {za:.17g}", f"contrast.zb = {zb:.17g}"]
+    for k in entry["k_list"]:
+        scn_k = dataclasses.replace(
+            scn, grating1=dataclasses.replace(scn.grating1, comb_k=k)
+        )
+        pa = density_profile(scn_k, x, za)
+        pb = density_profile(scn_k, x, zb)
+        _, dp = focusing_contrast(Profile(za, x, pa), Profile(zb, x, pb))
+        export_table_csv(path(f"contrast_k{k}.csv"), "x_m,p_za,p_zb,delta_p",
+                         zip(x, pa, pb, dp))
+        peak = float(dp.max())
+        well = float(dp[inside].min())
+        extra.append(f"contrast.k{k}.peak = {peak:.17g}")
+        extra.append(f"contrast.k{k}.well = {well:.17g}")
+        say(f"K1={k}  peak={peak:.6g}  well={well:.6g}")
+    return extra
+
+
+_TABLE_DRIVERS = {
+    "gsm-profiles": _gsm_profiles,
+    "sigma-sweep": _sigma_sweep,
+    "resonance": _resonance,
+    "profiles": _profiles,
+    "contrast": _contrast,
+}
 
 
 def run_preset(
@@ -312,128 +369,43 @@ def run_preset(
 
     Returns the list of file paths written.  ``nx``/``nz`` shrink or enlarge
     the evaluation grid of field presets (profile/sweep presets have fixed
-    sampling).
+    sampling).  A field preset with a spectral source also reports the fringe
+    visibility at the detector plane, averaged and monochromatic.
     """
-    entry = PRESETS.get(name)
-    if entry is None:
-        raise DomainError(
-            f"unknown preset {name!r}; available: {', '.join(preset_names())}"
-        )
-    os.makedirs(out_dir, exist_ok=True)
     rc = preset_run_config(name, nx=nx, nz=nz)
     scn, grid = rc.scenario, rc.grid
+    entry = PRESETS[name]
     kind = entry["kind"]
-    note = entry["note"]
+    driver = _TABLE_DRIVERS.get(kind)
+    if driver is None and kind != "field":
+        raise DomainError(f"preset {name!r} has unknown kind {kind!r}")
+    os.makedirs(out_dir, exist_ok=True)
+    note = f"note = {entry['note']}"
+
+    def say(msg: str) -> None:
+        echo(f"{name}: {msg}")
+
+    if kind == "field":
+        field = evaluate_grid(scn, grid, workers=threads)
+        written = export_field(field, scn, os.path.join(out_dir, name), rc.formats,
+                               log_scale=log_scale or rc.log_scale, extra=[note])
+        say(f"p_min={field.p_min:.6g} p_max={field.p_max:.6g}")
+        z_det = scn.z0 + scn.z_talbot
+        if scn.source.spectral is not None and grid.z_min <= z_det <= grid.z_max:
+            lo, hi = scn.metrics_window()
+            prof = cross_section(field, z_det).restrict(lo, hi)
+            mono = dataclasses.replace(scn, source=dataclasses.replace(scn.source, spectral=None))
+            v_avg = fringe_metrics(prof.p).visibility
+            v_mono = fringe_metrics(density_profile(mono, prof.x, prof.z)).visibility
+            say(f"V(averaged)={v_avg:.4f} V(monochromatic)={v_mono:.4f}")
+        return written
+
     written: list[str] = []
 
     def path(kind_ext: str) -> str:
-        p = os.path.join(out_dir, f"{name}.{kind_ext}")
-        written.append(p)
-        return p
+        written.append(os.path.join(out_dir, f"{name}.{kind_ext}"))
+        return written[-1]
 
-    if kind in ("field", "spectral-field"):
-        field = evaluate_grid(scn, grid, workers=threads)
-        if "csv" in rc.formats:
-            export_csv(field, path("field.csv"))
-        if "pgm" in rc.formats:
-            export_pgm(field, path("field.pgm"), log_scale=log_scale or rc.log_scale)
-        if "meta" in rc.formats:
-            export_meta(field, scn, path("meta.txt"), extra={"note": note})
-        echo(f"{name}: p_min={field.p_min:.6g} p_max={field.p_max:.6g}")
-        if kind == "spectral-field":
-            z_det = scn.z0 + scn.z_talbot
-            if grid.z_min <= z_det <= grid.z_max:
-                prof = cross_section(field, z_det)
-                lo, hi = scn.metrics_window()
-                v_avg = fringe_metrics(prof.restrict(lo, hi).p).visibility
-                mono = dataclasses.replace(
-                    scn,
-                    source=dataclasses.replace(scn.source, spectral=None),
-                )
-                x = prof.restrict(lo, hi).x
-                v_mono = fringe_metrics(density_profile(mono, x, prof.z)).visibility
-                echo(f"{name}: V(averaged)={v_avg:.4f} V(monochromatic)={v_mono:.4f}")
-        return written
-
-    if kind == "gsm-profiles":
-        z = scn.z0 + scn.z_talbot
-        lo, hi = scn.metrics_window()
-        x = centered_axis(lo, hi, 2048)
-        F = source_field_matrix(scn, x, z)
-        extra = [f"profile.z = {z:.17g}", "profile.samples = 2048"]
-        for sigma in entry["sigmas"]:
-            spec = CoherenceKernelSpec(sigma_I=sigma, x_positions=scn.source.x_positions)
-            p = gsm_average(F, spec)
-            met = fringe_metrics(p)
-            tag = f"sigma{sigma / _UM:g}um"
-            export_profile_csv(Profile(z=z, x=x, p=p), path(f"profile_{tag}.csv"))
-            echo(
-                f"{name}: sigma_I={sigma:.3g} m  P_min={met.p_min:.6g} "
-                f"P_max={met.p_max:.6g} V={met.visibility:.4f}"
-            )
-        _meta_for(scn, path("meta.txt"), note, extra)
-        return written
-
-    if kind == "sigma-sweep":
-        rows = coherence_sweep(scn, entry["sigmas"])
-        table = [(s, m.p_min, m.p_max, m.visibility) for s, m in rows]
-        export_table_csv(path("sweep.csv"), "sigma_i_m,p_min,p_max,visibility", table)
-        echo(f"{name}: sigma_I(m)  P_min  P_max  V")
-        for s, pmin, pmax, vis in table:
-            echo(f"{name}: {s:.6g}  {pmin:.6g}  {pmax:.6g}  {vis:.4f}")
-        _meta_for(scn, path("meta.txt"), note, [f"sweep.z = {scn.z0 + scn.z_talbot:.17g}"])
-        return written
-
-    if kind == "resonance":
-        rows = resonance_scan(scn, entry["lambdas"])
-        export_table_csv(path("sweep.csv"), "lambda_m,velocity_mps,p_max", rows)
-        echo(f"{name}: lambda(m)  velocity(m/s)  P_max")
-        for lam, v, pmax in rows:
-            echo(f"{name}: {lam:.6g}  {v:.4g}  {pmax:.6g}")
-        best = max(rows, key=lambda r: r[2])
-        echo(f"{name}: peak emittance at lambda={best[0]:.6g} m (v={best[1]:.4g} m/s)")
-        _meta_for(scn, path("meta.txt"), note, [f"detector.z = {scn.z0 + 2 * (scn.z1 - scn.z0):.17g}"])
-        return written
-
-    if kind == "profiles":
-        zt = scn.z_talbot
-        x = centered_axis(grid.x_min, grid.x_max, 1024)
-        extra = []
-        for frac in entry["z_fractions"]:
-            z = scn.z0 + frac * zt
-            p = density_profile(scn, x, z)
-            prof = Profile(z=z, x=x, p=p)
-            tag = f"z{frac:g}zT"
-            export_profile_csv(prof, path(f"profile_{tag}.csv"))
-            integral = prof.integral()
-            extra.append(f"profile.{tag}.integral = {integral:.17g}")
-            echo(f"{name}: z/zT={frac:g}  integral={integral:.6g}  max={p.max():.6g}")
-        _meta_for(scn, path("meta.txt"), note, extra)
-        return written
-
-    if kind == "contrast":
-        zt = scn.z_talbot
-        fa, fb = entry["z_fractions"]
-        za, zb = scn.z0 + fa * zt, scn.z0 + fb * zt
-        x = centered_axis(-125 * _NM, 125 * _NM, 1024)
-        b1 = scn.grating1.half_width
-        extra = [f"contrast.za = {za:.17g}", f"contrast.zb = {zb:.17g}"]
-        for k in entry["k_list"]:
-            scn_k = dataclasses.replace(
-                scn, grating1=dataclasses.replace(scn.grating1, comb_k=k)
-            )
-            pa = density_profile(scn_k, x, za)
-            pb = density_profile(scn_k, x, zb)
-            _, dp = focusing_contrast(Profile(za, x, pa), Profile(zb, x, pb))
-            export_table_csv(path(f"contrast_k{k}.csv"), "x_m,p_za,p_zb,delta_p",
-                             zip(x, pa, pb, dp))
-            inside = np.abs(x) < b1
-            peak = float(dp.max())
-            well = float(dp[inside].min())
-            extra.append(f"contrast.k{k}.peak = {peak:.17g}")
-            extra.append(f"contrast.k{k}.well = {well:.17g}")
-            echo(f"{name}: K1={k}  peak={peak:.6g}  well={well:.6g}")
-        _meta_for(scn, path("meta.txt"), note, extra)
-        return written
-
-    raise DomainError(f"preset {name!r} has unknown kind {kind!r}")
+    extra = driver(entry, scn, grid, path, say)
+    export_meta(path("meta.txt"), scn, extra + [note], fingerprint(scn, extra))
+    return written

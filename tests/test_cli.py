@@ -3,6 +3,7 @@ import pytest
 
 from tlsim.cli import main
 from tlsim.fieldgrid import parse_csv, read_pgm
+from tlsim.presets import PRESETS
 
 SMALL_CONFIG = """\
 # small two-grating run
@@ -53,7 +54,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert "line 1" in err and "line 2" in err
 
-    @pytest.mark.parametrize("line", ["grid.x_min = -inf", "grating1.pitch = inf"])
+    @pytest.mark.parametrize("line", [
+        "grid.x_min = -inf",
+        "grating1.pitch = inf",
+        "source.xs = inf",
+        "spectral.enabled = true\nspectral.mean = inf",
+        "grating1.comb_k = 3\ngrating1.comb_eta = 1e400",
+        "source.kind = line\nsource.xs_min = -inf",
+        "spectral.enabled = true\nspectral.lambda_max = inf",
+    ])
     def test_non_finite_geometry_exits_1_without_files(self, tmp_path, capsys, line):
         cfg = tmp_path / "inf.cfg"
         key = line.split("=")[0]
@@ -76,6 +85,21 @@ class TestPreset:
         assert (out / "fig10b.field.csv").exists()
         assert (out / "fig10b.field.pgm").exists()
         assert (out / "fig10b.meta.txt").exists()
+
+    def test_run_matches_preset_bit_for_bit(self, tmp_path, capsys):
+        # a config holding fig10b's values, run through `tlsim run`
+        vals = {"particle.lambda": 5e-12, **PRESETS["fig10b"]["config"], "grid.nx": 24, "grid.nz": 8}
+        cfg = tmp_path / "fig10b.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in vals.items()))
+        run_out, pre_out = tmp_path / "run", tmp_path / "preset"
+        assert main(["run", "--config", str(cfg), "--out", str(run_out)]) == 0
+        assert main(["preset", "fig10b", "--out", str(pre_out), "--nx", "24", "--nz", "8"]) == 0
+        for ext in ("field.csv", "field.pgm"):
+            assert (run_out / f"fig10b.{ext}").read_bytes() == (pre_out / f"fig10b.{ext}").read_bytes()
+        run_meta = (run_out / "fig10b.meta.txt").read_text().splitlines()
+        pre_meta = (pre_out / "fig10b.meta.txt").read_text().splitlines()
+        assert [ln for ln in pre_meta if not ln.startswith("note = ")] == run_meta
+        assert len(pre_meta) == len(run_meta) + 1
 
     def test_unknown_preset_lists_names(self, tmp_path, capsys):
         assert main(["preset", "fig99", "--out", str(tmp_path)]) == 1

@@ -129,6 +129,13 @@ class TestParseConfig:
         ("grating1.z = inf", "grating1"),
         ("grid.x_min = -inf", "grid"),
         ("grid.z_max = inf", "grid"),
+        ("grating1.comb_k = 3\ngrating1.comb_eta = 1e400", "grating1"),
+        ("source.xs = inf", "source"),
+        ("spectral.enabled = true\nspectral.mean = inf", "source"),
+        ("source.kind = line\nsource.xs_min = -inf", "source"),
+        ("source.kind = line\nsource.xs_step = inf", "source"),
+        ("source.kind = line\nsource.xs_min = -1e308\nsource.xs_max = 1e308", "source"),
+        ("spectral.enabled = true\nspectral.lambda_max = inf", "source"),
     ])
     def test_non_finite_geometry_rejected(self, line, section):
         with pytest.raises(ConfigError, match=f"{section}: .*finite"):

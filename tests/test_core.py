@@ -233,9 +233,28 @@ class TestValidation:
         with pytest.raises(DomainError):
             GratingSpec(1, 500e-9, 75e-9, bad)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_comb_eta_must_be_finite(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            GratingSpec(1, 500e-9, 75e-9, 0.05, comb_k=3, comb_eta=bad)
+
     def test_source_ordering(self):
         with pytest.raises(DomainError):
             SourceSpec(kind="line", x_positions=(1e-6, 0.0), z_s=-0.5)
+
+    @pytest.mark.parametrize("kind, xs", [
+        ("point", (math.inf,)),
+        ("point", (math.nan,)),
+        ("line", (0.0, math.inf)),
+        ("line", (-math.inf, 0.0)),
+    ])
+    def test_source_positions_must_be_finite(self, kind, xs):
+        with pytest.raises(DomainError, match="finite"):
+            SourceSpec(kind=kind, x_positions=xs, z_s=-0.5)
+
+    def test_infinite_source_distance_and_coherence_stay_valid(self):
+        src = SourceSpec(kind="point", x_positions=(0.0,), z_s=-math.inf, sigma_I=math.inf)
+        assert src.paraxial
 
     def test_source_sigma(self):
         with pytest.raises(DomainError):
@@ -246,6 +265,15 @@ class TestValidation:
             SpectralSpec(mean_lambda=5e-12, sigma_g=0.0, lambda_list=(5e-12,))
         with pytest.raises(DomainError):
             SpectralSpec(mean_lambda=5e-12, sigma_g=1e-12, lambda_list=())
+
+    @pytest.mark.parametrize("mean, lams", [
+        (math.inf, (5e-12,)),
+        (math.nan, (5e-12,)),
+        (5e-12, (5e-12, math.inf)),
+    ])
+    def test_spectral_wavelengths_must_be_finite(self, mean, lams):
+        with pytest.raises(DomainError, match="finite"):
+            SpectralSpec(mean_lambda=mean, sigma_g=1e-12, lambda_list=lams)
 
     def test_geometry_ordering(self):
         with pytest.raises(DomainError):

@@ -217,9 +217,9 @@ class TestExports:
     def test_meta_contains_fingerprint_and_echo(self, fullerene, tmp_path):
         scn = _scenario(fullerene, n0=2, n1=2)
         field = evaluate_grid(scn, GridSpec(-1e-6, 1e-6, 0.0, 0.1, 3, 3), workers=1)
-        path = tmp_path / "meta.txt"
-        export_meta(field, scn, path, extra={"note": "smoke"})
-        text = path.read_text()
+        [path] = export_field(field, scn, str(tmp_path / "f"), ("meta",), extra=["note = smoke"])
+        assert path == str(tmp_path / "f.meta.txt")
+        text = (tmp_path / "f.meta.txt").read_text()
         assert f"fingerprint = {field.fingerprint}" in text
         assert f"particle.lambda = {5e-12:.17g}" in text
         assert "grid.nx = 3" in text
@@ -237,19 +237,23 @@ class TestExports:
     def test_export_field_dispatch(self, fullerene, tmp_path):
         scn = _scenario(fullerene, n0=1, n1=1, region="behind")
         field = evaluate_grid(scn, GridSpec(-1e-6, 1e-6, 0.06, 0.1, 2, 2), workers=1)
-        export_field(field, "csv", tmp_path / "a.csv")
-        export_field(field, "pgm", tmp_path / "a.pgm")
-        export_field(field, "meta", tmp_path / "a.txt", scn=scn)
+        prefix = str(tmp_path / "a")
+        written = export_field(field, scn, prefix, ("meta", "pgm", "csv"))
+        assert written == [f"{prefix}.field.csv", f"{prefix}.field.pgm", f"{prefix}.meta.txt"]
+        assert all((tmp_path / p).exists() for p in written)
+        assert export_field(field, scn, str(tmp_path / "b"), ("pgm",)) == [f"{tmp_path / 'b'}.field.pgm"]
+        assert not (tmp_path / "b.field.csv").exists() and not (tmp_path / "b.meta.txt").exists()
         with pytest.raises(DomainError):
-            export_field(field, "bmp", tmp_path / "a.bmp")
-        with pytest.raises(DomainError):
-            export_field(field, "meta", tmp_path / "b.txt")
+            export_field(field, scn, str(tmp_path / "c"), ("csv", "bmp"))
+        assert not (tmp_path / "c.field.csv").exists()
 
     def test_io_error_carries_path(self, fullerene):
         scn = _scenario(fullerene, n0=1, n1=1, region="behind")
         field = evaluate_grid(scn, GridSpec(-1e-6, 1e-6, 0.06, 0.1, 2, 2), workers=1)
         with pytest.raises(IOError, match="no/such/dir"):
             export_csv(field, "no/such/dir/f.csv")
+        with pytest.raises(IOError, match="writing metadata to no/such/dir"):
+            export_meta("no/such/dir/f.meta.txt", scn, [], field.fingerprint)
 
     def test_profile_csv(self, fullerene, tmp_path):
         scn = _scenario(fullerene, n0=2, n1=2)

@@ -109,3 +109,18 @@ def test_spectral_field_kind(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "V(averaged)=" in out and "V(monochromatic)=" in out
     assert (tmp_path / "fig12.field.pgm").exists()
+    # the visibility echo follows the spectral source, not the preset's kind
+    assert PRESETS["fig10b"]["kind"] == PRESETS["fig12"]["kind"]
+    run_preset("fig10b", tmp_path, nx=48, nz=24, echo=print)
+    out = capsys.readouterr().out
+    assert "p_max=" in out and "V(averaged)" not in out
+
+
+def test_unknown_kind_rejected(tmp_path):
+    PRESETS["_bad_kind"] = {"kind": "hologram", "note": "test entry", "config": {}}
+    try:
+        with pytest.raises(DomainError, match="unknown kind 'hologram'"):
+            run_preset("_bad_kind", tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+    finally:
+        del PRESETS["_bad_kind"]
