@@ -80,13 +80,17 @@ def cmd_scan(args) -> int:
             [(0, f"parameter {param!r} is not sweepable (use {', '.join(SWEEPABLE_PARAMS)})")]
         )
     if args.values is not None:
-        values = [parse_length(v) for v in args.values.split(",") if v.strip()]
+        try:
+            values = [parse_length(v) for v in args.values.split(",") if v.strip()]
+        except ValueError as exc:
+            raise ConfigError([(0, f"--values: {exc}")]) from None
     else:
         values = list(rc.sweep_values or [])
     if not values:
         raise ConfigError([(0, "empty sweep value list: pass --values or set sweep.values")])
 
     scn = rc.scenario
+    scenarios = [apply_sweep_value(scn, param, v) for v in values]  # reject bad values before any write
     z_det = scn.z0 + scn.z_talbot
     lo, hi = scn.metrics_window()
     x = centered_axis(lo, hi, args.samples)
@@ -96,8 +100,7 @@ def cmd_scan(args) -> int:
     out_path = os.path.join(args.out, f"{stem}.sweep.csv")
     rows = []
     print(f"{stem}: {param}  P_min  P_max  V   (z = {z_det:.6g} m)")
-    for i, v in enumerate(values):
-        scn_v = apply_sweep_value(scn, param, v)
+    for i, (v, scn_v) in enumerate(zip(values, scenarios)):
         p = density_profile(scn_v, x, z_det)
         met = fringe_metrics(p)
         rows.append((v, met.p_min, met.p_max, met.visibility))

@@ -4,7 +4,10 @@ contrast).
 
 The per-source complex fields are computed once per detector point and then
 combined through the S x S coherence kernel, so sweeping the coherence width
-costs only the quadratic form, not new propagator work.
+costs only the quadratic form, not new propagator work.  The form contracts
+G = kappa . F over the sources in index order and then folds conj(F_i) * G_i
+over i: S^2 * nx multiply-adds in O(S * nx) memory, never an S x S x nx
+product.
 """
 
 from __future__ import annotations
@@ -75,24 +78,41 @@ def gsm_average(psi_per_source: np.ndarray, spec: CoherenceKernelSpec):
     source position.  Returns the real non-negative density (scalar or
     length-nx array).  A tiny negative excursion from round-off is clamped to
     zero; anything beyond 1e-12 of the incoherent level raises.
-    """
-    F = np.atleast_2d(np.asarray(psi_per_source, dtype=complex))
-    S = len(spec.x_positions)
-    if F.shape[0] != S:
-        raise DomainError(f"need one field per source: got {F.shape[0]} fields, {S} sources")
-    kappa = spec.scaled_matrix()
-    prod = (np.conj(F)[:, None, :] * F[None, :, :]) * kappa[:, :, None]
-    total = reduce_paths(prod.reshape(S * S, -1))
 
-    diag = np.add.reduce((F.real**2 + F.imag**2), axis=0) / _SQRT_2PI
+    p = sum_i conj(F_i) * G_i with G = kappa . F.  G is accumulated over the
+    sources j in index order, one elementwise pass per j over the (S, 2 nx)
+    real view of the fields (re and im interleaved; kappa is real), and the S
+    products are folded by ``reduce_paths``.  That is S^2 * nx kernel terms
+    in O(S * nx) memory.  No BLAS: its accumulation order may
+    depend on nx, and every order here depends on S alone, so a single
+    sample, a column slice or a chunk of a row is bit-identical to the whole
+    row.  The imaginary part is kept from the full, unsymmetrised product, so
+    its size measures the round-off of the form.
+    """
+    F = np.asarray(psi_per_source, dtype=complex)
+    S = len(spec.x_positions)
+    if F.ndim not in (1, 2) or F.shape[0] != S:
+        raise DomainError(f"need one field per source, shape (S,) or (S, nx): "
+                          f"got shape {F.shape}, {S} sources")
+    Fv = np.ascontiguousarray(F.reshape(S, -1)).view(float)
+    kappa = spec.scaled_matrix()
+    G = kappa[:, 0, None] * Fv[0]
+    term = np.empty_like(G)
+    for j in range(1, S):
+        G += np.multiply(kappa[:, j, None], Fv[j], out=term)
+    fr, fi = Fv[:, 0::2], Fv[:, 1::2]
+    gr, gi = G[:, 0::2], G[:, 1::2]
+    re = reduce_paths(fr * gr + fi * gi)
+    im = reduce_paths(fr * gi - fi * gr)
+
+    diag = np.add.reduce(fr * fr + fi * fi, axis=0) / _SQRT_2PI
     tol = 1e-12 * np.maximum(diag, 1e-300)
-    if np.any(np.abs(total.imag) > tol):
+    if np.any(np.abs(im) > tol):
         raise CoherenceConsistencyError("GSM quadratic form has a non-negligible imaginary part")
-    p = total.real
-    if np.any(p < -tol):
+    if np.any(re < -tol):
         raise CoherenceConsistencyError("GSM quadratic form went significantly negative")
-    p = np.where(p < 0.0, 0.0, p)
-    return float(p[0]) if np.ndim(psi_per_source) == 1 else p
+    p = np.where(re < 0.0, 0.0, re)
+    return float(p[0]) if F.ndim == 1 else p
 
 
 def fringe_metrics(profile_values) -> FringeMetrics:

@@ -178,19 +178,17 @@ def cross_section(field: DensityField, z: float) -> Profile:
 
 
 def export_csv(field: DensityField, path) -> None:
-    """x_m,z_m,p samples at full double precision (17 significant digits)."""
-    x = field.grid.x_axis()
-    zs = field.grid.z_axis()
+    """x_m,z_m,p samples at full double precision (17 significant digits).
+
+    Each x is formatted once per file and each z once per row.
+    """
+    xs = [f"{v:.17g}," for v in field.grid.x_axis().tolist()]
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("x_m,z_m,p\n")
-            for i, z in enumerate(zs):
-                row = field.values[i]
-                fh.write(
-                    "".join(
-                        f"{x[j]:.17g},{z:.17g},{row[j]:.17g}\n" for j in range(len(x))
-                    )
-                )
+            for z, row in zip(field.grid.z_axis().tolist(), field.values):
+                zc = f"{z:.17g},"
+                fh.write("".join([f"{xc}{zc}{v:.17g}\n" for xc, v in zip(xs, row.tolist())]))
     except OSError as exc:
         raise IOError(f"writing CSV to {path}: {exc}") from exc
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .core import (
@@ -104,6 +105,8 @@ def apply_sweep_value(scn: Scenario, param: str, value: float) -> Scenario:
     if param == "lambda":
         return scn.with_wavelength(float(value))
     if param == "K1":
+        if not math.isfinite(value):
+            raise DomainError(f"K1 sweep values must be finite integers, got {value}")
         k = int(round(value))
         if k != value:
             raise DomainError(f"K1 sweep values must be integers, got {value}")

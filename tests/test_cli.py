@@ -162,6 +162,22 @@ class TestScan:
         assert code == 1
         assert "empty sweep value list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values, message", [
+        ("inf", "finite"),
+        ("1e400", "finite"),
+        ("2,inf", "finite"),
+        ("nan", "malformed length"),
+    ])
+    def test_bad_k1_values_exit_1_without_files(self, config_file, tmp_path, capsys, values, message):
+        out = tmp_path / "s"
+        code = main([
+            "scan", "--config", str(config_file), "--out", str(out),
+            "--param", "K1", "--values", values, "--samples", "16",
+        ])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_sweepable_parameter(self, config_file, tmp_path, capsys):
         code = main([
             "scan", "--config", str(config_file), "--out", str(tmp_path),

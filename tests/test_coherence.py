@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlsim.core import COHERENT_SIGMA, DomainError, GratingSpec, SourceSpec, centered_axis
 from tlsim.coherence import (
@@ -18,6 +21,8 @@ from tlsim.coherence import (
     source_field_matrix,
 )
 from tlsim.fieldgrid import Profile
+from tlsim.presets import PRESETS, preset_run_config
+from tlsim.propagators import reduce_paths
 from tlsim.scenario import Scenario
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -25,6 +30,27 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def _kernel_spec(xs, sigma):
     return CoherenceKernelSpec(sigma_I=sigma, x_positions=tuple(xs))
+
+
+def _random_phase_fields(rng, S, nx):
+    return rng.uniform(0.0, 1.0, (S, nx)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (S, nx)))
+
+
+def _diag(F):
+    return np.sum(np.abs(F) ** 2, axis=0) / SQRT_2PI
+
+
+def _outer_product_form(F, spec, chunk=256):
+    """Reference: the S^2 * nx outer product conj(F_i) F_j kappa_ij folded by
+    reduce_paths, in column chunks to bound its memory."""
+    kappa = spec.scaled_matrix()
+    S = F.shape[0]
+    out = []
+    for a in range(0, F.shape[1], chunk):
+        Fc = F[:, a:a + chunk]
+        prod = (np.conj(Fc)[:, None, :] * Fc[None, :, :]) * kappa[:, :, None]
+        out.append(reduce_paths(prod.reshape(S * S, -1)).real)
+    return np.concatenate(out)
 
 
 class TestKernel:
@@ -97,10 +123,88 @@ class TestGsmAverage:
         p = gsm_average(F, _kernel_spec((0.0, 1e-9), COHERENT_SIGMA))
         assert p[0] == 0.0
 
+    @pytest.mark.parametrize("S", [1, 3, 33])
+    def test_single_point_equals_row_sample(self, rng, S):
+        xs = tuple(np.arange(S) * 0.25e-6)
+        F = _random_phase_fields(rng, S, 17)
+        for sigma in (1e-7, 1e-6, COHERENT_SIGMA):
+            spec = _kernel_spec(xs, sigma)
+            row = gsm_average(F, spec)
+            for k in range(F.shape[1]):
+                p = gsm_average(F[:, k], spec)
+                assert type(p) is float
+                assert p == row[k]
+
+    def test_peak_memory_linear_in_sources(self, rng):
+        # the outer product alone would hold S^2 * nx complex values (36 MB)
+        S, nx = 33, 2048
+        F = _random_phase_fields(rng, S, nx)
+        spec = _kernel_spec(np.arange(S) * 0.25e-6, 1e-6)
+        tracemalloc.start()
+        try:
+            gsm_average(F, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * S * nx * 8
+
     def test_field_count_mismatch(self, rng):
         F = rng.normal(size=(3, 4)) + 0j
-        with pytest.raises(DomainError):
-            gsm_average(F, _kernel_spec((0.0, 1e-6), 1e-6))
+        spec = _kernel_spec((0.0, 1e-6), 1e-6)
+        for bad in (F, F[0, 0], np.zeros((2, 3, 4), dtype=complex)):
+            with pytest.raises(DomainError):
+                gsm_average(bad, spec)
+
+
+_gsm_cases = dict(
+    S=st.integers(1, 64),
+    nx=st.integers(1, 40),
+    log_sigma=st.one_of(st.floats(-8.0, -4.0), st.just(math.inf)),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _gsm_case(S, nx, log_sigma, seed):
+    """Random-phase fields on S random source positions, and the kernel."""
+    rng = np.random.default_rng(seed)
+    xs = np.cumsum(rng.uniform(0.05e-6, 0.5e-6, S))
+    sigma = COHERENT_SIGMA if log_sigma == math.inf else 10.0 ** log_sigma
+    return _random_phase_fields(rng, S, nx), _kernel_spec(xs, sigma)
+
+
+class TestGsmAverageProperties:
+    @settings(max_examples=80)
+    @given(**_gsm_cases)
+    def test_matches_exact_double_sum(self, S, nx, log_sigma, seed):
+        F, spec = _gsm_case(S, nx, log_sigma, seed)
+        p = gsm_average(F, spec)
+        # every term in long double, rounded once, then summed exactly
+        kappa = spec.scaled_matrix().astype(np.longdouble)
+        fr = F.real.astype(np.longdouble)
+        fi = F.imag.astype(np.longdouble)
+        terms = kappa[:, :, None] * (fr[:, None, :] * fr[None, :, :] + fi[:, None, :] * fi[None, :, :])
+        exact = np.array([math.fsum(terms[:, :, k].astype(float).ravel()) for k in range(nx)])
+        assert np.all(np.abs(p - np.maximum(exact, 0.0)) <= 1e-13 * _diag(F))
+
+    @settings(max_examples=80)
+    @given(**_gsm_cases, data=st.data())
+    def test_column_slice_bit_identical(self, S, nx, log_sigma, seed, data):
+        F, spec = _gsm_case(S, nx, log_sigma, seed)
+        a = data.draw(st.integers(0, nx - 1))
+        b = data.draw(st.integers(a + 1, nx))
+        assert np.array_equal(gsm_average(F[:, a:b], spec), gsm_average(F, spec)[a:b])
+
+    def test_fig7_geometry_matches_outer_product(self):
+        scn = preset_run_config("fig7").scenario
+        lo, hi = scn.metrics_window()
+        x = centered_axis(lo, hi, 2048)
+        F = source_field_matrix(scn, x, scn.z0 + scn.z_talbot)
+        assert F.shape == (33, 2048)
+        tol = 1e-12 * _diag(F)
+        for sigma in (*PRESETS["fig7"]["sigmas"], COHERENT_SIGMA):
+            spec = _kernel_spec(scn.source.x_positions, sigma)
+            ref = np.maximum(_outer_product_form(F, spec), 0.0)
+            assert np.all(np.abs(gsm_average(F, spec) - ref) <= tol)
 
 
 class TestFringeMetrics:

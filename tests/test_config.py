@@ -9,6 +9,8 @@ from tlsim.config import (
     parse_config,
     parse_length,
 )
+from tlsim.core import DomainError
+from tlsim.scenario import apply_sweep_value
 
 MINIMAL = "particle.lambda = 5pm\n"
 
@@ -118,6 +120,13 @@ class TestParseConfig:
         rc = parse_config(MINIMAL + "sweep.param = lambda\nsweep.values = 3pm, 5pm, 7pm\n")
         assert rc.sweep_param == "lambda"
         assert rc.sweep_values == (3e-12, 5e-12, 7e-12)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_k1_sweep_value_rejected(self, value):
+        scn = parse_config(MINIMAL).scenario
+        with pytest.raises(DomainError, match="finite"):
+            apply_sweep_value(scn, "K1", value)
+        assert apply_sweep_value(scn, "K1", 4.0).grating1.comb_k == 4
 
     def test_sweep_values_need_param(self):
         with pytest.raises(ConfigError, match="sweep.values given without sweep.param"):

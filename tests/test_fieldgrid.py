@@ -171,6 +171,21 @@ class TestExports:
         assert np.array_equal(x.reshape(4, 5)[0], field.grid.x_axis())
         assert np.array_equal(z.reshape(4, 5)[:, 0], field.grid.z_axis())
 
+    def test_csv_bytes_match_per_sample_format(self, rng, tmp_path):
+        grid = GridSpec(-1e-6, 1e-6, 0.0, 0.1, 7, 5)
+        values = rng.random((5, 7)) * 1e-3
+        values[0, :3] = (0.0, 5e-324, 1e300)
+        values[4, 6] = 0.1 + 0.2
+        field = DensityField(grid=grid, values=values, fingerprint="0" * 64)
+        path = tmp_path / "f.csv"
+        export_csv(field, path)
+        x, zs = grid.x_axis(), grid.z_axis()
+        expect = "x_m,z_m,p\n" + "".join(
+            f"{x[j]:.17g},{zs[i]:.17g},{values[i, j]:.17g}\n"
+            for i in range(len(zs)) for j in range(len(x))
+        )
+        assert path.read_bytes() == expect.encode("utf-8")
+
     def test_csv_header(self, fullerene, tmp_path):
         scn = _scenario(fullerene, n0=1, n1=1, region="behind")
         field = evaluate_grid(scn, GridSpec(-1e-6, 1e-6, 0.06, 0.1, 2, 2), workers=1)
