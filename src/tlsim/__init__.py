@@ -12,13 +12,10 @@ from .core import (
     PARAXIAL_ZS,
     PLANCK_H,
     DomainError,
-    Geometry,
     GratingSpec,
     Particle,
     SourceSpec,
     SpectralSpec,
-    flight_context,
-    particle_from_wavelength,
     slit_positions,
     talbot_length,
     xi0,
@@ -51,9 +48,7 @@ from .propagators import (
     d_term,
     free_kernel,
     psi_behind,
-    psi_between,
     psi_hard_edge,
-    psi_paraxial,
     spreading_sigma,
 )
 from .scenario import Scenario

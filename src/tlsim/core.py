@@ -67,11 +67,6 @@ class Particle:
         return self.p_z / self.mass
 
 
-def particle_from_wavelength(mass: float, lam: float) -> Particle:
-    """Build a particle from its mass and de Broglie wavelength."""
-    return Particle(mass=mass, lambda_dB=lam)
-
-
 def talbot_length(pitch: float, lam: float) -> float:
     """Near-field self-imaging length 2*d^2/lambda of a grating of pitch d."""
     if not (pitch > 0.0):
@@ -189,47 +184,6 @@ class SourceSpec:
     @property
     def paraxial(self) -> bool:
         return is_paraxial(self.z_s)
-
-
-REGIONS = ("between", "behind", "full")
-
-
-@dataclass(frozen=True)
-class Geometry:
-    """Grating planes plus detector plane and the region being observed."""
-
-    z0: float
-    z1: float
-    z2: float
-    region: str = "behind"
-
-    def __post_init__(self) -> None:
-        if self.region not in REGIONS:
-            raise DomainError(f"region must be one of {REGIONS}, got {self.region!r}")
-        if not (self.z0 < self.z1):
-            raise DomainError(f"need z0 < z1, got z0={self.z0}, z1={self.z1}")
-        if self.region == "behind" and not (self.z1 <= self.z2):
-            raise DomainError(f"behind region needs z2 >= z1, got z1={self.z1}, z2={self.z2}")
-
-    def validate_source(self, z_s: float) -> None:
-        if not (z_s < self.z0):
-            raise DomainError(f"source must precede grating G0: z_s={z_s} >= z0={self.z0}")
-
-
-def flight_context(geom: Geometry, particle: Particle, z_s: float) -> tuple[float, float, float]:
-    """Flight times (T, tau0, tau1) over the three legs, in seconds.
-
-    T is infinite in the paraxial limit (z_s = -inf); that is the intended
-    representation, not an overflow.
-    """
-    geom.validate_source(z_s)
-    if not (geom.z1 <= geom.z2):
-        raise DomainError(f"need z1 <= z2, got z1={geom.z1}, z2={geom.z2}")
-    v = particle.v_z
-    T = (geom.z0 - z_s) / v
-    tau0 = (geom.z1 - geom.z0) / v
-    tau1 = (geom.z2 - geom.z1) / v
-    return T, tau0, tau1
 
 
 def xi0(x0: float, x1: float, x_s: float, z0: float, z1: float, z_s: float) -> float:

@@ -146,10 +146,12 @@ def evaluate_grid(scn: Scenario, grid: GridSpec, workers: int | None = None) -> 
     if workers == 1 or nz < 4:
         values = _eval_rows(scn, grid, 0, nz)
     else:
+        # Chunks follow the requested count, so outputs do not depend on the
+        # host; the pool never holds more processes than chunks or CPUs.
         chunks = min(nz, workers * 4)
         bounds = np.linspace(0, nz, chunks + 1, dtype=int)
         values = np.empty((nz, grid.nx), dtype=float)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, chunks, os.cpu_count() or 1)) as pool:
             futures = [
                 (lo, hi, pool.submit(_eval_rows, scn, grid, int(lo), int(hi)))
                 for lo, hi in zip(bounds[:-1], bounds[1:])

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import HBAR, DomainError, Geometry, GratingSpec, Particle, flight_context, is_paraxial
+from .core import HBAR, DomainError, GratingSpec, Particle, is_paraxial
 from .propagators import PathContext, comb_form_factor, free_kernel, gaussian_slit
 
 
@@ -64,9 +64,9 @@ def _aperture1(ctx: PathContext, model: str):
 
 def _raw_between(ctx: PathContext, x: float, z: float, panels: int, order: int, window: float) -> complex:
     z0 = ctx.grating0.z_pos
-    geom = Geometry(z0=z0, z1=z, z2=z, region="behind")
-    T, tau0, _ = flight_context(geom, ctx.particle, ctx.z_s)
-    t0, t1 = T, T + tau0
+    v = ctx.particle.v_z
+    t0 = (z0 - ctx.z_s) / v
+    t1 = t0 + (z - z0) / v
     b0 = ctx.grating0.half_width
     xi0, w0 = composite_gauss_legendre(-window * b0, window * b0, panels, order)
     f = (
@@ -81,9 +81,10 @@ def _raw_behind(
     ctx: PathContext, x: float, z: float, panels: int, order: int, window: float, model: str
 ) -> complex:
     z0, z1 = ctx.grating0.z_pos, ctx.grating1.z_pos
-    geom = Geometry(z0=z0, z1=z1, z2=z, region="behind")
-    T, tau0, tau1 = flight_context(geom, ctx.particle, ctx.z_s)
-    t0, t1, t2 = T, T + tau0, T + tau0 + tau1
+    v = ctx.particle.v_z
+    t0 = (z0 - ctx.z_s) / v
+    t1 = t0 + (z1 - z0) / v
+    t2 = t1 + (z - z1) / v
     b0, b1 = ctx.grating0.half_width, ctx.grating1.half_width
     xi0, w0 = composite_gauss_legendre(-window * b0, window * b0, panels, order)
     xi1, w1 = composite_gauss_legendre(-window * b1, window * b1, panels, order)
@@ -116,9 +117,11 @@ def quadrature_oracle(
 ) -> complex:
     """Direct numerical quadrature of the slit path integral at one point.
 
-    Returns a value directly comparable with psi_between / psi_behind /
-    psi_hard_edge (see module docstring for the normalization).  Doubles the
-    panel count until two successive results agree to ``rel_tol`` relative.
+    Returns a value directly comparable with ``between_row`` (one slit,
+    ``ctx.x1 is None``), psi_behind and psi_hard_edge (see module docstring
+    for the normalization).  A point on or before the last grating plane
+    crossed raises DomainError from the free kernel.  Doubles the panel count
+    until two successive results agree to ``rel_tol`` relative.
     """
     if is_paraxial(ctx.z_s):
         raise DomainError("the quadrature oracle needs a finite source distance")

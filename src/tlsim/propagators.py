@@ -13,9 +13,10 @@ The removable singularity of the tilt parameter at x1 == x0 never appears
 here: all phases are assembled from the grouped product (x1-x0)*xi0, which is
 finite for every input.
 
-Evaluation exactly on a grating plane (z == z0 for the between-region form,
-z == z1 for the behind-region forms) uses the analytic limit of the closed
-form; the limit is the incident field modulated by the slit transmission.
+On a grating plane the wave function is the incident field modulated by the
+slit transmission.  The between-gratings form reaches that limit at z == z0
+without a branch: its phase is written so that nothing cancels as z -> z0.
+Only the behind-G1 direct kernel keeps a separate z == z1 limit branch.
 Everything is vectorized over the detector coordinate and over slit centers;
 the scalar entry points route through the same code path so grid samples and
 direct calls agree bit for bit.
@@ -207,7 +208,10 @@ def between_row(
 ) -> np.ndarray:
     """Sum of single-slit between-gratings wave functions over centers x0s.
 
-    Valid for z >= z0 (z == z0 returns the aperture-modulated source wave).
+    Valid for z >= z0.  Sigma0 - 1 = (z - z0)*c with
+    c = 1/(z0 - z_s) + i*lam/(2*pi*b0^2) (real part 0 when paraxial), so the
+    phase carries no 1/(z - z0): z == z0 gives the aperture-modulated source
+    wave, and rows just past the plane approach it continuously.
     """
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
     x = np.asarray(x, dtype=float)
@@ -222,15 +226,9 @@ def between_row(
         p3 = (x0s - x_s) ** 2 / (lam * (z0 - z_s))
         g = (x0s - x_s) / (z0 - z_s)
 
-    if z == z0:
-        # Analytic z -> z0 limit: source wave modulated by the G0 aperture.
-        c = complex(0.0 if paraxial else 1.0 / (z0 - z_s), lam / (2.0 * math.pi * b0 * b0))
-        phase = (1j * math.pi) * ((dx * dx * c + 2.0 * dx * g[:, None]) / lam + p3[:, None])
-        return reduce_paths(np.exp(phase))
-
-    u = dx - g[:, None] * (z - z0)
-    bracket = (dx * dx - u * u / sig0) / (lam * (z - z0)) + p3[:, None]
-    psi = reduce_paths(np.exp((1j * math.pi) * bracket))
+    c = complex(0.0 if paraxial else 1.0 / (z0 - z_s), lam / (2.0 * math.pi * b0 * b0))
+    num = dx * dx * c + 2.0 * dx * g[:, None] - (g * g * (z - z0))[:, None]
+    psi = reduce_paths(np.exp((1j * math.pi) * (num / (lam * sig0) + p3[:, None])))
     return psi / np.sqrt(sig0)
 
 
@@ -432,7 +430,7 @@ def _behind_factorised(
 
 
 # ---------------------------------------------------------------------------
-# Public single-path operations.
+# Single-path operations behind grating 1, for the quadrature oracle's checks.
 # ---------------------------------------------------------------------------
 
 
@@ -441,62 +439,12 @@ def _as_row(x):
     return arr, np.ndim(x) == 0
 
 
-def psi_between(ctx: PathContext, x, z: float):
-    """Wave function between the gratings for the path through slit ctx.x0.
-
-    Requires a finite source; z must satisfy z0 <= z (<= z1 when grating 1 is
-    present in the context).
-    """
-    if is_paraxial(ctx.z_s):
-        raise DomainError("psi_between needs a finite source; use psi_paraxial")
-    _require_between_z(ctx, z)
-    xr, scalar = _as_row(x)
-    out = between_row(
-        ctx.lam, ctx.z_s, ctx.x_s, ctx.grating0.z_pos, ctx.grating0.half_width,
-        np.array([ctx.x0]), xr, z,
-    )
-    return complex(out[0]) if scalar else out
-
-
 def psi_behind(ctx: PathContext, x, z: float):
-    """Wave function behind grating 1 for the path (ctx.x0 -> ctx.x1)."""
-    if is_paraxial(ctx.z_s):
-        raise DomainError("psi_behind needs a finite source; use psi_paraxial")
-    _require_behind(ctx, z)
-    xr, scalar = _as_row(x)
-    out = behind_row(
-        ctx.lam, ctx.z_s, ctx.x_s,
-        ctx.grating0.z_pos, ctx.grating1.z_pos,
-        ctx.grating0.half_width, ctx.grating1.half_width,
-        np.array([ctx.x0]), np.array([ctx.x1]), xr, z,
-    )
-    return complex(out[0]) if scalar else out
+    """Wave function behind grating 1 for the path (ctx.x0 -> ctx.x1).
 
-
-def psi_paraxial(ctx: PathContext, x, z: float):
-    """Plane-wave-illumination wave function (source at z_s = -inf).
-
-    The region follows the context: with ctx.x1 set this is the behind-G1
-    form, otherwise the single-grating near-field form.
+    A paraxial context (z_s = -inf) gives the plane-wave illumination form.
     """
-    if not is_paraxial(ctx.z_s):
-        raise DomainError("psi_paraxial needs the paraxial source (z_s = -inf)")
-    xr, scalar = _as_row(x)
-    if ctx.x1 is None:
-        _require_between_z(ctx, z)
-        out = between_row(
-            ctx.lam, ctx.z_s, 0.0, ctx.grating0.z_pos, ctx.grating0.half_width,
-            np.array([ctx.x0]), xr, z,
-        )
-    else:
-        _require_behind(ctx, z)
-        out = behind_row(
-            ctx.lam, ctx.z_s, 0.0,
-            ctx.grating0.z_pos, ctx.grating1.z_pos,
-            ctx.grating0.half_width, ctx.grating1.half_width,
-            np.array([ctx.x0]), np.array([ctx.x1]), xr, z,
-        )
-    return complex(out[0]) if scalar else out
+    return _behind_path(ctx, x, z, hard=False)
 
 
 def psi_hard_edge(ctx: PathContext, x, z: float):
@@ -507,31 +455,17 @@ def psi_hard_edge(ctx: PathContext, x, z: float):
     """
     if is_paraxial(ctx.z_s):
         raise DomainError("psi_hard_edge needs a finite source")
-    _require_behind(ctx, z)
-    g1 = ctx.grating1
+    return _behind_path(ctx, x, z, hard=True)
+
+
+def _behind_path(ctx: PathContext, x, z: float, hard: bool):
+    if ctx.x1 is None:
+        raise DomainError("behind-region evaluation needs a slit center x1")
+    g0, g1 = ctx.grating0, ctx.grating1
     xr, scalar = _as_row(x)
     out = behind_row(
-        ctx.lam, ctx.z_s, ctx.x_s,
-        ctx.grating0.z_pos, g1.z_pos,
-        ctx.grating0.half_width, g1.half_width,
+        ctx.lam, ctx.z_s, ctx.x_s, g0.z_pos, g1.z_pos, g0.half_width, g1.half_width,
         np.array([ctx.x0]), np.array([ctx.x1]), xr, z,
-        comb_k=g1.comb_k, comb_eta=g1.comb_eta, hard=True,
+        comb_k=g1.comb_k if hard else 1, comb_eta=g1.comb_eta if hard else 1.0, hard=hard,
     )
     return complex(out[0]) if scalar else out
-
-
-def _require_between_z(ctx: PathContext, z: float) -> None:
-    z0 = ctx.grating0.z_pos
-    if z < z0:
-        raise DomainError(f"between-region point must have z >= z0={z0}, got {z}")
-    if ctx.grating1 is not None and z > ctx.grating1.z_pos:
-        raise DomainError(
-            f"between-region point must have z <= z1={ctx.grating1.z_pos}, got {z}"
-        )
-
-
-def _require_behind(ctx: PathContext, z: float) -> None:
-    if ctx.x1 is None or ctx.grating1 is None:
-        raise DomainError("behind-region evaluation needs grating 1 and a slit center x1")
-    if z < ctx.grating1.z_pos:
-        raise DomainError(f"behind-region point must have z >= z1={ctx.grating1.z_pos}, got {z}")

@@ -11,11 +11,11 @@ from .core import (
     DomainError,
     GratingSpec,
     Particle,
-    REGIONS,
     SourceSpec,
     talbot_length,
 )
 
+REGIONS = ("between", "behind", "full")
 PROPAGATORS = ("standard", "paraxial", "hard-edge")
 
 

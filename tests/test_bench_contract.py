@@ -1,0 +1,64 @@
+"""What the benchmark under ``bench/`` expects from tlsim.
+
+Tier-1 does not collect ``bench/``, so a renamed function or parameter would
+break the benchmark without failing a test.  These tests read the bench
+modules and change nothing there.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from tlsim import presets
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name: str):
+    """A bench module by file, without putting bench/ on sys.path."""
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _resolves(module: str, name: str) -> bool:
+    """``from module import name`` would succeed: an attribute or a submodule."""
+    mod = importlib.import_module(module)
+    if hasattr(mod, name):
+        return True
+    return hasattr(mod, "__path__") and importlib.util.find_spec(f"{module}.{name}") is not None
+
+
+def test_every_imported_tlsim_name_resolves():
+    imported = []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tlsim":
+                imported += [(path.name, node.module, alias.name) for alias in node.names]
+    assert imported
+    assert [(f, m, n) for f, m, n in imported if not _resolves(m, n)] == []
+
+
+def test_tracer_finds_and_classifies_every_layer(tmp_path):
+    tracer_mod = _load("tracer")
+    with tracer_mod.Tracer() as tracer:
+        # the grids of the carpet, gsm_beam and comb_jet workloads' tiny size
+        for preset, nx, nz in (("fig4a", 64, 7), ("fig5a", 16, 4), ("fig15b", 32, 4)):
+            presets.run_preset(preset, tmp_path / preset, threads=1, nx=nx, nz=nz,
+                               echo=lambda *a: None)
+    assert tracer.missing == []
+    assert tracer.unclassified == 0
+    seen = {span[0] for span in tracer.spans}
+    assert {"presets.run_preset", "propagators.behind_row", "propagators.between_row",
+            "coherence.gsm_average"} <= seen
+
+
+def test_oracle_spot_checks_pass():
+    checks = _load("checks")
+    for preset in ("fig4a", "fig15b"):
+        (point,) = checks.oracle_points(preset, 1, np.random.default_rng(1))
+        assert checks.oracle_check(*point) <= 1e-10

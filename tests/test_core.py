@@ -7,14 +7,11 @@ from tlsim.core import (
     PLANCK_H,
     PARAXIAL_ZS,
     DomainError,
-    Geometry,
     GratingSpec,
     Particle,
     SourceSpec,
     SpectralSpec,
     centered_axis,
-    flight_context,
-    particle_from_wavelength,
     slit_positions,
     talbot_length,
     xi0,
@@ -29,7 +26,7 @@ class TestParticle:
         [(5e-12, 110.0), (3e-12, 184.0), (7e-12, 79.0)],
     )
     def test_fullerene_velocities(self, lam, v_expect):
-        p = particle_from_wavelength(1.2e-24, lam)
+        p = Particle(mass=1.2e-24, lambda_dB=lam)
         assert p.v_z == pytest.approx(v_expect, rel=0.01)
 
     def test_momentum_wavelength_relation_exact(self, rng):
@@ -42,7 +39,7 @@ class TestParticle:
     @pytest.mark.parametrize("mass,lam", [(-1.0, 5e-12), (0.0, 5e-12), (1e-24, 0.0), (1e-24, -2e-12)])
     def test_rejects_nonpositive(self, mass, lam):
         with pytest.raises(DomainError):
-            particle_from_wavelength(mass, lam)
+            Particle(mass=mass, lambda_dB=lam)
 
 
 class TestTalbotLength:
@@ -61,32 +58,6 @@ class TestTalbotLength:
             talbot_length(0.0, 5e-12)
         with pytest.raises(DomainError):
             talbot_length(500e-9, -5e-12)
-
-
-class TestFlightContext:
-    def test_direct_division(self):
-        # particle tuned so v_z = 110 m/s exactly
-        p = Particle(mass=1.2e-24, lambda_dB=PLANCK_H / (1.2e-24 * 110.0))
-        geom = Geometry(z0=0.0, z1=0.05, z2=0.1)
-        T, tau0, tau1 = flight_context(geom, p, -0.5)
-        assert T == pytest.approx(0.5 / 110.0, rel=1e-12)
-        assert tau0 == pytest.approx(0.05 / 110.0, rel=1e-12)
-        assert tau1 == pytest.approx(0.05 / 110.0, rel=1e-12)
-
-    def test_between_region_has_zero_tau1(self, fullerene):
-        geom = Geometry(z0=0.0, z1=0.05, z2=0.05)
-        _, _, tau1 = flight_context(geom, fullerene, -0.5)
-        assert tau1 == 0.0
-
-    def test_paraxial_time_is_inf_without_overflow(self, fullerene):
-        geom = Geometry(z0=0.0, z1=0.05, z2=0.1)
-        T, tau0, _ = flight_context(geom, fullerene, PARAXIAL_ZS)
-        assert T == math.inf and tau0 > 0.0
-
-    def test_ordering_violation(self, fullerene):
-        geom = Geometry(z0=0.0, z1=0.05, z2=0.1)
-        with pytest.raises(DomainError):
-            flight_context(geom, fullerene, 0.2)
 
 
 class TestSpreading:
@@ -274,10 +245,6 @@ class TestValidation:
     def test_spectral_wavelengths_must_be_finite(self, mean, lams):
         with pytest.raises(DomainError, match="finite"):
             SpectralSpec(mean_lambda=mean, sigma_g=1e-12, lambda_list=lams)
-
-    def test_geometry_ordering(self):
-        with pytest.raises(DomainError):
-            Geometry(z0=0.1, z1=0.05, z2=0.2)
 
 
 class TestCenteredAxis:

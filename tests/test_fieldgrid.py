@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tlsim import fieldgrid
 from tlsim.core import DomainError, GratingSpec, SourceSpec
 from tlsim.fieldgrid import (
     DensityField,
@@ -295,6 +296,45 @@ class TestWorkerDefaults:
             default_workers()
         monkeypatch.delenv("TLSIM_THREADS")
         assert default_workers() >= 1
+
+    @pytest.mark.parametrize("workers, nz, cpus, pool, chunks", [
+        (5000, 10, 2, 2, 10),   # huge request, small host: the CPUs bound the pool
+        (5000, 6, 64, 6, 6),    # huge request, short grid: the chunks bound it
+        (3, 100, 64, 3, 12),    # a modest request is honoured
+    ])
+    def test_pool_size_is_capped(self, fullerene, monkeypatch, workers, nz, cpus, pool, chunks):
+        # the fake pool records its size and runs nothing: no process starts
+        seen, submitted = [], []
+
+        class FakeFuture:
+            def __init__(self, rows):
+                self.rows = rows
+
+            def result(self):
+                return np.zeros((self.rows, 5))
+
+        class FakePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, scn, grid, lo, hi):
+                submitted.append((lo, hi))
+                return FakeFuture(hi - lo)
+
+        monkeypatch.setattr(fieldgrid, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(fieldgrid.os, "cpu_count", lambda: cpus)
+        grid = GridSpec(-1e-6, 1e-6, 0.06, 0.1, 5, nz)
+        evaluate_grid(_scenario(fullerene, region="behind"), grid, workers=workers)
+        assert seen == [pool]
+        # the chunking still follows the requested worker count
+        assert len(submitted) == chunks
+        assert submitted[0][0] == 0 and submitted[-1][1] == nz
 
 
 class TestProfileIntegrals:

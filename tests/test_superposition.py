@@ -4,7 +4,7 @@ import pytest
 from tlsim.core import (
     PARAXIAL_ZS, DomainError, GratingSpec, SourceSpec, centered_axis, slit_positions,
 )
-from tlsim.propagators import PathContext, psi_behind, psi_between
+from tlsim.propagators import PathContext, between_row, psi_behind
 from tlsim.scenario import Scenario
 from tlsim.superposition import density, superpose_behind, superpose_between
 
@@ -21,10 +21,9 @@ def _req(particle, n0=4, n1=3, x_s=0.0, z_s=-0.5, region="full", propagator="sta
 class TestSuperposeBetween:
     def test_single_slit_equals_path(self, fullerene):
         req = _req(fullerene, n0=1)
-        ctx = PathContext(particle=fullerene, grating0=req.grating0, grating1=req.grating1,
-                          x_s=0.0, z_s=-0.5, x0=0.0)
         x = np.linspace(-1e-6, 1e-6, 7)
-        assert np.array_equal(superpose_between(req, x, 0.02), psi_between(ctx, x, 0.02))
+        path = between_row(fullerene.lambda_dB, -0.5, 0.0, 0.0, 37.5e-9, [0.0], x, 0.02)
+        assert np.array_equal(superpose_between(req, x, 0.02), path)
 
     def test_two_slit_fringes_match_explicit_sum(self, fullerene):
         req = _req(fullerene, n0=2)
@@ -33,11 +32,7 @@ class TestSuperposeBetween:
         z = 0.03
         total = superpose_between(req, x, z)
         explicit = sum(
-            psi_between(
-                PathContext(particle=fullerene, grating0=req.grating0,
-                            grating1=req.grating1, x_s=0.0, z_s=-0.5, x0=float(c)),
-                x, z,
-            )
+            between_row(fullerene.lambda_dB, -0.5, 0.0, 0.0, 37.5e-9, [float(c)], x, z)
             for c in centers
         )
         assert np.allclose(total, explicit, rtol=1e-12)
