@@ -21,7 +21,6 @@ from .core import (
     xi0,
 )
 from .coherence import (
-    CoherenceKernelSpec,
     FringeMetrics,
     coherence_sweep,
     density_profile,

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .coherence import density_profile, fringe_metrics
+from .coherence import fringe_metrics, spectral_density_profile
 from .config import ConfigError, config_help, parse_config, parse_length
 from .core import DomainError, centered_axis
 from .fieldgrid import evaluate_grid, export_field, export_table_csv
@@ -101,8 +101,7 @@ def cmd_scan(args) -> int:
     rows = []
     print(f"{stem}: {param}  P_min  P_max  V   (z = {z_det:.6g} m)")
     for i, (v, scn_v) in enumerate(zip(values, scenarios)):
-        p = density_profile(scn_v, x, z_det)
-        met = fringe_metrics(p)
+        met = fringe_metrics(spectral_density_profile(scn_v, x, z_det))
         rows.append((v, met.p_min, met.p_max, met.visibility))
         print(f"{stem}: {v:.6g}  {met.p_min:.6g}  {met.p_max:.6g}  {met.visibility:.4f}")
         if args.fields:

@@ -12,12 +12,13 @@ product.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import COHERENT_SIGMA, DomainError, centered_axis
+from .core import COHERENT_SIGMA, DomainError, SourceSpec, SpectralSpec, centered_axis
 from .propagators import reduce_paths
 from .scenario import Scenario
 from .superposition import density, superpose_behind, superpose_between
@@ -38,46 +39,31 @@ class FringeMetrics:
     visibility: float
 
 
-@dataclass(frozen=True)
-class CoherenceKernelSpec:
-    """Source x-positions with the effective spatial-coherence width sigma_I."""
+def _kappa(source: SourceSpec) -> np.ndarray:
+    """sigma_I * mu(x', x'') over the source positions, an S x S matrix.
 
-    sigma_I: float
-    x_positions: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not (self.sigma_I > 0.0):
-            raise DomainError(f"sigma_I must be positive (inf = coherent), got {self.sigma_I}")
-        if len(self.x_positions) == 0:
-            raise DomainError("kernel needs at least one source position")
-        xs = self.x_positions
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise DomainError("source positions must be strictly increasing")
-
-    def scaled_matrix(self) -> np.ndarray:
-        """sigma_I * mu(x', x'') as an S x S matrix.
-
-        Equals exp(-(x'-x'')^2 / (2 sigma_I^2)) / sqrt(2 pi); the sigma_I
-        prefactor of the averaging formula cancels the kernel normalization,
-        which is what makes the coherent (sigma -> inf) and incoherent
-        (sigma -> 0) limits finite.
-        """
-        xs = np.asarray(self.x_positions)
-        dx = xs[:, None] - xs[None, :]
-        if self.sigma_I == COHERENT_SIGMA:
-            arg = np.zeros_like(dx)
-        else:
-            arg = (dx * dx) / (2.0 * self.sigma_I * self.sigma_I)
-        return np.exp(-arg) / _SQRT_2PI
+    Equals exp(-(x'-x'')^2 / (2 sigma_I^2)) / sqrt(2 pi); the sigma_I
+    prefactor of the averaging formula cancels the kernel normalization,
+    which is what makes the coherent (sigma -> inf) and incoherent
+    (sigma -> 0) limits finite.
+    """
+    xs = np.asarray(source.x_positions)
+    dx = xs[:, None] - xs[None, :]
+    if source.sigma_I == COHERENT_SIGMA:
+        arg = np.zeros_like(dx)
+    else:
+        arg = (dx * dx) / (2.0 * source.sigma_I * source.sigma_I)
+    return np.exp(-arg) / _SQRT_2PI
 
 
-def gsm_average(psi_per_source: np.ndarray, spec: CoherenceKernelSpec):
+def gsm_average(psi_per_source: np.ndarray, source: SourceSpec):
     """Partially coherent density from per-source complex fields.
 
     ``psi_per_source`` has shape (S,) or (S, nx): one complex field value per
-    source position.  Returns the real non-negative density (scalar or
-    length-nx array).  A tiny negative excursion from round-off is clamped to
-    zero; anything beyond 1e-12 of the incoherent level raises.
+    position of ``source``, whose ``sigma_I`` sets the kernel width.  Returns
+    the real non-negative density (scalar or length-nx array).  A tiny
+    negative excursion from round-off is clamped to zero; anything beyond
+    1e-12 of the incoherent level raises.
 
     p = sum_i conj(F_i) * G_i with G = kappa . F.  G is accumulated over the
     sources j in index order, one elementwise pass per j over the (S, 2 nx)
@@ -90,12 +76,12 @@ def gsm_average(psi_per_source: np.ndarray, spec: CoherenceKernelSpec):
     its size measures the round-off of the form.
     """
     F = np.asarray(psi_per_source, dtype=complex)
-    S = len(spec.x_positions)
+    S = len(source.x_positions)
     if F.ndim not in (1, 2) or F.shape[0] != S:
         raise DomainError(f"need one field per source, shape (S,) or (S, nx): "
                           f"got shape {F.shape}, {S} sources")
     Fv = np.ascontiguousarray(F.reshape(S, -1)).view(float)
-    kappa = spec.scaled_matrix()
+    kappa = _kappa(source)
     G = kappa[:, 0, None] * Fv[0]
     term = np.empty_like(G)
     for j in range(1, S):
@@ -128,16 +114,10 @@ def fringe_metrics(profile_values) -> FringeMetrics:
     return FringeMetrics(p_min=p_min, p_max=p_max, visibility=vis)
 
 
-def gaussian_spectral_weights(lambda_list, mean_lambda: float, sigma_g: float) -> np.ndarray:
-    """Gaussian wavelength weights renormalized to sum to 1."""
-    lams = np.asarray(lambda_list, dtype=float)
-    if lams.size == 0:
-        raise DomainError("lambda_list must not be empty")
-    if np.any(lams <= 0.0):
-        raise DomainError("wavelengths must be positive")
-    if not (sigma_g > 0.0):
-        raise DomainError(f"sigma_g must be positive, got {sigma_g}")
-    w = np.exp(-((lams - mean_lambda) ** 2) / (2.0 * sigma_g * sigma_g))
+def gaussian_spectral_weights(spec: SpectralSpec) -> np.ndarray:
+    """Gaussian weights of the spectrum's wavelengths, renormalized to sum to 1."""
+    lams = np.asarray(spec.lambda_list, dtype=float)
+    w = np.exp(-((lams - spec.mean_lambda) ** 2) / (2.0 * spec.sigma_g * spec.sigma_g))
     return w / w.sum()
 
 
@@ -181,8 +161,7 @@ def density_profile(scn: Scenario, x: np.ndarray, z: float, *, lam: float | None
     """Density at one z for the scenario's source model (point, line, or GSM),
     at a single wavelength."""
     if scn.source.kind == "line" and len(scn.source.x_positions) > 1:
-        spec = CoherenceKernelSpec(sigma_I=scn.source.sigma_I, x_positions=scn.source.x_positions)
-        return gsm_average(source_field_matrix(scn, x, z, lam=lam), spec)
+        return gsm_average(source_field_matrix(scn, x, z, lam=lam), scn.source)
     return density(field_at(scn, x, z, lam=lam))
 
 
@@ -191,51 +170,29 @@ def spectral_density_profile(scn: Scenario, x: np.ndarray, z: float) -> np.ndarr
     spec = scn.source.spectral
     if spec is None:
         return density_profile(scn, x, z)
-    w = gaussian_spectral_weights(spec.lambda_list, spec.mean_lambda, spec.sigma_g)
+    w = gaussian_spectral_weights(spec)
     stack = [density_profile(scn, x, z, lam=lam) for lam in spec.lambda_list]
     return spectral_average(stack, w)
 
 
-def coherence_sweep(
-    scn: Scenario,
-    sigma_list,
-    *,
-    z: float | None = None,
-    x: np.ndarray | None = None,
-    samples: int = 2048,
-) -> list[tuple[float, FringeMetrics]]:
+def coherence_sweep(scn: Scenario, sigma_list, *, samples: int = 2048) -> list[tuple[float, FringeMetrics]]:
     """Fringe metrics at the z = z_T cross-section per coherence width.
 
-    The per-source fields are evaluated once; each sigma_I only re-runs the
-    kernel quadratic form.
+    Every per-sigma source is built (and so validated) first; the per-source
+    fields are then evaluated once, and each sigma_I only re-runs the kernel
+    quadratic form.
     """
-    sigmas = [float(s) for s in sigma_list]
-    if len(sigmas) == 0:
+    sources = [dataclasses.replace(scn.source, sigma_I=float(s)) for s in sigma_list]
+    if len(sources) == 0:
         raise DomainError("sigma_I list must not be empty")
-    if any(s <= 0.0 for s in sigmas):
-        raise DomainError("sigma_I values must be positive")
-    if z is None:
-        z = scn.z0 + scn.z_talbot
-    if x is None:
-        lo, hi = scn.metrics_window()
-        x = centered_axis(lo, hi, samples)
-    F = source_field_matrix(scn, x, z)
-    out = []
-    for s in sigmas:
-        spec = CoherenceKernelSpec(sigma_I=s, x_positions=scn.source.x_positions)
-        out.append((s, fringe_metrics(gsm_average(F, spec))))
-    return out
+    lo, hi = scn.metrics_window()
+    F = source_field_matrix(scn, centered_axis(lo, hi, samples), scn.z0 + scn.z_talbot)
+    return [(src.sigma_I, fringe_metrics(gsm_average(F, src))) for src in sources]
 
 
-def resonance_scan(
-    scn: Scenario,
-    lambda_list,
-    *,
-    detector_z: float | None = None,
-    x: np.ndarray | None = None,
-    samples: int = 1536,
-) -> list[tuple[float, float, float]]:
-    """Peak density (emittance) at the detector plane per wavelength.
+def resonance_scan(scn: Scenario, lambda_list, *, samples: int = 1536) -> list[tuple[float, float, float]]:
+    """Peak density (emittance) at the detector plane z0 + 2 (z1 - z0) per
+    wavelength.
 
     Returns (lambda, velocity, p_max) rows.  The geometry stays fixed while
     the wavelength scans across the self-imaging resonance of grating 0.
@@ -243,11 +200,9 @@ def resonance_scan(
     lams = [float(v) for v in lambda_list]
     if len(lams) == 0:
         raise DomainError("lambda list must not be empty")
-    if detector_z is None:
-        detector_z = scn.z0 + 2.0 * (scn.z1 - scn.z0)
-    if x is None:
-        lo, hi = scn.metrics_window()
-        x = centered_axis(lo, hi, samples)
+    detector_z = scn.z0 + 2.0 * (scn.z1 - scn.z0)
+    lo, hi = scn.metrics_window()
+    x = centered_axis(lo, hi, samples)
     rows = []
     for lam in lams:
         scn_l = scn.with_wavelength(lam)

@@ -19,8 +19,8 @@ from .core import (
     SourceSpec,
     SpectralSpec,
 )
-from .fieldgrid import GridSpec
-from .scenario import SWEEPABLE_PARAMS, Scenario, resolve_propagator
+from .fieldgrid import FORMATS, GridSpec
+from .scenario import PROPAGATORS, REGIONS, SWEEPABLE_PARAMS, Scenario, resolve_propagator
 
 # decimal exponent per unit; lengths are converted with a single
 # correctly-rounded decimal->binary conversion so '500nm' == 5e-7 exactly
@@ -103,8 +103,8 @@ def _parse_choice(*choices: str):
 def _parse_formats(text: str) -> tuple[str, ...]:
     parts = tuple(p.strip() for p in text.split(",") if p.strip())
     for p in parts:
-        if p not in ("csv", "pgm", "meta"):
-            raise ValueError(f"unknown output format {p!r} (use csv, pgm, meta)")
+        if p not in FORMATS:
+            raise ValueError(f"unknown output format {p!r} (use {', '.join(FORMATS)})")
     if not parts:
         raise ValueError("output.formats must not be empty")
     return parts
@@ -125,8 +125,6 @@ SCHEMA: dict[str, tuple] = {
     "grating0.pitch": (parse_length, 500e-9, False, "length", "slit spacing d0"),
     "grating0.half_width": (parse_length, 37.5e-9, False, "length", "slit half-width b0"),
     "grating0.z": (parse_length, 0.0, False, "length", "grating-0 plane"),
-    "grating0.comb_k": (_parse_int, 1, False, "count", "comb term count (must be 1 for G0)"),
-    "grating0.comb_eta": (_parse_float, 1.0, False, "real", "comb tuning parameter"),
     "grating1.slits": (_parse_int, 33, False, "count", "slit count N1"),
     "grating1.pitch": (parse_length, 500e-9, False, "length", "slit spacing d1"),
     "grating1.half_width": (parse_length, 75e-9, False, "length", "slit half-width b1"),
@@ -146,12 +144,9 @@ SCHEMA: dict[str, tuple] = {
     "spectral.lambda_min": (parse_length, 3e-12, False, "length", "band lower edge"),
     "spectral.lambda_max": (parse_length, 8e-12, False, "length", "band upper edge"),
     "spectral.lambda_step": (parse_length, 0.25e-12, False, "length", "band increment"),
-    "scenario.region": (
-        _parse_choice("between", "behind", "full"),
-        "full", False, "choice", "observation region",
-    ),
+    "scenario.region": (_parse_choice(*REGIONS), "full", False, "choice", "observation region"),
     "scenario.propagator": (
-        _parse_choice("auto", "standard", "paraxial", "hard-edge"),
+        _parse_choice("auto", *PROPAGATORS),
         "auto", False, "choice", "wave-function family (auto follows source/grating)",
     ),
     "grid.x_min": (parse_length, -10e-6, False, "length", "grid left edge"),
@@ -160,7 +155,7 @@ SCHEMA: dict[str, tuple] = {
     "grid.z_max": (parse_length, 0.15, False, "length", "grid upper edge"),
     "grid.nx": (_parse_int, 800, False, "count", "x samples"),
     "grid.nz": (_parse_int, 600, False, "count", "z samples"),
-    "output.formats": (_parse_formats, ("csv", "pgm", "meta"), False, "list", "csv,pgm,meta"),
+    "output.formats": (_parse_formats, FORMATS, False, "list", ",".join(FORMATS)),
     "output.log_scale": (_parse_bool, False, False, "bool", "PGM maps 4 decades of log10"),
     "sweep.param": (
         _parse_choice(*SWEEPABLE_PARAMS), None, False, "choice", "sweepable parameter",
@@ -236,8 +231,6 @@ def build_run_config(vals: dict) -> RunConfig:
             pitch=vals["grating0.pitch"],
             half_width=vals["grating0.half_width"],
             z_pos=vals["grating0.z"],
-            comb_k=vals["grating0.comb_k"],
-            comb_eta=vals["grating0.comb_eta"],
         )
     )
     g1 = attempt(

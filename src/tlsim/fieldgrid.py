@@ -19,6 +19,8 @@ from .core import DomainError, centered_axis
 from .coherence import spectral_density_profile
 from .scenario import Scenario, fingerprint, scenario_lines
 
+FORMATS = ("csv", "pgm", "meta")
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -265,7 +267,7 @@ def export_field(field: DensityField, scn: Scenario, prefix: str, formats, *,
     """Write ``<prefix>.field.csv``, ``.field.pgm`` and ``.meta.txt`` for each of
     'csv', 'pgm', 'meta' in ``formats``; returns the paths written.  The meta
     file adds the grid, the extrema and the ``extra`` lines to the scenario echo."""
-    if not set(formats) <= {"csv", "pgm", "meta"}:
+    if not set(formats) <= set(FORMATS):
         raise DomainError(f"unknown export format in {tuple(formats)}")
     written: list[str] = []
     if "csv" in formats:

@@ -15,7 +15,6 @@ import os
 import numpy as np
 
 from .coherence import (
-    CoherenceKernelSpec,
     coherence_sweep,
     density_profile,
     fringe_metrics,
@@ -278,8 +277,7 @@ def _gsm_profiles(entry, scn, grid, path, say) -> list[str]:
     x = centered_axis(lo, hi, 2048)
     F = source_field_matrix(scn, x, z)
     for sigma in entry["sigmas"]:
-        spec = CoherenceKernelSpec(sigma_I=sigma, x_positions=scn.source.x_positions)
-        p = gsm_average(F, spec)
+        p = gsm_average(F, dataclasses.replace(scn.source, sigma_I=sigma))
         met = fringe_metrics(p)
         export_profile_csv(Profile(z=z, x=x, p=p), path(f"profile_sigma{sigma / _UM:g}um.csv"))
         say(f"sigma_I={sigma:.3g} m  P_min={met.p_min:.6g} "
@@ -394,9 +392,8 @@ def run_preset(
         if scn.source.spectral is not None and grid.z_min <= z_det <= grid.z_max:
             lo, hi = scn.metrics_window()
             prof = cross_section(field, z_det).restrict(lo, hi)
-            mono = dataclasses.replace(scn, source=dataclasses.replace(scn.source, spectral=None))
             v_avg = fringe_metrics(prof.p).visibility
-            v_mono = fringe_metrics(density_profile(mono, prof.x, prof.z)).visibility
+            v_mono = fringe_metrics(density_profile(scn, prof.x, prof.z)).visibility
             say(f"V(averaged)={v_avg:.4f} V(monochromatic)={v_mono:.4f}")
         return written
 

@@ -466,6 +466,6 @@ def _behind_path(ctx: PathContext, x, z: float, hard: bool):
     out = behind_row(
         ctx.lam, ctx.z_s, ctx.x_s, g0.z_pos, g1.z_pos, g0.half_width, g1.half_width,
         np.array([ctx.x0]), np.array([ctx.x1]), xr, z,
-        comb_k=g1.comb_k if hard else 1, comb_eta=g1.comb_eta if hard else 1.0, hard=hard,
+        comb_k=g1.comb_k, comb_eta=g1.comb_eta, hard=hard,
     )
     return complex(out[0]) if scalar else out

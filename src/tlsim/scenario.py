@@ -103,6 +103,9 @@ def apply_sweep_value(scn: Scenario, param: str, value: float) -> Scenario:
             scn, source=dataclasses.replace(scn.source, sigma_I=float(value))
         )
     if param == "lambda":
+        if scn.source.spectral is not None:
+            raise DomainError("lambda cannot be swept on a spectral source: "
+                              "its spectrum fixes the wavelengths")
         return scn.with_wavelength(float(value))
     if param == "K1":
         if not math.isfinite(value):

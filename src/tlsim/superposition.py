@@ -58,9 +58,7 @@ def superpose_behind(scn: Scenario, x, z: float, *, x_s: float | None = None,
         scn.lam if lam is None else lam, scn.source.z_s, _source_x(scn, x_s), scn.z0, scn.z1,
         scn.grating0.half_width, g1.half_width,
         slit_positions(scn.grating0), slit_positions(g1), xr, z,
-        comb_k=g1.comb_k if hard else 1,
-        comb_eta=g1.comb_eta if hard else 1.0,
-        hard=hard,
+        comb_k=g1.comb_k, comb_eta=g1.comb_eta, hard=hard,
     )
     return complex(out[0]) if scalar else out
 

@@ -28,6 +28,7 @@ from tlsim.core import (
     GratingSpec,
     Particle,
     SourceSpec,
+    SpectralSpec,
     centered_axis,
 )
 from tlsim.fieldgrid import GridSpec, Profile, evaluate_grid
@@ -312,7 +313,8 @@ def test_criterion_09_spectral_smearing():
                    region="behind", propagator="paraxial")
     x = centered_axis(-2e-6, 2e-6, 1536)
     lams = [3e-12 + 0.25e-12 * k for k in range(21)]
-    w = gaussian_spectral_weights(lams, 5e-12, 2.25e-12)
+    w = gaussian_spectral_weights(
+        SpectralSpec(mean_lambda=5e-12, sigma_g=2.25e-12, lambda_list=tuple(lams)))
     stack = [density_profile(scn.with_wavelength(lam), x, Z_TALBOT) for lam in lams]
     v_avg = fringe_metrics(spectral_average(stack, w)).visibility
     v_mono = fringe_metrics(density_profile(scn, x, Z_TALBOT)).visibility

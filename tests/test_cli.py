@@ -2,8 +2,20 @@ import numpy as np
 import pytest
 
 from tlsim.cli import main
+from tlsim.coherence import fringe_metrics, spectral_density_profile
+from tlsim.config import parse_config
+from tlsim.core import centered_axis
 from tlsim.fieldgrid import parse_csv, read_pgm
 from tlsim.presets import PRESETS
+from tlsim.scenario import apply_sweep_value
+
+SPECTRAL_CONFIG = """\
+particle.lambda = 5pm
+source.zs = -inf
+grating0.slits = 8
+grating1.slits = 9
+spectral.enabled = true
+"""
 
 SMALL_CONFIG = """\
 # small two-grating run
@@ -176,6 +188,34 @@ class TestScan:
         ])
         assert code == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spectral_config_reports_averaged_metrics(self, tmp_path):
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text(SPECTRAL_CONFIG)
+        out = tmp_path / "s"
+        code = main([
+            "scan", "--config", str(cfg), "--out", str(out),
+            "--param", "sigma_I", "--values", "1um", "--samples", "256",
+        ])
+        assert code == 0
+        row = np.loadtxt(out / "spec.sweep.csv", delimiter=",", skiprows=1)
+        scn = apply_sweep_value(parse_config(SPECTRAL_CONFIG).scenario, "sigma_I", 1e-6)
+        x = centered_axis(*scn.metrics_window(), 256)
+        met = fringe_metrics(spectral_density_profile(scn, x, scn.z0 + scn.z_talbot))
+        assert met.visibility < 0.95  # the monochromatic profile has V = 1
+        assert tuple(row[1:]) == (met.p_min, met.p_max, met.visibility)
+
+    def test_lambda_on_spectral_config_exits_1_without_files(self, tmp_path, capsys):
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text(SPECTRAL_CONFIG)
+        out = tmp_path / "s"
+        code = main([
+            "scan", "--config", str(cfg), "--out", str(out),
+            "--param", "lambda", "--values", "4pm,5pm", "--samples", "16",
+        ])
+        assert code == 1
+        assert "spectrum fixes the wavelengths" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_sweepable_parameter(self, config_file, tmp_path, capsys):

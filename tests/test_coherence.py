@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlsim.core import COHERENT_SIGMA, DomainError, GratingSpec, SourceSpec, centered_axis
+from tlsim import coherence
+from tlsim.core import COHERENT_SIGMA, DomainError, GratingSpec, SourceSpec, SpectralSpec, centered_axis
 from tlsim.coherence import (
-    CoherenceKernelSpec,
     FringeMetrics,
+    _kappa,
     coherence_sweep,
     density_profile,
     fringe_metrics,
@@ -29,7 +30,11 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _kernel_spec(xs, sigma):
-    return CoherenceKernelSpec(sigma_I=sigma, x_positions=tuple(xs))
+    return SourceSpec(kind="line", x_positions=tuple(xs), z_s=-0.5, sigma_I=sigma)
+
+
+def _spectrum(lams, mean, sigma):
+    return SpectralSpec(mean_lambda=mean, sigma_g=sigma, lambda_list=tuple(lams))
 
 
 def _random_phase_fields(rng, S, nx):
@@ -43,7 +48,7 @@ def _diag(F):
 def _outer_product_form(F, spec, chunk=256):
     """Reference: the S^2 * nx outer product conj(F_i) F_j kappa_ij folded by
     reduce_paths, in column chunks to bound its memory."""
-    kappa = spec.scaled_matrix()
+    kappa = _kappa(spec)
     S = F.shape[0]
     out = []
     for a in range(0, F.shape[1], chunk):
@@ -57,15 +62,15 @@ class TestKernel:
     def test_symmetry_and_diagonal_exact(self, rng):
         for _ in range(50):
             xs = np.sort(rng.uniform(-5e-6, 5e-6, 6))
-            m = _kernel_spec(xs, 10.0 ** rng.uniform(-8, -5)).scaled_matrix()
+            m = _kappa(_kernel_spec(xs, 10.0 ** rng.uniform(-8, -5)))
             assert np.array_equal(m, m.T)
             assert np.all(np.diag(m) == 1.0 / SQRT_2PI)
 
     def test_scaled_matrix_limits(self):
         xs = (-1e-6, 0.0, 1e-6)
-        coherent = _kernel_spec(xs, COHERENT_SIGMA).scaled_matrix()
+        coherent = _kappa(_kernel_spec(xs, COHERENT_SIGMA))
         assert np.allclose(coherent, 1.0 / SQRT_2PI, rtol=0, atol=0)
-        tiny = _kernel_spec(xs, 1e-9).scaled_matrix()
+        tiny = _kappa(_kernel_spec(xs, 1e-9))
         assert np.allclose(np.diag(tiny), 1.0 / SQRT_2PI)
         off = tiny[~np.eye(3, dtype=bool)]
         assert np.all(off < 1e-300)
@@ -179,7 +184,7 @@ class TestGsmAverageProperties:
         F, spec = _gsm_case(S, nx, log_sigma, seed)
         p = gsm_average(F, spec)
         # every term in long double, rounded once, then summed exactly
-        kappa = spec.scaled_matrix().astype(np.longdouble)
+        kappa = _kappa(spec).astype(np.longdouble)
         fr = F.real.astype(np.longdouble)
         fi = F.imag.astype(np.longdouble)
         terms = kappa[:, :, None] * (fr[:, None, :] * fr[None, :, :] + fi[:, None, :] * fi[None, :, :])
@@ -234,25 +239,25 @@ class TestFringeMetrics:
 class TestSpectral:
     def test_weights_normalized_and_symmetric(self):
         lams = np.array([3.0, 4.0, 5.0, 6.0, 7.0]) * 1e-12
-        w = gaussian_spectral_weights(lams, 5e-12, 2.25e-12)
+        w = gaussian_spectral_weights(_spectrum(lams, 5e-12, 2.25e-12))
         assert abs(w.sum() - 1.0) < 1e-15
         assert np.allclose(w, w[::-1], rtol=1e-12)
 
     def test_single_wavelength_identity(self, rng):
         d = rng.random(16)
-        out = spectral_average([d], gaussian_spectral_weights([5e-12], 5e-12, 1e-12))
+        out = spectral_average([d], gaussian_spectral_weights(_spectrum([5e-12], 5e-12, 1e-12)))
         assert np.allclose(out, d, rtol=0, atol=0)
 
     def test_linear_and_nonnegative(self, rng):
         stack = rng.random((4, 10))
-        w = gaussian_spectral_weights([3e-12, 4e-12, 5e-12, 6e-12], 5e-12, 2e-12)
+        w = gaussian_spectral_weights(_spectrum([3e-12, 4e-12, 5e-12, 6e-12], 5e-12, 2e-12))
         out = spectral_average(stack, w)
         assert np.all(out >= 0.0)
         assert np.allclose(out, sum(wi * di for wi, di in zip(w, stack)), rtol=1e-14)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            gaussian_spectral_weights([], 5e-12, 1e-12)
+            gaussian_spectral_weights(_spectrum([], 5e-12, 1e-12))
 
 
 class TestFocusingContrast:
@@ -295,6 +300,19 @@ class TestDrivers:
             coherence_sweep(scn, [])
         with pytest.raises(DomainError):
             coherence_sweep(scn, [-1e-6])
+
+    def test_sweep_rejects_bad_sigma_before_any_field(self, fullerene, line_source_33, g0_main,
+                                                      g1_main, monkeypatch):
+        scn = Scenario(particle=fullerene, grating0=g0_main, grating1=g1_main,
+                       source=line_source_33, region="behind", propagator="standard")
+
+        def no_fields(*args, **kwargs):
+            raise AssertionError("source_field_matrix called before the sigma_I values were checked")
+
+        monkeypatch.setattr(coherence, "source_field_matrix", no_fields)
+        for bad in (math.nan, -1e-6):
+            with pytest.raises(DomainError, match="sigma_I"):
+                coherence_sweep(scn, [1e-6, bad])
 
     def test_resonance_scan_rows(self, fullerene, plane_wave_source):
         g0 = GratingSpec(4, 500e-9, 37.5e-9, 0.0)

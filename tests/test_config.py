@@ -64,8 +64,11 @@ class TestParseConfig:
             parse_config(MINIMAL + "source.zs = 0.1\n")
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown key 'grating2.pitch'"):
-            parse_config(MINIMAL + "grating2.pitch = 500nm\n")
+        # G0 is always a fuzzy slit, so its comb keys are unknown too
+        for key, value in (("grating2.pitch", "500nm"), ("grating0.comb_k", "1"),
+                           ("grating0.comb_eta", "1.5")):
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                parse_config(MINIMAL + f"{key} = {value}\n")
 
     def test_all_problems_reported_with_line_numbers(self):
         text = "particle.lambda = 5parsec\nbogus.key = 1\ngrating0.slits = many\n"
