@@ -20,14 +20,14 @@ import sys
 
 import numpy as np
 
-from .coherence import fringe_metrics, spectral_density_profile
+from .coherence import fringe_metrics, sweep_profiles, talbot_section
 from .config import ConfigError, config_help, parse_config, parse_length
-from .core import DomainError, centered_axis
+from .core import DomainError
 from .fieldgrid import evaluate_grid, export_field, export_table_csv
 from .oracle import OracleConvergenceError, quadrature_oracle, random_oracle_case
 from .presets import preset_names, run_preset
 from .propagators import psi_behind, psi_hard_edge
-from .scenario import SWEEPABLE_PARAMS, apply_sweep_value
+from .scenario import SWEEPABLE_PARAMS
 
 
 def _read_config(path: str):
@@ -75,10 +75,6 @@ def cmd_scan(args) -> int:
     param = args.param or rc.sweep_param
     if param is None:
         raise ConfigError([(0, "no sweep parameter: pass --param or set sweep.param")])
-    if param not in SWEEPABLE_PARAMS:
-        raise ConfigError(
-            [(0, f"parameter {param!r} is not sweepable (use {', '.join(SWEEPABLE_PARAMS)})")]
-        )
     if args.values is not None:
         try:
             values = [parse_length(v) for v in args.values.split(",") if v.strip()]
@@ -89,19 +85,16 @@ def cmd_scan(args) -> int:
     if not values:
         raise ConfigError([(0, "empty sweep value list: pass --values or set sweep.values")])
 
-    scn = rc.scenario
-    scenarios = [apply_sweep_value(scn, param, v) for v in values]  # reject bad values before any write
-    z_det = scn.z0 + scn.z_talbot
-    lo, hi = scn.metrics_window()
-    x = centered_axis(lo, hi, args.samples)
+    x, z_det = talbot_section(rc.scenario, args.samples)
+    profiles = sweep_profiles(rc.scenario, param, values, x, z_det)  # rejects bad values before any write
 
     os.makedirs(args.out, exist_ok=True)
     stem = _stem(args.config)
     out_path = os.path.join(args.out, f"{stem}.sweep.csv")
     rows = []
     print(f"{stem}: {param}  P_min  P_max  V   (z = {z_det:.6g} m)")
-    for i, (v, scn_v) in enumerate(zip(values, scenarios)):
-        met = fringe_metrics(spectral_density_profile(scn_v, x, z_det))
+    for i, (v, (scn_v, p)) in enumerate(zip(values, profiles)):
+        met = fringe_metrics(p)
         rows.append((v, met.p_min, met.p_max, met.visibility))
         print(f"{stem}: {v:.6g}  {met.p_min:.6g}  {met.p_max:.6g}  {met.visibility:.4f}")
         if args.fields:
@@ -187,6 +180,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if getattr(args, "threads", None) is not None and args.threads < 1:
+            raise DomainError(f"--threads must be >= 1, got {args.threads}")
         return args.fn(args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)

@@ -12,7 +12,6 @@ product.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .core import COHERENT_SIGMA, DomainError, SourceSpec, SpectralSpec, centered_axis
 from .propagators import reduce_paths
-from .scenario import Scenario
+from .scenario import Scenario, apply_sweep_value
 from .superposition import density, superpose_behind, superpose_between
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -157,10 +156,15 @@ def source_field_matrix(scn: Scenario, x: np.ndarray, z: float, *, lam: float | 
     return np.stack([field_at(scn, x, z, x_s=xs, lam=lam) for xs in scn.source.x_positions])
 
 
+def _is_gsm(source: SourceSpec) -> bool:
+    """Whether the source is averaged through the GSM kernel (a line of several points)."""
+    return source.kind == "line" and len(source.x_positions) > 1
+
+
 def density_profile(scn: Scenario, x: np.ndarray, z: float, *, lam: float | None = None) -> np.ndarray:
     """Density at one z for the scenario's source model (point, line, or GSM),
     at a single wavelength."""
-    if scn.source.kind == "line" and len(scn.source.x_positions) > 1:
+    if _is_gsm(scn.source):
         return gsm_average(source_field_matrix(scn, x, z, lam=lam), scn.source)
     return density(field_at(scn, x, z, lam=lam))
 
@@ -175,19 +179,33 @@ def spectral_density_profile(scn: Scenario, x: np.ndarray, z: float) -> np.ndarr
     return spectral_average(stack, w)
 
 
-def coherence_sweep(scn: Scenario, sigma_list, *, samples: int = 2048) -> list[tuple[float, FringeMetrics]]:
-    """Fringe metrics at the z = z_T cross-section per coherence width.
+def talbot_section(scn: Scenario, samples: int) -> tuple[np.ndarray, float]:
+    """The fringe-metrics cross-section: G1's slit span at z = z0 + z_T."""
+    return centered_axis(*scn.metrics_window(), samples), scn.z0 + scn.z_talbot
 
-    Every per-sigma source is built (and so validated) first; the per-source
-    fields are then evaluated once, and each sigma_I only re-runs the kernel
-    quadratic form.
+
+def sweep_profiles(scn: Scenario, param: str, values, x: np.ndarray,
+                   z: float) -> list[tuple[Scenario, np.ndarray]]:
+    """(swept scenario, spectral density at z) per value of one parameter.
+
+    Every value is applied (so validated) before any field is evaluated.  A
+    sigma_I sweep of a monochromatic GSM source evaluates its fields once and
+    re-runs only the quadratic form: the fields do not depend on sigma_I.
     """
-    sources = [dataclasses.replace(scn.source, sigma_I=float(s)) for s in sigma_list]
-    if len(sources) == 0:
-        raise DomainError("sigma_I list must not be empty")
-    lo, hi = scn.metrics_window()
-    F = source_field_matrix(scn, centered_axis(lo, hi, samples), scn.z0 + scn.z_talbot)
-    return [(src.sigma_I, fringe_metrics(gsm_average(F, src))) for src in sources]
+    scenarios = [apply_sweep_value(scn, param, v) for v in values]
+    if not scenarios:
+        raise DomainError(f"{param} sweep values must not be empty")
+    if param == "sigma_I" and scn.source.spectral is None and _is_gsm(scn.source):
+        F = source_field_matrix(scn, x, z)
+        return [(s, gsm_average(F, s.source)) for s in scenarios]
+    return [(s, spectral_density_profile(s, x, z)) for s in scenarios]
+
+
+def coherence_sweep(scn: Scenario, sigma_list, *, samples: int = 2048) -> list[tuple[float, FringeMetrics]]:
+    """Fringe metrics at the z = z0 + z_T cross-section per coherence width."""
+    x, z = talbot_section(scn, samples)
+    return [(s.source.sigma_I, fringe_metrics(p))
+            for s, p in sweep_profiles(scn, "sigma_I", sigma_list, x, z)]
 
 
 def resonance_scan(scn: Scenario, lambda_list, *, samples: int = 1536) -> list[tuple[float, float, float]]:
@@ -197,18 +215,9 @@ def resonance_scan(scn: Scenario, lambda_list, *, samples: int = 1536) -> list[t
     Returns (lambda, velocity, p_max) rows.  The geometry stays fixed while
     the wavelength scans across the self-imaging resonance of grating 0.
     """
-    lams = [float(v) for v in lambda_list]
-    if len(lams) == 0:
-        raise DomainError("lambda list must not be empty")
-    detector_z = scn.z0 + 2.0 * (scn.z1 - scn.z0)
-    lo, hi = scn.metrics_window()
-    x = centered_axis(lo, hi, samples)
-    rows = []
-    for lam in lams:
-        scn_l = scn.with_wavelength(lam)
-        p = density_profile(scn_l, x, detector_z)
-        rows.append((lam, scn_l.particle.v_z, fringe_metrics(p).p_max))
-    return rows
+    x = centered_axis(*scn.metrics_window(), samples)
+    profiles = sweep_profiles(scn, "lambda", lambda_list, x, scn.z0 + 2.0 * (scn.z1 - scn.z0))
+    return [(s.lam, s.particle.v_z, fringe_metrics(p).p_max) for s, p in profiles]
 
 
 def focusing_contrast(profile_a, profile_b):

@@ -9,7 +9,6 @@ focusing-contrast series.  Output files land in the chosen directory as
 
 from __future__ import annotations
 
-import dataclasses
 import os
 
 import numpy as np
@@ -19,9 +18,9 @@ from .coherence import (
     density_profile,
     fringe_metrics,
     focusing_contrast,
-    gsm_average,
     resonance_scan,
-    source_field_matrix,
+    sweep_profiles,
+    talbot_section,
 )
 from .config import build_run_config
 from .core import DomainError, centered_axis
@@ -272,12 +271,9 @@ def preset_run_config(name: str, nx: int | None = None, nz: int | None = None):
 
 
 def _gsm_profiles(entry, scn, grid, path, say) -> list[str]:
-    z = scn.z0 + scn.z_talbot
-    lo, hi = scn.metrics_window()
-    x = centered_axis(lo, hi, 2048)
-    F = source_field_matrix(scn, x, z)
-    for sigma in entry["sigmas"]:
-        p = gsm_average(F, dataclasses.replace(scn.source, sigma_I=sigma))
+    x, z = talbot_section(scn, 2048)
+    for scn_s, p in sweep_profiles(scn, "sigma_I", entry["sigmas"], x, z):
+        sigma = scn_s.source.sigma_I
         met = fringe_metrics(p)
         export_profile_csv(Profile(z=z, x=x, p=p), path(f"profile_sigma{sigma / _UM:g}um.csv"))
         say(f"sigma_I={sigma:.3g} m  P_min={met.p_min:.6g} "
@@ -327,12 +323,10 @@ def _contrast(entry, scn, grid, path, say) -> list[str]:
     x = centered_axis(-125 * _NM, 125 * _NM, 1024)
     inside = np.abs(x) < scn.grating1.half_width
     extra = [f"contrast.za = {za:.17g}", f"contrast.zb = {zb:.17g}"]
-    for k in entry["k_list"]:
-        scn_k = dataclasses.replace(
-            scn, grating1=dataclasses.replace(scn.grating1, comb_k=k)
-        )
-        pa = density_profile(scn_k, x, za)
-        pb = density_profile(scn_k, x, zb)
+    rows_a = sweep_profiles(scn, "K1", entry["k_list"], x, za)
+    rows_b = sweep_profiles(scn, "K1", entry["k_list"], x, zb)
+    for (scn_k, pa), (_, pb) in zip(rows_a, rows_b):
+        k = scn_k.grating1.comb_k
         _, dp = focusing_contrast(Profile(za, x, pa), Profile(zb, x, pb))
         export_table_csv(path(f"contrast_k{k}.csv"), "x_m,p_za,p_zb,delta_p",
                          zip(x, pa, pb, dp))

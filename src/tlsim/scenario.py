@@ -70,10 +70,6 @@ class Scenario:
             half = self.grating1.pitch / 2.0
         return -half, half
 
-    def wavelengths(self) -> tuple[float, ...]:
-        spec = self.source.spectral
-        return spec.lambda_list if spec is not None else (self.lam,)
-
     def with_wavelength(self, lam: float) -> "Scenario":
         if lam == self.lam:
             return self
@@ -97,7 +93,8 @@ SWEEPABLE_PARAMS = ("sigma_I", "lambda", "K1", "eta1", "zs", "xs")
 
 
 def apply_sweep_value(scn: Scenario, param: str, value: float) -> Scenario:
-    """A copy of the scenario with one sweepable parameter replaced."""
+    """A copy of the scenario with one sweepable parameter replaced.  K1 and
+    eta1 describe the hard-edged comb, so they also select its propagator."""
     if param == "sigma_I":
         return dataclasses.replace(
             scn, source=dataclasses.replace(scn.source, sigma_I=float(value))
@@ -114,11 +111,12 @@ def apply_sweep_value(scn: Scenario, param: str, value: float) -> Scenario:
         if k != value:
             raise DomainError(f"K1 sweep values must be integers, got {value}")
         return dataclasses.replace(
-            scn, grating1=dataclasses.replace(scn.grating1, comb_k=k)
+            scn, grating1=dataclasses.replace(scn.grating1, comb_k=k), propagator="hard-edge"
         )
     if param == "eta1":
         return dataclasses.replace(
-            scn, grating1=dataclasses.replace(scn.grating1, comb_eta=float(value))
+            scn, grating1=dataclasses.replace(scn.grating1, comb_eta=float(value)),
+            propagator="hard-edge",
         )
     if param == "zs":
         return dataclasses.replace(

@@ -57,6 +57,18 @@ def test_tracer_finds_and_classifies_every_layer(tmp_path):
             "coherence.gsm_average"} <= seen
 
 
+def test_tracer_sees_the_sweep_drivers(tmp_path):
+    tracer_mod = _load("tracer")
+    with tracer_mod.Tracer() as tracer:
+        for preset in ("fig7", "fig11", "fig17"):
+            presets.run_preset(preset, tmp_path / preset, threads=1, echo=lambda *a: None)
+    assert tracer.missing == []
+    assert tracer.unclassified == 0
+    seen = {span[0] for span in tracer.spans}
+    assert {"coherence.coherence_sweep", "coherence.resonance_scan",
+            "coherence.focusing_contrast"} <= seen
+
+
 def test_oracle_spot_checks_pass():
     checks = _load("checks")
     for preset in ("fig4a", "fig15b"):

@@ -190,6 +190,18 @@ class TestScan:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_k1_scan_rows_differ(self, tmp_path):
+        cfg = tmp_path / "small45.cfg"
+        cfg.write_text(SMALL_CONFIG.replace("grating1.slits = 3", "grating1.slits = 5"))
+        out = tmp_path / "s"
+        code = main([
+            "scan", "--config", str(cfg), "--out", str(out),
+            "--param", "K1", "--values", "1,4,16", "--samples", "64",
+        ])
+        assert code == 0
+        rows = np.loadtxt(out / "small45.sweep.csv", delimiter=",", skiprows=1)
+        assert len({tuple(r[1:]) for r in rows}) == 3
+
     def test_spectral_config_reports_averaged_metrics(self, tmp_path):
         cfg = tmp_path / "spec.cfg"
         cfg.write_text(SPECTRAL_CONFIG)
@@ -225,6 +237,20 @@ class TestScan:
         ])
         assert code == 1
         assert "not sweepable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command", [
+    ["run", "--config", "CFG"],
+    ["preset", "fig11"],
+    ["scan", "--config", "CFG", "--param", "lambda", "--values", "4pm,5pm", "--samples", "16", "--fields"],
+], ids=["run", "preset", "scan"])
+def test_bad_threads_exit_1_without_files(config_file, tmp_path, capsys, command, threads):
+    out = tmp_path / "o"
+    argv = [str(config_file) if a == "CFG" else a for a in command]
+    assert main(argv + ["--out", str(out), "--threads", threads]) == 1
+    assert "--threads must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestOracleCheck:

@@ -20,11 +20,14 @@ from tlsim.coherence import (
     resonance_scan,
     spectral_average,
     source_field_matrix,
+    spectral_density_profile,
+    sweep_profiles,
+    talbot_section,
 )
 from tlsim.fieldgrid import Profile
 from tlsim.presets import PRESETS, preset_run_config
 from tlsim.propagators import reduce_paths
-from tlsim.scenario import Scenario
+from tlsim.scenario import Scenario, apply_sweep_value
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -354,3 +357,57 @@ class TestDrivers:
                        source=pt, region="behind", propagator="standard")
         p = density_profile(scn, x, 0.1)
         assert p.shape == x.shape and np.all(p >= 0.0)
+
+
+def _line_9(fullerene, spectral=None):
+    """The 8/9-slit geometry with a 9-point line source, optionally spectral."""
+    g0 = GratingSpec(8, 500e-9, 37.5e-9, 0.0)
+    g1 = GratingSpec(9, 500e-9, 75e-9, 0.05)
+    xs = tuple(-1e-6 + 0.25e-6 * k for k in range(9))
+    src = SourceSpec(kind="line", x_positions=xs, z_s=-0.5, spectral=spectral)
+    return Scenario(particle=fullerene, grating0=g0, grating1=g1, source=src,
+                    region="behind", propagator="standard")
+
+
+class TestSweepProfiles:
+    SIGMAS = (0.1e-6, 1e-6, 10e-6)
+
+    def _per_sigma_rows(self, scn, samples):
+        x, z = talbot_section(scn, samples)
+        return [(s, fringe_metrics(spectral_density_profile(apply_sweep_value(scn, "sigma_I", s), x, z)))
+                for s in self.SIGMAS]
+
+    def test_monochromatic_sweep_equals_per_sigma_path(self, fullerene):
+        scn = _line_9(fullerene)
+        assert coherence_sweep(scn, self.SIGMAS, samples=128) == self._per_sigma_rows(scn, 128)
+
+    def test_spectral_sweep_averages_the_spectrum(self, fullerene):
+        scn = _line_9(fullerene, _spectrum([4e-12, 5e-12, 6e-12], 5e-12, 1e-12))
+        rows = coherence_sweep(scn, self.SIGMAS, samples=128)
+        assert rows == self._per_sigma_rows(scn, 128)
+        mono = coherence_sweep(_line_9(fullerene), self.SIGMAS, samples=128)
+        assert [m for _, m in rows] != [m for _, m in mono]
+
+    def test_resonance_scan_rejects_spectral_source(self, fullerene):
+        scn = _line_9(fullerene, _spectrum([4e-12, 5e-12, 6e-12], 5e-12, 1e-12))
+        with pytest.raises(DomainError, match="spectrum fixes the wavelengths"):
+            resonance_scan(scn, [4e-12, 5e-12], samples=64)
+
+    def test_every_value_checked_before_any_field(self, fullerene, monkeypatch):
+        scn = _line_9(fullerene)
+
+        def no_fields(*args, **kwargs):
+            raise AssertionError("a field was evaluated before every sweep value was checked")
+
+        monkeypatch.setattr(coherence, "spectral_density_profile", no_fields)
+        monkeypatch.setattr(coherence, "source_field_matrix", no_fields)
+        x, z = talbot_section(scn, 64)
+        for param, values in (("K1", [2, 2.5]), ("lambda", [5e-12, -1]), ("sigma_I", [1e-6, math.nan])):
+            with pytest.raises(DomainError):
+                sweep_profiles(scn, param, values, x, z)
+        with pytest.raises(DomainError):
+            resonance_scan(scn, [5e-12, -1], samples=64)
+        with pytest.raises(DomainError):
+            coherence_sweep(scn, [1e-6, math.nan], samples=64)
+        with pytest.raises(DomainError, match="must not be empty"):
+            sweep_profiles(scn, "K1", [], x, z)

@@ -131,6 +131,20 @@ class TestParseConfig:
             apply_sweep_value(scn, "K1", value)
         assert apply_sweep_value(scn, "K1", 4.0).grating1.comb_k == 4
 
+    @pytest.mark.parametrize("param, value", [("K1", 4), ("eta1", 1.5)])
+    def test_comb_sweeps_select_hard_edge(self, param, value):
+        scn = parse_config(MINIMAL).scenario
+        assert scn.propagator == "standard"
+        assert apply_sweep_value(scn, param, value).propagator == "hard-edge"
+
+    @pytest.mark.parametrize("param, value", [("K1", 4), ("eta1", 1.5)])
+    def test_comb_sweep_on_paraxial_scenario_rejected(self, param, value):
+        scn = parse_config(
+            MINIMAL + "source.zs = -inf\nscenario.region = behind\ngrid.z_min = 0.05\n"
+        ).scenario
+        with pytest.raises(DomainError, match="finite source distance"):
+            apply_sweep_value(scn, param, value)
+
     def test_sweep_values_need_param(self):
         with pytest.raises(ConfigError, match="sweep.values given without sweep.param"):
             parse_config(MINIMAL + "sweep.values = 1um\n")
