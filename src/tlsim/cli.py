@@ -9,7 +9,9 @@ oracle-check  compare the closed-form propagators against brute-force
               quadrature on randomized configurations
 
 ``--threads`` (or the TLSIM_THREADS environment variable) sets the worker
-count for grid evaluation; results are bit-identical for any value.
+count for grid evaluation; results are bit-identical for any value.  The
+count, and a config's grid against its region, are checked before any
+output is written.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .coherence import fringe_metrics, sweep_profiles, talbot_section
 from .config import ConfigError, config_help, parse_config, parse_length
 from .core import DomainError
-from .fieldgrid import evaluate_grid, export_field, export_table_csv
+from .fieldgrid import check_grid_region, default_workers, evaluate_grid, export_field, export_table_csv
 from .oracle import OracleConvergenceError, quadrature_oracle, random_oracle_case
 from .presets import preset_names, run_preset
 from .propagators import psi_behind, psi_hard_edge
@@ -45,6 +47,7 @@ def _stem(path: str) -> str:
 
 def cmd_run(args) -> int:
     rc = _read_config(args.config)
+    check_grid_region(rc.scenario, rc.grid)
     os.makedirs(args.out, exist_ok=True)
     stem = _stem(args.config)
     field = evaluate_grid(rc.scenario, rc.grid, workers=args.threads)
@@ -85,6 +88,8 @@ def cmd_scan(args) -> int:
     if not values:
         raise ConfigError([(0, "empty sweep value list: pass --values or set sweep.values")])
 
+    if args.fields:
+        check_grid_region(rc.scenario, rc.grid)
     x, z_det = talbot_section(rc.scenario, args.samples)
     profiles = sweep_profiles(rc.scenario, param, values, x, z_det)  # rejects bad values before any write
 
@@ -107,6 +112,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if args.cases < 1:
+        raise DomainError(f"--cases must be >= 1, got {args.cases}")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for i in range(args.cases):
@@ -180,8 +187,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if getattr(args, "threads", None) is not None and args.threads < 1:
-            raise DomainError(f"--threads must be >= 1, got {args.threads}")
+        if hasattr(args, "threads"):
+            args.threads = default_workers(args.threads, name="--threads")
         return args.fn(args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)

@@ -8,6 +8,9 @@ costs only the quadratic form, not new propagator work.  The form contracts
 G = kappa . F over the sources in index order and then folds conj(F_i) * G_i
 over i: S^2 * nx multiply-adds in O(S * nx) memory, never an S x S x nx
 product.
+
+The scenario alone carries the wavelength: the spectral average and the
+wavelength scan evaluate one ``Scenario.with_wavelength`` copy per wavelength.
 """
 
 from __future__ import annotations
@@ -139,7 +142,7 @@ def spectral_average(densities, weights) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def field_at(scn: Scenario, x: np.ndarray, z: float, *, x_s: float | None = None, lam: float | None = None):
+def field_at(scn: Scenario, x: np.ndarray, z: float, *, x_s: float | None = None):
     """Complex superposed field of one source point at height z.
 
     Picks the between/behind form from z relative to the G1 plane and the
@@ -148,12 +151,12 @@ def field_at(scn: Scenario, x: np.ndarray, z: float, *, x_s: float | None = None
     """
     between = scn.region == "between" or (scn.region == "full" and z <= scn.z1)
     superpose = superpose_between if between else superpose_behind
-    return superpose(scn, x, z, x_s=x_s, lam=lam)
+    return superpose(scn, x, z, x_s=x_s)
 
 
-def source_field_matrix(scn: Scenario, x: np.ndarray, z: float, *, lam: float | None = None) -> np.ndarray:
+def source_field_matrix(scn: Scenario, x: np.ndarray, z: float) -> np.ndarray:
     """Per-source complex fields, shape (S, nx)."""
-    return np.stack([field_at(scn, x, z, x_s=xs, lam=lam) for xs in scn.source.x_positions])
+    return np.stack([field_at(scn, x, z, x_s=xs) for xs in scn.source.x_positions])
 
 
 def _is_gsm(source: SourceSpec) -> bool:
@@ -161,27 +164,37 @@ def _is_gsm(source: SourceSpec) -> bool:
     return source.kind == "line" and len(source.x_positions) > 1
 
 
-def density_profile(scn: Scenario, x: np.ndarray, z: float, *, lam: float | None = None) -> np.ndarray:
+def density_profile(scn: Scenario, x: np.ndarray, z: float) -> np.ndarray:
     """Density at one z for the scenario's source model (point, line, or GSM),
-    at a single wavelength."""
+    at the scenario's single wavelength."""
     if _is_gsm(scn.source):
-        return gsm_average(source_field_matrix(scn, x, z, lam=lam), scn.source)
-    return density(field_at(scn, x, z, lam=lam))
+        return gsm_average(source_field_matrix(scn, x, z), scn.source)
+    return density(field_at(scn, x, z))
 
 
 def spectral_density_profile(scn: Scenario, x: np.ndarray, z: float) -> np.ndarray:
-    """Density at one z including the scenario's spectral average, if any."""
+    """Density at one z including the scenario's spectral average, if any:
+    one scenario per wavelength of the spectrum, averaged incoherently."""
     spec = scn.source.spectral
     if spec is None:
         return density_profile(scn, x, z)
-    w = gaussian_spectral_weights(spec)
-    stack = [density_profile(scn, x, z, lam=lam) for lam in spec.lambda_list]
-    return spectral_average(stack, w)
+    stack = [density_profile(scn.with_wavelength(lam), x, z) for lam in spec.lambda_list]
+    return spectral_average(stack, gaussian_spectral_weights(spec))
+
+
+def talbot_plane(scn: Scenario) -> float:
+    """The fringe-metrics plane z0 + z_T, one Talbot length behind grating 0."""
+    return scn.z0 + scn.z_talbot
+
+
+def resonance_plane(scn: Scenario) -> float:
+    """The resonance detector plane z0 + 2 (z1 - z0)."""
+    return scn.z0 + 2.0 * (scn.z1 - scn.z0)
 
 
 def talbot_section(scn: Scenario, samples: int) -> tuple[np.ndarray, float]:
-    """The fringe-metrics cross-section: G1's slit span at z = z0 + z_T."""
-    return centered_axis(*scn.metrics_window(), samples), scn.z0 + scn.z_talbot
+    """The fringe-metrics cross-section: G1's slit span at the Talbot plane."""
+    return centered_axis(*scn.metrics_window(), samples), talbot_plane(scn)
 
 
 def sweep_profiles(scn: Scenario, param: str, values, x: np.ndarray,
@@ -209,14 +222,13 @@ def coherence_sweep(scn: Scenario, sigma_list, *, samples: int = 2048) -> list[t
 
 
 def resonance_scan(scn: Scenario, lambda_list, *, samples: int = 1536) -> list[tuple[float, float, float]]:
-    """Peak density (emittance) at the detector plane z0 + 2 (z1 - z0) per
-    wavelength.
+    """Peak density (emittance) at the resonance detector plane per wavelength.
 
     Returns (lambda, velocity, p_max) rows.  The geometry stays fixed while
     the wavelength scans across the self-imaging resonance of grating 0.
     """
     x = centered_axis(*scn.metrics_window(), samples)
-    profiles = sweep_profiles(scn, "lambda", lambda_list, x, scn.z0 + 2.0 * (scn.z1 - scn.z0))
+    profiles = sweep_profiles(scn, "lambda", lambda_list, x, resonance_plane(scn))
     return [(s.lam, s.particle.v_z, fringe_metrics(p).p_max) for s, p in profiles]
 
 

@@ -98,7 +98,8 @@ class Profile:
         return float(np.trapezoid(self.p, self.x))
 
 
-def _check_grid_region(scn: Scenario, grid: GridSpec) -> None:
+def check_grid_region(scn: Scenario, grid: GridSpec) -> None:
+    """Reject a grid outside the scenario's region (no sweep value moves it)."""
     if grid.z_min < scn.z0:
         raise DomainError(f"grid starts before grating G0: z_min={grid.z_min} < z0={scn.z0}")
     if scn.region == "between" and grid.z_max > scn.z1:
@@ -116,17 +117,21 @@ def _eval_rows(scn: Scenario, grid: GridSpec, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def default_workers() -> int:
-    env = os.environ.get("TLSIM_THREADS")
-    if env is not None:
+def default_workers(workers: int | None = None, *, name: str = "workers") -> int:
+    """The worker count: ``workers`` if given, else TLSIM_THREADS, else the
+    CPU count.  A count below 1 raises, naming where it came from."""
+    if workers is None:
+        env = os.environ.get("TLSIM_THREADS")
+        if env is None:
+            return os.cpu_count() or 1
+        name = "TLSIM_THREADS"
         try:
-            n = int(env)
+            workers = int(env)
         except ValueError as exc:
             raise DomainError(f"TLSIM_THREADS must be an integer, got {env!r}") from exc
-        if n < 1:
-            raise DomainError(f"TLSIM_THREADS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
+    if workers < 1:
+        raise DomainError(f"{name} must be >= 1, got {workers}")
+    return workers
 
 
 def evaluate_grid(scn: Scenario, grid: GridSpec, workers: int | None = None) -> DensityField:
@@ -138,11 +143,8 @@ def evaluate_grid(scn: Scenario, grid: GridSpec, workers: int | None = None) -> 
     while a region='behind' scenario evaluates it as the behind-form limit
     (incident field times the slit transmission).
     """
-    _check_grid_region(scn, grid)
-    if workers is None:
-        workers = default_workers()
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
+    check_grid_region(scn, grid)
+    workers = default_workers(workers)
 
     nz = grid.nz
     if workers == 1 or nz < 4:

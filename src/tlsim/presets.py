@@ -18,8 +18,10 @@ from .coherence import (
     density_profile,
     fringe_metrics,
     focusing_contrast,
+    resonance_plane,
     resonance_scan,
     sweep_profiles,
+    talbot_plane,
     talbot_section,
 )
 from .config import build_run_config
@@ -50,6 +52,10 @@ _HARD_BASE = {
     "grid.x_min": -3e-6,
     "grid.x_max": 3e-6,
 }
+
+# Paraxial 8/9-slit base (fig10-fig12).
+_PARAXIAL_8_9 = {"source.zs": _PARAXIAL, "grating0.slits": 8, "grating1.slits": 9}
+_X4 = {"grid.x_min": -4 * _UM, "grid.x_max": 4 * _UM}
 
 _SLIT_ZOOM = {
     "scenario.region": "behind",
@@ -146,59 +152,28 @@ PRESETS: dict[str, dict] = {
     "fig10a": {
         "kind": "field",
         "note": "paraxial two-grating field at 3 pm",
-        "config": {
-            "source.zs": _PARAXIAL,
-            "particle.lambda": 3 * _PM,
-            "grating0.slits": 8,
-            "grating1.slits": 9,
-            "grid.x_min": -4 * _UM,
-            "grid.x_max": 4 * _UM,
-        },
+        "config": dict(_PARAXIAL_8_9, **_X4, **{"particle.lambda": 3 * _PM}),
     },
     "fig10b": {
         "kind": "field",
         "note": "paraxial two-grating field at 5 pm (resonance)",
-        "config": {
-            "source.zs": _PARAXIAL,
-            "grating0.slits": 8,
-            "grating1.slits": 9,
-            "grid.x_min": -4 * _UM,
-            "grid.x_max": 4 * _UM,
-        },
+        "config": dict(_PARAXIAL_8_9, **_X4),
     },
     "fig10c": {
         "kind": "field",
         "note": "paraxial two-grating field at 7 pm",
-        "config": {
-            "source.zs": _PARAXIAL,
-            "particle.lambda": 7 * _PM,
-            "grating0.slits": 8,
-            "grating1.slits": 9,
-            "grid.x_min": -4 * _UM,
-            "grid.x_max": 4 * _UM,
-        },
+        "config": dict(_PARAXIAL_8_9, **_X4, **{"particle.lambda": 7 * _PM}),
     },
     "fig11": {
         "kind": "resonance",
         "note": "emittance P_max at the detector vs wavelength/velocity",
-        "config": {
-            "source.zs": _PARAXIAL,
-            "grating0.slits": 8,
-            "grating1.slits": 9,
-        },
+        "config": dict(_PARAXIAL_8_9),
         "lambdas": tuple(3e-12 + 0.25e-12 * k for k in range(17)),
     },
     "fig12": {
         "kind": "field",
         "note": "wavelength-averaged density, mean 5 pm, sigma_g 2.25 pm",
-        "config": {
-            "source.zs": _PARAXIAL,
-            "grating0.slits": 8,
-            "grating1.slits": 9,
-            "spectral.enabled": True,
-            "grid.x_min": -4 * _UM,
-            "grid.x_max": 4 * _UM,
-        },
+        "config": dict(_PARAXIAL_8_9, **_X4, **{"spectral.enabled": True}),
     },
     "fig14a": {
         "kind": "field",
@@ -288,7 +263,7 @@ def _sigma_sweep(entry, scn, grid, path, say) -> list[str]:
     say("sigma_I(m)  P_min  P_max  V")
     for s, pmin, pmax, vis in table:
         say(f"{s:.6g}  {pmin:.6g}  {pmax:.6g}  {vis:.4f}")
-    return [f"sweep.z = {scn.z0 + scn.z_talbot:.17g}"]
+    return [f"sweep.z = {talbot_plane(scn):.17g}"]
 
 
 def _resonance(entry, scn, grid, path, say) -> list[str]:
@@ -299,7 +274,7 @@ def _resonance(entry, scn, grid, path, say) -> list[str]:
         say(f"{lam:.6g}  {v:.4g}  {pmax:.6g}")
     best = max(rows, key=lambda r: r[2])
     say(f"peak emittance at lambda={best[0]:.6g} m (v={best[1]:.4g} m/s)")
-    return [f"detector.z = {scn.z0 + 2 * (scn.z1 - scn.z0):.17g}"]
+    return [f"detector.z = {resonance_plane(scn):.17g}"]
 
 
 def _profiles(entry, scn, grid, path, say) -> list[str]:
@@ -382,7 +357,7 @@ def run_preset(
         written = export_field(field, scn, os.path.join(out_dir, name), rc.formats,
                                log_scale=log_scale or rc.log_scale, extra=[note])
         say(f"p_min={field.p_min:.6g} p_max={field.p_max:.6g}")
-        z_det = scn.z0 + scn.z_talbot
+        z_det = talbot_plane(scn)
         if scn.source.spectral is not None and grid.z_min <= z_det <= grid.z_max:
             lo, hi = scn.metrics_window()
             prof = cross_section(field, z_det).restrict(lo, hi)

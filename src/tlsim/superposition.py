@@ -6,9 +6,10 @@ a sequential contraction over grating-0 slits where the behind-G1 kernel is
 factorised.  It is the same for a scalar detector point and for a whole row
 of points, so grid samples are bit-equal to direct point calls.
 
-Both sums take a validated :class:`~tlsim.scenario.Scenario`.  ``x_s``
-picks one source point (required for a distributed source) and ``lam``
-overrides the scenario wavelength; neither builds a new scenario.
+Both sums take a validated :class:`~tlsim.scenario.Scenario`, which alone
+carries the wavelength: a spectral average evaluates one scenario per
+wavelength (``Scenario.with_wavelength``).  The only per-call override is
+``x_s``, which picks one source point (required for a distributed source).
 """
 
 from __future__ import annotations
@@ -31,23 +32,19 @@ def _source_x(scn: Scenario, x_s: float | None) -> float:
     return scn.source.x_positions[0]
 
 
-def superpose_between(scn: Scenario, x, z: float, *, x_s: float | None = None,
-                      lam: float | None = None):
+def superpose_between(scn: Scenario, x, z: float, *, x_s: float | None = None):
     """Coherent sum over grating-0 slits in the between-gratings region."""
     if scn.region == "behind":
         raise DomainError("scenario region is 'behind'; between-gratings field not available")
     if not (scn.z0 <= z <= scn.z1):
         raise DomainError(f"between-gratings point needs z0 <= z <= z1, got z={z}")
     xr, scalar = _as_row(x)
-    out = between_row(
-        scn.lam if lam is None else lam, scn.source.z_s, _source_x(scn, x_s),
-        scn.z0, scn.grating0.half_width, slit_positions(scn.grating0), xr, z,
-    )
+    out = between_row(scn.lam, scn.source.z_s, _source_x(scn, x_s), scn.z0,
+                      scn.grating0.half_width, slit_positions(scn.grating0), xr, z)
     return complex(out[0]) if scalar else out
 
 
-def superpose_behind(scn: Scenario, x, z: float, *, x_s: float | None = None,
-                     lam: float | None = None):
+def superpose_behind(scn: Scenario, x, z: float, *, x_s: float | None = None):
     """Coherent double sum over grating-1 x grating-0 slits behind grating 1."""
     if scn.region == "between":
         raise DomainError("scenario region is 'between'; behind-G1 field not available")
@@ -55,7 +52,7 @@ def superpose_behind(scn: Scenario, x, z: float, *, x_s: float | None = None,
     hard = scn.propagator == "hard-edge"
     g1 = scn.grating1
     out = behind_row(
-        scn.lam if lam is None else lam, scn.source.z_s, _source_x(scn, x_s), scn.z0, scn.z1,
+        scn.lam, scn.source.z_s, _source_x(scn, x_s), scn.z0, scn.z1,
         scn.grating0.half_width, g1.half_width,
         slit_positions(scn.grating0), slit_positions(g1), xr, z,
         comb_k=g1.comb_k, comb_eta=g1.comb_eta, hard=hard,

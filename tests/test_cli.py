@@ -253,12 +253,52 @@ def test_bad_threads_exit_1_without_files(config_file, tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--config", "CFG"],
+    ["preset", "fig11"],
+    ["scan", "--config", "CFG", "--param", "lambda", "--values", "4pm,5pm", "--samples", "16", "--fields"],
+], ids=["run", "preset", "scan"])
+def test_bad_env_threads_exit_1_without_files(config_file, tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("TLSIM_THREADS", "0")
+    out = tmp_path / "o"
+    argv = [str(config_file) if a == "CFG" else a for a in command]
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "TLSIM_THREADS must be >= 1" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("region, grid_line, command", [
+    ("between", "grid.z_max = 0.12", ["run"]),
+    ("behind", "grid.z_min = 0", ["scan", "--param", "lambda", "--values", "4pm,5pm",
+                                  "--samples", "16", "--fields"]),
+], ids=["run-between", "scan-fields-behind"])
+def test_region_grid_mismatch_exits_1_before_output(tmp_path, capsys, region, grid_line, command):
+    cfg = tmp_path / "region.cfg"
+    assert grid_line in SMALL_CONFIG
+    cfg.write_text(SMALL_CONFIG + f"scenario.region = {region}\n")
+    out = tmp_path / "o"
+    assert main([command[0], "--config", str(cfg), "--out", str(out)] + command[1:]) == 1
+    captured = capsys.readouterr()
+    assert f"{region}-region grid" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 class TestOracleCheck:
     def test_small_run_passes(self, capsys):
         assert main(["oracle-check", "--cases", "3"]) == 0
         out = capsys.readouterr().out
         assert "max relative error" in out
         assert "OK" in out
+
+    @pytest.mark.parametrize("cases", ["0", "-1"])
+    def test_no_cases_exits_1(self, capsys, cases):
+        assert main(["oracle-check", "--cases", cases]) == 1
+        captured = capsys.readouterr()
+        assert "--cases must be >= 1" in captured.err
+        assert "OK" not in captured.out
 
 
 class TestHelp:

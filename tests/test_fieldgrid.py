@@ -297,6 +297,16 @@ class TestWorkerDefaults:
         monkeypatch.delenv("TLSIM_THREADS")
         assert default_workers() >= 1
 
+    def test_explicit_count_wins_and_is_checked(self, monkeypatch, fullerene):
+        from tlsim.fieldgrid import default_workers
+
+        monkeypatch.setenv("TLSIM_THREADS", "0")
+        assert default_workers(2) == 2
+        with pytest.raises(DomainError, match="--threads must be >= 1, got 0"):
+            default_workers(0, name="--threads")
+        with pytest.raises(DomainError, match="workers must be >= 1"):
+            evaluate_grid(_scenario(fullerene, n0=2, n1=2), _small_grid(), workers=-1)
+
     @pytest.mark.parametrize("workers, nz, cpus, pool, chunks", [
         (5000, 10, 2, 2, 10),   # huge request, small host: the CPUs bound the pool
         (5000, 6, 64, 6, 6),    # huge request, short grid: the chunks bound it

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from tlsim import coherence
+from tlsim.coherence import resonance_plane, talbot_plane, talbot_section
 from tlsim.core import DomainError
 from tlsim.presets import PRESETS, preset_names, preset_run_config, run_preset
 
@@ -49,6 +51,26 @@ def test_resonance_preset_reports_peak(tmp_path, capsys):
     rows = np.loadtxt(tmp_path / "fig11.sweep.csv", delimiter=",", skiprows=1)
     assert rows.shape == (17, 3)
     assert str(tmp_path / "fig11.meta.txt") in written
+
+
+def test_metrics_planes_have_one_definition(tmp_path, monkeypatch):
+    evaluated = []
+    real = coherence.sweep_profiles
+
+    def spy(scn, param, values, x, z):
+        evaluated.append(z)
+        return real(scn, param, values[:1], x[:8], z)
+
+    monkeypatch.setattr(coherence, "sweep_profiles", spy)
+    for name, key, plane in (("fig11", "detector.z", resonance_plane),
+                             ("fig7", "sweep.z", talbot_plane)):
+        evaluated.clear()
+        run_preset(name, tmp_path, echo=lambda *_: None)
+        scn = preset_run_config(name).scenario
+        meta = (tmp_path / f"{name}.meta.txt").read_text().splitlines()
+        assert f"{key} = {plane(scn):.17g}" in meta
+        assert evaluated == [plane(scn)]
+    assert talbot_section(scn, 4)[1] == talbot_plane(scn)
 
 
 def test_profiles_preset_reports_integrals(tmp_path, capsys):

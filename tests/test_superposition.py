@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from tlsim.coherence import (
+    density_profile, gaussian_spectral_weights, spectral_average, spectral_density_profile,
+)
 from tlsim.core import (
-    PARAXIAL_ZS, DomainError, GratingSpec, SourceSpec, centered_axis, slit_positions,
+    PARAXIAL_ZS, DomainError, GratingSpec, SourceSpec, SpectralSpec, centered_axis,
+    slit_positions,
 )
 from tlsim.propagators import PathContext, between_row, psi_behind
 from tlsim.scenario import Scenario
@@ -171,22 +175,21 @@ class TestRequestValidation:
 
 
 class TestCallShape:
-    @pytest.mark.parametrize("z_s, propagator, comb_k", [
-        (-0.5, "standard", 1),
-        (PARAXIAL_ZS, "paraxial", 1),
-        (-0.5, "hard-edge", 4),
-    ])
-    def test_lam_keyword_equals_rebuilt_scenario(self, fullerene, z_s, propagator, comb_k):
-        scn = _req(fullerene, n0=5, n1=4, x_s=0.0 if propagator == "paraxial" else 1e-6,
-                   z_s=z_s, propagator=propagator, comb_k=comb_k, comb_eta=1.5)
+    @pytest.mark.parametrize("z", [0.03, 0.08], ids=["between", "behind"])
+    def test_spectral_profile_averages_rebuilt_scenarios(self, fullerene, z):
+        spec = SpectralSpec(mean_lambda=5e-12, sigma_g=2.25e-12,
+                            lambda_list=(3e-12, 4.5e-12, 5e-12, 7.25e-12))
+        src = SourceSpec(kind="line", x_positions=(-1e-6, -0.5e-6, 0.0, 0.5e-6), z_s=-0.5,
+                         sigma_I=0.5e-6, spectral=spec)
+        point = _req(fullerene, n0=5, n1=4)
+        scn = Scenario(particle=fullerene, grating0=point.grating0, grating1=point.grating1,
+                       source=src)
         x = np.linspace(-2e-6, 2e-6, 41)
-        for lam in (3e-12, 7.25e-12):
-            other = scn.with_wavelength(lam)
-            for z in (0.05, 0.09):
-                assert np.array_equal(superpose_behind(scn, x, z, lam=lam),
-                                      superpose_behind(other, x, z))
-            assert np.array_equal(superpose_between(scn, x, 0.03, lam=lam),
-                                  superpose_between(other, x, 0.03))
+        expected = spectral_average(
+            [density_profile(scn.with_wavelength(lam), x, z) for lam in spec.lambda_list],
+            gaussian_spectral_weights(spec),
+        )
+        assert np.array_equal(spectral_density_profile(scn, x, z), expected)
 
     def test_line_source_needs_explicit_x_s(self, fullerene, line_source_33):
         point = _req(fullerene)
