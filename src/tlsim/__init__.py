@@ -44,7 +44,6 @@ from .oracle import OracleConvergenceError, quadrature_oracle
 from .propagators import (
     PathContext,
     comb_form_factor,
-    d_term,
     free_kernel,
     psi_behind,
     psi_hard_edge,

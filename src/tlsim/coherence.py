@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import COHERENT_SIGMA, DomainError, SourceSpec, SpectralSpec, centered_axis
+from .core import DomainError, SourceSpec, SpectralSpec, centered_axis
 from .propagators import reduce_paths
 from .scenario import Scenario, apply_sweep_value
 from .superposition import density, superpose_behind, superpose_between
@@ -47,15 +47,11 @@ def _kappa(source: SourceSpec) -> np.ndarray:
     Equals exp(-(x'-x'')^2 / (2 sigma_I^2)) / sqrt(2 pi); the sigma_I
     prefactor of the averaging formula cancels the kernel normalization,
     which is what makes the coherent (sigma -> inf) and incoherent
-    (sigma -> 0) limits finite.
+    (sigma -> 0) limits finite; sigma_I = inf gives exactly 1/sqrt(2 pi).
     """
     xs = np.asarray(source.x_positions)
     dx = xs[:, None] - xs[None, :]
-    if source.sigma_I == COHERENT_SIGMA:
-        arg = np.zeros_like(dx)
-    else:
-        arg = (dx * dx) / (2.0 * source.sigma_I * source.sigma_I)
-    return np.exp(-arg) / _SQRT_2PI
+    return np.exp(-(dx * dx) / (2.0 * source.sigma_I * source.sigma_I)) / _SQRT_2PI
 
 
 def gsm_average(psi_per_source: np.ndarray, source: SourceSpec):
@@ -159,15 +155,10 @@ def source_field_matrix(scn: Scenario, x: np.ndarray, z: float) -> np.ndarray:
     return np.stack([field_at(scn, x, z, x_s=xs) for xs in scn.source.x_positions])
 
 
-def _is_gsm(source: SourceSpec) -> bool:
-    """Whether the source is averaged through the GSM kernel (a line of several points)."""
-    return source.kind == "line" and len(source.x_positions) > 1
-
-
 def density_profile(scn: Scenario, x: np.ndarray, z: float) -> np.ndarray:
     """Density at one z for the scenario's source model (point, line, or GSM),
     at the scenario's single wavelength."""
-    if _is_gsm(scn.source):
+    if scn.source.gsm:
         return gsm_average(source_field_matrix(scn, x, z), scn.source)
     return density(field_at(scn, x, z))
 
@@ -192,9 +183,20 @@ def resonance_plane(scn: Scenario) -> float:
     return scn.z0 + 2.0 * (scn.z1 - scn.z0)
 
 
+def _in_region(scn: Scenario, z: float, plane: str) -> float:
+    """A metrics plane's z, checked against the scenario's region before any
+    field is evaluated, so that an error names the plane, not the config."""
+    lo, hi = scn.z_range()
+    if not lo <= z <= hi:
+        raise DomainError(f"the {plane} at z = {z:.6g} m lies outside the scenario's "
+                          f"{scn.region} region ({lo:.6g} <= z <= {hi:.6g} m)")
+    return z
+
+
 def talbot_section(scn: Scenario, samples: int) -> tuple[np.ndarray, float]:
     """The fringe-metrics cross-section: G1's slit span at the Talbot plane."""
-    return centered_axis(*scn.metrics_window(), samples), talbot_plane(scn)
+    z = _in_region(scn, talbot_plane(scn), "Talbot plane z0 + z_T")
+    return centered_axis(*scn.metrics_window(), samples), z
 
 
 def sweep_profiles(scn: Scenario, param: str, values, x: np.ndarray,
@@ -208,7 +210,7 @@ def sweep_profiles(scn: Scenario, param: str, values, x: np.ndarray,
     scenarios = [apply_sweep_value(scn, param, v) for v in values]
     if not scenarios:
         raise DomainError(f"{param} sweep values must not be empty")
-    if param == "sigma_I" and scn.source.spectral is None and _is_gsm(scn.source):
+    if param == "sigma_I" and scn.source.spectral is None:
         F = source_field_matrix(scn, x, z)
         return [(s, gsm_average(F, s.source)) for s in scenarios]
     return [(s, spectral_density_profile(s, x, z)) for s in scenarios]
@@ -227,8 +229,9 @@ def resonance_scan(scn: Scenario, lambda_list, *, samples: int = 1536) -> list[t
     Returns (lambda, velocity, p_max) rows.  The geometry stays fixed while
     the wavelength scans across the self-imaging resonance of grating 0.
     """
+    z = _in_region(scn, resonance_plane(scn), "resonance plane z0 + 2 (z1 - z0)")
     x = centered_axis(*scn.metrics_window(), samples)
-    profiles = sweep_profiles(scn, "lambda", lambda_list, x, resonance_plane(scn))
+    profiles = sweep_profiles(scn, "lambda", lambda_list, x, z)
     return [(s.lam, s.particle.v_z, fringe_metrics(p).p_max) for s, p in profiles]
 
 

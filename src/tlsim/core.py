@@ -4,10 +4,11 @@ All lengths are meters, times are seconds, masses are kilograms. Value types
 are immutable after construction and every operation here is a pure function,
 so everything in this module can be shared freely between worker processes.
 
-The paraxial (plane-wave) illumination limit is represented by a source plane
-at ``z_s = -inf``; callers must branch on :func:`is_paraxial` rather than
-feeding a huge finite distance into the geometry (that would lose precision
-in the magnification and tilt factors).
+The paraxial (plane-wave) limit is a source plane at ``z_s = -inf`` that
+flows through every formula as a value: 1/(z0 - z_s) and (x0 - x_s)/(z0 - z_s)
+are exact zeros.  Only the real part of ``spreading_sigma`` (inf/inf there),
+the validators and the oracle test :func:`is_paraxial`.  A fully coherent
+source, ``sigma_I = inf``, likewise has no branch.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ MAX_SLITS = 4096
 
 PARAXIAL_ZS = float("-inf")
 
-COHERENT_SIGMA = float("inf")  # fully coherent source sentinel for sigma_I
+COHERENT_SIGMA = float("inf")  # sigma_I of a fully coherent source
 
 
 class DomainError(ValueError):
@@ -185,6 +186,11 @@ class SourceSpec:
     def paraxial(self) -> bool:
         return is_paraxial(self.z_s)
 
+    @property
+    def gsm(self) -> bool:
+        """A GSM line of two or more positions, the only source sigma_I acts on."""
+        return self.kind == "line" and len(self.x_positions) > 1
+
 
 def xi0(x0: float, x1: float, x_s: float, z0: float, z1: float, z_s: float) -> float:
     """Source-tilt parameter 1 - ((x0-x_s)/(z0-z_s)) * ((z1-z0)/(x1-x0)).
@@ -195,8 +201,6 @@ def xi0(x0: float, x1: float, x_s: float, z0: float, z1: float, z_s: float) -> f
     """
     if x1 == x0:
         raise DomainError("xi0 is singular at x1 == x0; use the grouped form")
-    if is_paraxial(z_s):
-        return 1.0
     if not (z_s < z0 < z1):
         raise DomainError(f"need z_s < z0 < z1, got z_s={z_s}, z0={z0}, z1={z1}")
     return 1.0 - ((x0 - x_s) / (z0 - z_s)) * ((z1 - z0) / (x1 - x0))
@@ -227,7 +231,4 @@ def xi0_grouped(x0, x1, x_s: float, z0: float, z1: float, z_s: float):
     Accepts scalars or arrays for x0/x1; finite for all inputs including
     x1 == x0, and exactly (x1-x0) in the paraxial limit.
     """
-    dx = np.asarray(x1) - np.asarray(x0)
-    if is_paraxial(z_s):
-        return dx
-    return dx - (np.asarray(x0) - x_s) * ((z1 - z0) / (z0 - z_s))
+    return np.asarray(x1) - np.asarray(x0) - (np.asarray(x0) - x_s) * ((z1 - z0) / (z0 - z_s))

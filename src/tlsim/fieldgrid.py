@@ -100,12 +100,10 @@ class Profile:
 
 def check_grid_region(scn: Scenario, grid: GridSpec) -> None:
     """Reject a grid outside the scenario's region (no sweep value moves it)."""
-    if grid.z_min < scn.z0:
-        raise DomainError(f"grid starts before grating G0: z_min={grid.z_min} < z0={scn.z0}")
-    if scn.region == "between" and grid.z_max > scn.z1:
-        raise DomainError(f"between-region grid must end at z1={scn.z1}, got z_max={grid.z_max}")
-    if scn.region == "behind" and grid.z_min < scn.z1:
-        raise DomainError(f"behind-region grid must start at z1={scn.z1}, got z_min={grid.z_min}")
+    lo, hi = scn.z_range()
+    if not (lo <= grid.z_min and grid.z_max <= hi):
+        raise DomainError(f"{scn.region}-region grid must lie within {lo:.6g} <= z <= {hi:.6g} m, "
+                          f"got z_min={grid.z_min}, z_max={grid.z_max}")
 
 
 def _eval_rows(scn: Scenario, grid: GridSpec, lo: int, hi: int) -> np.ndarray:

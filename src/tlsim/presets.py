@@ -25,7 +25,7 @@ from .coherence import (
     talbot_section,
 )
 from .config import build_run_config
-from .core import DomainError, centered_axis
+from .core import PARAXIAL_ZS, DomainError, centered_axis
 from .fieldgrid import (
     Profile,
     cross_section,
@@ -41,8 +41,6 @@ _UM = 1e-6
 _NM = 1e-9
 _PM = 1e-12
 
-_PARAXIAL = float("-inf")
-
 # Small-grating hard-edge base (4 and 5 slits, eta = 1.5).
 _HARD_BASE = {
     "grating0.slits": 4,
@@ -54,7 +52,7 @@ _HARD_BASE = {
 }
 
 # Paraxial 8/9-slit base (fig10-fig12).
-_PARAXIAL_8_9 = {"source.zs": _PARAXIAL, "grating0.slits": 8, "grating1.slits": 9}
+_PARAXIAL_8_9 = {"source.zs": PARAXIAL_ZS, "grating0.slits": 8, "grating1.slits": 9}
 _X4 = {"grid.x_min": -4 * _UM, "grid.x_max": 4 * _UM}
 
 _SLIT_ZOOM = {
@@ -142,7 +140,7 @@ PRESETS: dict[str, dict] = {
         "kind": "field",
         "note": "paraxial Talbot carpet, 64/63 slits",
         "config": {
-            "source.zs": _PARAXIAL,
+            "source.zs": PARAXIAL_ZS,
             "grating0.slits": 64,
             "grating1.slits": 63,
             "grid.x_min": -18 * _UM,

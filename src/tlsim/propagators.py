@@ -16,7 +16,8 @@ finite for every input.
 On a grating plane the wave function is the incident field modulated by the
 slit transmission.  The between-gratings form reaches that limit at z == z0
 without a branch: its phase is written so that nothing cancels as z -> z0.
-Only the behind-G1 direct kernel keeps a separate z == z1 limit branch.
+Only the behind-G1 direct kernel keeps a separate z == z1 limit branch; the
+paraxial source z_s = -inf has none (its source terms are exact zeros).
 Everything is vectorized over the detector coordinate and over slit centers;
 the scalar entry points route through the same code path so grid samples and
 direct calls agree bit for bit.
@@ -104,15 +105,8 @@ def free_kernel(x_b, t_b: float, x_a, t_a: float, particle: Particle):
     return complex(val) if np.ndim(val) == 0 else val
 
 
-def d_term(Sigma0: complex, Sigma1: complex, z0: float, z1: float, z2: float) -> complex:
-    """Common divisor D = sqrt(Sigma0*Sigma1 - (z2-z1)/(z1-z0)), principal branch."""
-    if not (z1 > z0):
-        raise DomainError(f"need z1 > z0, got z0={z0}, z1={z1}")
-    return complex(np.sqrt(_d_squared(complex(Sigma0), complex(Sigma1), z0, z1, z2)))
-
-
 def _d_squared(sig0: complex, sig1: complex, z0: float, z1: float, z: float) -> complex:
-    """D^2 = Sigma0*Sigma1 - (z-z1)/(z1-z0), checked against the branch cut.
+    """D^2 = Sigma0*Sigma1 - (z-z1)/(z1-z0); D is its principal square root.
 
     Valid geometries keep D^2 off the negative real axis (Im > 0 whenever a
     grating has been crossed); a violation means inputs outside the model.
@@ -208,25 +202,18 @@ def between_row(
 ) -> np.ndarray:
     """Sum of single-slit between-gratings wave functions over centers x0s.
 
-    Valid for z >= z0.  Sigma0 - 1 = (z - z0)*c with
-    c = 1/(z0 - z_s) + i*lam/(2*pi*b0^2) (real part 0 when paraxial), so the
-    phase carries no 1/(z - z0): z == z0 gives the aperture-modulated source
-    wave, and rows just past the plane approach it continuously.
+    Valid for z >= z0.  Sigma0 - 1 = (z - z0)*c with c = 1/(z0 - z_s) +
+    i*lam/(2*pi*b0^2), so the phase carries no 1/(z - z0): z == z0 gives the
+    aperture-modulated source wave, and rows just past the plane approach it
+    continuously.
     """
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
     x = np.asarray(x, dtype=float)
     sig0 = spreading_sigma(lam, z_s, z0, z, b0)  # also checks lam and z_s < z0 <= z
-    paraxial = is_paraxial(z_s)
     dx = x[None, :] - x0s[:, None]
-
-    if paraxial:
-        p3 = np.zeros(len(x0s))
-        g = np.zeros(len(x0s))
-    else:
-        p3 = (x0s - x_s) ** 2 / (lam * (z0 - z_s))
-        g = (x0s - x_s) / (z0 - z_s)
-
-    c = complex(0.0 if paraxial else 1.0 / (z0 - z_s), lam / (2.0 * math.pi * b0 * b0))
+    p3 = (x0s - x_s) ** 2 / (lam * (z0 - z_s))
+    g = (x0s - x_s) / (z0 - z_s)
+    c = complex(1.0 / (z0 - z_s), lam / (2.0 * math.pi * b0 * b0))
     num = dx * dx * c + 2.0 * dx * g[:, None] - (g * g * (z - z0))[:, None]
     psi = reduce_paths(np.exp((1j * math.pi) * (num / (lam * sig0) + p3[:, None])))
     return psi / np.sqrt(sig0)
@@ -260,7 +247,6 @@ def behind_row(
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
     x1s = np.atleast_1d(np.asarray(x1s, dtype=float))
     x = np.asarray(x, dtype=float)
-    paraxial = is_paraxial(z_s)
     if z < z1:
         raise DomainError(f"behind-region evaluation needs z >= z1, got z={z}, z1={z1}")
 
@@ -270,13 +256,13 @@ def behind_row(
 
     dx10 = x1s[:, None] - x0s[None, :]
     u = xi0_grouped(x0s[None, :], x1s[:, None], x_s, z0, z1, z_s)
-    p3 = np.zeros(len(x0s)) if paraxial else (x0s - x_s) ** 2 / (lam * (z0 - z_s))
+    p3 = (x0s - x_s) ** 2 / (lam * (z0 - z_s))
     p23 = (dx10 * dx10 - u * u / sig0) / L10 + p3[None, :]
     bq = (dx10 - u / sig0) / L10
 
     n1, n0 = len(x1s), len(x0s)
     if not hard and n1 * n0 > n1 + n0 + 2:
-        r = 0.0 if paraxial else (z1 - z0) / (z0 - z_s)
+        r = (z1 - z0) / (z0 - z_s)
         alpha = (1.0 - 1.0 / sig0) / L10
         beta = r / (sig0 * L10) - alpha
         gamma = -x_s * r / (sig0 * L10)

@@ -63,6 +63,12 @@ class Scenario:
         """Self-imaging length of grating 0 at the scenario wavelength."""
         return talbot_length(self.grating0.pitch, self.lam)
 
+    def z_range(self) -> tuple[float, float]:
+        """The region's z interval: [z0, z1] between the gratings, [z1, inf)
+        behind G1 and [z0, inf) for the full field."""
+        return (self.z1 if self.region == "behind" else self.z0,
+                self.z1 if self.region == "between" else math.inf)
+
     def metrics_window(self) -> tuple[float, float]:
         """Default x-window for fringe metrics: the span of G1's slit centers."""
         half = self.grating1.span / 2.0
@@ -96,6 +102,9 @@ def apply_sweep_value(scn: Scenario, param: str, value: float) -> Scenario:
     """A copy of the scenario with one sweepable parameter replaced.  K1 and
     eta1 describe the hard-edged comb, so they also select its propagator."""
     if param == "sigma_I":
+        if not scn.source.gsm:
+            raise DomainError("sigma_I can only be swept on a line source of two or more "
+                              "positions: no other source is averaged over sigma_I")
         return dataclasses.replace(
             scn, source=dataclasses.replace(scn.source, sigma_I=float(value))
         )

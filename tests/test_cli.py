@@ -208,11 +208,11 @@ class TestScan:
         out = tmp_path / "s"
         code = main([
             "scan", "--config", str(cfg), "--out", str(out),
-            "--param", "sigma_I", "--values", "1um", "--samples", "256",
+            "--param", "xs", "--values", "0um", "--samples", "256",
         ])
         assert code == 0
         row = np.loadtxt(out / "spec.sweep.csv", delimiter=",", skiprows=1)
-        scn = apply_sweep_value(parse_config(SPECTRAL_CONFIG).scenario, "sigma_I", 1e-6)
+        scn = apply_sweep_value(parse_config(SPECTRAL_CONFIG).scenario, "xs", 0.0)
         x = centered_axis(*scn.metrics_window(), 256)
         met = fringe_metrics(spectral_density_profile(scn, x, scn.z0 + scn.z_talbot))
         assert met.visibility < 0.95  # the monochromatic profile has V = 1
@@ -228,6 +228,33 @@ class TestScan:
         ])
         assert code == 1
         assert "spectrum fixes the wavelengths" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sigma_on_point_config_exits_1_without_files(self, config_file, tmp_path, capsys):
+        out = tmp_path / "s"
+        code = main([
+            "scan", "--config", str(config_file), "--out", str(out),
+            "--param", "sigma_I", "--values", "0.1um,10um", "--samples", "16",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "sigma_I can only be swept on a line source of two or more positions" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_plane_outside_region_exits_1_without_files(self, tmp_path, capsys):
+        cfg = tmp_path / "between.cfg"
+        cfg.write_text(SMALL_CONFIG + "scenario.region = between\n")
+        out = tmp_path / "s"
+        code = main([
+            "scan", "--config", str(cfg), "--out", str(out),
+            "--param", "lambda", "--values", "4pm,5pm", "--samples", "16",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert ("the Talbot plane z0 + z_T at z = 0.1 m lies outside the scenario's "
+                "between region (0 <= z <= 0.05 m)") in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     def test_non_sweepable_parameter(self, config_file, tmp_path, capsys):

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlsim import coherence
-from tlsim.core import COHERENT_SIGMA, DomainError, GratingSpec, SourceSpec, SpectralSpec, centered_axis
+from tlsim.core import (
+    COHERENT_SIGMA, DomainError, GratingSpec, Particle, SourceSpec, SpectralSpec, centered_axis,
+)
 from tlsim.coherence import (
     FringeMetrics,
     _kappa,
@@ -78,6 +80,11 @@ class TestKernel:
         off = tiny[~np.eye(3, dtype=bool)]
         assert np.all(off < 1e-300)
 
+    def test_coherent_kernel_needs_no_branch(self, rng):
+        # sigma_I = inf goes through the general formula: dx^2/(2 sigma^2) = 0
+        xs = np.sort(rng.uniform(-5e-3, 5e-3, 33))
+        assert np.all(_kappa(_kernel_spec(xs, COHERENT_SIGMA)) == 1.0 / SQRT_2PI)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
             _kernel_spec((), 1e-6)
@@ -109,6 +116,13 @@ class TestGsmAverage:
         p = gsm_average(F, _kernel_spec(xs, 1e4 * span))
         expect = np.abs(F.sum(axis=0)) ** 2 / SQRT_2PI
         assert np.allclose(p, expect, rtol=1e-6)
+
+    def test_remote_coherence_width_converges_to_coherent(self, rng):
+        xs = tuple(-4e-6 + 0.25e-6 * k for k in range(33))
+        F = _random_phase_fields(rng, 33, 64)
+        coherent = gsm_average(F, _kernel_spec(xs, COHERENT_SIGMA))
+        km = gsm_average(F, _kernel_spec(xs, 1e3))
+        assert np.max(np.abs(km - coherent)) <= 1e-12 * np.max(coherent)
 
     def test_global_phase_invariance(self, rng):
         xs = tuple(np.arange(4) * 0.25e-6)
@@ -283,6 +297,15 @@ class TestFocusingContrast:
         assert np.all(dp == 0.0)
 
 
+def _forbid_fields(monkeypatch):
+    """Make any field evaluation by the coherence drivers fail the test."""
+    def no_fields(*args, **kwargs):
+        raise AssertionError("a field was evaluated before the request was checked")
+
+    monkeypatch.setattr(coherence, "spectral_density_profile", no_fields)
+    monkeypatch.setattr(coherence, "source_field_matrix", no_fields)
+
+
 class TestDrivers:
     def test_sweep_monotone_on_small_config(self, fullerene):
         g0 = GratingSpec(8, 500e-9, 37.5e-9, 0.0)
@@ -296,9 +319,9 @@ class TestDrivers:
         for lo, hi in zip(vs, vs[1:]):
             assert hi >= lo - 0.02  # non-increasing as sigma decreases, 2% band
 
-    def test_sweep_rejects_empty_or_negative(self, fullerene, point_source, g0_main, g1_main):
+    def test_sweep_rejects_empty_or_negative(self, fullerene, line_source_33, g0_main, g1_main):
         scn = Scenario(particle=fullerene, grating0=g0_main, grating1=g1_main,
-                       source=point_source, region="behind", propagator="standard")
+                       source=line_source_33, region="behind", propagator="standard")
         with pytest.raises(DomainError):
             coherence_sweep(scn, [])
         with pytest.raises(DomainError):
@@ -316,6 +339,45 @@ class TestDrivers:
         for bad in (math.nan, -1e-6):
             with pytest.raises(DomainError, match="sigma_I"):
                 coherence_sweep(scn, [1e-6, bad])
+
+    @pytest.mark.parametrize("xs", [(0.0,), (1e-6,)])
+    @pytest.mark.parametrize("kind", ["point", "line"])
+    def test_sweep_rejects_source_without_coherence_width(self, fullerene, g0_main, g1_main,
+                                                          monkeypatch, kind, xs):
+        src = SourceSpec(kind=kind, x_positions=xs, z_s=-0.5)
+        scn = Scenario(particle=fullerene, grating0=g0_main, grating1=g1_main, source=src,
+                       region="behind", propagator="standard")
+        _forbid_fields(monkeypatch)
+        with pytest.raises(DomainError, match="two or more positions"):
+            coherence_sweep(scn, [0.1e-6, 10e-6], samples=16)
+        with pytest.raises(DomainError, match="two or more positions"):
+            apply_sweep_value(scn, "sigma_I", 1e-6)
+
+    @pytest.mark.parametrize("region, message", [
+        ("between", r"Talbot plane z0 \+ z_T at z = 0\.1 m lies outside the scenario's "
+                    r"between region \(0 <= z <= 0\.05 m\)"),
+        ("behind", r"Talbot plane z0 \+ z_T at z = 0\.03 m lies outside the scenario's "
+                   r"behind region \(0\.05 <= z <= inf m\)"),
+    ], ids=["between", "behind"])
+    def test_sweep_rejects_plane_outside_region(self, fullerene, g0_main, g1_main,
+                                                line_source_33, monkeypatch, region, message):
+        # G1 at 0.05 m; z_T = 0.1 m at 5 pm, and 0.03 m at 5 pm * 10/3
+        particle = fullerene if region == "between" else Particle(fullerene.mass, 5e-12 * 10 / 3)
+        scn = Scenario(particle=particle, grating0=g0_main, grating1=g1_main,
+                       source=line_source_33, region=region, propagator="standard")
+        _forbid_fields(monkeypatch)
+        with pytest.raises(DomainError, match=message):
+            coherence_sweep(scn, [1e-6], samples=16)
+
+    def test_resonance_scan_rejects_plane_outside_region(self, fullerene, plane_wave_source,
+                                                         monkeypatch):
+        g0 = GratingSpec(4, 500e-9, 37.5e-9, 0.0)
+        g1 = GratingSpec(5, 500e-9, 75e-9, 0.05)
+        scn = Scenario(particle=fullerene, grating0=g0, grating1=g1,
+                       source=plane_wave_source, region="between", propagator="paraxial")
+        _forbid_fields(monkeypatch)
+        with pytest.raises(DomainError, match=r"resonance plane .* at z = 0\.1 m .* between region"):
+            resonance_scan(scn, [4e-12, 5e-12], samples=16)
 
     def test_resonance_scan_rows(self, fullerene, plane_wave_source):
         g0 = GratingSpec(4, 500e-9, 37.5e-9, 0.0)

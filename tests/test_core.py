@@ -227,6 +227,14 @@ class TestValidation:
         src = SourceSpec(kind="point", x_positions=(0.0,), z_s=-math.inf, sigma_I=math.inf)
         assert src.paraxial
 
+    @pytest.mark.parametrize("kind, xs, gsm", [
+        ("point", (0.0,), False),
+        ("line", (0.0,), False),
+        ("line", (0.0, 1e-6), True),
+    ])
+    def test_only_a_line_of_two_or_more_positions_is_gsm(self, kind, xs, gsm):
+        assert SourceSpec(kind=kind, x_positions=xs, z_s=-0.5).gsm is gsm
+
     def test_source_sigma(self):
         with pytest.raises(DomainError):
             SourceSpec(kind="point", x_positions=(0.0,), z_s=-0.5, sigma_I=0.0)

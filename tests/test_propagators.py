@@ -15,10 +15,10 @@ from tlsim.oracle import composite_gauss_legendre, quadrature_oracle
 from tlsim.propagators import (
     BranchCutError,
     PathContext,
+    _d_squared,
     behind_row,
     between_row,
     comb_form_factor,
-    d_term,
     free_kernel,
     gaussian_slit,
     psi_behind,
@@ -86,29 +86,34 @@ class TestFreeKernel:
         assert abs(extrap - target) / abs(target) < 1e-6
 
 
+def _d(sig0, sig1, z0, z1, z):
+    """D as both behind-G1 kernels take it: the principal root of _d_squared."""
+    return complex(np.sqrt(_d_squared(complex(sig0), complex(sig1), z0, z1, z)))
+
+
 class TestDTerm:
     def test_between_gratings_reduction(self):
         sig0 = complex(1.1, 28.29)
-        assert d_term(sig0, 1.0, 0.0, 0.05, 0.05) == pytest.approx(cmath.sqrt(sig0), rel=1e-14)
+        assert _d(sig0, 1.0, 0.0, 0.05, 0.05) == pytest.approx(cmath.sqrt(sig0), rel=1e-14)
 
     def test_worked_example(self):
         # z-ratio 2 with the quoted spreadings
-        d = d_term(complex(1.1, 28.29), complex(3.0, 14.15), 0.0, 0.05, 0.15)
+        d = _d(complex(1.1, 28.29), complex(3.0, 14.15), 0.0, 0.05, 0.15)
         expect = cmath.sqrt(complex(1.1, 28.29) * complex(3.0, 14.15) - 2.0)
         assert d == pytest.approx(expect, rel=1e-14)
         assert d.real == pytest.approx(2.50, abs=0.01)
         assert d.imag == pytest.approx(20.13, abs=0.01)
 
     def test_identity(self):
-        assert d_term(1.0, 1.0, 0.0, 0.05, 0.05) == 1.0
+        assert _d(1.0, 1.0, 0.0, 0.05, 0.05) == 1.0
 
     def test_degenerate(self):
         with pytest.raises(DomainError):
-            d_term(1.0, 1.0, 0.0, 0.05, 0.1)  # 1*1 - 1 = 0
+            _d_squared(1.0 + 0j, 1.0 + 0j, 0.0, 0.05, 0.1)  # 1*1 - 1 = 0
 
     def test_branch_guard(self):
         with pytest.raises(BranchCutError):
-            d_term(complex(0.0, -2.0), 1.0, 0.0, 0.05, 0.1)
+            _d_squared(complex(0.0, -2.0), 1.0 + 0j, 0.0, 0.05, 0.1)
 
 
 class TestCombFormFactor:
@@ -395,6 +400,46 @@ class TestPsiParaxial:
         pp /= pp.max()
         pf /= pf.max()
         assert math.sqrt(float(np.mean((pp - pf) ** 2))) < 0.01
+
+
+def _limit_row(kind, z_s, x_s):
+    """One row of the 8/9-slit geometry (lam 5 pm, G1 at 0.05 m, +-4 um)."""
+    lam, z1, b0, b1 = 5e-12, 0.05, 37.5e-9, 75e-9
+    x0s = slit_positions(GratingSpec(8, 500e-9, b0, 0.0))
+    x1s = slit_positions(GratingSpec(9, 500e-9, b1, z1))
+    x = centered_axis(-4e-6, 4e-6, 257)
+    if kind.startswith("between"):
+        return between_row(lam, z_s, x_s, 0.0, b0, x0s, x, 0.0 if kind.endswith("z0") else 0.03)
+    if kind.startswith("single"):
+        x0s, x1s = x0s[3:4], x1s[4:5]
+    return behind_row(lam, z_s, x_s, 0.0, z1, b0, b1, x0s, x1s, x,
+                      z1 if kind.endswith("z1") else 0.1)
+
+
+class TestParaxialLimitAsValue:
+    """z_s = -inf flows through the general formulas: its source terms are
+    exact zeros, so x_s cannot matter, and a remote finite source converges."""
+
+    KINDS = ("between", "between at z0", "single path", "single path at z1",
+             "factorised", "factorised at z1")
+    # The terms the limit drops are source phases of order
+    # pi (x - x_s)^2 / (lam |z_s|) <= pi (6 um)^2 / 5 pm = 22.6 m / |z_s| here.
+    C = 25.0  # m
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_paraxial_row_ignores_source_x(self, kind):
+        ref = _limit_row(kind, PARAXIAL_ZS, 0.0)
+        for x_s in (1e-6, -3.7e-5, 0.25, -1.0, 123.0):
+            assert _limit_row(kind, PARAXIAL_ZS, x_s).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_remote_source_converges_to_paraxial_row(self, kind):
+        ref = _limit_row(kind, PARAXIAL_ZS, 0.0)
+        scale = np.max(np.abs(ref))
+        for z_s in (-1e12, -1e30):
+            for x_s in (0.0, 2e-6):
+                err = np.max(np.abs(_limit_row(kind, z_s, x_s) - ref))
+                assert err <= self.C / abs(z_s) * scale
 
 
 class TestFactorisedBehind:
