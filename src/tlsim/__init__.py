@@ -18,7 +18,6 @@ from .core import (
     SpectralSpec,
     slit_positions,
     talbot_length,
-    xi0,
 )
 from .coherence import (
     FringeMetrics,

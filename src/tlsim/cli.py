@@ -183,9 +183,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _glue_values(argv: list[str]) -> list[str]:
+    """``--values -0.5,-inf`` as ``--values=-0.5,-inf``: argparse reads a token
+    that starts with '-' and is not a plain negative number as an option."""
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--values" and not argv[i].startswith("--"):
+            argv[i - 1:i + 1] = [f"--values={argv[i]}"]
+    return argv
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_glue_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         if hasattr(args, "threads"):
             args.threads = default_workers(args.threads, name="--threads")

@@ -147,7 +147,7 @@ SCHEMA: dict[str, tuple] = {
     "scenario.region": (_parse_choice(*REGIONS), "full", False, "choice", "observation region"),
     "scenario.propagator": (
         _parse_choice("auto", *PROPAGATORS),
-        "auto", False, "choice", "wave-function family (auto follows source/grating)",
+        "auto", False, "choice", "G1 slit model (auto: hard-edge iff grating1 sets a comb)",
     ),
     "grid.x_min": (parse_length, -10e-6, False, "length", "grid left edge"),
     "grid.x_max": (parse_length, 10e-6, False, "length", "grid right edge"),
@@ -282,7 +282,7 @@ def build_run_config(vals: dict) -> RunConfig:
                 grating1=g1,
                 source=source,
                 region=vals["scenario.region"],
-                propagator=resolve_propagator(vals["scenario.propagator"], source, g1),
+                propagator=resolve_propagator(vals["scenario.propagator"], g1),
             )
         )
 

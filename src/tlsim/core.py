@@ -82,9 +82,9 @@ class GratingSpec:
     """One diffraction grating: N identical slits on a uniform pitch.
 
     ``half_width`` is the Gaussian form-factor parameter b (the open window
-    spans 2b).  ``comb_k``/``comb_eta`` select the hard-edged slit model: a
-    sum of K narrow Gaussians tuned by eta.  ``comb_k == 1`` is the plain
-    fuzzy Gaussian slit.
+    spans 2b).  ``comb_k``/``comb_eta`` are the hard-edge propagator's comb of K
+    narrow Gaussians tuned by eta; (1, 1.0) is no comb.  Even at K = 1 the
+    hard-edge field is sqrt(2/pi)/eta times the fuzzy-slit field, not equal to it.
     """
 
     n_slits: int
@@ -113,6 +113,11 @@ class GratingSpec:
             raise DomainError(f"comb_k must be >= 1, got {self.comb_k}")
         if not (0.0 < self.comb_eta < math.inf):
             raise DomainError(f"comb_eta must be finite and positive, got {self.comb_eta}")
+
+    @property
+    def comb(self) -> bool:
+        """Comb parameters other than (1, 1.0): only the hard-edge model reads them."""
+        return (self.comb_k, self.comb_eta) != (1, 1.0)
 
     @property
     def span(self) -> float:
@@ -192,20 +197,6 @@ class SourceSpec:
         return self.kind == "line" and len(self.x_positions) > 1
 
 
-def xi0(x0: float, x1: float, x_s: float, z0: float, z1: float, z_s: float) -> float:
-    """Source-tilt parameter 1 - ((x0-x_s)/(z0-z_s)) * ((z1-z0)/(x1-x0)).
-
-    Singular at x1 == x0; wave-function evaluation never divides by (x1-x0)
-    because it works with the grouped product (x1-x0)*xi0, see
-    :func:`xi0_grouped`.
-    """
-    if x1 == x0:
-        raise DomainError("xi0 is singular at x1 == x0; use the grouped form")
-    if not (z_s < z0 < z1):
-        raise DomainError(f"need z_s < z0 < z1, got z_s={z_s}, z0={z0}, z1={z1}")
-    return 1.0 - ((x0 - x_s) / (z0 - z_s)) * ((z1 - z0) / (x1 - x0))
-
-
 def centered_axis(vmin: float, vmax: float, n: int) -> np.ndarray:
     """Uniform sample axis including both endpoints.
 
@@ -226,7 +217,8 @@ def centered_axis(vmin: float, vmax: float, n: int) -> np.ndarray:
 
 
 def xi0_grouped(x0, x1, x_s: float, z0: float, z1: float, z_s: float):
-    """The singularity-free product (x1-x0)*xi0 = (x1-x0) - (x0-x_s)(z1-z0)/(z0-z_s).
+    """The singularity-free product (x1-x0)*xi0 = (x1-x0) - (x0-x_s)(z1-z0)/(z0-z_s)
+    of the source tilt xi0 = 1 - ((x0-x_s)/(z0-z_s)) * ((z1-z0)/(x1-x0)).
 
     Accepts scalars or arrays for x0/x1; finite for all inputs including
     x1 == x0, and exactly (x1-x0) in the paraxial limit.

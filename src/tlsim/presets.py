@@ -46,7 +46,6 @@ _HARD_BASE = {
     "grating0.slits": 4,
     "grating1.slits": 5,
     "grating1.comb_eta": 1.5,
-    "scenario.propagator": "hard-edge",
     "grid.x_min": -3e-6,
     "grid.x_max": 3e-6,
 }
@@ -72,7 +71,6 @@ def _fig19(eta: float) -> dict:
         "grating1.slits": 1,
         "grating1.comb_k": 7,
         "grating1.comb_eta": eta,
-        "scenario.propagator": "hard-edge",
         "scenario.region": "behind",
         "grid.x_min": -125 * _NM,
         "grid.x_max": 125 * _NM,

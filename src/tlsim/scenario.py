@@ -16,12 +16,13 @@ from .core import (
 )
 
 REGIONS = ("between", "behind", "full")
-PROPAGATORS = ("standard", "paraxial", "hard-edge")
+PROPAGATORS = ("standard", "hard-edge")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Particle + two gratings + source model + region/propagator selection."""
+    """Particle, two gratings, source, region and G1's slit model ``propagator``
+    (standard: fuzzy slits, hard-edge: comb).  ``source.z_s = -inf`` is the paraxial form."""
 
     particle: Particle
     grating0: GratingSpec
@@ -39,11 +40,11 @@ class Scenario:
             raise DomainError("grating G1 must lie behind grating G0")
         if not (self.source.z_s < self.grating0.z_pos):
             raise DomainError("source must precede grating G0")
-        if self.propagator == "paraxial" and not self.source.paraxial:
-            raise DomainError("paraxial propagator requires source.zs = -inf")
-        if self.propagator != "paraxial" and self.source.paraxial:
-            raise DomainError(f"{self.propagator} propagator requires a finite source distance")
-        if self.grating0.comb_k != 1:
+        if self.propagator == "hard-edge" and self.source.paraxial:
+            raise DomainError("hard-edge propagator requires a finite source distance")
+        if self.propagator == "standard" and self.grating1.comb:
+            raise DomainError("standard propagator ignores grating 1's comb_k/comb_eta: use hard-edge")
+        if self.grating0.comb:
             raise DomainError("hard-edged comb slits are supported on grating 1 only")
 
     @property
@@ -84,15 +85,11 @@ class Scenario:
         )
 
 
-def resolve_propagator(selector: str, source: SourceSpec, grating1: GratingSpec) -> str:
-    """Resolve the 'auto' propagator selector from the source and grating 1."""
+def resolve_propagator(selector: str, grating1: GratingSpec) -> str:
+    """Resolve the 'auto' selector: hard-edge exactly when grating 1 carries comb parameters."""
     if selector != "auto":
         return selector
-    if source.paraxial:
-        return "paraxial"
-    if grating1.comb_k > 1:
-        return "hard-edge"
-    return "standard"
+    return "hard-edge" if grating1.comb else "standard"
 
 
 SWEEPABLE_PARAMS = ("sigma_I", "lambda", "K1", "eta1", "zs", "xs")
@@ -134,6 +131,9 @@ def apply_sweep_value(scn: Scenario, param: str, value: float) -> Scenario:
     if param == "xs":
         if scn.source.kind != "point":
             raise DomainError("xs sweep applies to point sources only")
+        if scn.source.paraxial:
+            raise DomainError("xs cannot be swept on a paraxial source (zs = -inf): "
+                              "the source position does not reach the field")
         return dataclasses.replace(
             scn, source=dataclasses.replace(scn.source, x_positions=(float(value),))
         )
@@ -168,7 +168,7 @@ def scenario_lines(scn: Scenario) -> list[str]:
         f"source.zs = {_fmt(src.z_s)}",
         f"source.sigma_i = {_fmt(src.sigma_I)}",
         f"scenario.region = {scn.region}",
-        f"scenario.propagator = {scn.propagator}",
+        f"scenario.propagator = {'paraxial' if src.paraxial else scn.propagator}",
     ]
     if src.spectral is not None:
         sp = src.spectral

@@ -132,7 +132,7 @@ def test_criterion_03_talbot_self_imaging():
     g1 = GratingSpec(1, PITCH, 75e-9, 2.0 * Z_TALBOT)  # parked far downstream
     src = SourceSpec(kind="point", x_positions=(0.0,), z_s=PARAXIAL_ZS)
     req = Scenario(particle=particle, grating0=g0, grating1=g1, source=src,
-                   region="between", propagator="paraxial")
+                   region="between", propagator="standard")
     # N0 = 64 slits sit at half-integer multiples of the pitch; the half-length
     # image is shifted by d/2 onto integer multiples (the slit midpoints)
     worst_half = 0.0
@@ -161,7 +161,7 @@ def test_criterion_04_resonance_scan():
     g1 = GratingSpec(9, PITCH, 75e-9, Z1)
     src = SourceSpec(kind="point", x_positions=(0.0,), z_s=PARAXIAL_ZS)
     scn = Scenario(particle=particle, grating0=g0, grating1=g1, source=src,
-                   region="behind", propagator="paraxial")
+                   region="behind", propagator="standard")
     lams = [3e-12 + 0.25e-12 * k for k in range(17)]
     rows = resonance_scan(scn, lams)
     pmax = np.array([r[2] for r in rows])
@@ -310,7 +310,7 @@ def test_criterion_09_spectral_smearing():
     g1 = GratingSpec(9, PITCH, 75e-9, Z1)
     src = SourceSpec(kind="point", x_positions=(0.0,), z_s=PARAXIAL_ZS)
     scn = Scenario(particle=particle, grating0=g0, grating1=g1, source=src,
-                   region="behind", propagator="paraxial")
+                   region="behind", propagator="standard")
     x = centered_axis(-2e-6, 2e-6, 1536)
     lams = [3e-12 + 0.25e-12 * k for k in range(21)]
     w = gaussian_spectral_weights(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,13 @@ source.zs = -inf
 grating0.slits = 8
 grating1.slits = 9
 spectral.enabled = true
+"""
+
+PARAXIAL_8_9 = """\
+particle.lambda = 5pm
+source.zs = -inf
+grating0.slits = 8
+grating1.slits = 9
 """
 
 SMALL_CONFIG = """\
@@ -84,6 +93,18 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert "finite" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("lines", [
+        "source.zs = -inf\ngrating1.comb_k = 16\ngrating1.comb_eta = 1.5\n",
+        "scenario.propagator = standard\ngrating1.comb_k = 16\n",
+    ])
+    def test_ignored_comb_exits_1_without_files(self, tmp_path, capsys, lines):
+        cfg = tmp_path / "comb.cfg"
+        cfg.write_text(SMALL_CONFIG + lines)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "propagator" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 1
@@ -208,15 +229,43 @@ class TestScan:
         out = tmp_path / "s"
         code = main([
             "scan", "--config", str(cfg), "--out", str(out),
-            "--param", "xs", "--values", "0um", "--samples", "256",
+            "--param", "zs", "--values", "-inf", "--samples", "256",
         ])
         assert code == 0
         row = np.loadtxt(out / "spec.sweep.csv", delimiter=",", skiprows=1)
-        scn = apply_sweep_value(parse_config(SPECTRAL_CONFIG).scenario, "xs", 0.0)
+        scn = apply_sweep_value(parse_config(SPECTRAL_CONFIG).scenario, "zs", -math.inf)
         x = centered_axis(*scn.metrics_window(), 256)
         met = fringe_metrics(spectral_density_profile(scn, x, scn.z0 + scn.z_talbot))
         assert met.visibility < 0.95  # the monochromatic profile has V = 1
         assert tuple(row[1:]) == (met.p_min, met.p_max, met.visibility)
+
+    def test_zs_scan_reaches_paraxial_limit(self, tmp_path):
+        # zs values are negative: the space-separated form must still parse
+        cfg = tmp_path / "z.cfg"
+        cfg.write_text(PARAXIAL_8_9.replace("source.zs = -inf", "source.zs = -0.5"))
+        par = tmp_path / "p.cfg"
+        par.write_text(PARAXIAL_8_9)
+        common = ["--param", "zs", "--samples", "64"]
+        assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "a"),
+                     "--values", "-0.5,-50,-inf", *common]) == 0
+        assert main(["scan", "--config", str(par), "--out", str(tmp_path / "b"),
+                     "--values", "-inf", *common]) == 0
+        rows = (tmp_path / "a" / "z.sweep.csv").read_text().splitlines()
+        [one] = (tmp_path / "b" / "p.sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4 and rows[-1] == one
+        assert len(set(rows[1:])) == 3
+
+    def test_xs_on_paraxial_config_exits_1_without_files(self, tmp_path, capsys):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(PARAXIAL_8_9)
+        out = tmp_path / "s"
+        code = main([
+            "scan", "--config", str(cfg), "--out", str(out),
+            "--param", "xs", "--values", "0um,2um", "--samples", "16",
+        ])
+        assert code == 1
+        assert "paraxial source" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_lambda_on_spectral_config_exits_1_without_files(self, tmp_path, capsys):
         cfg = tmp_path / "spec.cfg"

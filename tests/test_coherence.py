@@ -374,7 +374,7 @@ class TestDrivers:
         g0 = GratingSpec(4, 500e-9, 37.5e-9, 0.0)
         g1 = GratingSpec(5, 500e-9, 75e-9, 0.05)
         scn = Scenario(particle=fullerene, grating0=g0, grating1=g1,
-                       source=plane_wave_source, region="between", propagator="paraxial")
+                       source=plane_wave_source, region="between", propagator="standard")
         _forbid_fields(monkeypatch)
         with pytest.raises(DomainError, match=r"resonance plane .* at z = 0\.1 m .* between region"):
             resonance_scan(scn, [4e-12, 5e-12], samples=16)
@@ -383,7 +383,7 @@ class TestDrivers:
         g0 = GratingSpec(4, 500e-9, 37.5e-9, 0.0)
         g1 = GratingSpec(5, 500e-9, 75e-9, 0.05)
         scn = Scenario(particle=fullerene, grating0=g0, grating1=g1,
-                       source=plane_wave_source, region="behind", propagator="paraxial")
+                       source=plane_wave_source, region="behind", propagator="standard")
         rows = resonance_scan(scn, [3e-12, 5e-12, 7e-12], samples=256)
         assert len(rows) == 3
         lam, v, pmax = rows[1]
@@ -396,7 +396,7 @@ class TestDrivers:
         g0 = GratingSpec(8, 500e-9, 37.5e-9, 0.0)
         g1 = GratingSpec(9, 500e-9, 75e-9, 0.05)
         scn = Scenario(particle=fullerene, grating0=g0, grating1=g1,
-                       source=plane_wave_source, region="behind", propagator="paraxial")
+                       source=plane_wave_source, region="behind", propagator="standard")
         lams = [2.0e-12 + 0.125e-12 * k for k in range(9)]
         rows = resonance_scan(scn, lams, samples=768)
         pmax = [r[2] for r in rows]

@@ -111,9 +111,22 @@ class TestParseConfig:
         par = parse_config(
             MINIMAL + "source.zs = -inf\nscenario.region = behind\ngrid.z_min = 0.05\n"
         )
-        assert par.scenario.propagator == "paraxial"
+        assert par.scenario.propagator == "standard" and par.scenario.source.paraxial
         hard = parse_config(MINIMAL + "grating1.comb_k = 16\ngrating1.comb_eta = 1.5\n")
         assert hard.scenario.propagator == "hard-edge"
+        # comb_eta alone is a comb parameter too: the K = 1 comb is not the fuzzy slit
+        k1 = parse_config(MINIMAL + "grating1.comb_eta = 1.5\n")
+        assert k1.scenario.propagator == "hard-edge"
+
+    @pytest.mark.parametrize("lines, message", [
+        ("source.zs = -inf\nscenario.region = behind\ngrid.z_min = 0.05\n"
+         "grating1.comb_k = 16\ngrating1.comb_eta = 1.5\n", "requires a finite source distance"),
+        ("scenario.propagator = standard\ngrating1.comb_k = 16\n", "standard propagator ignores"),
+        ("scenario.propagator = paraxial\n", "'paraxial' is not one of auto, standard, hard-edge"),
+    ])
+    def test_ignored_or_removed_selector_rejected(self, lines, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(MINIMAL + lines)
 
     def test_explicit_propagator_kept(self):
         rc = parse_config(MINIMAL + "scenario.propagator = hard-edge\n")
@@ -144,6 +157,19 @@ class TestParseConfig:
         ).scenario
         with pytest.raises(DomainError, match="finite source distance"):
             apply_sweep_value(scn, param, value)
+
+    def test_zs_sweep_crosses_paraxial_limit(self):
+        scn = parse_config(MINIMAL).scenario
+        par = apply_sweep_value(scn, "zs", -math.inf)
+        assert par.source.paraxial and par.propagator == "standard"
+        assert apply_sweep_value(par, "zs", -0.5) == scn
+
+    def test_xs_sweep_on_paraxial_scenario_rejected(self):
+        scn = parse_config(
+            MINIMAL + "source.zs = -inf\nscenario.region = behind\ngrid.z_min = 0.05\n"
+        ).scenario
+        with pytest.raises(DomainError, match="paraxial source"):
+            apply_sweep_value(scn, "xs", 2e-6)
 
     def test_sweep_values_need_param(self):
         with pytest.raises(ConfigError, match="sweep.values given without sweep.param"):

@@ -5,6 +5,7 @@ from tlsim import coherence
 from tlsim.coherence import resonance_plane, talbot_plane, talbot_section
 from tlsim.core import DomainError
 from tlsim.presets import PRESETS, preset_names, preset_run_config, run_preset
+from tlsim.scenario import fingerprint
 
 EXPECTED_NAMES = [
     "fig4a", "fig4b", "fig4c", "fig5a", "fig5b", "fig5c", "fig6", "fig7",
@@ -12,6 +13,45 @@ EXPECTED_NAMES = [
     "fig14a", "fig14b", "fig14c", "fig15a", "fig15b", "fig16", "fig17",
     "fig19a", "fig19b", "fig19c", "fig19d",
 ]
+
+
+# sha256 of scenario_lines + grid lines.  The benchmark compares each preset's
+# meta fingerprint exactly, so any change to the echo moves its references.
+FINGERPRINTS = {
+    "fig4a": "ce578d5190f013860ae749ac6c24168387c0a6319df3c67a919af286aedd6f8e",
+    "fig4b": "b6a1fb9905f4a61c82921312cc0c7bf07c3c47f49f509f546b6bb752456e8452",
+    "fig4c": "6297a215ad2bccc6271983440586cc0464c2a708ad55893f57f79d8092d9e85d",
+    "fig5a": "73b7266d3b4ea23b189d9b3d1c1781fce3e4928499c2bff1528790c184ddf978",
+    "fig5b": "2cb099ea6e2bed020633698d818a7338a49f68dc14d5bf19ee9e4e6ec49286a8",
+    "fig5c": "717b9693c81321a85185e9972a369b465ae848d19ec5c9a296d448e8460807e2",
+    "fig6": "5fcf33265c1c04289958af83f9a256b760c1c2c9f578eefe40bf10556f133f18",
+    "fig7": "5fcf33265c1c04289958af83f9a256b760c1c2c9f578eefe40bf10556f133f18",
+    "fig8a": "ef5ba476b537e29a794b8a6f241c7c382b4c026d88d63384094d66f6df94cbe8",
+    "fig8b": "17ed7d5898ccbb3412e4a6737ab2387794e39cffb670fbf55b9726b4dcdaf922",
+    "fig9": "fc8b9d93d6ab20f3cb73f5ceae185e2577e6fca93b465c75dc4629975e090af8",
+    "fig10a": "d3e0974cb77b427a41d41a7fc24494e837b89ab2b1c17795296c91e410769eb3",
+    "fig10b": "193a56d5e1d84ef632b41b40e95773a6c68a2110cec24e3a0571a11e1e751231",
+    "fig10c": "bda4a07a0b0c48454d836d047d8006dc7187addc5373bed45d2a4a3168dd5c95",
+    "fig11": "b9b6724f57928557e6335187818b78e562ed9f2a9969ccc75cdf7aff6cd6cc48",
+    "fig12": "fcc567472b9317b2391ae3534b2010eaac3c3438f0362d84ddd8f2ad38ecbfb4",
+    "fig14a": "1bf80df78c6df16eda609487a8932e3ac62901d92a797971631082443fe441ff",
+    "fig14b": "e3ef3743fa03dc359ce30a42ed68578d9c27e8232e0d4c8e010754b44c8dc6f5",
+    "fig14c": "3d646fda7bbb8a36e8e72a12c3fcdff6514cfb35500e4607c12dbc50112883b6",
+    "fig15a": "76b509b9011ad1b318dc811e7c990dc0eb95c4342e86da184f271b8b25e3c174",
+    "fig15b": "4b24123ed9ccdb38bd3b350aeeda9307d05c1e8f3a798fac635e67ecf9e700d5",
+    "fig16": "4b24123ed9ccdb38bd3b350aeeda9307d05c1e8f3a798fac635e67ecf9e700d5",
+    "fig17": "76b509b9011ad1b318dc811e7c990dc0eb95c4342e86da184f271b8b25e3c174",
+    "fig19a": "a7e4272528222ad5cadc937a4159c2966679c68ab678fbf1272a7dcfde89379c",
+    "fig19b": "c4e1df07c2555e5ca53035720ad51345d044236bc09039014a22fdad1a403f81",
+    "fig19c": "a26bc804b594bb277ed5b0c184c7d8225014729ce8d7f8221cad4b487bdf3198",
+    "fig19d": "2821ebcb0e8152e96e43b3712db1ee6647634e86950d90d30e46ef5074ff41fe",
+}
+
+
+@pytest.mark.parametrize("name", EXPECTED_NAMES)
+def test_preset_fingerprint_pinned(name):
+    rc = preset_run_config(name)
+    assert fingerprint(rc.scenario, rc.grid.lines()) == FINGERPRINTS[name]
 
 
 def test_preset_catalog_complete():

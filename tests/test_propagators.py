@@ -26,7 +26,7 @@ from tlsim.propagators import (
     reduce_paths,
     spreading_sigma,
 )
-from tlsim.scenario import Scenario
+from tlsim.scenario import Scenario, apply_sweep_value
 from tlsim.superposition import density, superpose_behind, superpose_between
 
 
@@ -271,8 +271,7 @@ class TestPsiBehind:
     def test_paraxial_context_is_plane_wave_form(self, fullerene):
         # one-slit gratings centred at 0: the scenario's sum is the single path
         ctx = _ctx_behind(fullerene, x_s=0.0, z_s=PARAXIAL_ZS, x0=0.0, x1=0.0)
-        scn = _scenario(fullerene, ctx.grating0, ctx.grating1, 0.0, PARAXIAL_ZS, "behind",
-                        "paraxial")
+        scn = _scenario(fullerene, ctx.grating0, ctx.grating1, 0.0, PARAXIAL_ZS, "behind")
         x = np.linspace(-1e-6, 1e-6, 9)
         for z in (0.05, 0.08):
             assert np.array_equal(psi_behind(ctx, x, z), superpose_behind(scn, x, z))
@@ -377,7 +376,7 @@ class TestPsiParaxial:
         zT = 2 * d * d / 5e-12
         g0 = GratingSpec(64, d, 37.5e-9, 0.0)
         g1 = GratingSpec(1, d, 75e-9, 2 * zT)
-        req = _scenario(fullerene, g0, g1, 0.0, PARAXIAL_ZS, "between", "paraxial")
+        req = _scenario(fullerene, g0, g1, 0.0, PARAXIAL_ZS, "between")
         for m in (-2, 0, 3):
             xwin = centered_axis((m - 0.5) * d, (m + 0.5) * d, 201)
             p = density(superpose_between(req, xwin, zT / 2))
@@ -393,7 +392,7 @@ class TestPsiParaxial:
         g0 = GratingSpec(32, 500e-9, 37.5e-9, 0.0)
         g1 = GratingSpec(33, 500e-9, 75e-9, 0.05)
         x = centered_axis(-1e-6, 1e-6, 512)
-        req_par = _scenario(fullerene, g0, g1, 0.0, PARAXIAL_ZS, "behind", "paraxial")
+        req_par = _scenario(fullerene, g0, g1, 0.0, PARAXIAL_ZS, "behind")
         req_fin = _scenario(fullerene, g0, g1, 0.0, -50.0, "behind")
         pp = density(superpose_behind(req_par, x, 0.1))
         pf = density(superpose_behind(req_fin, x, 0.1))
@@ -440,6 +439,60 @@ class TestParaxialLimitAsValue:
             for x_s in (0.0, 2e-6):
                 err = np.max(np.abs(_limit_row(kind, z_s, x_s) - ref))
                 assert err <= self.C / abs(z_s) * scale
+
+    @settings(max_examples=16)
+    @given(
+        n0=st.integers(1, 8),
+        n1=st.integers(1, 8),
+        lam=st.floats(3e-12, 8e-12),
+        b0=st.floats(20e-9, 100e-9),
+        b1=st.floats(20e-9, 100e-9),
+        pitch_scale=st.floats(2.5, 6.0),
+        z1=st.floats(0.02, 0.08),
+        x_s=st.floats(-3e-6, 3e-6),
+        between=st.floats(0.2, 0.9),
+        behind=st.floats(0.2, 2.0),
+    )
+    def test_zs_sweep_converges_at_first_order(self, n0, n1, lam, b0, b1, pitch_scale, z1,
+                                               x_s, between, behind):
+        """A zs sweep towards -inf on random geometries.  The first-order
+        constant max|p(z_s) - p(-inf)| / max p(-inf) * |z_s| is the same at
+        -1e4 m and -1e5 m.  Each finite-source row is also the paraxial row of
+        the geometry projected from the source (the Fresnel scaling theorem):
+        G1 at z1' = R z1/(R + z1) with centres and widths divided by
+        M1 = (R + z1)/R, seen at z' = R z/(R + z) and x' = x_s + (x - x_s) R/(z - z_s),
+        where R = z0 - z_s and positions are taken relative to the source.
+        The constant alone does not pin the source terms; the projection does."""
+        pitch = pitch_scale * max(b0, b1)
+        scn = Scenario(
+            particle=Particle(mass=1.2e-24, lambda_dB=lam),
+            grating0=GratingSpec(n0, pitch, b0, 0.0),
+            grating1=GratingSpec(n1, pitch, b1, z1),
+            source=SourceSpec(kind="point", x_positions=(x_s,), z_s=-0.5),
+        )
+        x0s, x1s = slit_positions(scn.grating0), slit_positions(scn.grating1)
+        half = max(x0s[-1], x1s[-1]) + 2e-6
+        x = centered_axis(-half, half, 201)
+        for superpose, z in ((superpose_between, between * z1), (superpose_behind, (1 + behind) * z1)):
+            def row(z_s):
+                return density(superpose(apply_sweep_value(scn, "zs", z_s), x, z))
+
+            ref = row(PARAXIAL_ZS)
+            consts = []
+            for z_s in (-1e4, -1e5):
+                p = row(z_s)
+                consts.append(np.max(np.abs(p - ref)) / np.max(ref) * abs(z_s))
+                R = -z_s
+                m1 = (R + z1) / R
+                xp = (x - x_s) * R / (z - z_s)
+                if z <= z1:
+                    q = between_row(lam, PARAXIAL_ZS, 0.0, 0.0, b0, x0s - x_s, xp, R * z / (R + z))
+                else:
+                    q = behind_row(lam, PARAXIAL_ZS, 0.0, 0.0, R * z1 / (R + z1), b0, b1 / m1,
+                                   x0s - x_s, (x1s - x_s) / m1, xp, R * z / (R + z))
+                q = density(q)
+                assert np.max(np.abs(p / p.max() - q / q.max())) <= 1e-11
+            assert consts[0] == pytest.approx(consts[1], rel=0.01)
 
 
 class TestFactorisedBehind:

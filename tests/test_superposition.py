@@ -98,7 +98,7 @@ class TestSuperposeBehind:
             assert np.max(np.abs(p - p[::-1])) <= 1e-9 * p.max()
 
     def test_parity_paraxial(self, fullerene):
-        req = _req(fullerene, n0=8, n1=9, z_s=PARAXIAL_ZS, propagator="paraxial")
+        req = _req(fullerene, n0=8, n1=9, z_s=PARAXIAL_ZS, propagator="standard")
         x = centered_axis(-3e-6, 3e-6, 401)
         p = density(superpose_behind(req, x, 0.12))
         assert np.max(np.abs(p - p[::-1])) <= 1e-9 * p.max()
@@ -119,7 +119,7 @@ class TestSuperposeBehind:
 
     @pytest.mark.parametrize("n0, n1, x_s, z_s, propagator", [
         (32, 33, 1e-6, -0.5, "standard"),
-        (8, 9, 0.0, PARAXIAL_ZS, "paraxial"),
+        (8, 9, 0.0, PARAXIAL_ZS, "standard"),
     ])
     def test_scalar_equals_row_factorised(self, fullerene, rng, n0, n1, x_s, z_s, propagator):
         # irregularly spaced samples spanning many x-tiles: no sample's value
@@ -158,20 +158,28 @@ class TestDensity:
 
 
 class TestRequestValidation:
-    def test_paraxial_needs_remote_source(self, fullerene):
-        with pytest.raises(DomainError):
-            _req(fullerene, z_s=-0.5, propagator="paraxial")
+    def test_hard_edge_needs_finite_source(self, fullerene):
+        with pytest.raises(DomainError, match="hard-edge propagator requires a finite source"):
+            _req(fullerene, z_s=PARAXIAL_ZS, propagator="hard-edge", comb_k=16, comb_eta=1.5)
+        assert _req(fullerene, z_s=PARAXIAL_ZS).source.paraxial
 
-    def test_standard_needs_finite_source(self, fullerene):
-        with pytest.raises(DomainError):
-            _req(fullerene, z_s=PARAXIAL_ZS, propagator="standard")
+    def test_standard_rejects_comb(self, fullerene):
+        for comb_k, comb_eta in ((16, 1.0), (1, 1.5), (16, 1.5)):
+            with pytest.raises(DomainError, match="standard propagator ignores"):
+                _req(fullerene, comb_k=comb_k, comb_eta=comb_eta)
+            assert _req(fullerene, comb_k=comb_k, comb_eta=comb_eta, propagator="hard-edge")
+
+    def test_paraxial_is_not_a_propagator(self, fullerene):
+        with pytest.raises(DomainError, match="propagator must be one of"):
+            _req(fullerene, z_s=PARAXIAL_ZS, propagator="paraxial")
 
     def test_g0_comb_rejected(self, fullerene):
-        g0 = GratingSpec(2, 500e-9, 37.5e-9, 0.0, comb_k=4)
         g1 = GratingSpec(1, 500e-9, 75e-9, 0.05)
         src = SourceSpec(kind="point", x_positions=(0.0,), z_s=-0.5)
-        with pytest.raises(DomainError):
-            Scenario(particle=fullerene, grating0=g0, grating1=g1, source=src)
+        for comb in ({"comb_k": 4}, {"comb_eta": 1.5}):
+            g0 = GratingSpec(2, 500e-9, 37.5e-9, 0.0, **comb)
+            with pytest.raises(DomainError, match="grating 1 only"):
+                Scenario(particle=fullerene, grating0=g0, grating1=g1, source=src)
 
 
 class TestCallShape:
