@@ -27,11 +27,18 @@ saves exponentials (N1*N0 > N1 + N0 + 2).  For fixed z every path phase is
 quadratic in x with a path-independent x^2 coefficient and an x^1
 coefficient affine in (x1, x0), so around a tile centre x_c the sum splits
 into a per-tile path matrix, one phase table over x1, one over x0 and a
-common chirp.  Tile centres sit on a lattice in absolute x whose spacing
-follows from the geometry, and the contraction runs in a fixed order, so a
-sample's value does not depend on which other samples share its row.  The
-hard-edged comb and small path counts (every single-path call) keep the
-direct one-exponential-per-path kernel.
+common chirp.  Both gratings are uniform lattices, so each table is the
+powers of one ratio per sample: a sample costs 2 exponentials and N0*N1
+complex multiply-adds, and a tile N0*N1 exponentials.  The factorised kernel
+therefore needs slit centres x[n] = x[0] + n*d up to round-off and rejects
+any other array with a DomainError.  Tile centres sit on a lattice in
+absolute x whose spacing follows from the geometry, and the contraction runs
+in a fixed order, so a sample's value does not depend on which other samples
+share its row.  The hard-edged comb and small path counts (every single-path
+call) keep the direct one-exponential-per-path kernel.
+
+Every detector position must be finite; a NaN or infinite x or z raises a
+DomainError.
 """
 
 from __future__ import annotations
@@ -174,6 +181,17 @@ def comb_form_factor(xi, b: float, eta: float, K: int):
 # ---------------------------------------------------------------------------
 
 
+def _detector_row(x, z: float) -> np.ndarray:
+    """The detector samples as a float row; z and every sample must be finite."""
+    x = np.asarray(x, dtype=float)
+    if not (math.isfinite(z) and np.isfinite(x).all()):
+        raise DomainError(
+            f"detector position must be finite, got z={z} and "
+            f"{np.count_nonzero(~np.isfinite(x))} non-finite x samples"
+        )
+    return x
+
+
 def reduce_paths(terms: np.ndarray) -> np.ndarray:
     """Deterministic pairwise sum of (paths, nx) terms along the path axis.
 
@@ -208,7 +226,7 @@ def between_row(
     continuously.
     """
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
-    x = np.asarray(x, dtype=float)
+    x = _detector_row(x, z)
     sig0 = spreading_sigma(lam, z_s, z0, z, b0)  # also checks lam and z_s < z0 <= z
     dx = x[None, :] - x0s[:, None]
     p3 = (x0s - x_s) ** 2 / (lam * (z0 - z_s))
@@ -246,7 +264,7 @@ def behind_row(
     """
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
     x1s = np.atleast_1d(np.asarray(x1s, dtype=float))
-    x = np.asarray(x, dtype=float)
+    x = _detector_row(x, z)
     if z < z1:
         raise DomainError(f"behind-region evaluation needs z >= z1, got z={z}, z1={z1}")
 
@@ -323,9 +341,33 @@ def behind_row(
 
 # Largest |log| of a phase-table entry inside one tile.  Table entries then
 # lie in [e^-B, e^B], so a tile's products M*U*V stay within e^(+-2B) of its
-# largest path term: far from overflow, and terms M drops to underflow stay
-# negligible wherever the tables could amplify them.
+# largest path term.  The kernel sums them divided by U[0]*V[0], which moves
+# every product by at most e^(+-2B) more: far from overflow, and terms M
+# drops to underflow stay negligible wherever the tables could amplify them.
 _TILE_LOG_BOUND = 64.0
+
+# Largest distance, in ulps of the largest |centre|, of a slit centre from
+# its uniform lattice.  Centres built as n*d, or shifted and scaled from
+# such, stay within about 5.
+_LATTICE_ULPS = 16.0
+
+
+def _lattice_pitch(xs: np.ndarray) -> float:
+    """Pitch d of slit centres on one uniform lattice xs[0] + n*d.
+
+    The factorised kernel's phase tables are powers of one ratio per sample,
+    which holds only on such a lattice; a centre off it by more than
+    round-off is rejected, never summed as if it were on it.
+    """
+    n = xs.shape[0]
+    d = (xs[-1] - xs[0]) / (n - 1)
+    off = float(np.max(np.abs(xs[0] + np.arange(n) * d - xs)))
+    if not (off <= _LATTICE_ULPS * np.spacing(np.max(np.abs(xs)))):
+        raise DomainError(
+            f"factorised behind-G1 sum needs uniformly spaced slit centres: "
+            f"a centre lies {off:.3g} m off the lattice of pitch {d:.6g} m"
+        )
+    return float(d)
 
 
 def _behind_factorised(
@@ -358,21 +400,28 @@ def _behind_factorised(
         phi(x) = phi(x_c) + A delta (2 x_c + delta)
                  + delta (c_u x1 + c_v x0 + c_s),
 
-    so one exponential per path and tile (the matrix M), one per slit and
-    sample (the tables U over x1 and V over x0; ``g1`` = c_u x1 and ``g0`` =
-    c_v x0 + c_s below) and a common chirp replace one exponential per path
-    and sample.  Each tile's M is scaled to a largest magnitude of 1, and the
+    so the sum is a per-tile path matrix M (N0*N1 exponentials per tile),
+    a table U over x1 and V over x0 (``g1`` = c_u x1 and ``g0`` = c_v x0 +
+    c_s below) and a common chirp.  Both gratings are uniform lattices
+    x[n] = x[0] + n d (checked by :func:`_lattice_pitch`), so per sample
+    U[n] = U[0] r_u^n and V[n] = V[0] r_v^n: V is folded into the
+    contraction over x0 by Horner and U is a running product, and a sample
+    costs 2 exponentials and N0*N1 multiply-adds.  U[0] V[0] joins the
+    chirp.  Each tile's M is scaled to a largest magnitude of 1, and the
     scale comes back with the chirp in the log domain: far off-axis M alone
     would underflow and the chirp alone overflow.
     """
+    d0, d1 = _lattice_pitch(x0s), _lattice_pitch(x1s)
     d2 = _d_squared(sig0, spreading_sigma(lam, z0, z1, z, b1), z0, z1, z)
     a_quad = (
         complex((sig0 - 1.0) / (z1 - z0)) + 1j * sig0 * lam / (2.0 * math.pi * b1 * b1)
     ) / (lam * d2)
     b_lin = 2.0 * sig0 / d2
     const = p23 - (lam * (z - z1) * sig0 / d2) * (bq * bq)
-    g1 = (b_lin * alpha - 2.0 * a_quad) * x1s
-    g0 = (b_lin * beta) * x0s + b_lin * gamma
+    c_u = b_lin * alpha - 2.0 * a_quad
+    c_v = b_lin * beta
+    g1 = c_u * x1s
+    g0 = c_v * x0s + b_lin * gamma
 
     # Tile lattice in absolute x: |pi Im(g) delta| <= _TILE_LOG_BOUND within
     # a tile.  The spacing depends on the geometry only, never on x.
@@ -395,23 +444,28 @@ def _behind_factorised(
     m -= scale[:, None]
     np.exp(m, out=m)
 
+    # Every complex multiply below runs along the N1 axis of an (nx, N1)
+    # array, so its inner loop, and with it the rounding of each element,
+    # does not depend on how many samples share the row.
     ipd = (1j * math.pi) * delta
-    u_tab = np.exp(ipd[:, None] * g1)
-    v_tab = np.exp(g0[:, None] * ipd)
+    r_v = np.exp(ipd * (c_v * d0))[:, None]
+    r_u = np.exp(ipd * (c_u * d1))
 
-    # Fixed-order contraction over x0, then the pairwise fold over x1.
-    acc = m[0].take(tile_of, axis=0)
-    acc *= v_tab[0][:, None]
+    # Horner over x0, highest slit first: acc = sum_k M[k] r_v^k.
+    acc = m[-1].take(tile_of, axis=0)
     tmp = np.empty_like(acc)
-    for k in range(1, len(x0s)):
+    for k in range(len(x0s) - 2, -1, -1):
+        acc *= r_v
         np.take(m[k], tile_of, axis=0, out=tmp, mode="clip")  # unbuffered; indices in range
-        tmp *= v_tab[k][:, None]
         acc += tmp
-    acc *= u_tab
+    u_tab = np.empty_like(acc)
+    u_tab[:, 0] = 1.0
+    u_tab[:, 1:] = r_u[:, None]
+    acc *= np.multiply.accumulate(u_tab, axis=1, out=u_tab)
     s = reduce_paths(acc.T)
     with np.errstate(divide="ignore"):
         log_s = np.log(s)
-    chirp = (a_quad * ipd) * (2.0 * xc[tile_of] + delta)
+    chirp = ipd * (a_quad * (2.0 * xc[tile_of] + delta) + (g1[0] + g0[0]))
     return np.exp(log_s + chirp + scale[tile_of]) / np.sqrt(d2)
 
 

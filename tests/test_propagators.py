@@ -12,6 +12,7 @@ from tlsim.core import (
     slit_positions,
 )
 from tlsim.oracle import composite_gauss_legendre, quadrature_oracle
+from tlsim.presets import preset_run_config
 from tlsim.propagators import (
     BranchCutError,
     PathContext,
@@ -544,18 +545,7 @@ class TestFactorisedBehind:
         z = {"plane": z1, "plane+1e-12": z1 * (1.0 + 1e-12),
              "plane+1e-7m": z1 + 1e-7, "beyond": z1 * (1.0 + beyond)}[z_kind]
 
-        got = behind_row(lam, z_s, x_s, 0.0, z1, b0, b1, x0s, x1s, x, z)
-        assert np.all(np.isfinite(got))
-
-        terms = np.stack([
-            _behind_path_closed_form(lam, z_s, x_s, z1, b0, b1, x0, x1, x, z)
-            for x1 in x1s for x0 in x0s
-        ])
-        ref = reduce_paths(terms)
-        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
-        # far into the tails each sample still matches to round-off of its own
-        # terms, down to where they leave the normal floating-point range
-        assert np.all(np.abs(got - ref) <= 1e-9 * reduce_paths(np.abs(terms)) + 1e-300)
+        ref = _assert_matches_closed_form(lam, z_s, x_s, z1, b0, b1, x0s, x1s, x, z)
         if z_kind != "plane+1e-12":
             # the seed's one-exponential-per-path kernel (single-path calls
             # never factorise); just past the plane its 1/(z - z1) terms
@@ -565,6 +555,73 @@ class TestFactorisedBehind:
                 for x1 in x1s for x0 in x0s
             ]))
             assert np.max(np.abs(direct - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("preset", ["fig5a", "fig9"])
+    @pytest.mark.parametrize("past", [1e-3, 0.1], ids=["near", "far"])
+    def test_matches_direct_sum_at_preset_size(self, rng, preset, past):
+        """The recurrence's round-off grows with the slit count: check the
+        presets' 32/33 slits (fig5a, z_s = -0.5 m, its outermost source
+        point) and 64/63 slits (fig9, paraxial) 1 mm and 0.1 m past G1."""
+        scn = preset_run_config(preset).scenario
+        assert scn.z0 == 0.0
+        g0, g1 = scn.grating0, scn.grating1
+        x0s, x1s = slit_positions(g0), slit_positions(g1)
+        span = max(x0s[-1], x1s[-1]) + 3e-6
+        tails = np.array([1e-5, 1e-4, 1e-3])
+        x = np.concatenate([-tails[::-1], np.sort(rng.uniform(-span, span, 41)), tails])
+        _assert_matches_closed_form(scn.lam, scn.source.z_s, scn.source.x_positions[0], g1.z_pos,
+                                    g0.half_width, g1.half_width, x0s, x1s, x, g1.z_pos + past)
+
+    @pytest.mark.parametrize("grating", [0, 1])
+    def test_off_lattice_centre_rejected(self, grating):
+        """The phase tables are powers of one ratio: a centre moved by 1% of
+        the pitch is refused, for a row and for a single sample alike."""
+        lam, z1, b0, b1 = 5e-12, 0.05, 37.5e-9, 75e-9
+        centres = [slit_positions(GratingSpec(32, 500e-9, b0, 0.0)),
+                   slit_positions(GratingSpec(33, 500e-9, b1, z1))]
+        centres[grating][7] += 0.01 * 500e-9
+        for x in (np.linspace(-2e-6, 2e-6, 9), [0.0]):
+            with pytest.raises(DomainError, match="uniformly spaced slit centres"):
+                behind_row(lam, -0.5, 0.0, 0.0, z1, b0, b1, *centres, x, 0.1)
+
+    @pytest.mark.parametrize("n0, n1", [(1, 1), (1, 33), (32, 1), (2, 9), (9, 2)])
+    def test_short_lattices_accepted(self, n0, n1):
+        # single slits never factorise; a 2-slit grating is its own lattice
+        lam, z1, b0, b1 = 5e-12, 0.05, 37.5e-9, 75e-9
+        x0s = slit_positions(GratingSpec(n0, 500e-9, b0, 0.0))
+        x1s = slit_positions(GratingSpec(n1, 500e-9, b1, z1))
+        x = np.linspace(-6e-6, 6e-6, 41)
+        _assert_matches_closed_form(lam, -0.5, 1e-6, z1, b0, b1, x0s, x1s, x, 0.1)
+
+    @pytest.mark.parametrize("z_s", [-1e4, -0.5])
+    def test_projected_lattices_accepted(self, z_s):
+        """The Fresnel-scaling test's lattices (x1s - x_s)/m1 and x0s - x_s are
+        uniform up to round-off only."""
+        lam, z1, b0, b1, x_s = 5e-12, 0.05, 37.5e-9, 75e-9, 2.7e-6
+        R = -z_s
+        m1 = (R + z1) / R
+        x0s = slit_positions(GratingSpec(32, 500e-9, b0, 0.0)) - x_s
+        x1s = (slit_positions(GratingSpec(33, 500e-9, b1, z1)) - x_s) / m1
+        x = np.linspace(-12e-6, 12e-6, 41)
+        _assert_matches_closed_form(lam, PARAXIAL_ZS, 0.0, R * z1 / (R + z1), b0, b1 / m1,
+                                    x0s, x1s, x, R * 0.15 / (R + 0.15))
+
+
+def _assert_matches_closed_form(lam, z_s, x_s, z1, b0, b1, x0s, x1s, x, z):
+    """``behind_row`` (G0 at z = 0) against the pairwise sum of the closed-form
+    path terms; returns that reference sum."""
+    got = behind_row(lam, z_s, x_s, 0.0, z1, b0, b1, x0s, x1s, x, z)
+    assert np.all(np.isfinite(got))
+    terms = np.stack([
+        _behind_path_closed_form(lam, z_s, x_s, z1, b0, b1, x0, x1, x, z)
+        for x1 in x1s for x0 in x0s
+    ])
+    ref = reduce_paths(terms)
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+    # far into the tails each sample still matches to round-off of its own
+    # terms, down to where they leave the normal floating-point range
+    assert np.all(np.abs(got - ref) <= 1e-9 * reduce_paths(np.abs(terms)) + 1e-300)
+    return ref
 
 
 def _behind_path_closed_form(lam, z_s, x_s, z1, b0, b1, x0, x1, x, z):

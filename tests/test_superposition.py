@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlsim.coherence import (
     density_profile, gaussian_spectral_weights, spectral_average, spectral_density_profile,
 )
 from tlsim.core import (
-    PARAXIAL_ZS, DomainError, GratingSpec, SourceSpec, SpectralSpec, centered_axis,
-    slit_positions,
+    PARAXIAL_ZS, DomainError, GratingSpec, Particle, SourceSpec, SpectralSpec,
+    centered_axis, slit_positions,
 )
+from tlsim.presets import preset_run_config
 from tlsim.propagators import PathContext, between_row, psi_behind
 from tlsim.scenario import Scenario
 from tlsim.superposition import density, superpose_behind, superpose_between
@@ -133,6 +138,43 @@ class TestSuperposeBehind:
             assert np.array_equal(superpose_behind(req, x[perm], z), row[perm])
             assert np.array_equal(superpose_behind(req, x[::3], z), row[::3])
 
+    @settings(max_examples=100)
+    @given(
+        n0=st.integers(2, 64),
+        n1=st.integers(2, 64),
+        lam=st.floats(3e-12, 8e-12),
+        b0=st.floats(20e-9, 100e-9),
+        b1=st.floats(20e-9, 100e-9),
+        pitch_scale0=st.floats(2.5, 8.0),
+        pitch_scale1=st.floats(2.5, 8.0),
+        z1=st.floats(0.02, 0.08),
+        z_s=st.one_of(st.just(PARAXIAL_ZS), st.floats(-50.0, -0.3)),
+        x_s=st.floats(-3e-6, 3e-6),
+        past=st.one_of(st.just(1e-12), st.floats(1e-12, 2.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scalar_row_permutation_and_subset_agree(self, n0, n1, lam, b0, b1, pitch_scale0,
+                                                     pitch_scale1, z1, z_s, x_s, past, seed):
+        """A sample's value is the same bit for bit whether it is evaluated alone,
+        in its row, in a permuted row or among every third sample, for random
+        geometries from z1 (1 + 1e-12) to 3 z1 and samples out to +-1 mm."""
+        scn = Scenario(
+            particle=Particle(mass=1.2e-24, lambda_dB=lam),
+            grating0=GratingSpec(n0, pitch_scale0 * b0, b0, 0.0),
+            grating1=GratingSpec(n1, pitch_scale1 * b1, b1, z1),
+            source=SourceSpec(kind="point", x_positions=(x_s,), z_s=z_s),
+        )
+        rng = np.random.default_rng(seed)
+        span = max(slit_positions(scn.grating0)[-1], slit_positions(scn.grating1)[-1]) + 3e-6
+        tails = rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-5.0, -3.0, 4)
+        x = np.sort(np.concatenate([rng.uniform(-span, span, 11), tails, [1e-3, -1e-3]]))
+        perm = rng.permutation(x.size)
+        z = z1 * (1.0 + past)
+        row = superpose_behind(scn, x, z)
+        assert all(superpose_behind(scn, float(xj), z) == row[j] for j, xj in enumerate(x))
+        assert np.array_equal(superpose_behind(scn, x[perm], z), row[perm])
+        assert np.array_equal(superpose_behind(scn, x[::3], z), row[::3])
+
     def test_region_violation(self, fullerene):
         req = _req(fullerene, region="between")
         with pytest.raises(DomainError):
@@ -140,6 +182,39 @@ class TestSuperposeBehind:
         req2 = _req(fullerene)
         with pytest.raises(DomainError):
             superpose_behind(req2, 0.0, 0.04)
+
+
+class TestNonFiniteDetector:
+    """A NaN or infinite detector position is a DomainError, never a NaN
+    density or a numpy warning (fig4a's geometry)."""
+
+    @pytest.fixture()
+    def fig4a(self):
+        return preset_run_config("fig4a").scenario
+
+    def test_nan_sample(self, fig4a):
+        for superpose, z in ((superpose_behind, 0.1), (superpose_between, 0.03)):
+            with pytest.raises(DomainError, match="must be finite"):
+                superpose(fig4a, [0.0, math.nan], z)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf])
+    def test_infinite_sample(self, fig4a, x):
+        for superpose, z in ((superpose_behind, 0.1), (superpose_between, 0.03)):
+            with pytest.raises(DomainError, match="must be finite"):
+                superpose(fig4a, [0.0, x], z)
+            with pytest.raises(DomainError, match="must be finite"):
+                superpose(fig4a, x, z)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf])
+    def test_non_finite_plane(self, fig4a, z):
+        with pytest.raises(DomainError, match="must be finite"):
+            superpose_behind(fig4a, [0.0, 1e-6], z)
+
+    def test_gsm_density_profile(self):
+        scn = preset_run_config("fig5a").scenario
+        assert scn.source.gsm
+        with pytest.raises(DomainError, match="must be finite"):
+            density_profile(scn, np.array([0.0, math.nan, 1e-6]), 0.1)
 
 
 class TestDensity:
