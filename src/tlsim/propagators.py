@@ -22,20 +22,31 @@ Everything is vectorized over the detector coordinate and over slit centers;
 the scalar entry points route through the same code path so grid samples and
 direct calls agree bit for bit.
 
+Every fuzzy-slit path term is a complex Gaussian: a real envelope times a
+phase.  The fuzzy kernels take the envelope from its log-magnitude with one
+real exponential per term and build the phase from phasor tables, so no
+complex exponential is taken per path term.  Between the gratings the
+tables are a per-slit phasor (N0 complex exponentials per call), a
+per-sample phasor and the powers of one per-sample ratio, which carry the
+x*x0 cross term (2 complex exponentials per sample).
+
 Behind grating 1 the fuzzy-slit sum over N1*N0 paths is factorised when that
 saves exponentials (N1*N0 > N1 + N0 + 2).  For fixed z every path phase is
 quadratic in x with a path-independent x^2 coefficient and an x^1
 coefficient affine in (x1, x0), so around a tile centre x_c the sum splits
 into a per-tile path matrix, one phase table over x1, one over x0 and a
 common chirp.  Both gratings are uniform lattices, so each table is the
-powers of one ratio per sample: a sample costs 2 exponentials and N0*N1
-complex multiply-adds, and a tile N0*N1 exponentials.  The factorised kernel
-therefore needs slit centres x[n] = x[0] + n*d up to round-off and rejects
-any other array with a DomainError.  Tile centres sit on a lattice in
-absolute x whose spacing follows from the geometry, and the contraction runs
-in a fixed order, so a sample's value does not depend on which other samples
-share its row.  The hard-edged comb and small path counts (every single-path
-call) keep the direct one-exponential-per-path kernel.
+powers of one ratio per sample: a sample costs 2 complex exponentials and
+N0*N1 complex multiply-adds.  A path matrix entry costs one real exponential
+(its envelope), and its phase is a product of phasor tables over (x0, x1),
+(tile, x0) and (tile, x1): N0*N1 + tiles*(N0 + N1) complex exponentials per
+call.  ``between_row`` and the factorised kernel therefore need slit centres
+x[n] = x[0] + n*d up to round-off and reject any other array with a
+DomainError.  Tile centres sit on a lattice in absolute x whose spacing
+follows from the geometry, and the contraction runs in a fixed order, so a
+sample's value does not depend on which other samples share its row.  The
+hard-edged comb and small path counts (every single-path call) keep the
+direct one-exponential-per-path kernel.
 
 Every detector position must be finite; a NaN or infinite x or z raises a
 DomainError.
@@ -208,6 +219,15 @@ def reduce_paths(terms: np.ndarray) -> np.ndarray:
     return terms[0]
 
 
+# Floor of a path term's log-magnitude.  numpy's vectorised real exp leaves
+# its fast path for results below the normal range and is then up to 60x
+# slower (measured on an AVX-512 host).  Behind G1 magnitudes are relative to a tile's largest
+# term, and e^-700 is far below the round-off of that tile's sums.  Between
+# the gratings they are absolute: the floor moves a sum only where every term
+# lies below e^-660, and there |psi|^2 underflows to 0 anyway.
+_LOG_FLOOR = -700.0
+
+
 def between_row(
     lam: float,
     z_s: float,
@@ -224,16 +244,48 @@ def between_row(
     i*lam/(2*pi*b0^2), so the phase carries no 1/(z - z0): z == z0 gives the
     aperture-modulated source wave, and rows just past the plane approach it
     continuously.
+
+    Slit x0 contributes exp(i*pi*phi) with phi = q (c dx^2 + 2 g dx -
+    g^2 (z - z0)) + p3, q = 1/(lam Sigma0) and dx = x - x0.  Its envelope
+    exp(-pi Im phi) is one real exponential per term, taken from dx itself.
+    Re phi splits into a phase at x = 0 per slit, one per sample and a cross
+    term kappa x x0; the slits are a uniform lattice (checked by
+    :func:`_lattice_pitch`), so the cross term's phasors are the powers of
+    one ratio per sample, built as a running product along the slit axis.
     """
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
+    d0 = _lattice_pitch(x0s)
     x = _detector_row(x, z)
     sig0 = spreading_sigma(lam, z_s, z0, z, b0)  # also checks lam and z_s < z0 <= z
-    dx = x[None, :] - x0s[:, None]
+    q = 1.0 / (lam * sig0)
+    a = 1.0 / (z0 - z_s)  # 0 for a paraxial source
+    beta = lam / (2.0 * math.pi * b0 * b0)
+    qc = q * complex(a, beta)
     p3 = (x0s - x_s) ** 2 / (lam * (z0 - z_s))
     g = (x0s - x_s) / (z0 - z_s)
-    c = complex(1.0 / (z0 - z_s), lam / (2.0 * math.pi * b0 * b0))
-    num = dx * dx * c + 2.0 * dx * g[:, None] - (g * g * (z - z0))[:, None]
-    psi = reduce_paths(np.exp((1j * math.pi) * (num / (lam * sig0) + p3[:, None])))
+    dz = z - z0
+
+    # (N0, nx) envelope exp(-pi Im phi), one real exponential per term.
+    dx = x[None, :] - x0s[:, None]
+    env = dx * (-math.pi * qc.imag)
+    env += ((-2.0 * math.pi * q.imag) * g)[:, None]
+    env *= dx
+    env += ((math.pi * q.imag * dz) * (g * g))[:, None]
+    np.maximum(env, _LOG_FLOOR, out=env)
+    np.exp(env, out=env)
+
+    # Re phi = phi0[n] + Re(qc) x^2 + 2 Re(q) g_s x + kappa x x0[n], with
+    # g_s = -x_s/(z0 - z_s) and x0[n] = x0[0] + n d0.  The (nx, N0) phasor
+    # table's complex multiplies run along the slit axis; the per-sample
+    # phasor multiplies the folded sum.
+    kappa = 2.0 * beta * q.imag
+    phi0 = qc.real * x0s * x0s - 2.0 * q.real * g * x0s - q.real * dz * g * g + p3
+    terms = _powers(np.exp((1j * math.pi * kappa * d0) * x), x0s.shape[0])
+    terms *= np.exp((1j * math.pi) * phi0)
+    terms.real *= env.T
+    terms.imag *= env.T
+    per_sample = (qc.real * x + (2.0 * q.real * (-x_s * a) + kappa * x0s[0])) * x
+    psi = reduce_paths(terms.T) * np.exp((1j * math.pi) * per_sample)
     return psi / np.sqrt(sig0)
 
 
@@ -355,19 +407,34 @@ _LATTICE_ULPS = 16.0
 def _lattice_pitch(xs: np.ndarray) -> float:
     """Pitch d of slit centres on one uniform lattice xs[0] + n*d.
 
-    The factorised kernel's phase tables are powers of one ratio per sample,
-    which holds only on such a lattice; a centre off it by more than
-    round-off is rejected, never summed as if it were on it.
+    Both row kernels build their phase tables as powers of one ratio per
+    sample, which holds only on such a lattice; a centre off it by more than
+    round-off is rejected, never summed as if it were on it.  A single slit
+    is its own lattice, of pitch 0.
     """
     n = xs.shape[0]
+    if n == 1:
+        return 0.0
     d = (xs[-1] - xs[0]) / (n - 1)
     off = float(np.max(np.abs(xs[0] + np.arange(n) * d - xs)))
     if not (off <= _LATTICE_ULPS * np.spacing(np.max(np.abs(xs)))):
         raise DomainError(
-            f"factorised behind-G1 sum needs uniformly spaced slit centres: "
+            f"slit phase tables need uniformly spaced slit centres: "
             f"a centre lies {off:.3g} m off the lattice of pitch {d:.6g} m"
         )
     return float(d)
+
+
+def _powers(r: np.ndarray, n: int) -> np.ndarray:
+    """(len(r), n) table of r^k, k = 0..n-1: a running product along k.
+
+    Its complex multiplies run along the slit axis, so their inner loops,
+    and with them each entry's rounding, do not depend on len(r).
+    """
+    tab = np.empty((r.shape[0], n), dtype=complex)
+    tab[:, 0] = 1.0
+    tab[:, 1:] = r[:, None]
+    return np.multiply.accumulate(tab, axis=1, out=tab)
 
 
 def _behind_factorised(
@@ -400,16 +467,24 @@ def _behind_factorised(
         phi(x) = phi(x_c) + A delta (2 x_c + delta)
                  + delta (c_u x1 + c_v x0 + c_s),
 
-    so the sum is a per-tile path matrix M (N0*N1 exponentials per tile),
-    a table U over x1 and V over x0 (``g1`` = c_u x1 and ``g0`` = c_v x0 +
+    so the sum is a per-tile path matrix M, a table U over x1 and V over x0 (``g1`` = c_u x1 and ``g0`` = c_v x0 +
     c_s below) and a common chirp.  Both gratings are uniform lattices
     x[n] = x[0] + n d (checked by :func:`_lattice_pitch`), so per sample
     U[n] = U[0] r_u^n and V[n] = V[0] r_v^n: V is folded into the
     contraction over x0 by Horner and U is a running product, and a sample
-    costs 2 exponentials and N0*N1 multiply-adds.  U[0] V[0] joins the
-    chirp.  Each tile's M is scaled to a largest magnitude of 1, and the
-    scale comes back with the chirp in the log domain: far off-axis M alone
-    would underflow and the chirp alone overflow.
+    costs 2 complex exponentials and N0*N1 multiply-adds.  U[0] V[0] joins
+    the chirp.  M's exponent at x_c, expanded in x_c, is
+
+        m = e[k, n1] + x_c (g0[k] + g1[n1]) + a_quad x_c^2,
+
+    so log|M| = -pi Im(m) is a sum of broadcast tables and one real
+    exponential per entry, and M's phase is a product of the phasor tables
+    exp(i pi Re e) over (x0, x1), exp(i pi x_c Re g0) over (tile, x0) and
+    exp(i pi Re(x_c g1 + a_quad x_c^2)) over (tile, x1): N0*N1 + tiles*(N0 +
+    N1) complex exponentials per call.  Each tile's M is scaled to a largest
+    magnitude of 1, and the scale comes back with the chirp in the log
+    domain: far off-axis M alone would underflow and the chirp alone
+    overflow.
     """
     d0, d1 = _lattice_pitch(x0s), _lattice_pitch(x1s)
     d2 = _d_squared(sig0, spreading_sigma(lam, z0, z1, z, b1), z0, z1, z)
@@ -434,15 +509,29 @@ def _behind_factorised(
         xc, tile_of = np.zeros(1), np.zeros(x.shape, dtype=np.intp)
     delta = x - xc[tile_of]
 
-    # (N0, tiles, N1) path matrices, each tile scaled to a largest |M| of 1.
-    dxc = xc[:, None] - x1s[None, :]
-    m = (b_lin * bq.T)[:, None, :] * dxc
-    m += a_quad * dxc * dxc
-    m += const.T[:, None, :]
-    m *= 1j * math.pi
-    scale = m.real.max(axis=(0, 2))
-    m -= scale[:, None]
-    np.exp(m, out=m)
+    # (N0, tiles, N1) path matrices M = exp(i pi m), each tile scaled to a
+    # largest |M| of 1.  Each table holds i pi times its part of m, so its
+    # real part adds to log|M| and its imaginary part to M's phase; the
+    # tables depend on the geometry and the tile centres only.  The envelope
+    # is allocated after M's phasors and freed before the contraction, which
+    # lets the allocator reuse M's pages from call to call instead of
+    # faulting them in afresh.
+    ipi = 1j * math.pi
+    t01 = (ipi * (const - (b_lin * bq - a_quad * x1s[:, None]) * x1s[:, None])).T
+    ixc = (ipi * xc)[:, None]
+    t0 = ixc * g0
+    t1 = ixc * (g1 + a_quad * xc[:, None])
+    m = np.multiply(np.exp(1j * t01.imag)[:, None, :], np.exp(1j * t1.imag)[None, :, :])
+    m *= np.exp(1j * t0.imag).T[:, :, None]
+    env = np.add(t01.real[:, None, :], t1.real[None, :, :])
+    env += t0.real.T[:, :, None]
+    scale = env.max(axis=(0, 2))
+    env -= scale[:, None]
+    np.maximum(env, _LOG_FLOOR, out=env)
+    np.exp(env, out=env)
+    m.real *= env
+    m.imag *= env
+    del env
 
     # Every complex multiply below runs along the N1 axis of an (nx, N1)
     # array, so its inner loop, and with it the rounding of each element,
@@ -458,10 +547,7 @@ def _behind_factorised(
         acc *= r_v
         np.take(m[k], tile_of, axis=0, out=tmp, mode="clip")  # unbuffered; indices in range
         acc += tmp
-    u_tab = np.empty_like(acc)
-    u_tab[:, 0] = 1.0
-    u_tab[:, 1:] = r_u[:, None]
-    acc *= np.multiply.accumulate(u_tab, axis=1, out=u_tab)
+    acc *= _powers(r_u, len(x1s))
     s = reduce_paths(acc.T)
     with np.errstate(divide="ignore"):
         log_s = np.log(s)

@@ -202,6 +202,39 @@ class TestPsiBetween:
                         np.array([0.0]), -0.01)
 
 
+class TestBetweenLattice:
+    """``between_row`` builds its cross-term phasors as powers of one ratio
+    per sample, so it takes the G0 centres as a uniform lattice."""
+
+    def test_off_lattice_centre_rejected(self):
+        # a centre moved by 1% of the pitch is refused, for a row and for a
+        # single sample alike
+        x0s = slit_positions(GratingSpec(32, 500e-9, 37.5e-9, 0.0))
+        x0s[7] += 0.01 * 500e-9
+        for x in (np.linspace(-2e-6, 2e-6, 9), [0.0]):
+            with pytest.raises(DomainError, match="uniformly spaced slit centres"):
+                between_row(5e-12, -0.5, 0.0, 0.0, 37.5e-9, x0s, x, 0.03)
+
+    @pytest.mark.parametrize("n0", [1, 2, 32])
+    def test_short_lattices_accepted(self, n0):
+        # a single slit is a lattice of pitch 0; a 2-slit grating is its own lattice
+        x0s = slit_positions(GratingSpec(n0, 500e-9, 37.5e-9, 0.0))
+        x = np.linspace(-12e-6, 12e-6, 41)
+        for z in (0.0, 1e-3, 0.03):
+            _assert_between_matches_closed_form(5e-12, -0.5, 1e-6, 37.5e-9, x0s, x, z)
+
+    @pytest.mark.parametrize("z_s", [-1e4, -0.5])
+    def test_projected_lattices_accepted(self, z_s):
+        """Fresnel-projected lattices (x0s - x_s)/m, and their round trip back,
+        are uniform up to round-off only."""
+        x_s, R = 2.7e-6, -z_s
+        m = (R + 0.03) / R
+        x0s = (slit_positions(GratingSpec(32, 500e-9, 37.5e-9, 0.0)) - x_s) / m
+        x = np.linspace(-12e-6, 12e-6, 41)
+        _assert_between_matches_closed_form(5e-12, PARAXIAL_ZS, 0.0, 37.5e-9 / m, x0s, x, 0.02)
+        _assert_between_matches_closed_form(5e-12, z_s, x_s, 37.5e-9, x0s * m + x_s, x, 0.02)
+
+
 class TestBetweenPlaneContinuity:
     """``between_row`` approaches its z == z0 value continuously."""
 
@@ -572,6 +605,34 @@ class TestFactorisedBehind:
         _assert_matches_closed_form(scn.lam, scn.source.z_s, scn.source.x_positions[0], g1.z_pos,
                                     g0.half_width, g1.half_width, x0s, x1s, x, g1.z_pos + past)
 
+    @settings(max_examples=60)
+    @given(
+        n0=st.integers(2, 32),
+        n1=st.integers(2, 32),
+        lam=st.floats(3e-12, 8e-12),
+        b0=st.floats(20e-9, 100e-9),
+        b1=st.floats(20e-9, 100e-9),
+        pitch_scale0=st.floats(2.5, 8.0),
+        pitch_scale1=st.floats(2.5, 8.0),
+        z1=st.floats(0.02, 0.08),
+        z_s=st.one_of(st.just(PARAXIAL_ZS), st.floats(-50.0, -0.3)),
+        x_s=st.floats(-3e-6, 3e-6),
+        past=st.one_of(st.just(1e-9), st.floats(1e-9, 2.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_closed_form_over_geometries(self, n0, n1, lam, b0, b1, pitch_scale0,
+                                                 pitch_scale1, z1, z_s, x_s, past, seed):
+        """The factorised kernel against the closed-form path sum for random
+        geometries up to 32/32 slits, from z1 (1 + 1e-9) to 3 z1."""
+        assume(n1 * n0 > n1 + n0 + 2)
+        x0s = slit_positions(GratingSpec(n0, pitch_scale0 * b0, b0, 0.0))
+        x1s = slit_positions(GratingSpec(n1, pitch_scale1 * b1, b1, z1))
+        span = max(x0s[-1], x1s[-1]) + 3e-6
+        tails = np.array([1e-5, 1e-4, 1e-3])
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([-tails[::-1], np.sort(rng.uniform(-span, span, 41)), tails])
+        _assert_matches_closed_form(lam, z_s, x_s, z1, b0, b1, x0s, x1s, x, z1 * (1.0 + past))
+
     @pytest.mark.parametrize("grating", [0, 1])
     def test_off_lattice_centre_rejected(self, grating):
         """The phase tables are powers of one ratio: a centre moved by 1% of
@@ -605,6 +666,25 @@ class TestFactorisedBehind:
         x = np.linspace(-12e-6, 12e-6, 41)
         _assert_matches_closed_form(lam, PARAXIAL_ZS, 0.0, R * z1 / (R + z1), b0, b1 / m1,
                                     x0s, x1s, x, R * 0.15 / (R + 0.15))
+
+
+def _assert_between_matches_closed_form(lam, z_s, x_s, b0, x0s, x, z):
+    """``between_row`` (G0 at z = 0) against the pairwise sum of closed-form
+    path terms exp(i pi (q (c dx^2 + 2 g dx - g^2 z) + p3)) / sqrt(Sigma0),
+    one complex exponential per term."""
+    got = between_row(lam, z_s, x_s, 0.0, b0, x0s, x, z)
+    paraxial = z_s == PARAXIAL_ZS
+    sig0 = complex(1.0 if paraxial else (z - z_s) / -z_s, lam * z / (2 * math.pi * b0 * b0))
+    c = complex(0.0 if paraxial else 1.0 / -z_s, lam / (2 * math.pi * b0 * b0))
+    terms = []
+    for x0 in x0s:
+        g = 0.0 if paraxial else (x0 - x_s) / -z_s
+        p3 = 0.0 if paraxial else (x0 - x_s) ** 2 / (lam * -z_s)
+        dx = x - x0
+        num = c * dx * dx + 2.0 * g * dx - g * g * z
+        terms.append(np.exp(1j * math.pi * (num / (lam * sig0) + p3)) / cmath.sqrt(sig0))
+    ref = reduce_paths(np.stack(terms))
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def _assert_matches_closed_form(lam, z_s, x_s, z1, b0, b1, x0s, x1s, x, z):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,44 @@ class TestSuperposeBetween:
         p /= p.max()
         peaks = (p[1:-1] > p[:-2]) & (p[1:-1] > p[2:]) & (p[1:-1] > 0.1)
         assert int(peaks.sum()) >= 3
+
+    @settings(max_examples=100)
+    @given(
+        n0=st.integers(1, 64),
+        lam=st.floats(3e-12, 8e-12),
+        b0=st.floats(20e-9, 100e-9),
+        pitch_scale=st.floats(2.5, 8.0),
+        z1=st.floats(0.02, 0.08),
+        z_s=st.one_of(st.just(PARAXIAL_ZS), st.floats(-50.0, -0.3)),
+        x_s=st.floats(-3e-6, 3e-6),
+        z_kind=st.sampled_from(["z0", "z0+1e-15", "between", "z1"]),
+        frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scalar_row_permutation_and_subset_agree(self, n0, lam, b0, pitch_scale, z1, z_s,
+                                                     x_s, z_kind, frac, seed):
+        """Between the gratings a sample's value is the same bit for bit alone,
+        in its row, in a permuted row or among every third sample, for random
+        geometries from z0 (and z0 + 1e-15 m) to z1 and samples out to +-1 mm,
+        without a numpy warning."""
+        scn = Scenario(
+            particle=Particle(mass=1.2e-24, lambda_dB=lam),
+            grating0=GratingSpec(n0, pitch_scale * b0, b0, 0.0),
+            grating1=GratingSpec(2, 500e-9, 75e-9, z1),
+            source=SourceSpec(kind="point", x_positions=(x_s,), z_s=z_s),
+        )
+        rng = np.random.default_rng(seed)
+        span = slit_positions(scn.grating0)[-1] + 3e-6
+        tails = rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-5.0, -3.0, 4)
+        x = np.sort(np.concatenate([rng.uniform(-span, span, 11), tails, [1e-3, -1e-3]]))
+        perm = rng.permutation(x.size)
+        z = {"z0": 0.0, "z0+1e-15": 1e-15, "between": frac * z1, "z1": z1}[z_kind]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = superpose_between(scn, x, z)
+            assert all(superpose_between(scn, float(xj), z) == row[j] for j, xj in enumerate(x))
+            assert np.array_equal(superpose_between(scn, x[perm], z), row[perm])
+            assert np.array_equal(superpose_between(scn, x[::3], z), row[::3])
 
     def test_region_violation(self, fullerene):
         req = _req(fullerene, region="behind")
