@@ -113,9 +113,15 @@ def fringe_metrics(profile_values) -> FringeMetrics:
 
 
 def gaussian_spectral_weights(spec: SpectralSpec) -> np.ndarray:
-    """Gaussian weights of the spectrum's wavelengths, renormalized to sum to 1."""
+    """Gaussian weights of the spectrum's wavelengths, renormalized to sum to 1.
+
+    The exponent is taken relative to its smallest value, so the nearest
+    wavelength has weight 1 before the renormalization and a band far narrower
+    than the list's spacing falls on that wavelength instead of underflowing.
+    """
     lams = np.asarray(spec.lambda_list, dtype=float)
-    w = np.exp(-((lams - spec.mean_lambda) ** 2) / (2.0 * spec.sigma_g * spec.sigma_g))
+    e = (lams - spec.mean_lambda) ** 2
+    w = np.exp(-(e - e.min()) / (2.0 * spec.sigma_g * spec.sigma_g))
     return w / w.sum()
 
 

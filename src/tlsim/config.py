@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 
 from .core import (
+    MAX_SLITS,
     DomainError,
     GratingSpec,
     Particle,
@@ -193,7 +194,12 @@ def config_help() -> str:
 
 
 def _inclusive_range(vals: dict, prefix: str) -> tuple[float, ...]:
-    """min, min + step, ... up to max, from the keys ``<prefix>_min/_max/_step``."""
+    """min, min + step, ... up to max, from the keys ``<prefix>_min/_max/_step``.
+
+    The last entry never exceeds max, except by round-off: a span within
+    1e-9 steps of a whole number keeps that number's point.  More than
+    MAX_SLITS entries are refused before any is built.
+    """
     lo, hi, step = (vals[f"{prefix}_{end}"] for end in ("min", "max", "step"))
     if not (step > 0.0):
         raise DomainError(f"{prefix}_step must be positive, got {step}")
@@ -202,7 +208,10 @@ def _inclusive_range(vals: dict, prefix: str) -> tuple[float, ...]:
     span = (hi - lo) / step
     if not all(math.isfinite(v) for v in (lo, step, span)):
         raise DomainError(f"{prefix}_min/_max/_step must give a finite range, got {lo}, {hi}, {step}")
-    return tuple(lo + k * step for k in range(int(round(span)) + 1))
+    count = math.floor(span + 1e-9) + 1
+    if count > MAX_SLITS:
+        raise DomainError(f"{prefix}_min/_max/_step give {count:.6g} entries, more than {MAX_SLITS}")
+    return tuple(lo + k * step for k in range(count))
 
 
 def build_run_config(vals: dict) -> RunConfig:

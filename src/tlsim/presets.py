@@ -20,6 +20,7 @@ from .coherence import (
     focusing_contrast,
     resonance_plane,
     resonance_scan,
+    spectral_density_profile,
     sweep_profiles,
     talbot_plane,
     talbot_section,
@@ -278,7 +279,7 @@ def _profiles(entry, scn, grid, path, say) -> list[str]:
     extra = []
     for frac in entry["z_fractions"]:
         z = scn.z0 + frac * scn.z_talbot
-        prof = Profile(z=z, x=x, p=density_profile(scn, x, z))
+        prof = Profile(z=z, x=x, p=spectral_density_profile(scn, x, z))
         tag = f"z{frac:g}zT"
         export_profile_csv(prof, path(f"profile_{tag}.csv"))
         integral = prof.integral()

@@ -30,23 +30,22 @@ tables are a per-slit phasor (N0 complex exponentials per call), a
 per-sample phasor and the powers of one per-sample ratio, which carry the
 x*x0 cross term (2 complex exponentials per sample).
 
-Behind grating 1 the fuzzy-slit sum over N1*N0 paths is factorised when that
-saves exponentials (N1*N0 > N1 + N0 + 2).  For fixed z every path phase is
-quadratic in x with a path-independent x^2 coefficient and an x^1
-coefficient affine in (x1, x0), so around a tile centre x_c the sum splits
-into a per-tile path matrix, one phase table over x1, one over x0 and a
-common chirp.  Both gratings are uniform lattices, so each table is the
-powers of one ratio per sample: a sample costs 2 complex exponentials and
-N0*N1 complex multiply-adds.  A path matrix entry costs one real exponential
-(its envelope), and its phase is a product of phasor tables over (x0, x1),
-(tile, x0) and (tile, x1): N0*N1 + tiles*(N0 + N1) complex exponentials per
-call.  ``between_row`` and the factorised kernel therefore need slit centres
-x[n] = x[0] + n*d up to round-off and reject any other array with a
-DomainError.  Tile centres sit on a lattice in absolute x whose spacing
-follows from the geometry, and the contraction runs in a fixed order, so a
-sample's value does not depend on which other samples share its row.  The
-hard-edged comb and small path counts (every single-path call) keep the
-direct one-exponential-per-path kernel.
+Behind grating 1 every fuzzy-slit sum over two or more paths is factorised.
+For fixed z every path phase is quadratic in x with a path-independent x^2
+coefficient and an x^1 coefficient affine in (x1, x0), so around a tile
+centre x_c the sum splits into a per-tile path matrix, one phase table over
+x1, one over x0 and a common chirp.  Both gratings are uniform lattices, so
+each table is the powers of one ratio per sample: a sample costs 2 complex
+exponentials and N0*N1 complex multiply-adds.  A path matrix entry costs one
+real exponential (its envelope), and its phase is a product of phasor tables
+over (x0, x1), (tile, x0) and (tile, x1): N0*N1 + tiles*(N0 + N1) complex
+exponentials per call.  ``between_row`` and the factorised kernel therefore
+need slit centres x[n] = x[0] + n*d up to round-off and reject any other
+array with a DomainError.  Tile centres sit on a lattice in absolute x whose
+spacing follows from the geometry, and the contraction runs in a fixed order,
+so a sample's value does not depend on which other samples share its row.
+The comb and single fuzzy paths keep the direct one-exponential-per-path
+kernel.
 
 Every detector position must be finite; a NaN or infinite x or z raises a
 DomainError.
@@ -310,9 +309,9 @@ def behind_row(
 
     Covers the standard fuzzy-slit form, the paraxial limit (z_s = -inf) and
     the hard-edged comb form (``hard=True``); z == z1 evaluates the analytic
-    limit (incident field times slit transmission).  Fuzzy slits with
-    N1*N0 > N1 + N0 + 2 are summed by :func:`_behind_factorised`; the rule
-    depends on the slit counts alone, so a scalar call and a row agree.
+    limit (incident field times slit transmission).  Every fuzzy sum over two
+    or more paths goes to :func:`_behind_factorised`; the direct kernel takes
+    single paths and the comb.
     """
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
     x1s = np.atleast_1d(np.asarray(x1s, dtype=float))
@@ -330,8 +329,7 @@ def behind_row(
     p23 = (dx10 * dx10 - u * u / sig0) / L10 + p3[None, :]
     bq = (dx10 - u / sig0) / L10
 
-    n1, n0 = len(x1s), len(x0s)
-    if not hard and n1 * n0 > n1 + n0 + 2:
+    if not hard and len(x1s) * len(x0s) > 1:
         r = (z1 - z0) / (z0 - z_s)
         alpha = (1.0 - 1.0 / sig0) / L10
         beta = r / (sig0 * L10) - alpha
@@ -375,7 +373,7 @@ def behind_row(
 
     # Direct kernel: one exponential per path term, with the quadratic phase
     # assembled in place in one (paths, nx) buffer.  Only the hard-edged
-    # comb and path counts too small to factorise come here.
+    # comb and single fuzzy paths come here.
     acc = np.empty((len(x1s), len(x0s), K, x.shape[0]), dtype=complex)
     np.subtract(
         w[:, None, None, :], bq[:, :, None, None] - (1j * fk)[None, None, :, None],
@@ -579,8 +577,6 @@ def psi_hard_edge(ctx: PathContext, x, z: float):
     With comb_k = 1 this reduces exactly to sqrt(2/pi)/eta times
     :func:`psi_behind`.
     """
-    if is_paraxial(ctx.z_s):
-        raise DomainError("psi_hard_edge needs a finite source")
     return _behind_path(ctx, x, z, hard=True)
 
 

@@ -40,8 +40,6 @@ class Scenario:
             raise DomainError("grating G1 must lie behind grating G0")
         if not (self.source.z_s < self.grating0.z_pos):
             raise DomainError("source must precede grating G0")
-        if self.propagator == "hard-edge" and self.source.paraxial:
-            raise DomainError("hard-edge propagator requires a finite source distance")
         if self.propagator == "standard" and self.grating1.comb:
             raise DomainError("standard propagator ignores grating 1's comb_k/comb_eta: use hard-edge")
         if self.grating0.comb:
@@ -149,6 +147,8 @@ def _fmt(v) -> str:
 def scenario_lines(scn: Scenario) -> list[str]:
     """Canonical key=value echo of a scenario (used for metadata and hashing)."""
     src = scn.source
+    # Fuzzy slits with a paraxial source echo "paraxial", as they always have.
+    prop = "paraxial" if src.paraxial and scn.propagator == "standard" else scn.propagator
     lines = [
         f"particle.mass = {_fmt(scn.particle.mass)}",
         f"particle.lambda = {_fmt(scn.particle.lambda_dB)}",
@@ -168,7 +168,7 @@ def scenario_lines(scn: Scenario) -> list[str]:
         f"source.zs = {_fmt(src.z_s)}",
         f"source.sigma_i = {_fmt(src.sigma_I)}",
         f"scenario.region = {scn.region}",
-        f"scenario.propagator = {'paraxial' if src.paraxial else scn.propagator}",
+        f"scenario.propagator = {prop}",
     ]
     if src.spectral is not None:
         sp = src.spectral

@@ -95,7 +95,6 @@ class TestRun:
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("lines", [
-        "source.zs = -inf\ngrating1.comb_k = 16\ngrating1.comb_eta = 1.5\n",
         "scenario.propagator = standard\ngrating1.comb_k = 16\n",
     ])
     def test_ignored_comb_exits_1_without_files(self, tmp_path, capsys, lines):
@@ -105,6 +104,16 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert "propagator" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_paraxial_comb_runs(self, tmp_path):
+        cfg = tmp_path / "comb.cfg"
+        cfg.write_text(SMALL_CONFIG + "source.zs = -inf\ngrating1.comb_k = 16\n"
+                       "grating1.comb_eta = 1.5\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        _, _, p = parse_csv(out / "comb.field.csv")
+        assert len(p) == 24 * 10 and np.all(np.isfinite(p))
+        assert "scenario.propagator = hard-edge" in (out / "comb.meta.txt").read_text()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 1
@@ -222,6 +231,18 @@ class TestScan:
         assert code == 0
         rows = np.loadtxt(out / "small45.sweep.csv", delimiter=",", skiprows=1)
         assert len({tuple(r[1:]) for r in rows}) == 3
+
+    def test_k1_scan_on_paraxial_config(self, tmp_path):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(PARAXIAL_8_9)
+        out = tmp_path / "s"
+        code = main([
+            "scan", "--config", str(cfg), "--out", str(out),
+            "--param", "K1", "--values", "1,4", "--samples", "64",
+        ])
+        assert code == 0
+        rows = np.loadtxt(out / "p.sweep.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (2, 4)
 
     def test_spectral_config_reports_averaged_metrics(self, tmp_path):
         cfg = tmp_path / "spec.cfg"

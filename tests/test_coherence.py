@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -275,6 +276,24 @@ class TestSpectral:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             gaussian_spectral_weights(_spectrum([], 5e-12, 1e-12))
+
+    def test_fig12_weights_unchanged(self):
+        spec = preset_run_config("fig12").scenario.source.spectral
+        lams = np.asarray(spec.lambda_list)
+        w = np.exp(-((lams - spec.mean_lambda) ** 2) / (2.0 * spec.sigma_g * spec.sigma_g))
+        assert np.array_equal(gaussian_spectral_weights(spec), w / w.sum())
+
+    def test_band_narrower_than_spacing_falls_on_nearest_wavelength(self):
+        """A 0.001 pm band at 5.1 pm on the 0.25 pm default list: every
+        Gaussian weight underflows, yet the average is the density at 5 pm."""
+        scn = preset_run_config("fig12", nx=16, nz=4).scenario
+        band = dataclasses.replace(scn.source.spectral, mean_lambda=5.1e-12, sigma_g=1e-15)
+        scn = dataclasses.replace(scn, source=dataclasses.replace(scn.source, spectral=band))
+        near = min(band.lambda_list, key=lambda lam: abs(lam - 5.1e-12))
+        x = np.linspace(-4e-6, 4e-6, 16)
+        for z in (0.02, 0.1):
+            got = spectral_density_profile(scn, x, z)
+            assert got.tobytes() == density_profile(scn.with_wavelength(near), x, z).tobytes()
 
 
 class TestFocusingContrast:

@@ -96,6 +96,21 @@ class TestParseConfig:
         assert len(xs) == 33
         assert xs[0] == pytest.approx(-4e-6) and xs[-1] == pytest.approx(4e-6)
 
+    @pytest.mark.parametrize("lines, last, count", [
+        ("spectral.enabled = true\nspectral.lambda_step = 0.3pm\n", 7.8e-12, 17),
+        ("source.kind = line\nsource.xs_min = 0\nsource.xs_max = 1um\n"
+         "source.xs_step = 0.3um\n", 0.9e-6, 4),
+    ])
+    def test_range_stops_at_its_max(self, lines, last, count):
+        src = parse_config(MINIMAL + lines).scenario.source
+        vals = src.spectral.lambda_list if src.spectral else src.x_positions
+        assert len(vals) == count and vals[-1] == pytest.approx(last, rel=1e-12)
+
+    def test_range_entry_count_bounded(self):
+        # 5001 positions: harmless to build, but past the 4096-entry cap
+        with pytest.raises(ConfigError, match="give 5001 entries, more than 4096"):
+            parse_config(MINIMAL + "source.kind = line\nsource.xs_step = 1.6nm\n")
+
     def test_spectral_band(self):
         rc = parse_config(
             MINIMAL
@@ -118,9 +133,12 @@ class TestParseConfig:
         k1 = parse_config(MINIMAL + "grating1.comb_eta = 1.5\n")
         assert k1.scenario.propagator == "hard-edge"
 
+    def test_hard_edge_with_paraxial_source(self):
+        rc = parse_config(MINIMAL + "source.zs = -inf\nscenario.region = behind\n"
+                          "grid.z_min = 0.05\ngrating1.comb_k = 16\ngrating1.comb_eta = 1.5\n")
+        assert rc.scenario.propagator == "hard-edge" and rc.scenario.source.paraxial
+
     @pytest.mark.parametrize("lines, message", [
-        ("source.zs = -inf\nscenario.region = behind\ngrid.z_min = 0.05\n"
-         "grating1.comb_k = 16\ngrating1.comb_eta = 1.5\n", "requires a finite source distance"),
         ("scenario.propagator = standard\ngrating1.comb_k = 16\n", "standard propagator ignores"),
         ("scenario.propagator = paraxial\n", "'paraxial' is not one of auto, standard, hard-edge"),
     ])
@@ -151,12 +169,14 @@ class TestParseConfig:
         assert apply_sweep_value(scn, param, value).propagator == "hard-edge"
 
     @pytest.mark.parametrize("param, value", [("K1", 4), ("eta1", 1.5)])
-    def test_comb_sweep_on_paraxial_scenario_rejected(self, param, value):
+    def test_comb_sweep_on_paraxial_scenario_accepted(self, param, value):
         scn = parse_config(
             MINIMAL + "source.zs = -inf\nscenario.region = behind\ngrid.z_min = 0.05\n"
         ).scenario
-        with pytest.raises(DomainError, match="finite source distance"):
-            apply_sweep_value(scn, param, value)
+        swept = apply_sweep_value(scn, param, value)
+        assert swept.propagator == "hard-edge" and swept.source.paraxial
+        assert (swept.grating1.comb_k, swept.grating1.comb_eta) == (
+            (4, 1.0) if param == "K1" else (1, 1.5))
 
     def test_zs_sweep_crosses_paraxial_limit(self):
         scn = parse_config(MINIMAL).scenario

@@ -3,7 +3,7 @@ import pytest
 
 from tlsim import coherence
 from tlsim.coherence import resonance_plane, talbot_plane, talbot_section
-from tlsim.core import DomainError
+from tlsim.core import DomainError, centered_axis
 from tlsim.presets import PRESETS, preset_names, preset_run_config, run_preset
 from tlsim.scenario import fingerprint
 
@@ -118,6 +118,29 @@ def test_profiles_preset_reports_integrals(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("integral=") == 3
     assert (tmp_path / "fig16.profile_z0.513zT.csv").exists()
+
+
+def test_profiles_kind_averages_a_spectral_source(tmp_path):
+    PRESETS["_tiny_profiles"] = {
+        "kind": "profiles",
+        "note": "test entry",
+        "config": {"grating0.slits": 4, "grating1.slits": 3, "spectral.enabled": True,
+                   "spectral.lambda_step": 1e-12},
+        "z_fractions": (0.5,),
+    }
+    try:
+        run_preset("_tiny_profiles", tmp_path, echo=lambda *_: None)
+        rc = preset_run_config("_tiny_profiles")
+        scn, grid = rc.scenario, rc.grid
+        x = centered_axis(grid.x_min, grid.x_max, 1024)
+        z = scn.z0 + 0.5 * scn.z_talbot
+        got = np.loadtxt(tmp_path / "_tiny_profiles.profile_z0.5zT.csv", delimiter=",",
+                         skiprows=2)
+        averaged = coherence.spectral_density_profile(scn, x, z)
+        assert np.array_equal(got[:, 1], averaged)
+        assert not np.allclose(averaged, coherence.density_profile(scn, x, z), rtol=1e-3)
+    finally:
+        del PRESETS["_tiny_profiles"]
 
 
 def _tiny_line_config():

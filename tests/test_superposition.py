@@ -15,7 +15,7 @@ from tlsim.core import (
 )
 from tlsim.presets import preset_run_config
 from tlsim.propagators import PathContext, between_row, psi_behind
-from tlsim.scenario import Scenario
+from tlsim.scenario import Scenario, fingerprint, scenario_lines
 from tlsim.superposition import density, superpose_behind, superpose_between
 
 
@@ -272,10 +272,17 @@ class TestDensity:
 
 
 class TestRequestValidation:
-    def test_hard_edge_needs_finite_source(self, fullerene):
-        with pytest.raises(DomainError, match="hard-edge propagator requires a finite source"):
-            _req(fullerene, z_s=PARAXIAL_ZS, propagator="hard-edge", comb_k=16, comb_eta=1.5)
-        assert _req(fullerene, z_s=PARAXIAL_ZS).source.paraxial
+    def test_hard_edge_takes_paraxial_source(self, fullerene):
+        comb = _req(fullerene, z_s=PARAXIAL_ZS, propagator="hard-edge", comb_k=16, comb_eta=1.5)
+        assert comb.source.paraxial and comb.propagator == "hard-edge"
+        assert np.all(np.isfinite(superpose_behind(comb, np.linspace(-1e-6, 1e-6, 9), 0.08)))
+        # the echo names the slit model, so a K = 1, eta = 1 comb does not
+        # hash the same as the fuzzy slit it equals up to sqrt(2/pi)
+        fuzzy = _req(fullerene, z_s=PARAXIAL_ZS)
+        k1 = _req(fullerene, z_s=PARAXIAL_ZS, propagator="hard-edge")
+        assert "scenario.propagator = paraxial" in scenario_lines(fuzzy)
+        assert "scenario.propagator = hard-edge" in scenario_lines(k1)
+        assert fingerprint(k1) != fingerprint(fuzzy)
 
     def test_standard_rejects_comb(self, fullerene):
         for comb_k, comb_eta in ((16, 1.0), (1, 1.5), (16, 1.5)):
