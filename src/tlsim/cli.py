@@ -8,10 +8,12 @@ scan          sweep one whitelisted parameter, one metrics row per value
 oracle-check  compare the closed-form propagators against brute-force
               quadrature on randomized configurations
 
-``--threads`` (or the TLSIM_THREADS environment variable) sets the worker
-count for grid evaluation; results are bit-identical for any value.  The
-count, and a config's grid against its region, are checked before any
-output is written.
+A config file describes the experiment only; how a run is shown
+(``--log-scale``) and what a scan sweeps (``--param``/``--values``, both
+required) are flags.  ``--threads`` (or the TLSIM_THREADS environment
+variable) sets the worker count for grid evaluation; results are
+bit-identical for any value.  The count, a config's grid against its
+region and every sweep value are checked before any output is written.
 """
 
 from __future__ import annotations
@@ -47,12 +49,11 @@ def _stem(path: str) -> str:
 
 def cmd_run(args) -> int:
     rc = _read_config(args.config)
-    check_grid_region(rc.scenario, rc.grid)
+    field = evaluate_grid(rc.scenario, rc.grid, workers=args.threads)
     os.makedirs(args.out, exist_ok=True)
     stem = _stem(args.config)
-    field = evaluate_grid(rc.scenario, rc.grid, workers=args.threads)
     written = export_field(field, rc.scenario, os.path.join(args.out, stem), rc.formats,
-                           log_scale=args.log_scale or rc.log_scale)
+                           log_scale=args.log_scale)
     print(f"{stem}: p_min={field.p_min:.6g} p_max={field.p_max:.6g}")
     for p in written:
         print(f"wrote {p}")
@@ -75,38 +76,30 @@ def cmd_preset(args) -> int:
 
 def cmd_scan(args) -> int:
     rc = _read_config(args.config)
-    param = args.param or rc.sweep_param
-    if param is None:
-        raise ConfigError([(0, "no sweep parameter: pass --param or set sweep.param")])
-    if args.values is not None:
-        try:
-            values = [parse_length(v) for v in args.values.split(",") if v.strip()]
-        except ValueError as exc:
-            raise ConfigError([(0, f"--values: {exc}")]) from None
-    else:
-        values = list(rc.sweep_values or [])
-    if not values:
-        raise ConfigError([(0, "empty sweep value list: pass --values or set sweep.values")])
+    try:
+        values = [parse_length(v) for v in args.values.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError([(0, f"--values: {exc}")]) from None
 
     if args.fields:
         check_grid_region(rc.scenario, rc.grid)
     x, z_det = talbot_section(rc.scenario, args.samples)
-    profiles = sweep_profiles(rc.scenario, param, values, x, z_det)  # rejects bad values before any write
+    profiles = sweep_profiles(rc.scenario, args.param, values, x, z_det)  # rejects bad values before any write
 
     os.makedirs(args.out, exist_ok=True)
     stem = _stem(args.config)
     out_path = os.path.join(args.out, f"{stem}.sweep.csv")
     rows = []
-    print(f"{stem}: {param}  P_min  P_max  V   (z = {z_det:.6g} m)")
+    print(f"{stem}: {args.param}  P_min  P_max  V   (z = {z_det:.6g} m)")
     for i, (v, (scn_v, p)) in enumerate(zip(values, profiles)):
         met = fringe_metrics(p)
         rows.append((v, met.p_min, met.p_max, met.visibility))
         print(f"{stem}: {v:.6g}  {met.p_min:.6g}  {met.p_max:.6g}  {met.visibility:.4f}")
         if args.fields:
             field = evaluate_grid(scn_v, rc.grid, workers=args.threads)
-            [fp] = export_field(field, scn_v, os.path.join(args.out, f"{stem}.{param}_{i}"), ("pgm",))
+            [fp] = export_field(field, scn_v, os.path.join(args.out, f"{stem}.{args.param}_{i}"), ("pgm",))
             print(f"wrote {fp}")
-    export_table_csv(out_path, f"{param},p_min,p_max,visibility", rows)
+    export_table_csv(out_path, f"{args.param},p_min,p_max,visibility", rows)
     print(f"wrote {out_path}")
     return 0
 
@@ -165,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan", help="sweep one parameter, one metrics row per value")
     scan.add_argument("--config", required=True)
     scan.add_argument("--out", required=True)
-    scan.add_argument("--param", default=None, help="one of: " + ", ".join(SWEEPABLE_PARAMS))
-    scan.add_argument("--values", default=None, help="comma-separated values (unit suffixes allowed)")
+    scan.add_argument("--param", required=True, help="one of: " + ", ".join(SWEEPABLE_PARAMS))
+    scan.add_argument("--values", required=True, help="comma-separated values (unit suffixes allowed)")
     scan.add_argument("--samples", type=int, default=1536, help="profile x samples")
     scan.add_argument("--fields", action="store_true", help="also export one field image per value")
     scan.add_argument("--threads", type=int, default=None)

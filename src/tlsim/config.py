@@ -21,7 +21,7 @@ from .core import (
     SpectralSpec,
 )
 from .fieldgrid import FORMATS, GridSpec
-from .scenario import PROPAGATORS, REGIONS, SWEEPABLE_PARAMS, Scenario, resolve_propagator
+from .scenario import PROPAGATORS, REGIONS, Scenario, resolve_propagator
 
 # decimal exponent per unit; lengths are converted with a single
 # correctly-rounded decimal->binary conversion so '500nm' == 5e-7 exactly
@@ -111,13 +111,6 @@ def _parse_formats(text: str) -> tuple[str, ...]:
     return parts
 
 
-def _parse_length_list(text: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty value list")
-    return tuple(parse_length(p) for p in parts)
-
-
 # key -> (converter, default-or-None, required, unit label, help text)
 SCHEMA: dict[str, tuple] = {
     "particle.mass": (_parse_float, 1.2e-24, False, "kg", "particle mass"),
@@ -157,24 +150,20 @@ SCHEMA: dict[str, tuple] = {
     "grid.nx": (_parse_int, 800, False, "count", "x samples"),
     "grid.nz": (_parse_int, 600, False, "count", "z samples"),
     "output.formats": (_parse_formats, FORMATS, False, "list", ",".join(FORMATS)),
-    "output.log_scale": (_parse_bool, False, False, "bool", "PGM maps 4 decades of log10"),
-    "sweep.param": (
-        _parse_choice(*SWEEPABLE_PARAMS), None, False, "choice", "sweepable parameter",
-    ),
-    "sweep.values": (_parse_length_list, None, False, "list", "sweep values (units allowed)"),
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run inputs: scenario, grid, outputs and optional sweep."""
+    """Validated run inputs: the scenario, its grid and the output formats.
+
+    How a run is shown (``--log-scale``) and what a scan sweeps
+    (``--param``/``--values``) are command-line flags, not config keys.
+    """
 
     scenario: Scenario
     grid: GridSpec
     formats: tuple[str, ...]
-    log_scale: bool
-    sweep_param: str | None
-    sweep_values: tuple[float, ...] | None
 
 
 def config_help() -> str:
@@ -183,8 +172,6 @@ def config_help() -> str:
     for key, (conv, default, required, unit, text) in SCHEMA.items():
         if required:
             dflt = "(required)"
-        elif default is None:
-            dflt = "(unset)"
         elif isinstance(default, tuple):
             dflt = ",".join(str(v) for v in default)
         else:
@@ -295,13 +282,6 @@ def build_run_config(vals: dict) -> RunConfig:
             )
         )
 
-    sweep_param = vals.get("sweep.param")
-    sweep_values = vals.get("sweep.values")
-    if sweep_values is not None and sweep_param is None:
-        problems.append((0, "sweep.values given without sweep.param"))
-    if sweep_values is not None and len(sweep_values) == 0:
-        problems.append((0, "sweep.values must not be empty"))
-
     if problems:
         raise ConfigError(problems)
     assert scenario is not None and grid is not None
@@ -309,9 +289,6 @@ def build_run_config(vals: dict) -> RunConfig:
         scenario=scenario,
         grid=grid,
         formats=tuple(vals["output.formats"]),
-        log_scale=vals["output.log_scale"],
-        sweep_param=sweep_param,
-        sweep_values=tuple(sweep_values) if sweep_values is not None else None,
     )
 
 

@@ -23,8 +23,8 @@ import numpy as np
 PLANCK_H = 6.62607015e-34  # J*s
 HBAR = PLANCK_H / (2.0 * math.pi)
 
-# Upper bound on slits per grating; keeps the per-point superposition cost
-# (N0*N1 terms) within desk scale.
+# Upper bound on slits per grating and on comb terms per G1 slit; keeps the
+# per-point superposition cost (N0*N1*K terms) within desk scale.
 MAX_SLITS = 4096
 
 PARAXIAL_ZS = float("-inf")
@@ -109,8 +109,8 @@ class GratingSpec:
             raise DomainError(
                 f"open windows overlap: 2*half_width={2.0 * self.half_width} > pitch={self.pitch}"
             )
-        if self.comb_k < 1:
-            raise DomainError(f"comb_k must be >= 1, got {self.comb_k}")
+        if not (1 <= self.comb_k <= MAX_SLITS):
+            raise DomainError(f"comb_k must be in [1, {MAX_SLITS}], got {self.comb_k}")
         if not (0.0 < self.comb_eta < math.inf):
             raise DomainError(f"comb_eta must be finite and positive, got {self.comb_eta}")
 

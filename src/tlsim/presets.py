@@ -352,7 +352,7 @@ def run_preset(
     if kind == "field":
         field = evaluate_grid(scn, grid, workers=threads)
         written = export_field(field, scn, os.path.join(out_dir, name), rc.formats,
-                               log_scale=log_scale or rc.log_scale, extra=[note])
+                               log_scale=log_scale, extra=[note])
         say(f"p_min={field.p_min:.6g} p_max={field.p_max:.6g}")
         z_det = talbot_plane(scn)
         if scn.source.spectral is not None and grid.z_min <= z_det <= grid.z_max:

@@ -115,6 +115,17 @@ class TestRun:
         assert len(p) == 24 * 10 and np.all(np.isfinite(p))
         assert "scenario.propagator = hard-edge" in (out / "comb.meta.txt").read_text()
 
+    @pytest.mark.parametrize("fmt, written", [
+        ("pgm", ["small.field.pgm"]),
+        ("meta", ["small.meta.txt"]),
+    ])
+    def test_formats_key_selects_outputs(self, tmp_path, fmt, written):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(SMALL_CONFIG + f"output.formats = {fmt}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(f.name for f in out.iterdir()) == written
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 1
 
@@ -197,18 +208,32 @@ class TestScan:
         assert (out / "small.lambda_1.field.pgm").exists()
 
     def test_empty_values_rejected(self, config_file, tmp_path, capsys):
+        out = tmp_path / "s"
         code = main([
-            "scan", "--config", str(config_file), "--out", str(tmp_path),
+            "scan", "--config", str(config_file), "--out", str(out),
             "--param", "lambda", "--values", " ",
         ])
         assert code == 1
-        assert "empty sweep value list" in capsys.readouterr().err
+        assert "error: lambda sweep values must not be empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--param", "--values"])
+    def test_param_and_values_required(self, config_file, tmp_path, capsys, flag):
+        argv = ["scan", "--config", str(config_file), "--out", str(tmp_path / "s"),
+                "--param", "lambda", "--values", "5pm"]
+        i = argv.index(flag)
+        with pytest.raises(SystemExit) as err:
+            main(argv[:i] + argv[i + 2:])
+        assert err.value.code == 2
+        assert f"the following arguments are required: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("values, message", [
         ("inf", "finite"),
         ("1e400", "finite"),
         ("2,inf", "finite"),
         ("nan", "malformed length"),
+        ("1e300", "error: comb_k must be in [1, 4096], got 1"),  # finite, whole, never built
     ])
     def test_bad_k1_values_exit_1_without_files(self, config_file, tmp_path, capsys, values, message):
         out = tmp_path / "s"

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -49,7 +51,6 @@ class TestParseConfig:
         assert scn.source.kind == "point"
         assert rc.grid.nx == 800 and rc.grid.nz == 600
         assert rc.formats == ("csv", "pgm", "meta")
-        assert rc.sweep_param is None
 
     def test_unit_suffix_on_pitch(self):
         rc = parse_config(MINIMAL + "grating1.pitch = 500nm\n")
@@ -150,10 +151,17 @@ class TestParseConfig:
         rc = parse_config(MINIMAL + "scenario.propagator = hard-edge\n")
         assert rc.scenario.propagator == "hard-edge"
 
-    def test_sweep_descriptor(self):
-        rc = parse_config(MINIMAL + "sweep.param = lambda\nsweep.values = 3pm, 5pm, 7pm\n")
-        assert rc.sweep_param == "lambda"
-        assert rc.sweep_values == (3e-12, 5e-12, 7e-12)
+    @pytest.mark.parametrize("key, value", [
+        ("output.log_scale", "true"), ("sweep.param", "lambda"), ("sweep.values", "3pm, 5pm"),
+    ])
+    def test_run_options_are_not_config_keys(self, key, value):
+        # --log-scale and scan --param/--values are the only way to set these
+        with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
+            parse_config(MINIMAL + f"{key} = {value}\n")
+
+    def test_unknown_output_format_names_its_line(self):
+        with pytest.raises(ConfigError, match="line 2: output.formats: unknown output format 'png'"):
+            parse_config(MINIMAL + "output.formats = csv, png\n")
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_k1_sweep_value_rejected(self, value):
@@ -161,6 +169,16 @@ class TestParseConfig:
         with pytest.raises(DomainError, match="finite"):
             apply_sweep_value(scn, "K1", value)
         assert apply_sweep_value(scn, "K1", 4.0).grating1.comb_k == 4
+
+    def test_comb_k_bounded(self):
+        # the bound is checked on the spec alone: no value here allocates anything
+        scn = parse_config(MINIMAL).scenario
+        assert apply_sweep_value(scn, "K1", 4096).grating1.comb_k == 4096
+        for value in (4097, 1e300):
+            with pytest.raises(DomainError, match=r"comb_k must be in \[1, 4096\]"):
+                apply_sweep_value(scn, "K1", value)
+        with pytest.raises(ConfigError, match=r"grating1: comb_k must be in \[1, 4096\], got 100000000"):
+            parse_config(MINIMAL + "grating1.comb_k = 100000000\n")
 
     @pytest.mark.parametrize("param, value", [("K1", 4), ("eta1", 1.5)])
     def test_comb_sweeps_select_hard_edge(self, param, value):
@@ -191,10 +209,6 @@ class TestParseConfig:
         with pytest.raises(DomainError, match="paraxial source"):
             apply_sweep_value(scn, "xs", 2e-6)
 
-    def test_sweep_values_need_param(self):
-        with pytest.raises(ConfigError, match="sweep.values given without sweep.param"):
-            parse_config(MINIMAL + "sweep.values = 1um\n")
-
     @pytest.mark.parametrize("line, section", [
         ("grating1.pitch = inf", "grating1"),
         ("grating0.half_width = inf", "grating0"),
@@ -224,3 +238,16 @@ class TestParseConfig:
         for key in SCHEMA:
             assert key in text
         assert "(required)" in text
+
+
+# A token such as ``.sweep.csv`` belongs to a file name, not a key.
+_README_KEY = re.compile(
+    r"(?<![\w.])(?:particle|grating[01]|source|spectral|scenario|grid|output|sweep)\.\w+"
+)
+
+
+def test_readme_names_only_schema_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tokens = set(_README_KEY.findall(readme))
+    assert tokens, "the key pattern no longer matches the README"
+    assert sorted(tokens - set(SCHEMA)) == []

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tlsim.core import (
@@ -468,6 +468,15 @@ class TestParaxialLimitAsValue:
     # The terms the limit drops are source phases of order
     # pi (x - x_s)^2 / (lam |z_s|) <= pi (6 um)^2 / 5 pm = 22.6 m / |z_s| here.
     C = 25.0  # m
+    # The projection check holds each row to 1e-11 of its maximum; that is the
+    # accuracy this test vouches for.  An error of that size moves a
+    # first-order constant by at most about 0.5% once the rows at -1e5 m differ
+    # by 200 times as much, so the constants are compared only above that.
+    # Below it lie mostly single paths with a small first-order constant, where
+    # the second-order term is not negligible at -1e4 m either: the @example's
+    # behind row matches its projection to about 1e-15, yet its constants read
+    # 4.86e-6 and 4.69e-6 m at -1e4 and -1e5 m (4.675e-6 m from -1e6 m on).
+    RESOLVABLE = 200 * 1e-11
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_paraxial_row_ignores_source_x(self, kind):
@@ -498,12 +507,15 @@ class TestParaxialLimitAsValue:
         behind=st.floats(0.2, 2.0),
         comb=st.one_of(st.none(), st.tuples(st.integers(1, 16), st.floats(0.3, 1.5))),
     )
+    @example(n0=1, n1=1, lam=7.589e-12, b0=20e-9, b1=20e-9, pitch_scale=3.0, z1=0.0625,
+             x_s=3e-6, between=0.5, behind=1.0, comb=None)
     def test_zs_sweep_converges_at_first_order(self, n0, n1, lam, b0, b1, pitch_scale, z1,
                                                x_s, between, behind, comb):
         """A zs sweep towards -inf on random fuzzy and comb geometries
         (``comb`` = (K, eta) of G1's hard-edged slits).  The first-order
         constant max|p(z_s) - p(-inf)| / max p(-inf) * |z_s| is the same at
-        -1e4 m and -1e5 m.  Each finite-source row is also the paraxial row of
+        -1e4 m and -1e5 m, wherever the rows at -1e5 m differ by RESOLVABLE
+        or more.  Each finite-source row is also the paraxial row of
         the geometry projected from the source (the Fresnel scaling theorem):
         G1 at z1' = R z1/(R + z1) with centres and widths divided by
         M1 = (R + z1)/R, seen at z' = R z/(R + z) and x' = x_s + (x - x_s) R/(z - z_s),
@@ -527,10 +539,10 @@ class TestParaxialLimitAsValue:
                 return density(superpose(apply_sweep_value(scn, "zs", z_s), x, z))
 
             ref = row(PARAXIAL_ZS)
-            consts = []
+            diffs = []
             for z_s in (-1e4, -1e5):
                 p = row(z_s)
-                consts.append(np.max(np.abs(p - ref)) / np.max(ref) * abs(z_s))
+                diffs.append(np.max(np.abs(p - ref)) / np.max(ref))
                 R = -z_s
                 m1 = (R + z1) / R
                 xp = (x - x_s) * R / (z - z_s)
@@ -542,7 +554,9 @@ class TestParaxialLimitAsValue:
                                    comb_k=k, comb_eta=eta, hard=comb is not None)
                 q = density(q)
                 assert np.max(np.abs(p / p.max() - q / q.max())) <= 1e-11
-            assert consts[0] == pytest.approx(consts[1], rel=0.01)
+            if diffs[1] >= self.RESOLVABLE:
+                consts = [diffs[0] * 1e4, diffs[1] * 1e5]
+                assert consts[0] == pytest.approx(consts[1], rel=0.01)
 
 
 class TestFactorisedBehind:
