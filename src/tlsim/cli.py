@@ -10,10 +10,10 @@ oracle-check  compare the closed-form propagators against brute-force
 
 A config file describes the experiment only; how a run is shown
 (``--log-scale``) and what a scan sweeps (``--param``/``--values``, both
-required) are flags.  ``--threads`` (or the TLSIM_THREADS environment
-variable) sets the worker count for grid evaluation; results are
-bit-identical for any value.  The count, a config's grid against its
-region and every sweep value are checked before any output is written.
+required) are flags.  ``--threads`` alone sets the worker count for grid
+evaluation (default: the CPU count); results are bit-identical for any
+value.  The count, a config's grid against its region and every sweep
+value are checked before any output is written.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .coherence import fringe_metrics, sweep_profiles, talbot_section
 from .config import ConfigError, config_help, parse_config, parse_length
 from .core import DomainError
-from .fieldgrid import check_grid_region, default_workers, evaluate_grid, export_field, export_table_csv
+from .fieldgrid import default_workers, evaluate_grid, export_field, export_table_csv
 from .oracle import OracleConvergenceError, quadrature_oracle, random_oracle_case
 from .presets import preset_names, run_preset
 from .propagators import psi_behind, psi_hard_edge
@@ -82,7 +82,7 @@ def cmd_scan(args) -> int:
         raise ConfigError([(0, f"--values: {exc}")]) from None
 
     if args.fields:
-        check_grid_region(rc.scenario, rc.grid)
+        rc.scenario.check_in_region(f"{rc.scenario.region}-region grid", rc.grid.z_min, rc.grid.z_max)
     x, z_det = talbot_section(rc.scenario, args.samples)
     profiles = sweep_profiles(rc.scenario, args.param, values, x, z_det)  # rejects bad values before any write
 
@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--config", required=True, help="flat key=value config file")
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--threads", type=int, default=None, help="worker processes (default: TLSIM_THREADS or CPU count)")
+    run.add_argument("--threads", type=int, default=None, help="worker processes (default: CPU count)")
     run.add_argument("--log-scale", action="store_true", help="log-scale PGM mapping")
     run.set_defaults(fn=cmd_run)
 

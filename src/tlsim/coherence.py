@@ -189,19 +189,9 @@ def resonance_plane(scn: Scenario) -> float:
     return scn.z0 + 2.0 * (scn.z1 - scn.z0)
 
 
-def _in_region(scn: Scenario, z: float, plane: str) -> float:
-    """A metrics plane's z, checked against the scenario's region before any
-    field is evaluated, so that an error names the plane, not the config."""
-    lo, hi = scn.z_range()
-    if not lo <= z <= hi:
-        raise DomainError(f"the {plane} at z = {z:.6g} m lies outside the scenario's "
-                          f"{scn.region} region ({lo:.6g} <= z <= {hi:.6g} m)")
-    return z
-
-
 def talbot_section(scn: Scenario, samples: int) -> tuple[np.ndarray, float]:
     """The fringe-metrics cross-section: G1's slit span at the Talbot plane."""
-    z = _in_region(scn, talbot_plane(scn), "Talbot plane z0 + z_T")
+    z = scn.check_in_region("Talbot plane z0 + z_T", talbot_plane(scn))
     return centered_axis(*scn.metrics_window(), samples), z
 
 
@@ -235,7 +225,7 @@ def resonance_scan(scn: Scenario, lambda_list, *, samples: int = 1536) -> list[t
     Returns (lambda, velocity, p_max) rows.  The geometry stays fixed while
     the wavelength scans across the self-imaging resonance of grating 0.
     """
-    z = _in_region(scn, resonance_plane(scn), "resonance plane z0 + 2 (z1 - z0)")
+    z = scn.check_in_region("resonance plane z0 + 2 (z1 - z0)", resonance_plane(scn))
     x = centered_axis(*scn.metrics_window(), samples)
     profiles = sweep_profiles(scn, "lambda", lambda_list, x, z)
     return [(s.lam, s.particle.v_z, fringe_metrics(p).p_max) for s, p in profiles]

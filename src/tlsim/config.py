@@ -21,7 +21,7 @@ from .core import (
     SpectralSpec,
 )
 from .fieldgrid import FORMATS, GridSpec
-from .scenario import PROPAGATORS, REGIONS, Scenario, resolve_propagator
+from .scenario import REGIONS, Scenario
 
 # decimal exponent per unit; lengths are converted with a single
 # correctly-rounded decimal->binary conversion so '500nm' == 5e-7 exactly
@@ -139,10 +139,6 @@ SCHEMA: dict[str, tuple] = {
     "spectral.lambda_max": (parse_length, 8e-12, False, "length", "band upper edge"),
     "spectral.lambda_step": (parse_length, 0.25e-12, False, "length", "band increment"),
     "scenario.region": (_parse_choice(*REGIONS), "full", False, "choice", "observation region"),
-    "scenario.propagator": (
-        _parse_choice("auto", *PROPAGATORS),
-        "auto", False, "choice", "G1 slit model (auto: hard-edge iff grating1 sets a comb)",
-    ),
     "grid.x_min": (parse_length, -10e-6, False, "length", "grid left edge"),
     "grid.x_max": (parse_length, 10e-6, False, "length", "grid right edge"),
     "grid.z_min": (parse_length, 0.0, False, "length", "grid lower edge"),
@@ -278,7 +274,8 @@ def build_run_config(vals: dict) -> RunConfig:
                 grating1=g1,
                 source=source,
                 region=vals["scenario.region"],
-                propagator=resolve_propagator(vals["scenario.propagator"], g1),
+                # grating 1's comb parameters are its slit model
+                propagator="hard-edge" if g1.comb else "standard",
             )
         )
 

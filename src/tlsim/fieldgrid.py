@@ -98,14 +98,6 @@ class Profile:
         return float(np.trapezoid(self.p, self.x))
 
 
-def check_grid_region(scn: Scenario, grid: GridSpec) -> None:
-    """Reject a grid outside the scenario's region (no sweep value moves it)."""
-    lo, hi = scn.z_range()
-    if not (lo <= grid.z_min and grid.z_max <= hi):
-        raise DomainError(f"{scn.region}-region grid must lie within {lo:.6g} <= z <= {hi:.6g} m, "
-                          f"got z_min={grid.z_min}, z_max={grid.z_max}")
-
-
 def _eval_rows(scn: Scenario, grid: GridSpec, lo: int, hi: int) -> np.ndarray:
     x = grid.x_axis()
     zs = grid.z_axis()
@@ -116,17 +108,10 @@ def _eval_rows(scn: Scenario, grid: GridSpec, lo: int, hi: int) -> np.ndarray:
 
 
 def default_workers(workers: int | None = None, *, name: str = "workers") -> int:
-    """The worker count: ``workers`` if given, else TLSIM_THREADS, else the
-    CPU count.  A count below 1 raises, naming where it came from."""
+    """The worker count: ``workers`` if given, else the CPU count.  A count
+    below 1 raises, naming the option ``name`` it came from."""
     if workers is None:
-        env = os.environ.get("TLSIM_THREADS")
-        if env is None:
-            return os.cpu_count() or 1
-        name = "TLSIM_THREADS"
-        try:
-            workers = int(env)
-        except ValueError as exc:
-            raise DomainError(f"TLSIM_THREADS must be an integer, got {env!r}") from exc
+        return os.cpu_count() or 1
     if workers < 1:
         raise DomainError(f"{name} must be >= 1, got {workers}")
     return workers
@@ -141,7 +126,7 @@ def evaluate_grid(scn: Scenario, grid: GridSpec, workers: int | None = None) -> 
     while a region='behind' scenario evaluates it as the behind-form limit
     (incident field times the slit transmission).
     """
-    check_grid_region(scn, grid)
+    scn.check_in_region(f"{scn.region}-region grid", grid.z_min, grid.z_max)
     workers = default_workers(workers)
 
     nz = grid.nz

@@ -68,6 +68,18 @@ class Scenario:
         return (self.z1 if self.region == "behind" else self.z0,
                 self.z1 if self.region == "between" else math.inf)
 
+    def check_in_region(self, what: str, z_min: float, z_max: float | None = None) -> float:
+        """Raise unless the plane ``z_min``, or the rows ``z_min..z_max``, lie
+        in the region's z range; returns ``z_min``.  Callers check before any
+        field is evaluated, so that the error names ``what``, not the config."""
+        lo, hi = self.z_range()
+        z_max = z_min if z_max is None else z_max
+        if not (lo <= z_min and z_max <= hi):
+            at = f"z = {z_min:.6g} m" if z_min == z_max else f"{z_min:.6g} <= z <= {z_max:.6g} m"
+            raise DomainError(f"the {what} at {at} lies outside the scenario's "
+                              f"{self.region} region ({lo:.6g} <= z <= {hi:.6g} m)")
+        return z_min
+
     def metrics_window(self) -> tuple[float, float]:
         """Default x-window for fringe metrics: the span of G1's slit centers."""
         half = self.grating1.span / 2.0
@@ -81,13 +93,6 @@ class Scenario:
         return dataclasses.replace(
             self, particle=dataclasses.replace(self.particle, lambda_dB=lam)
         )
-
-
-def resolve_propagator(selector: str, grating1: GratingSpec) -> str:
-    """Resolve the 'auto' selector: hard-edge exactly when grating 1 carries comb parameters."""
-    if selector != "auto":
-        return selector
-    return "hard-edge" if grating1.comb else "standard"
 
 
 SWEEPABLE_PARAMS = ("sigma_I", "lambda", "K1", "eta1", "zs", "xs")

@@ -5,9 +5,15 @@ from hypothesis import settings
 from tlsim.core import GratingSpec, Particle, SourceSpec, PARAXIAL_ZS
 
 # Property tests draw the same examples on every run, and a slow example is
-# not a failure.
+# not a failure.  ``--hypothesis-profile tlsim-seeds`` draws random examples
+# instead, so that ``--hypothesis-seed N`` picks them.
 settings.register_profile("tlsim", derandomize=True, deadline=None)
-settings.load_profile("tlsim")
+settings.register_profile("tlsim-seeds", deadline=None)
+
+
+def pytest_configure(config):
+    if not config.getoption("--hypothesis-profile", None):
+        settings.load_profile("tlsim")
 
 
 @pytest.fixture(scope="session")

@@ -380,15 +380,19 @@ def test_bad_threads_exit_1_without_files(config_file, tmp_path, capsys, command
     ["preset", "fig11"],
     ["scan", "--config", "CFG", "--param", "lambda", "--values", "4pm,5pm", "--samples", "16", "--fields"],
 ], ids=["run", "preset", "scan"])
-def test_bad_env_threads_exit_1_without_files(config_file, tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setenv("TLSIM_THREADS", "0")
-    out = tmp_path / "o"
+def test_threads_environment_variable_is_ignored(config_file, tmp_path, monkeypatch, command):
+    # --threads is the only way to set the worker count
     argv = [str(config_file) if a == "CFG" else a for a in command]
-    assert main(argv + ["--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert "TLSIM_THREADS must be >= 1" in captured.err
-    assert captured.out == ""
-    assert not out.exists()
+    outputs = []
+    for env in (None, "0"):
+        if env is None:
+            monkeypatch.delenv("TLSIM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("TLSIM_THREADS", env)
+        out = tmp_path / f"o{len(outputs)}"
+        assert main(argv + ["--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] and outputs[1] == outputs[0]
 
 
 @pytest.mark.parametrize("region, grid_line, command", [

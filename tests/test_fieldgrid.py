@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -283,24 +284,10 @@ class TestExports:
 
 
 class TestWorkerDefaults:
-    def test_env_variable_sets_default(self, monkeypatch):
+    def test_explicit_count_wins_and_is_checked(self, fullerene):
         from tlsim.fieldgrid import default_workers
 
-        monkeypatch.setenv("TLSIM_THREADS", "3")
-        assert default_workers() == 3
-        monkeypatch.setenv("TLSIM_THREADS", "zero")
-        with pytest.raises(DomainError):
-            default_workers()
-        monkeypatch.setenv("TLSIM_THREADS", "0")
-        with pytest.raises(DomainError):
-            default_workers()
-        monkeypatch.delenv("TLSIM_THREADS")
-        assert default_workers() >= 1
-
-    def test_explicit_count_wins_and_is_checked(self, monkeypatch, fullerene):
-        from tlsim.fieldgrid import default_workers
-
-        monkeypatch.setenv("TLSIM_THREADS", "0")
+        assert default_workers() == (os.cpu_count() or 1)
         assert default_workers(2) == 2
         with pytest.raises(DomainError, match="--threads must be >= 1, got 0"):
             default_workers(0, name="--threads")
