@@ -82,15 +82,6 @@ def _parse_int(text: str) -> int:
         raise ValueError(f"malformed integer {text!r}") from None
 
 
-def _parse_bool(text: str) -> bool:
-    s = text.strip().lower()
-    if s in ("true", "yes", "on", "1"):
-        return True
-    if s in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"malformed boolean {text!r}")
-
-
 def _parse_choice(*choices: str):
     def conv(text: str) -> str:
         s = text.strip()
@@ -111,41 +102,39 @@ def _parse_formats(text: str) -> tuple[str, ...]:
     return parts
 
 
-# key -> (converter, default-or-None, required, unit label, help text)
+# key -> (converter, default (None = required), unit label, help text)
 SCHEMA: dict[str, tuple] = {
-    "particle.mass": (_parse_float, 1.2e-24, False, "kg", "particle mass"),
-    "particle.lambda": (parse_length, None, True, "length", "de Broglie wavelength"),
-    "grating0.slits": (_parse_int, 32, False, "count", "slit count N0"),
-    "grating0.pitch": (parse_length, 500e-9, False, "length", "slit spacing d0"),
-    "grating0.half_width": (parse_length, 37.5e-9, False, "length", "slit half-width b0"),
-    "grating0.z": (parse_length, 0.0, False, "length", "grating-0 plane"),
-    "grating1.slits": (_parse_int, 33, False, "count", "slit count N1"),
-    "grating1.pitch": (parse_length, 500e-9, False, "length", "slit spacing d1"),
-    "grating1.half_width": (parse_length, 75e-9, False, "length", "slit half-width b1"),
-    "grating1.z": (parse_length, 0.05, False, "length", "grating-1 plane"),
-    "grating1.comb_k": (_parse_int, 1, False, "count", "comb term count K1 (1 = fuzzy slit)"),
-    "grating1.comb_eta": (_parse_float, 1.0, False, "real", "comb tuning parameter eta1"),
-    "source.kind": (_parse_choice("point", "line"), "point", False, "choice", "point | line"),
-    "source.xs": (parse_length, 0.0, False, "length", "point-source x position"),
-    "source.xs_min": (parse_length, -4e-6, False, "length", "line source: first x"),
-    "source.xs_max": (parse_length, 4e-6, False, "length", "line source: last x"),
-    "source.xs_step": (parse_length, 0.25e-6, False, "length", "line source: x increment"),
-    "source.zs": (parse_length, -0.5, False, "length", "source plane (-inf = paraxial)"),
-    "source.sigma_i": (parse_length, math.inf, False, "length", "coherence width (inf = coherent)"),
-    "spectral.enabled": (_parse_bool, False, False, "bool", "average over a wavelength band"),
-    "spectral.mean": (parse_length, 5e-12, False, "length", "band mean wavelength"),
-    "spectral.sigma": (parse_length, 2.25e-12, False, "length", "band dispersion sigma_g"),
-    "spectral.lambda_min": (parse_length, 3e-12, False, "length", "band lower edge"),
-    "spectral.lambda_max": (parse_length, 8e-12, False, "length", "band upper edge"),
-    "spectral.lambda_step": (parse_length, 0.25e-12, False, "length", "band increment"),
-    "scenario.region": (_parse_choice(*REGIONS), "full", False, "choice", "observation region"),
-    "grid.x_min": (parse_length, -10e-6, False, "length", "grid left edge"),
-    "grid.x_max": (parse_length, 10e-6, False, "length", "grid right edge"),
-    "grid.z_min": (parse_length, 0.0, False, "length", "grid lower edge"),
-    "grid.z_max": (parse_length, 0.15, False, "length", "grid upper edge"),
-    "grid.nx": (_parse_int, 800, False, "count", "x samples"),
-    "grid.nz": (_parse_int, 600, False, "count", "z samples"),
-    "output.formats": (_parse_formats, FORMATS, False, "list", ",".join(FORMATS)),
+    "particle.mass": (_parse_float, 1.2e-24, "kg", "particle mass"),
+    "particle.lambda": (parse_length, None, "length", "de Broglie wavelength"),
+    "grating0.slits": (_parse_int, 32, "count", "slit count N0"),
+    "grating0.pitch": (parse_length, 500e-9, "length", "slit spacing d0"),
+    "grating0.half_width": (parse_length, 37.5e-9, "length", "slit half-width b0"),
+    "grating0.z": (parse_length, 0.0, "length", "grating-0 plane"),
+    "grating1.slits": (_parse_int, 33, "count", "slit count N1"),
+    "grating1.pitch": (parse_length, 500e-9, "length", "slit spacing d1"),
+    "grating1.half_width": (parse_length, 75e-9, "length", "slit half-width b1"),
+    "grating1.z": (parse_length, 0.05, "length", "grating-1 plane"),
+    "grating1.comb_k": (_parse_int, 1, "count", "comb term count K1 (1 = fuzzy slit)"),
+    "grating1.comb_eta": (_parse_float, 1.0, "real", "comb tuning parameter eta1"),
+    "source.xs": (parse_length, 0.0, "length", "point: x position (not with xs_* keys)"),
+    "source.xs_min": (parse_length, -4e-6, "length", "line: first x (any xs_* key sets a line)"),
+    "source.xs_max": (parse_length, 4e-6, "length", "line: last x"),
+    "source.xs_step": (parse_length, 0.25e-6, "length", "line: x increment"),
+    "source.zs": (parse_length, -0.5, "length", "source plane (-inf = paraxial)"),
+    "source.sigma_i": (parse_length, math.inf, "length", "line: coherence width (inf = coherent)"),
+    "spectral.mean": (parse_length, 5e-12, "length", "band mean (any spectral.* key sets a band)"),
+    "spectral.sigma": (parse_length, 2.25e-12, "length", "band dispersion sigma_g"),
+    "spectral.lambda_min": (parse_length, 3e-12, "length", "band lower edge"),
+    "spectral.lambda_max": (parse_length, 8e-12, "length", "band upper edge"),
+    "spectral.lambda_step": (parse_length, 0.25e-12, "length", "band increment"),
+    "scenario.region": (_parse_choice(*REGIONS), "full", "choice", "observation region"),
+    "grid.x_min": (parse_length, -10e-6, "length", "grid left edge"),
+    "grid.x_max": (parse_length, 10e-6, "length", "grid right edge"),
+    "grid.z_min": (parse_length, 0.0, "length", "grid lower edge"),
+    "grid.z_max": (parse_length, 0.15, "length", "grid upper edge"),
+    "grid.nx": (_parse_int, 800, "count", "x samples"),
+    "grid.nz": (_parse_int, 600, "count", "z samples"),
+    "output.formats": (_parse_formats, FORMATS, "list", ",".join(FORMATS)),
 }
 
 
@@ -165,8 +154,8 @@ class RunConfig:
 def config_help() -> str:
     """Every config key with its default and unit (for --help and the README)."""
     rows = []
-    for key, (conv, default, required, unit, text) in SCHEMA.items():
-        if required:
+    for key, (conv, default, unit, text) in SCHEMA.items():
+        if default is None:
             dflt = "(required)"
         elif isinstance(default, tuple):
             dflt = ",".join(str(v) for v in default)
@@ -201,11 +190,16 @@ def build_run_config(vals: dict) -> RunConfig:
     """Assemble and validate a RunConfig from a value mapping; optional keys
     it leaves out take their SCHEMA defaults.
 
-    Collects every independent invariant violation into one ConfigError
-    rather than stopping at the first.
+    The keys it sets pick the source: any of ``source.xs_min/_max/_step``
+    makes a line, any ``spectral.*`` key a wavelength band, and a key the
+    source never reads is an error.  Collects every unknown key and every
+    independent invariant violation into one ConfigError rather than
+    stopping at the first.
     """
-    vals = {key: spec[1] for key, spec in SCHEMA.items() if not spec[2]} | vals
-    problems: list[tuple[int, str]] = []
+    given = set(vals)
+    line = any(key.startswith("source.xs_") for key in given)
+    vals = {key: spec[1] for key, spec in SCHEMA.items() if spec[1] is not None} | vals
+    problems = [(0, f"unknown key {key!r}") for key in sorted(given - SCHEMA.keys())]
 
     def attempt(section, fn):
         try:
@@ -237,21 +231,28 @@ def build_run_config(vals: dict) -> RunConfig:
     )
 
     def make_source():
+        if line and "source.xs" in given:
+            raise DomainError("source.xs sets a point, source.xs_min/_max/_step a line: set one")
         spectral = None
-        if vals["spectral.enabled"]:
+        if any(key.startswith("spectral.") for key in given):
             spectral = SpectralSpec(
                 mean_lambda=vals["spectral.mean"],
                 sigma_g=vals["spectral.sigma"],
                 lambda_list=_inclusive_range(vals, "spectral.lambda"),
             )
-        return SourceSpec(
-            kind=vals["source.kind"],
-            x_positions=((vals["source.xs"],) if vals["source.kind"] == "point"
-                         else _inclusive_range(vals, "source.xs")),
+        src = SourceSpec(
+            kind="line" if line else "point",
+            x_positions=_inclusive_range(vals, "source.xs") if line else (vals["source.xs"],),
             z_s=vals["source.zs"],
             sigma_I=vals["source.sigma_i"],
             spectral=spectral,
         )
+        # the same two keys apply_sweep_value refuses to sweep
+        if "source.sigma_i" in given and not src.gsm:
+            raise DomainError("source.sigma_i needs a line source of two or more positions")
+        if "source.xs" in given and src.paraxial:
+            raise DomainError("source.xs does not reach the field of a paraxial source (zs = -inf)")
+        return src
 
     source = attempt("source", make_source)
     grid = attempt(
@@ -324,8 +325,8 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             problems.append((lineno, f"{key}: {exc}"))
 
-    for key, (conv, default, required, unit, text_) in SCHEMA.items():
-        if required and key not in key_lines:
+    for key, (conv, default, unit, text_) in SCHEMA.items():
+        if default is None and key not in key_lines:
             problems.append((0, f"missing required key {key!r}"))
 
     if problems:

@@ -82,6 +82,7 @@ def _fig19(eta: float) -> dict:
     }
 
 
+# A range or band key at its default picks the default line (fig5-7) or band (fig12).
 PRESETS: dict[str, dict] = {
     "fig4a": {
         "kind": "field",
@@ -101,28 +102,28 @@ PRESETS: dict[str, dict] = {
     "fig5a": {
         "kind": "field",
         "note": "33-source coherent beam, sigma_I = 10 um",
-        "config": {"source.kind": "line", "source.sigma_i": 10 * _UM},
+        "config": {"source.xs_min": -4e-6, "source.sigma_i": 10 * _UM},
     },
     "fig5b": {
         "kind": "field",
         "note": "33-source almost coherent beam, sigma_I = 1 um",
-        "config": {"source.kind": "line", "source.sigma_i": 1 * _UM},
+        "config": {"source.xs_min": -4e-6, "source.sigma_i": 1 * _UM},
     },
     "fig5c": {
         "kind": "field",
         "note": "33-source almost noncoherent beam, sigma_I = 0.3 um",
-        "config": {"source.kind": "line", "source.sigma_i": 0.3 * _UM},
+        "config": {"source.xs_min": -4e-6, "source.sigma_i": 0.3 * _UM},
     },
     "fig6": {
         "kind": "gsm-profiles",
         "note": "fringe cross-sections at z = zT for sigma_I = 1 um and 0.1 um",
-        "config": {"source.kind": "line"},
+        "config": {"source.xs_min": -4e-6},
         "sigmas": (1 * _UM, 0.1 * _UM),
     },
     "fig7": {
         "kind": "sigma-sweep",
         "note": "pedestal and visibility vs coherence width",
-        "config": {"source.kind": "line"},
+        "config": {"source.xs_min": -4e-6},
         "sigmas": tuple(np.logspace(-2, 2, 17) * _UM),
     },
     "fig8a": {
@@ -170,7 +171,7 @@ PRESETS: dict[str, dict] = {
     "fig12": {
         "kind": "field",
         "note": "wavelength-averaged density, mean 5 pm, sigma_g 2.25 pm",
-        "config": dict(_PARAXIAL_8_9, **_X4, **{"spectral.enabled": True}),
+        "config": dict(_PARAXIAL_8_9, **_X4, **{"spectral.mean": 5e-12}),
     },
     "fig14a": {
         "kind": "field",

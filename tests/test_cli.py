@@ -16,7 +16,7 @@ particle.lambda = 5pm
 source.zs = -inf
 grating0.slits = 8
 grating1.slits = 9
-spectral.enabled = true
+spectral.mean = 5pm
 """
 
 PARAXIAL_8_9 = """\
@@ -79,10 +79,10 @@ class TestRun:
         "grid.x_min = -inf",
         "grating1.pitch = inf",
         "source.xs = inf",
-        "spectral.enabled = true\nspectral.mean = inf",
+        "spectral.mean = inf",
         "grating1.comb_k = 3\ngrating1.comb_eta = 1e400",
-        "source.kind = line\nsource.xs_min = -inf",
-        "spectral.enabled = true\nspectral.lambda_max = inf",
+        "source.xs_min = -inf",
+        "spectral.lambda_max = inf",
     ])
     def test_non_finite_geometry_exits_1_without_files(self, tmp_path, capsys, line):
         cfg = tmp_path / "inf.cfg"
@@ -93,17 +93,6 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert "finite" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
-
-    @pytest.mark.parametrize("lines", [
-        "scenario.propagator = standard\ngrating1.comb_k = 16\n",
-    ])
-    def test_ignored_comb_exits_1_without_files(self, tmp_path, capsys, lines):
-        cfg = tmp_path / "comb.cfg"
-        cfg.write_text(SMALL_CONFIG + lines)
-        out = tmp_path / "o"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "propagator" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_paraxial_comb_runs(self, tmp_path):
         cfg = tmp_path / "comb.cfg"
@@ -183,7 +172,7 @@ class TestScan:
     def test_sigma_scan_visibility_ascends(self, tmp_path):
         cfg = tmp_path / "line.cfg"
         cfg.write_text(
-            "particle.lambda = 5pm\nsource.kind = line\n"
+            "particle.lambda = 5pm\n"
             "source.xs_min = -1um\nsource.xs_max = 1um\nsource.xs_step = 0.25um\n"
             "grating0.slits = 8\ngrating1.slits = 9\n"
         )

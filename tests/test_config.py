@@ -7,6 +7,7 @@ import pytest
 from tlsim.config import (
     SCHEMA,
     ConfigError,
+    build_run_config,
     config_help,
     parse_config,
     parse_length,
@@ -71,6 +72,11 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
                 parse_config(MINIMAL + f"{key} = {value}\n")
 
+    def test_unknown_key_in_a_value_mapping_rejected(self):
+        # presets and other callers of build_run_config get the same check
+        with pytest.raises(ConfigError, match="unknown key 'grid.nxx'"):
+            build_run_config({"particle.lambda": 5e-12, "grid.nxx": 3})
+
     def test_all_problems_reported_with_line_numbers(self):
         text = "particle.lambda = 5parsec\nbogus.key = 1\ngrating0.slits = many\n"
         with pytest.raises(ConfigError) as err:
@@ -92,15 +98,18 @@ class TestParseConfig:
         assert rc.grid.nx == 16
 
     def test_line_source_positions(self):
-        rc = parse_config(MINIMAL + "source.kind = line\n")
+        rc = parse_config(MINIMAL + "source.xs_min = -4um\n")
         xs = rc.scenario.source.x_positions
         assert len(xs) == 33
         assert xs[0] == pytest.approx(-4e-6) and xs[-1] == pytest.approx(4e-6)
 
     @pytest.mark.parametrize("lines, last, count", [
-        ("spectral.enabled = true\nspectral.lambda_step = 0.3pm\n", 7.8e-12, 17),
-        ("source.kind = line\nsource.xs_min = 0\nsource.xs_max = 1um\n"
+        ("spectral.lambda_step = 0.3pm\n", 7.8e-12, 17),
+        ("source.xs_min = 0\nsource.xs_max = 1um\n"
          "source.xs_step = 0.3um\n", 0.9e-6, 4),
+        # one range or band key alone picks the line or the band
+        ("source.xs_min = -2um\n", 4e-6, 25),
+        ("spectral.mean = 4pm\n", 8e-12, 21),
     ])
     def test_range_stops_at_its_max(self, lines, last, count):
         src = parse_config(MINIMAL + lines).scenario.source
@@ -110,12 +119,23 @@ class TestParseConfig:
     def test_range_entry_count_bounded(self):
         # 5001 positions: harmless to build, but past the 4096-entry cap
         with pytest.raises(ConfigError, match="give 5001 entries, more than 4096"):
-            parse_config(MINIMAL + "source.kind = line\nsource.xs_step = 1.6nm\n")
+            parse_config(MINIMAL + "source.xs_step = 1.6nm\n")
+
+    @pytest.mark.parametrize("lines, message", [
+        ("source.xs = 3um\nsource.xs_max = 5um\n", "source.xs sets a point, .* a line: set one"),
+        ("source.sigma_i = 1um\n", "source.sigma_i needs a line source"),
+        ("source.xs_min = 1um\nsource.xs_max = 1um\nsource.sigma_i = 1um\n",
+         "source.sigma_i needs a line source"),
+        ("source.zs = -inf\nsource.xs = 0\n", "source.xs does not reach the field of a paraxial"),
+    ])
+    def test_key_the_source_never_reads_rejected(self, lines, message):
+        with pytest.raises(ConfigError, match=f"source: {message}"):
+            parse_config(MINIMAL + lines)
 
     def test_spectral_band(self):
         rc = parse_config(
             MINIMAL
-            + "spectral.enabled = true\nsource.zs = -inf\nscenario.region = behind\n"
+            + "spectral.mean = 5pm\nsource.zs = -inf\nscenario.region = behind\n"
             + "grid.z_min = 0.05\n"
         )
         band = rc.scenario.source.spectral.lambda_list
@@ -150,11 +170,12 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("output.log_scale", "true"), ("sweep.param", "lambda"), ("sweep.values", "3pm, 5pm"),
-        ("scenario.propagator", "hard-edge"),
+        ("scenario.propagator", "hard-edge"), ("source.kind", "line"), ("spectral.enabled", "true"),
     ])
     def test_run_options_are_not_config_keys(self, key, value):
         # --log-scale and scan --param/--values are the only way to set the
-        # first three; grating 1's comb_k/comb_eta pick the slit model
+        # first three; grating 1's comb_k/comb_eta pick the slit model, and
+        # the range and band keys a config sets pick its source
         with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
             parse_config(MINIMAL + f"{key} = {value}\n")
 
@@ -216,11 +237,11 @@ class TestParseConfig:
         ("grid.z_max = inf", "grid"),
         ("grating1.comb_k = 3\ngrating1.comb_eta = 1e400", "grating1"),
         ("source.xs = inf", "source"),
-        ("spectral.enabled = true\nspectral.mean = inf", "source"),
-        ("source.kind = line\nsource.xs_min = -inf", "source"),
-        ("source.kind = line\nsource.xs_step = inf", "source"),
-        ("source.kind = line\nsource.xs_min = -1e308\nsource.xs_max = 1e308", "source"),
-        ("spectral.enabled = true\nspectral.lambda_max = inf", "source"),
+        ("spectral.mean = inf", "source"),
+        ("source.xs_min = -inf", "source"),
+        ("source.xs_step = inf", "source"),
+        ("source.xs_min = -1e308\nsource.xs_max = 1e308", "source"),
+        ("spectral.lambda_max = inf", "source"),
     ])
     def test_non_finite_geometry_rejected(self, line, section):
         with pytest.raises(ConfigError, match=f"{section}: .*finite"):

@@ -124,7 +124,7 @@ def test_profiles_kind_averages_a_spectral_source(tmp_path):
     PRESETS["_tiny_profiles"] = {
         "kind": "profiles",
         "note": "test entry",
-        "config": {"grating0.slits": 4, "grating1.slits": 3, "spectral.enabled": True,
+        "config": {"grating0.slits": 4, "grating1.slits": 3,
                    "spectral.lambda_step": 1e-12},
         "z_fractions": (0.5,),
     }
@@ -145,7 +145,6 @@ def test_profiles_kind_averages_a_spectral_source(tmp_path):
 
 def _tiny_line_config():
     return {
-        "source.kind": "line",
         "source.xs_min": -1e-6,
         "source.xs_max": 1e-6,
         "source.xs_step": 0.5e-6,
