@@ -67,11 +67,13 @@ def gsm_average(psi_per_source: np.ndarray, source: SourceSpec):
     sources j in index order, one elementwise pass per j over the (S, 2 nx)
     real view of the fields (re and im interleaved; kappa is real), and the S
     products are folded by ``reduce_paths``.  That is S^2 * nx kernel terms
-    in O(S * nx) memory.  No BLAS: its accumulation order may
-    depend on nx, and every order here depends on S alone, so a single
-    sample, a column slice or a chunk of a row is bit-identical to the whole
-    row.  The imaginary part is kept from the full, unsymmetrised product, so
-    its size measures the round-off of the form.
+    in O(S * nx) memory.  No BLAS: a product over this form would have nx
+    in its shape, and BLAS picks its kernel and order by shape.  (The
+    behind-G1 contraction calls BLAS only at shapes fixed by the slit
+    lattices.)  Every order here depends on S alone, so a single sample, a
+    column slice or a chunk of a row is bit-identical to the whole row.
+    The imaginary part is kept from the full, unsymmetrised product, so its
+    size measures the round-off of the form.
     """
     F = np.asarray(psi_per_source, dtype=complex)
     S = len(source.x_positions)

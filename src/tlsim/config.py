@@ -250,8 +250,9 @@ def build_run_config(vals: dict) -> RunConfig:
         # the same two keys apply_sweep_value refuses to sweep
         if "source.sigma_i" in given and not src.gsm:
             raise DomainError("source.sigma_i needs a line source of two or more positions")
-        if "source.xs" in given and src.paraxial:
-            raise DomainError("source.xs does not reach the field of a paraxial source (zs = -inf)")
+        if src.paraxial and (line or "source.xs" in given):
+            what = "the line source.xs_min/_max/_step" if line else "source.xs"
+            raise DomainError(f"{what} does not reach the field of a paraxial source (zs = -inf)")
         return src
 
     source = attempt("source", make_source)

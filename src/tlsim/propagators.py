@@ -42,10 +42,11 @@ over (x0, x1), (tile, x0) and (tile, x1): N0*N1 + tiles*(N0 + N1) complex
 exponentials per call.  ``between_row`` and the factorised kernel therefore
 need slit centres x[n] = x[0] + n*d up to round-off and reject any other
 array with a DomainError.  Tile centres sit on a lattice in absolute x whose
-spacing follows from the geometry, and the contraction runs in a fixed order,
-so a sample's value does not depend on which other samples share its row.
-The comb and single fuzzy paths keep the direct one-exponential-per-path
-kernel.
+spacing follows from the geometry, and the contraction over x0 runs as BLAS
+matmuls of a shape fixed by (N0, N1) (the block rule of
+:func:`_behind_factorised`), so a sample's value does not depend on which
+other samples share its row, nor on the BLAS thread count.  The comb and
+single fuzzy paths keep the direct one-exponential-per-path kernel.
 
 Every detector position must be finite; a NaN or infinite x or z raises a
 DomainError.
@@ -274,17 +275,17 @@ def between_row(
     np.exp(env, out=env)
 
     # Re phi = phi0[n] + Re(qc) x^2 + 2 Re(q) g_s x + kappa x x0[n], with
-    # g_s = -x_s/(z0 - z_s) and x0[n] = x0[0] + n d0.  The (nx, N0) phasor
-    # table's complex multiplies run along the slit axis; the per-sample
-    # phasor multiplies the folded sum.
+    # g_s = -x_s/(z0 - z_s) and x0[n] = x0[0] + n d0.  The (N0, nx) phasor
+    # table takes the per-slit phasor; the per-sample phasor multiplies the
+    # folded sum.
     kappa = 2.0 * beta * q.imag
     phi0 = qc.real * x0s * x0s - 2.0 * q.real * g * x0s - q.real * dz * g * g + p3
     terms = _powers(np.exp((1j * math.pi * kappa * d0) * x), x0s.shape[0])
-    terms *= np.exp((1j * math.pi) * phi0)
-    terms.real *= env.T
-    terms.imag *= env.T
+    terms *= np.exp((1j * math.pi) * phi0)[:, None]
+    terms.real *= env
+    terms.imag *= env
     per_sample = (qc.real * x + (2.0 * q.real * (-x_s * a) + kappa * x0s[0])) * x
-    psi = reduce_paths(terms.T) * np.exp((1j * math.pi) * per_sample)
+    psi = reduce_paths(terms) * np.exp((1j * math.pi) * per_sample)
     return psi / np.sqrt(sig0)
 
 
@@ -401,6 +402,10 @@ _TILE_LOG_BOUND = 64.0
 # such, stay within about 5.
 _LATTICE_ULPS = 16.0
 
+# Samples per block of the behind-G1 contraction over x0 (see the block
+# rule of _behind_factorised).
+_BLOCK = 8
+
 
 def _lattice_pitch(xs: np.ndarray) -> float:
     """Pitch d of slit centres on one uniform lattice xs[0] + n*d.
@@ -424,15 +429,17 @@ def _lattice_pitch(xs: np.ndarray) -> float:
 
 
 def _powers(r: np.ndarray, n: int) -> np.ndarray:
-    """(len(r), n) table of r^k, k = 0..n-1: a running product along k.
+    """(n, len(r)) table of r^k, k = 0..n-1: each row is the last times r.
 
-    Its complex multiplies run along the slit axis, so their inner loops,
-    and with them each entry's rounding, do not depend on len(r).
+    The multiplies run along the sample axis, contiguously; every entry is
+    the same chain of k products whatever len(r), and numpy rounds a complex
+    multiply the same at every position and array length.
     """
-    tab = np.empty((r.shape[0], n), dtype=complex)
-    tab[:, 0] = 1.0
-    tab[:, 1:] = r[:, None]
-    return np.multiply.accumulate(tab, axis=1, out=tab)
+    tab = np.empty((n, r.shape[0]), dtype=complex)
+    tab[0] = 1.0
+    for k in range(1, n):
+        np.multiply(tab[k - 1], r, out=tab[k])
+    return tab
 
 
 def _behind_factorised(
@@ -465,13 +472,26 @@ def _behind_factorised(
         phi(x) = phi(x_c) + A delta (2 x_c + delta)
                  + delta (c_u x1 + c_v x0 + c_s),
 
-    so the sum is a per-tile path matrix M, a table U over x1 and V over x0 (``g1`` = c_u x1 and ``g0`` = c_v x0 +
-    c_s below) and a common chirp.  Both gratings are uniform lattices
-    x[n] = x[0] + n d (checked by :func:`_lattice_pitch`), so per sample
-    U[n] = U[0] r_u^n and V[n] = V[0] r_v^n: V is folded into the
-    contraction over x0 by Horner and U is a running product, and a sample
-    costs 2 complex exponentials and N0*N1 multiply-adds.  U[0] V[0] joins
-    the chirp.  M's exponent at x_c, expanded in x_c, is
+    so the sum is a per-tile path matrix M, a table U over x1 and V over x0
+    (``g1`` = c_u x1 and ``g0`` = c_v x0 + c_s below) and a common chirp.
+    Both gratings are uniform lattices x[n] = x[0] + n d (checked by
+    :func:`_lattice_pitch`), so per sample U[n] = U[0] r_u^n and V[n] =
+    V[0] r_v^n, both from :func:`_powers`; U[0] V[0] joins the chirp.  The
+    contraction over x0 groups each tile's samples into blocks of _BLOCK,
+    the last one padded, and multiplies the tile's (N1, N0) matrix M by
+    each (N0, _BLOCK) block of V with one BLAS matmul per tile.  Then U
+    multiplies the result and ``reduce_paths`` folds x1.  A sample costs 2
+    complex exponentials and N0*N1 multiply-adds, or up to _BLOCK times
+    that in a tile of fewer than _BLOCK samples.
+
+    Block rule: every matmul has the shape (N1, N0) @ (N0, _BLOCK), fixed
+    by the lattice alone, so the same BLAS kernel rounds each entry from
+    its own row of M and column of V.  A sample's bits do not depend on how
+    many samples share its row, its tile or its block, or where in the
+    block it sits, so a scalar call, its row and a permuted row agree bit
+    for bit.
+
+    M's exponent at x_c, expanded in x_c, is
 
         m = e[k, n1] + x_c (g0[k] + g1[n1]) + a_quad x_c^2,
 
@@ -507,7 +527,7 @@ def _behind_factorised(
         xc, tile_of = np.zeros(1), np.zeros(x.shape, dtype=np.intp)
     delta = x - xc[tile_of]
 
-    # (N0, tiles, N1) path matrices M = exp(i pi m), each tile scaled to a
+    # (tiles, N1, N0) path matrices M = exp(i pi m), each tile scaled to a
     # largest |M| of 1.  Each table holds i pi times its part of m, so its
     # real part adds to log|M| and its imaginary part to M's phase; the
     # tables depend on the geometry and the tile centres only.  The envelope
@@ -515,38 +535,44 @@ def _behind_factorised(
     # lets the allocator reuse M's pages from call to call instead of
     # faulting them in afresh.
     ipi = 1j * math.pi
-    t01 = (ipi * (const - (b_lin * bq - a_quad * x1s[:, None]) * x1s[:, None])).T
+    t01 = ipi * (const - (b_lin * bq - a_quad * x1s[:, None]) * x1s[:, None])
     ixc = (ipi * xc)[:, None]
     t0 = ixc * g0
     t1 = ixc * (g1 + a_quad * xc[:, None])
-    m = np.multiply(np.exp(1j * t01.imag)[:, None, :], np.exp(1j * t1.imag)[None, :, :])
-    m *= np.exp(1j * t0.imag).T[:, :, None]
-    env = np.add(t01.real[:, None, :], t1.real[None, :, :])
-    env += t0.real.T[:, :, None]
-    scale = env.max(axis=(0, 2))
-    env -= scale[:, None]
+    m = np.multiply(np.exp(1j * t01.imag)[None, :, :], np.exp(1j * t1.imag)[:, :, None])
+    m *= np.exp(1j * t0.imag)[:, None, :]
+    env = np.add(t01.real[None, :, :], t1.real[:, :, None])
+    env += t0.real[:, None, :]
+    scale = env.max(axis=(1, 2))
+    env -= scale[:, None, None]
     np.maximum(env, _LOG_FLOOR, out=env)
     np.exp(env, out=env)
     m.real *= env
     m.imag *= env
     del env
 
-    # Every complex multiply below runs along the N1 axis of an (nx, N1)
-    # array, so its inner loop, and with it the rounding of each element,
-    # does not depend on how many samples share the row.
+    # Each tile's samples fill blocks of _BLOCK slots, the last one padded;
+    # sample j sits in slot[j].  One matmul per tile covers all its blocks.
     ipd = (1j * math.pi) * delta
-    r_v = np.exp(ipd * (c_v * d0))[:, None]
-    r_u = np.exp(ipd * (c_u * d1))
-
-    # Horner over x0, highest slit first: acc = sum_k M[k] r_v^k.
-    acc = m[-1].take(tile_of, axis=0)
-    tmp = np.empty_like(acc)
-    for k in range(len(x0s) - 2, -1, -1):
-        acc *= r_v
-        np.take(m[k], tile_of, axis=0, out=tmp, mode="clip")  # unbuffered; indices in range
-        acc += tmp
-    acc *= _powers(r_u, len(x1s))
-    s = reduce_paths(acc.T)
+    counts = np.bincount(tile_of, minlength=xc.shape[0])
+    blocks = -(-counts // _BLOCK)
+    first = np.cumsum(blocks) - blocks
+    order = np.argsort(tile_of, kind="stable")
+    shift = first * _BLOCK - (np.cumsum(counts) - counts)  # slot - position in order
+    slot = np.empty_like(tile_of)
+    slot[order] = np.arange(x.shape[0]) + shift[tile_of[order]]
+    n_blk = int(blocks.sum())
+    r_v = np.zeros(n_blk * _BLOCK, dtype=complex)
+    r_v[slot] = np.exp(ipd * (c_v * d0))
+    v = _powers(r_v, len(x0s)).reshape(len(x0s), n_blk, _BLOCK).transpose(1, 0, 2)
+    acc = np.empty((len(x1s), n_blk * _BLOCK), dtype=complex)
+    acc_blocks = acc.reshape(len(x1s), n_blk, _BLOCK).transpose(1, 0, 2)
+    for t, (f, b) in enumerate(zip(first.tolist(), blocks.tolist())):
+        np.matmul(m[t], v[f:f + b], out=acc_blocks[f:f + b])
+    del v
+    terms = acc.take(slot, axis=1)
+    terms *= _powers(np.exp(ipd * (c_u * d1)), len(x1s))
+    s = reduce_paths(terms)
     with np.errstate(divide="ignore"):
         log_s = np.log(s)
     chirp = ipd * (a_quad * (2.0 * xc[tile_of] + delta) + (g1[0] + g0[0]))

@@ -127,6 +127,8 @@ class TestParseConfig:
         ("source.xs_min = 1um\nsource.xs_max = 1um\nsource.sigma_i = 1um\n",
          "source.sigma_i needs a line source"),
         ("source.zs = -inf\nsource.xs = 0\n", "source.xs does not reach the field of a paraxial"),
+        ("source.zs = -inf\nsource.xs_min = -1um\nsource.xs_max = 1um\nsource.sigma_i = 1um\n",
+         "the line source.xs_min/_max/_step does not reach the field of a paraxial"),
     ])
     def test_key_the_source_never_reads_rejected(self, lines, message):
         with pytest.raises(ConfigError, match=f"source: {message}"):

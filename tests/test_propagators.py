@@ -1,12 +1,17 @@
 import cmath
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tlsim
 from tlsim.core import (
     HBAR, PARAXIAL_ZS, DomainError, GratingSpec, Particle, SourceSpec, centered_axis,
     slit_positions,
@@ -674,6 +679,36 @@ class TestFactorisedBehind:
         rng = np.random.default_rng(seed)
         x = np.concatenate([-tails[::-1], np.sort(rng.uniform(-span, span, 41)), tails])
         _assert_matches_closed_form(lam, z_s, x_s, z1, b0, b1, x0s, x1s, x, z1 * (1.0 + past))
+
+    def test_rows_identical_across_blas_threads(self, tmp_path):
+        """The contraction's matmuls have a shape fixed by the lattice, so
+        factorised rows come out byte-identical on 1 and 2 BLAS threads: two
+        fig4a rows (32/33 slits, 800 samples) and a 512/513 row whose three
+        tiles hold several blocks each."""
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from tlsim.core import GratingSpec, slit_positions\n"
+            "from tlsim.presets import preset_run_config\n"
+            "from tlsim.propagators import behind_row\n"
+            "from tlsim.superposition import superpose_behind\n"
+            "rc = preset_run_config('fig4a')\n"
+            "rows = [superpose_behind(rc.scenario, rc.grid.x_axis(), z) for z in (0.0501, 0.1)]\n"
+            "x0s = slit_positions(GratingSpec(512, 500e-9, 37.5e-9, 0.0))\n"
+            "x1s = slit_positions(GratingSpec(513, 500e-9, 75e-9, 0.05))\n"
+            "x = np.linspace(-1e-6, 1e-6, 48)\n"
+            "rows.append(behind_row(5e-12, -0.5, 1e-6, 0.0, 0.05, 37.5e-9, 75e-9, x0s, x1s, x, 0.3))\n"
+            "np.save(sys.argv[1], np.concatenate(rows))\n"
+        )
+        src = str(Path(tlsim.__file__).resolve().parents[1])
+        saved = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            out = tmp_path / f"threads{threads}.npy"
+            subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True,
+                           timeout=300)
+            saved.append(out.read_bytes())
+        assert saved[0] == saved[1]
 
     @pytest.mark.parametrize("grating", [0, 1])
     def test_off_lattice_centre_rejected(self, grating):

@@ -14,7 +14,7 @@ from tlsim.core import (
     centered_axis, slit_positions,
 )
 from tlsim.presets import preset_run_config
-from tlsim.propagators import PathContext, between_row, psi_behind
+from tlsim.propagators import _BLOCK, PathContext, between_row, psi_behind
 from tlsim.scenario import Scenario, fingerprint, scenario_lines
 from tlsim.superposition import density, superpose_behind, superpose_between
 
@@ -161,17 +161,28 @@ class TestSuperposeBehind:
         for j in (0, 4, 8):
             assert superpose_behind(req, float(x[j]), 0.07) == row[j]
 
-    @pytest.mark.parametrize("n0, n1, x_s, z_s, propagator", [
-        (32, 33, 1e-6, -0.5, "standard"),
-        (8, 9, 0.0, PARAXIAL_ZS, "standard"),
+    @pytest.mark.parametrize("n0, n1, x_s, z_s, propagator, layout", [
+        pytest.param(32, 33, 1e-6, -0.5, "standard", "spread", id="32-33-1e-06--0.5-standard"),
+        pytest.param(8, 9, 0.0, PARAXIAL_ZS, "standard", "spread", id="8-9-0.0--inf-standard"),
+        pytest.param(1, 9, 1e-6, -0.5, "standard", "spread", id="n0=1"),
+        pytest.param(8, 1, 1e-6, -0.5, "standard", "spread", id="n1=1"),
+        *(pytest.param(32, 33, 1e-6, -0.5, "standard", count, id=f"one tile of {count}")
+          for count in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)),
+        pytest.param(32, 33, 1e-6, -0.5, "standard", "tile each", id="one sample per tile"),
     ])
-    def test_scalar_equals_row_factorised(self, fullerene, rng, n0, n1, x_s, z_s, propagator):
-        # irregularly spaced samples spanning many x-tiles: no sample's value
-        # may depend on the other samples of its row
+    def test_scalar_equals_row_factorised(self, fullerene, rng, n0, n1, x_s, z_s, propagator,
+                                          layout):
+        # no sample's value may depend on the other samples of its row, of
+        # its x-tile or of its block of _BLOCK samples in the contraction
         req = _req(fullerene, n0=n0, n1=n1, x_s=x_s, z_s=z_s, propagator=propagator)
-        x = np.sort(rng.uniform(-6e-6, 6e-6, 61))
+        if layout == "spread":  # irregularly spaced samples spanning many x-tiles
+            x, planes = np.sort(rng.uniform(-6e-6, 6e-6, 61)), (0.05, 0.0500001, 0.07, 0.14)
+        elif layout == "tile each":  # just past z1 every tile is narrower than the 0.1 um step
+            x, planes = np.linspace(-3e-6, 3e-6, 61), (0.05 * (1.0 + 1e-12),)
+        else:  # within 0.1 nm of x = 0, where a tile is centred at every z
+            x, planes = np.sort(rng.uniform(-1e-10, 1e-10, layout)), (0.0500001, 0.07, 0.14)
         perm = rng.permutation(x.size)
-        for z in (0.05, 0.0500001, 0.07, 0.14):
+        for z in planes:
             row = superpose_behind(req, x, z)
             assert all(superpose_behind(req, float(xj), z) == row[j] for j, xj in enumerate(x))
             assert np.array_equal(superpose_behind(req, x[perm], z), row[perm])
