@@ -11,8 +11,8 @@ oracle-check  compare the closed-form propagators against brute-force
 A config file describes the experiment only; how a run is shown
 (``--log-scale``) and what a scan sweeps (``--param``/``--values``, both
 required) are flags.  ``--threads`` alone sets the worker count for grid
-evaluation (default: the CPU count); results are bit-identical for any
-value.  The count, a config's grid against its region and every sweep
+rows and sweep columns (default: the CPU count); results are bit-identical
+for any value.  The count, a config's grid against its region and every sweep
 value are checked before any output is written.
 """
 
@@ -27,8 +27,9 @@ import numpy as np
 from .coherence import fringe_metrics, sweep_profiles, talbot_section
 from .config import ConfigError, config_help, parse_config, parse_length
 from .core import DomainError
-from .fieldgrid import default_workers, evaluate_grid, export_field, export_table_csv
+from .fieldgrid import evaluate_grid, export_field, export_table_csv
 from .oracle import OracleConvergenceError, quadrature_oracle, random_oracle_case
+from .parallel import WorkerError, default_workers
 from .presets import preset_names, run_preset
 from .propagators import psi_behind, psi_hard_edge
 from .scenario import SWEEPABLE_PARAMS
@@ -84,7 +85,8 @@ def cmd_scan(args) -> int:
     if args.fields:
         rc.scenario.check_in_region(f"{rc.scenario.region}-region grid", rc.grid.z_min, rc.grid.z_max)
     x, z_det = talbot_section(rc.scenario, args.samples)
-    profiles = sweep_profiles(rc.scenario, args.param, values, x, z_det)  # rejects bad values before any write
+    # rejects bad values before any write
+    profiles = sweep_profiles(rc.scenario, args.param, values, x, z_det, args.threads)
 
     os.makedirs(args.out, exist_ok=True)
     stem = _stem(args.config)
@@ -195,8 +197,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (DomainError, OracleConvergenceError, IOError) as exc:
+    except (DomainError, OracleConvergenceError, IOError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return 1
 
 

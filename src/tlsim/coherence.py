@@ -11,6 +11,12 @@ product.
 
 The scenario alone carries the wavelength: the spectral average and the
 wavelength scan evaluate one ``Scenario.with_wavelength`` copy per wavelength.
+
+A sweep splits its x samples into contiguous column chunks, one per worker,
+and runs the serial sweep on each chunk in the process pool of ``parallel``
+(reused within a process; its workers see the module state as of their
+fork).  Every kernel here sums in an order fixed by the geometry and S, not
+by the samples, so the joined columns equal the whole row bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, SourceSpec, SpectralSpec, centered_axis
+from .parallel import default_workers, map_chunks
 from .propagators import reduce_paths
 from .scenario import Scenario, apply_sweep_value
 from .superposition import density, superpose_behind, superpose_between
@@ -197,31 +204,45 @@ def talbot_section(scn: Scenario, samples: int) -> tuple[np.ndarray, float]:
     return centered_axis(*scn.metrics_window(), samples), z
 
 
-def sweep_profiles(scn: Scenario, param: str, values, x: np.ndarray,
-                   z: float) -> list[tuple[Scenario, np.ndarray]]:
+def _sweep_columns(scn: Scenario, param: str, scenarios, x: np.ndarray, z: float) -> list[np.ndarray]:
+    """The spectral density at z of each swept scenario, on the samples x.
+    A sigma_I sweep of a monochromatic GSM source evaluates its fields once
+    and re-runs only the quadratic form: the fields do not depend on sigma_I."""
+    if param == "sigma_I" and scn.source.spectral is None:
+        F = source_field_matrix(scn, x, z)
+        return [gsm_average(F, s.source) for s in scenarios]
+    return [spectral_density_profile(s, x, z) for s in scenarios]
+
+
+def sweep_profiles(scn: Scenario, param: str, values, x: np.ndarray, z: float,
+                   workers: int | None = None) -> list[tuple[Scenario, np.ndarray]]:
     """(swept scenario, spectral density at z) per value of one parameter.
 
-    Every value is applied (so validated) before any field is evaluated.  A
-    sigma_I sweep of a monochromatic GSM source evaluates its fields once and
-    re-runs only the quadratic form: the fields do not depend on sigma_I.
+    Every value is applied (so validated) before any field is evaluated.
+    The x samples are split into ``min(len(x), workers)`` contiguous chunks
+    (``workers`` defaults to the CPU count), evaluated in the process pool
+    and joined; the result is bit-identical for any worker count.
     """
     scenarios = [apply_sweep_value(scn, param, v) for v in values]
     if not scenarios:
         raise DomainError(f"{param} sweep values must not be empty")
-    if param == "sigma_I" and scn.source.spectral is None:
-        F = source_field_matrix(scn, x, z)
-        return [(s, gsm_average(F, s.source)) for s in scenarios]
-    return [(s, spectral_density_profile(s, x, z)) for s in scenarios]
+    workers = default_workers(workers)
+    x = np.asarray(x, dtype=float)
+    chunks = [(scn, param, scenarios, xc, z) for xc in np.array_split(x, min(len(x), workers) or 1)]
+    parts = map_chunks(_sweep_columns, chunks, workers)
+    return [(s, np.concatenate([part[i] for part in parts])) for i, s in enumerate(scenarios)]
 
 
-def coherence_sweep(scn: Scenario, sigma_list, *, samples: int = 2048) -> list[tuple[float, FringeMetrics]]:
+def coherence_sweep(scn: Scenario, sigma_list, *, samples: int = 2048,
+                    workers: int | None = None) -> list[tuple[float, FringeMetrics]]:
     """Fringe metrics at the z = z0 + z_T cross-section per coherence width."""
     x, z = talbot_section(scn, samples)
     return [(s.source.sigma_I, fringe_metrics(p))
-            for s, p in sweep_profiles(scn, "sigma_I", sigma_list, x, z)]
+            for s, p in sweep_profiles(scn, "sigma_I", sigma_list, x, z, workers)]
 
 
-def resonance_scan(scn: Scenario, lambda_list, *, samples: int = 1536) -> list[tuple[float, float, float]]:
+def resonance_scan(scn: Scenario, lambda_list, *, samples: int = 1536,
+                   workers: int | None = None) -> list[tuple[float, float, float]]:
     """Peak density (emittance) at the resonance detector plane per wavelength.
 
     Returns (lambda, velocity, p_max) rows.  The geometry stays fixed while
@@ -229,7 +250,7 @@ def resonance_scan(scn: Scenario, lambda_list, *, samples: int = 1536) -> list[t
     """
     z = scn.check_in_region("resonance plane z0 + 2 (z1 - z0)", resonance_plane(scn))
     x = centered_axis(*scn.metrics_window(), samples)
-    profiles = sweep_profiles(scn, "lambda", lambda_list, x, z)
+    profiles = sweep_profiles(scn, "lambda", lambda_list, x, z, workers)
     return [(s.lam, s.particle.v_z, fringe_metrics(p).p_max) for s, p in profiles]
 
 

@@ -2,21 +2,23 @@
 
 Grid evaluation is data-parallel over rows: every (x, z) sample is computed
 independently with a fixed per-point summation order, so results are
-bit-identical for any worker count and any repeated run.  No interpolation
-happens anywhere; cross-sections return the nearest sampled row.
+bit-identical for any worker count and any repeated run.  The rows go in
+contiguous chunks to the process pool of ``parallel``, which is reused
+within a process; its workers see the module state as of their fork.  No
+interpolation happens anywhere; cross-sections return the nearest sampled
+row.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DomainError, centered_axis
 from .coherence import spectral_density_profile
+from .parallel import default_workers, map_chunks
 from .scenario import Scenario, fingerprint, scenario_lines
 
 FORMATS = ("csv", "pgm", "meta")
@@ -107,16 +109,6 @@ def _eval_rows(scn: Scenario, grid: GridSpec, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def default_workers(workers: int | None = None, *, name: str = "workers") -> int:
-    """The worker count: ``workers`` if given, else the CPU count.  A count
-    below 1 raises, naming the option ``name`` it came from."""
-    if workers is None:
-        return os.cpu_count() or 1
-    if workers < 1:
-        raise DomainError(f"{name} must be >= 1, got {workers}")
-    return workers
-
-
 def evaluate_grid(scn: Scenario, grid: GridSpec, workers: int | None = None) -> DensityField:
     """Evaluate the scenario's density on the grid.
 
@@ -129,24 +121,11 @@ def evaluate_grid(scn: Scenario, grid: GridSpec, workers: int | None = None) -> 
     scn.check_in_region(f"{scn.region}-region grid", grid.z_min, grid.z_max)
     workers = default_workers(workers)
 
-    nz = grid.nz
-    if workers == 1 or nz < 4:
-        values = _eval_rows(scn, grid, 0, nz)
-    else:
-        # Chunks follow the requested count, so outputs do not depend on the
-        # host; the pool never holds more processes than chunks or CPUs.
-        chunks = min(nz, workers * 4)
-        bounds = np.linspace(0, nz, chunks + 1, dtype=int)
-        values = np.empty((nz, grid.nx), dtype=float)
-        with ProcessPoolExecutor(max_workers=min(workers, chunks, os.cpu_count() or 1)) as pool:
-            futures = [
-                (lo, hi, pool.submit(_eval_rows, scn, grid, int(lo), int(hi)))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            for lo, hi, fut in futures:
-                values[lo:hi] = fut.result()
-
+    # Chunks follow the requested count, so outputs do not depend on the
+    # host; the pool never holds more processes than chunks or CPUs.
+    bounds = np.linspace(0, grid.nz, min(grid.nz, 4 * workers) + 1, dtype=int).tolist()
+    chunks = [(scn, grid, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    values = np.concatenate(map_chunks(_eval_rows, chunks, workers))
     values.setflags(write=False)
     return DensityField(grid=grid, values=values, fingerprint=fingerprint(scn, grid.lines()))
 

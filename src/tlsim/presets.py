@@ -240,12 +240,13 @@ def preset_run_config(name: str, nx: int | None = None, nz: int | None = None):
 
 
 # Table drivers: each writes its tables through ``path(kind_ext)``, reports
-# through ``say`` and returns the lines its meta file adds to the scenario echo.
+# through ``say``, splits its sweeps over ``workers`` and returns the lines
+# its meta file adds to the scenario echo.
 
 
-def _gsm_profiles(entry, scn, grid, path, say) -> list[str]:
+def _gsm_profiles(entry, scn, grid, path, say, workers) -> list[str]:
     x, z = talbot_section(scn, 2048)
-    for scn_s, p in sweep_profiles(scn, "sigma_I", entry["sigmas"], x, z):
+    for scn_s, p in sweep_profiles(scn, "sigma_I", entry["sigmas"], x, z, workers):
         sigma = scn_s.source.sigma_I
         met = fringe_metrics(p)
         export_profile_csv(Profile(z=z, x=x, p=p), path(f"profile_sigma{sigma / _UM:g}um.csv"))
@@ -254,8 +255,8 @@ def _gsm_profiles(entry, scn, grid, path, say) -> list[str]:
     return [f"profile.z = {z:.17g}", "profile.samples = 2048"]
 
 
-def _sigma_sweep(entry, scn, grid, path, say) -> list[str]:
-    rows = coherence_sweep(scn, entry["sigmas"])
+def _sigma_sweep(entry, scn, grid, path, say, workers) -> list[str]:
+    rows = coherence_sweep(scn, entry["sigmas"], workers=workers)
     table = [(s, m.p_min, m.p_max, m.visibility) for s, m in rows]
     export_table_csv(path("sweep.csv"), "sigma_i_m,p_min,p_max,visibility", table)
     say("sigma_I(m)  P_min  P_max  V")
@@ -264,8 +265,8 @@ def _sigma_sweep(entry, scn, grid, path, say) -> list[str]:
     return [f"sweep.z = {talbot_plane(scn):.17g}"]
 
 
-def _resonance(entry, scn, grid, path, say) -> list[str]:
-    rows = resonance_scan(scn, entry["lambdas"])
+def _resonance(entry, scn, grid, path, say, workers) -> list[str]:
+    rows = resonance_scan(scn, entry["lambdas"], workers=workers)
     export_table_csv(path("sweep.csv"), "lambda_m,velocity_mps,p_max", rows)
     say("lambda(m)  velocity(m/s)  P_max")
     for lam, v, pmax in rows:
@@ -275,7 +276,7 @@ def _resonance(entry, scn, grid, path, say) -> list[str]:
     return [f"detector.z = {resonance_plane(scn):.17g}"]
 
 
-def _profiles(entry, scn, grid, path, say) -> list[str]:
+def _profiles(entry, scn, grid, path, say, workers) -> list[str]:
     x = centered_axis(grid.x_min, grid.x_max, 1024)
     extra = []
     for frac in entry["z_fractions"]:
@@ -289,15 +290,15 @@ def _profiles(entry, scn, grid, path, say) -> list[str]:
     return extra
 
 
-def _contrast(entry, scn, grid, path, say) -> list[str]:
+def _contrast(entry, scn, grid, path, say, workers) -> list[str]:
     zt = scn.z_talbot
     fa, fb = entry["z_fractions"]
     za, zb = scn.z0 + fa * zt, scn.z0 + fb * zt
     x = centered_axis(-125 * _NM, 125 * _NM, 1024)
     inside = np.abs(x) < scn.grating1.half_width
     extra = [f"contrast.za = {za:.17g}", f"contrast.zb = {zb:.17g}"]
-    rows_a = sweep_profiles(scn, "K1", entry["k_list"], x, za)
-    rows_b = sweep_profiles(scn, "K1", entry["k_list"], x, zb)
+    rows_a = sweep_profiles(scn, "K1", entry["k_list"], x, za, workers)
+    rows_b = sweep_profiles(scn, "K1", entry["k_list"], x, zb, workers)
     for (scn_k, pa), (_, pb) in zip(rows_a, rows_b):
         k = scn_k.grating1.comb_k
         _, dp = focusing_contrast(Profile(za, x, pa), Profile(zb, x, pb))
@@ -370,6 +371,6 @@ def run_preset(
         written.append(os.path.join(out_dir, f"{name}.{kind_ext}"))
         return written[-1]
 
-    extra = driver(entry, scn, grid, path, say)
+    extra = driver(entry, scn, grid, path, say, threads)
     export_meta(path("meta.txt"), scn, extra + [note], fingerprint(scn, extra))
     return written

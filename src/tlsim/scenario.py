@@ -12,6 +12,7 @@ from .core import (
     GratingSpec,
     Particle,
     SourceSpec,
+    is_paraxial,
     talbot_length,
 )
 
@@ -128,6 +129,10 @@ def apply_sweep_value(scn: Scenario, param: str, value: float) -> Scenario:
             propagator="hard-edge",
         )
     if param == "zs":
+        if scn.source.gsm and is_paraxial(value):
+            raise DomainError("zs = -inf cannot be swept on a line source of two or more "
+                              "positions: the positions do not reach the field of a "
+                              "paraxial source")
         return dataclasses.replace(
             scn, source=dataclasses.replace(scn.source, z_s=float(value))
         )

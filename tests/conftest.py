@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from tlsim import parallel
 from tlsim.core import GratingSpec, Particle, SourceSpec, PARAXIAL_ZS
 
 # Property tests draw the same examples on every run, and a slow example is
@@ -14,6 +15,15 @@ settings.register_profile("tlsim-seeds", deadline=None)
 def pytest_configure(config):
     if not config.getoption("--hypothesis-profile", None):
         settings.load_profile("tlsim")
+
+
+@pytest.fixture(autouse=True)
+def _no_cached_pool():
+    """Drop the cached worker pool after every test.  A fake executor, or a
+    pool forked while a test's monkeypatches were in place, would otherwise
+    serve the tests that follow."""
+    yield
+    parallel.shutdown_pool()
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from tlsim import fieldgrid, parallel
 from tlsim.cli import main
 from tlsim.coherence import fringe_metrics, spectral_density_profile
 from tlsim.config import parse_config
@@ -290,6 +292,20 @@ class TestScan:
         assert len(rows) == 4 and rows[-1] == one
         assert len(set(rows[1:])) == 3
 
+    def test_zs_to_paraxial_on_line_config_exits_1_without_files(self, tmp_path, capsys):
+        cfg = tmp_path / "line.cfg"
+        cfg.write_text(PARAXIAL_8_9.replace("source.zs = -inf", "source.zs = -0.5")
+                       + "source.xs_min = -1um\nsource.xs_max = 1um\nsource.xs_step = 0.5um\n"
+                       + "source.sigma_i = 1um\n")
+        out = tmp_path / "s"
+        code = main([
+            "scan", "--config", str(cfg), "--out", str(out),
+            "--param", "zs", "--values", "-0.5,-inf", "--samples", "16",
+        ])
+        assert code == 1
+        assert "paraxial source" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_xs_on_paraxial_config_exits_1_without_files(self, tmp_path, capsys):
         cfg = tmp_path / "p.cfg"
         cfg.write_text(PARAXIAL_8_9)
@@ -382,6 +398,30 @@ def test_threads_environment_variable_is_ignored(config_file, tmp_path, monkeypa
         assert main(argv + ["--out", str(out)]) == 0
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert outputs[0] and outputs[1] == outputs[0]
+
+
+def _die(*args):
+    os._exit(3)
+
+
+def _interrupt(*args):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("task, message", [
+    (_die, "error: a worker process died"),
+    (_interrupt, "error: interrupted"),
+], ids=["dead-worker", "ctrl-c"])
+def test_pool_failure_exits_1_without_traceback(config_file, tmp_path, capfd, monkeypatch,
+                                                task, message):
+    # both run in a real 2-process pool; the interrupt comes back as a task's result
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(fieldgrid, "_eval_rows", task)
+    argv = ["run", "--config", str(config_file), "--out", str(tmp_path / "o"), "--threads", "2"]
+    assert main(argv) == 1
+    err = capfd.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert parallel._pool is None
 
 
 @pytest.mark.parametrize("region, grid_line, command", [

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlsim import coherence
+from tlsim import coherence, parallel
 from tlsim.core import (
     COHERENT_SIGMA, DomainError, GratingSpec, Particle, SourceSpec, SpectralSpec, centered_axis,
 )
@@ -317,12 +317,14 @@ class TestFocusingContrast:
 
 
 def _forbid_fields(monkeypatch):
-    """Make any field evaluation by the coherence drivers fail the test."""
+    """Make any field evaluation by the coherence drivers fail the test, in
+    this process or in the worker pool, whatever the worker count."""
     def no_fields(*args, **kwargs):
         raise AssertionError("a field was evaluated before the request was checked")
 
     monkeypatch.setattr(coherence, "spectral_density_profile", no_fields)
     monkeypatch.setattr(coherence, "source_field_matrix", no_fields)
+    monkeypatch.setattr(coherence, "map_chunks", no_fields)
 
 
 class TestDrivers:
@@ -350,11 +352,7 @@ class TestDrivers:
                                                       g1_main, monkeypatch):
         scn = Scenario(particle=fullerene, grating0=g0_main, grating1=g1_main,
                        source=line_source_33, region="behind", propagator="standard")
-
-        def no_fields(*args, **kwargs):
-            raise AssertionError("source_field_matrix called before the sigma_I values were checked")
-
-        monkeypatch.setattr(coherence, "source_field_matrix", no_fields)
+        _forbid_fields(monkeypatch)
         for bad in (math.nan, -1e-6):
             with pytest.raises(DomainError, match="sigma_I"):
                 coherence_sweep(scn, [1e-6, bad])
@@ -476,12 +474,7 @@ class TestSweepProfiles:
 
     def test_every_value_checked_before_any_field(self, fullerene, monkeypatch):
         scn = _line_9(fullerene)
-
-        def no_fields(*args, **kwargs):
-            raise AssertionError("a field was evaluated before every sweep value was checked")
-
-        monkeypatch.setattr(coherence, "spectral_density_profile", no_fields)
-        monkeypatch.setattr(coherence, "source_field_matrix", no_fields)
+        _forbid_fields(monkeypatch)
         x, z = talbot_section(scn, 64)
         for param, values in (("K1", [2, 2.5]), ("lambda", [5e-12, -1]), ("sigma_I", [1e-6, math.nan])):
             with pytest.raises(DomainError):
@@ -492,3 +485,42 @@ class TestSweepProfiles:
             coherence_sweep(scn, [1e-6, math.nan], samples=64)
         with pytest.raises(DomainError, match="must not be empty"):
             sweep_profiles(scn, "K1", [], x, z)
+
+
+class TestSweepColumnSplit:
+    """A sweep's x columns split anyhow, or over any worker count, join to
+    the whole row bit for bit."""
+
+    SPLIT = (0, 1, 8, 16, 25)  # chunks of 1, 7, 8, 9 and the rest (15)
+
+    @staticmethod
+    def _case(name):
+        if name == "fig7-gsm":
+            scn = preset_run_config("fig7").scenario
+            x, z = talbot_section(scn, 40)
+            return scn, "sigma_I", (0.1e-6, 1e-6, 10e-6), x, z
+        if name == "paraxial-spectral":
+            scn = preset_run_config("fig12").scenario
+            assert scn.source.paraxial and scn.source.spectral is not None
+            x, z = talbot_section(scn, 40)
+            return scn, "zs", (-math.inf, -10.0), x, z
+        scn = preset_run_config("fig17").scenario
+        frac = 0.5 if name == "comb-at-z1" else 0.513
+        z = scn.z0 + frac * scn.z_talbot
+        assert (z == scn.z1) == (name == "comb-at-z1")
+        return scn, "K1", (16,), centered_axis(-125e-9, 125e-9, 40), z
+
+    @pytest.mark.parametrize("name", ["fig7-gsm", "paraxial-spectral", "comb-at-z1",
+                                      "comb-past-z1"])
+    def test_chunks_join_to_the_whole_row(self, name, monkeypatch):
+        scn, param, values, x, z = self._case(name)
+        whole = [p.tobytes() for _, p in sweep_profiles(scn, param, values, x, z, workers=1)]
+        bounds = self.SPLIT + (len(x),)
+        parts = [sweep_profiles(scn, param, values, x[lo:hi], z, workers=1)
+                 for lo, hi in zip(bounds[:-1], bounds[1:])]
+        for i, row in enumerate(whole):
+            assert np.concatenate([part[i][1] for part in parts]).tobytes() == row
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+        for workers in (2, 3):
+            rows = sweep_profiles(scn, param, values, x, z, workers=workers)
+            assert [p.tobytes() for _, p in rows] == whole

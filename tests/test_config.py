@@ -224,6 +224,15 @@ class TestParseConfig:
         assert par.source.paraxial and par.propagator == "standard"
         assert apply_sweep_value(par, "zs", -0.5) == scn
 
+    def test_zs_sweep_to_paraxial_on_line_rejected(self):
+        # the rule build_run_config applies to a line on a paraxial source
+        scn = parse_config(MINIMAL + "source.xs_min = -1um\nsource.xs_max = 1um\n"
+                           "source.sigma_i = 1um\n").scenario
+        assert scn.source.gsm
+        with pytest.raises(DomainError, match="paraxial source"):
+            apply_sweep_value(scn, "zs", -math.inf)
+        assert apply_sweep_value(scn, "zs", -50.0).source.z_s == -50.0
+
     def test_xs_sweep_on_paraxial_scenario_rejected(self):
         scn = parse_config(
             MINIMAL + "source.zs = -inf\nscenario.region = behind\ngrid.z_min = 0.05\n"

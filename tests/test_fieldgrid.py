@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from tlsim import fieldgrid
+from tlsim import parallel
 from tlsim.core import DomainError, GratingSpec, SourceSpec
 from tlsim.fieldgrid import (
     DensityField,
@@ -310,22 +310,22 @@ class TestWorkerDefaults:
             def result(self):
                 return np.zeros((self.rows, 5))
 
-        class FakePool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
+            def cancel(self):
                 return False
+
+        class FakePool:
+            def __init__(self, max_workers, initializer=None):
+                seen.append(max_workers)
 
             def submit(self, fn, scn, grid, lo, hi):
                 submitted.append((lo, hi))
                 return FakeFuture(hi - lo)
 
-        monkeypatch.setattr(fieldgrid, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(fieldgrid.os, "cpu_count", lambda: cpus)
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
         grid = GridSpec(-1e-6, 1e-6, 0.06, 0.1, 5, nz)
         evaluate_grid(_scenario(fullerene, region="behind"), grid, workers=workers)
         assert seen == [pool]

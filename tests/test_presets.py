@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from tlsim import coherence
+from tlsim import coherence, parallel
 from tlsim.coherence import resonance_plane, talbot_plane, talbot_section
 from tlsim.core import DomainError, centered_axis
 from tlsim.presets import PRESETS, preset_names, preset_run_config, run_preset
@@ -97,9 +99,9 @@ def test_metrics_planes_have_one_definition(tmp_path, monkeypatch):
     evaluated = []
     real = coherence.sweep_profiles
 
-    def spy(scn, param, values, x, z):
+    def spy(scn, param, values, x, z, workers=None):
         evaluated.append(z)
-        return real(scn, param, values[:1], x[:8], z)
+        return real(scn, param, values[:1], x[:8], z, workers)
 
     monkeypatch.setattr(coherence, "sweep_profiles", spy)
     for name, key, plane in (("fig11", "detector.z", resonance_plane),
@@ -111,6 +113,17 @@ def test_metrics_planes_have_one_definition(tmp_path, monkeypatch):
         assert f"{key} = {plane(scn):.17g}" in meta
         assert evaluated == [plane(scn)]
     assert talbot_section(scn, 4)[1] == talbot_plane(scn)
+
+
+@pytest.mark.parametrize("name", ["fig7", "fig11", "fig17"])
+def test_sweep_preset_files_do_not_depend_on_threads(tmp_path, monkeypatch, name):
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)  # a real pool on any host
+    one = run_preset(name, tmp_path / "t1", threads=1, echo=lambda *_: None)
+    two = run_preset(name, tmp_path / "t2", threads=2, echo=lambda *_: None)
+    assert [os.path.basename(p) for p in one] == [os.path.basename(p) for p in two]
+    for a, b in zip(one, two):
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            assert fa.read() == fb.read(), os.path.basename(a)
 
 
 def test_profiles_preset_reports_integrals(tmp_path, capsys):
