@@ -5,18 +5,19 @@ contrast).
 The per-source complex fields are computed once per detector point and then
 combined through the S x S coherence kernel, so sweeping the coherence width
 costs only the quadratic form, not new propagator work.  The form contracts
-G = kappa . F over the sources in index order and then folds conj(F_i) * G_i
-over i: S^2 * nx multiply-adds in O(S * nx) memory, never an S x S x nx
-product.
+G = kappa . F over the sources as BLAS matmuls of a shape fixed by S (the
+block rule of :func:`gsm_average`) and then folds conj(F_i) * G_i over i:
+S^2 * nx multiply-adds in O(S * nx) memory, never an S x S x nx product.
 
 The scenario alone carries the wavelength: the spectral average and the
 wavelength scan evaluate one ``Scenario.with_wavelength`` copy per wavelength.
 
-A sweep splits its x samples into contiguous column chunks, one per worker,
-and runs the serial sweep on each chunk in the process pool of ``parallel``
-(reused within a process; its workers see the module state as of their
-fork).  Every kernel here sums in an order fixed by the geometry and S, not
-by the samples, so the joined columns equal the whole row bit for bit.
+A sweep, or a set of planes, splits its x samples into contiguous column
+chunks, one per worker, and runs the serial evaluation on each chunk in the
+process pool of ``parallel`` (reused within a process; its workers see the
+module state as of their fork).  Every kernel here sums in an order fixed by
+the geometry and S, not by the samples, so the joined columns equal the
+whole row bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ from .scenario import Scenario, apply_sweep_value
 from .superposition import density, superpose_behind, superpose_between
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# Samples per block of the GSM contraction G = kappa . F (see the block rule
+# of gsm_average).  Widths from 8 to 256 time alike at S = 33; below 8 the
+# per-block matmul call shows.  The smallest such width pads a short call
+# least: a single sample costs 8 samples' multiply-adds.
+_GSM_BLOCK = 8
 
 
 class CoherenceConsistencyError(RuntimeError):
@@ -70,31 +77,37 @@ def gsm_average(psi_per_source: np.ndarray, source: SourceSpec):
     negative excursion from round-off is clamped to zero; anything beyond
     1e-12 of the incoherent level raises.
 
-    p = sum_i conj(F_i) * G_i with G = kappa . F.  G is accumulated over the
-    sources j in index order, one elementwise pass per j over the (S, 2 nx)
-    real view of the fields (re and im interleaved; kappa is real), and the S
-    products are folded by ``reduce_paths``.  That is S^2 * nx kernel terms
-    in O(S * nx) memory.  No BLAS: a product over this form would have nx
-    in its shape, and BLAS picks its kernel and order by shape.  (The
-    behind-G1 contraction calls BLAS only at shapes fixed by the slit
-    lattices.)  Every order here depends on S alone, so a single sample, a
-    column slice or a chunk of a row is bit-identical to the whole row.
-    The imaginary part is kept from the full, unsymmetrised product, so its
-    size measures the round-off of the form.
+    p = sum_i conj(F_i) * G_i with G = kappa . F.  The fields are padded
+    with zeros to whole blocks of _GSM_BLOCK samples, each block is viewed
+    as real (S, 2 _GSM_BLOCK) values (re and im interleaved; kappa is real)
+    and one batched matmul multiplies the (S, S) kernel into every block.
+    The S products conj(F_i) * G_i are folded by ``reduce_paths``.  That is
+    S^2 * nx kernel terms in O(S * nx) memory.
+
+    Block rule: every matmul has the shape (S, S) @ (S, 2 _GSM_BLOCK), fixed
+    by S alone, so the same BLAS kernel rounds each entry from its own
+    column of the block.  A sample's bits do not depend on how many samples
+    share its row, chunk or block, or where in the block it sits, nor on
+    the BLAS thread count; a single sample, a column slice or a chunk of a
+    row is bit-identical to the whole row.  The imaginary part is kept from
+    the full, unsymmetrised product, so its size measures the round-off of
+    the form.
     """
     F = np.asarray(psi_per_source, dtype=complex)
     S = len(source.x_positions)
     if F.ndim not in (1, 2) or F.shape[0] != S:
         raise DomainError(f"need one field per source, shape (S,) or (S, nx): "
                           f"got shape {F.shape}, {S} sources")
-    Fv = np.ascontiguousarray(F.reshape(S, -1)).view(float)
-    kappa = _kappa(source)
-    G = kappa[:, 0, None] * Fv[0]
-    term = np.empty_like(G)
-    for j in range(1, S):
-        G += np.multiply(kappa[:, j, None], Fv[j], out=term)
-    fr, fi = Fv[:, 0::2], Fv[:, 1::2]
-    gr, gi = G[:, 0::2], G[:, 1::2]
+    nx = F.size // S
+    n_blk = -(-nx // _GSM_BLOCK)
+    Fv = np.zeros((S, 2 * n_blk * _GSM_BLOCK))
+    Fv.view(complex)[:, :nx] = F.reshape(S, nx)
+    G = np.empty_like(Fv)
+    blocks = (S, n_blk, 2 * _GSM_BLOCK)
+    np.matmul(_kappa(source), Fv.reshape(blocks).transpose(1, 0, 2),
+              out=G.reshape(blocks).transpose(1, 0, 2))
+    fr, fi = Fv[:, 0:2 * nx:2], Fv[:, 1:2 * nx:2]
+    gr, gi = G[:, 0:2 * nx:2], G[:, 1:2 * nx:2]
     re = reduce_paths(fr * gr + fi * gi)
     im = reduce_paths(fr * gi - fi * gr)
 
@@ -204,7 +217,18 @@ def talbot_section(scn: Scenario, samples: int) -> tuple[np.ndarray, float]:
     return centered_axis(*scn.metrics_window(), samples), z
 
 
-def _sweep_columns(scn: Scenario, param: str, scenarios, x: np.ndarray, z: float) -> list[np.ndarray]:
+def _split_columns(fn, x: np.ndarray, workers: int | None, *args) -> list[np.ndarray]:
+    """The profiles ``fn(x, *args)`` returns, with x split into
+    ``min(len(x), workers)`` contiguous chunks (``workers`` defaults to the
+    CPU count), evaluated in the process pool and joined per profile."""
+    workers = default_workers(workers)
+    x = np.asarray(x, dtype=float)
+    chunks = [(xc, *args) for xc in np.array_split(x, min(len(x), workers) or 1)]
+    parts = map_chunks(fn, chunks, workers)
+    return [np.concatenate(cols) for cols in zip(*parts)]
+
+
+def _sweep_columns(x: np.ndarray, scn: Scenario, param: str, scenarios, z: float) -> list[np.ndarray]:
     """The spectral density at z of each swept scenario, on the samples x.
     A sigma_I sweep of a monochromatic GSM source evaluates its fields once
     and re-runs only the quadratic form: the fields do not depend on sigma_I."""
@@ -219,18 +243,24 @@ def sweep_profiles(scn: Scenario, param: str, values, x: np.ndarray, z: float,
     """(swept scenario, spectral density at z) per value of one parameter.
 
     Every value is applied (so validated) before any field is evaluated.
-    The x samples are split into ``min(len(x), workers)`` contiguous chunks
-    (``workers`` defaults to the CPU count), evaluated in the process pool
-    and joined; the result is bit-identical for any worker count.
+    The x columns are split over ``workers`` processes and joined; the
+    result is bit-identical for any worker count.
     """
     scenarios = [apply_sweep_value(scn, param, v) for v in values]
     if not scenarios:
         raise DomainError(f"{param} sweep values must not be empty")
-    workers = default_workers(workers)
-    x = np.asarray(x, dtype=float)
-    chunks = [(scn, param, scenarios, xc, z) for xc in np.array_split(x, min(len(x), workers) or 1)]
-    parts = map_chunks(_sweep_columns, chunks, workers)
-    return [(s, np.concatenate([part[i] for part in parts])) for i, s in enumerate(scenarios)]
+    profiles = _split_columns(_sweep_columns, x, workers, scn, param, scenarios, z)
+    return list(zip(scenarios, profiles))
+
+
+def _plane_columns(x: np.ndarray, scn: Scenario, zs) -> list[np.ndarray]:
+    return [spectral_density_profile(scn, x, z) for z in zs]
+
+
+def plane_profiles(scn: Scenario, x: np.ndarray, zs, workers: int | None = None) -> list[np.ndarray]:
+    """The spectral density at each z of ``zs`` on the samples x, with the x
+    columns split over ``workers`` processes as in :func:`sweep_profiles`."""
+    return _split_columns(_plane_columns, x, workers, scn, zs)
 
 
 def coherence_sweep(scn: Scenario, sigma_list, *, samples: int = 2048,

@@ -1,9 +1,10 @@
 """One process pool per process for tlsim's data-parallel evaluations.
 
-Grid rows (``fieldgrid.evaluate_grid``) and the x columns of sweep profiles
-(``coherence.sweep_profiles``) are cut into chunks that ``map_chunks`` runs
-in order.  Each sample is computed with a summation order that does not
-depend on its chunk, so the joined result is bit-identical for any split.
+Grid rows (``fieldgrid.evaluate_grid``) and the x columns of profiles
+(``coherence.sweep_profiles`` and ``coherence.plane_profiles``) are cut
+into chunks that ``map_chunks`` runs in order.  Each sample is computed
+with a summation order that does not depend on its chunk, so the joined
+result is bit-identical for any split.
 
 The pool is created by the first call that needs more than one worker and
 is reused while that size repeats; a call of another size shuts the old

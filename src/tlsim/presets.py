@@ -18,9 +18,9 @@ from .coherence import (
     density_profile,
     fringe_metrics,
     focusing_contrast,
+    plane_profiles,
     resonance_plane,
     resonance_scan,
-    spectral_density_profile,
     sweep_profiles,
     talbot_plane,
     talbot_section,
@@ -278,10 +278,10 @@ def _resonance(entry, scn, grid, path, say, workers) -> list[str]:
 
 def _profiles(entry, scn, grid, path, say, workers) -> list[str]:
     x = centered_axis(grid.x_min, grid.x_max, 1024)
+    zs = [scn.z0 + frac * scn.z_talbot for frac in entry["z_fractions"]]
     extra = []
-    for frac in entry["z_fractions"]:
-        z = scn.z0 + frac * scn.z_talbot
-        prof = Profile(z=z, x=x, p=spectral_density_profile(scn, x, z))
+    for frac, z, p in zip(entry["z_fractions"], zs, plane_profiles(scn, x, zs, workers)):
+        prof = Profile(z=z, x=x, p=p)
         tag = f"z{frac:g}zT"
         export_profile_csv(prof, path(f"profile_{tag}.csv"))
         integral = prof.integral()
@@ -333,7 +333,9 @@ def run_preset(
 ) -> list[str]:
     """Run one preset, writing its outputs under ``out_dir``.
 
-    Returns the list of file paths written.  ``nx``/``nz`` shrink or enlarge
+    Returns the list of file paths written.  ``out_dir`` is created on the
+    first write, so a preset that fails or is interrupted while it evaluates
+    leaves nothing behind.  ``nx``/``nz`` shrink or enlarge
     the evaluation grid of field presets (profile/sweep presets have fixed
     sampling).  A field preset with a spectral source also reports the fringe
     visibility at the detector plane, averaged and monochromatic.
@@ -345,7 +347,6 @@ def run_preset(
     driver = _TABLE_DRIVERS.get(kind)
     if driver is None and kind != "field":
         raise DomainError(f"preset {name!r} has unknown kind {kind!r}")
-    os.makedirs(out_dir, exist_ok=True)
     note = f"note = {entry['note']}"
 
     def say(msg: str) -> None:
@@ -353,6 +354,7 @@ def run_preset(
 
     if kind == "field":
         field = evaluate_grid(scn, grid, workers=threads)
+        os.makedirs(out_dir, exist_ok=True)
         written = export_field(field, scn, os.path.join(out_dir, name), rc.formats,
                                log_scale=log_scale, extra=[note])
         say(f"p_min={field.p_min:.6g} p_max={field.p_max:.6g}")
@@ -368,6 +370,7 @@ def run_preset(
     written: list[str] = []
 
     def path(kind_ext: str) -> str:
+        os.makedirs(out_dir, exist_ok=True)
         written.append(os.path.join(out_dir, f"{name}.{kind_ext}"))
         return written[-1]
 

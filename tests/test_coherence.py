@@ -1,17 +1,23 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tlsim
 from tlsim import coherence, parallel
 from tlsim.core import (
     COHERENT_SIGMA, DomainError, GratingSpec, Particle, SourceSpec, SpectralSpec, centered_axis,
 )
 from tlsim.coherence import (
+    _GSM_BLOCK,
     FringeMetrics,
     _kappa,
     coherence_sweep,
@@ -148,15 +154,18 @@ class TestGsmAverage:
 
     @pytest.mark.parametrize("S", [1, 3, 33])
     def test_single_point_equals_row_sample(self, rng, S):
+        # rows one sample short of a block, a block, a block and one, two
+        # blocks and one, and 17 samples
         xs = tuple(np.arange(S) * 0.25e-6)
-        F = _random_phase_fields(rng, S, 17)
-        for sigma in (1e-7, 1e-6, COHERENT_SIGMA):
-            spec = _kernel_spec(xs, sigma)
-            row = gsm_average(F, spec)
-            for k in range(F.shape[1]):
-                p = gsm_average(F[:, k], spec)
-                assert type(p) is float
-                assert p == row[k]
+        for nx in (_GSM_BLOCK - 1, _GSM_BLOCK, _GSM_BLOCK + 1, 2 * _GSM_BLOCK + 1, 17):
+            F = _random_phase_fields(rng, S, nx)
+            for sigma in (1e-7, 1e-6, COHERENT_SIGMA):
+                spec = _kernel_spec(xs, sigma)
+                row = gsm_average(F, spec)
+                for k in range(nx):
+                    p = gsm_average(F[:, k], spec)
+                    assert type(p) is float
+                    assert p == row[k]
 
     def test_peak_memory_linear_in_sources(self, rng):
         # the outer product alone would hold S^2 * nx complex values (36 MB)
@@ -181,7 +190,7 @@ class TestGsmAverage:
 
 _gsm_cases = dict(
     S=st.integers(1, 64),
-    nx=st.integers(1, 40),
+    nx=st.integers(1, max(40, 3 * _GSM_BLOCK + 1)),  # slices cross block boundaries
     log_sigma=st.one_of(st.floats(-8.0, -4.0), st.just(math.inf)),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -216,6 +225,43 @@ class TestGsmAverageProperties:
         a = data.draw(st.integers(0, nx - 1))
         b = data.draw(st.integers(a + 1, nx))
         assert np.array_equal(gsm_average(F[:, a:b], spec), gsm_average(F, spec)[a:b])
+
+    def test_identical_across_blas_threads(self, tmp_path):
+        """Every matmul of the form has a shape fixed by S, so fig7's 33 x 2048
+        fields give byte-identical densities on 1 and 2 BLAS threads, for
+        each of its coherence widths and the coherent limit.  A 200-source
+        form, whose matmuls are larger, is checked the same way."""
+        scn = preset_run_config("fig7").scenario
+        x, z = talbot_section(scn, 2048)
+        F = source_field_matrix(scn, x, z)
+        assert F.shape == (33, 2048)
+        np.save(tmp_path / "fields.npy", F)
+        script = (
+            "import dataclasses, sys\n"
+            "import numpy as np\n"
+            "from tlsim.coherence import gsm_average\n"
+            "from tlsim.core import COHERENT_SIGMA, SourceSpec\n"
+            "from tlsim.presets import PRESETS, preset_run_config\n"
+            "src = preset_run_config('fig7').scenario.source\n"
+            "F = np.load(sys.argv[1])\n"
+            "rows = [gsm_average(F, dataclasses.replace(src, sigma_I=s))\n"
+            "        for s in (*PRESETS['fig7']['sigmas'], COHERENT_SIGMA)]\n"
+            "rng = np.random.default_rng(7)\n"
+            "G = rng.normal(size=(200, 100)) + 1j * rng.normal(size=(200, 100))\n"
+            "xs = tuple(np.arange(200) * 0.1e-6)\n"
+            "rows.append(gsm_average(G, SourceSpec(kind='line', x_positions=xs, z_s=-0.5,\n"
+            "                                      sigma_I=2e-6)))\n"
+            "np.save(sys.argv[2], np.concatenate(rows))\n"
+        )
+        src = str(Path(tlsim.__file__).resolve().parents[1])
+        saved = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            out = tmp_path / f"threads{threads}.npy"
+            subprocess.run([sys.executable, "-c", script, str(tmp_path / "fields.npy"), str(out)],
+                           env=env, check=True, timeout=300)
+            saved.append(out.read_bytes())
+        assert saved[0] == saved[1]
 
     def test_fig7_geometry_matches_outer_product(self):
         scn = preset_run_config("fig7").scenario

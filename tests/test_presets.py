@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from tlsim import coherence, parallel
+from tlsim import coherence, parallel, presets
 from tlsim.coherence import resonance_plane, talbot_plane, talbot_section
 from tlsim.core import DomainError, centered_axis
 from tlsim.presets import PRESETS, preset_names, preset_run_config, run_preset
@@ -115,7 +115,7 @@ def test_metrics_planes_have_one_definition(tmp_path, monkeypatch):
     assert talbot_section(scn, 4)[1] == talbot_plane(scn)
 
 
-@pytest.mark.parametrize("name", ["fig7", "fig11", "fig17"])
+@pytest.mark.parametrize("name", ["fig7", "fig11", "fig16", "fig17"])
 def test_sweep_preset_files_do_not_depend_on_threads(tmp_path, monkeypatch, name):
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)  # a real pool on any host
     one = run_preset(name, tmp_path / "t1", threads=1, echo=lambda *_: None)
@@ -124,6 +124,19 @@ def test_sweep_preset_files_do_not_depend_on_threads(tmp_path, monkeypatch, name
     for a, b in zip(one, two):
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read(), os.path.basename(a)
+
+
+@pytest.mark.parametrize("name, target", [("fig10b", "evaluate_grid"), ("fig16", "plane_profiles")])
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_failed_evaluation_leaves_no_directory(tmp_path, monkeypatch, name, target, error):
+    # a field preset and a table preset, failing or interrupted
+    def fail(*args, **kwargs):
+        raise error("evaluation stopped")
+
+    monkeypatch.setattr(presets, target, fail)
+    with pytest.raises(error):
+        run_preset(name, tmp_path / "out", nx=24, nz=8, echo=lambda *_: None)
+    assert not (tmp_path / "out").exists()
 
 
 def test_profiles_preset_reports_integrals(tmp_path, capsys):
