@@ -24,15 +24,15 @@ import sys
 
 import numpy as np
 
-from .coherence import fringe_metrics, sweep_profiles, talbot_section
+from .coherence import evaluate_densities, fringe_metrics, sweep_profiles, talbot_section
 from .config import ConfigError, config_help, parse_config, parse_length
 from .core import DomainError
-from .fieldgrid import evaluate_grid, export_field, export_table_csv
+from .fieldgrid import DensityField, evaluate_grid, export_field, export_table_csv
 from .oracle import OracleConvergenceError, quadrature_oracle, random_oracle_case
 from .parallel import WorkerError, default_workers
 from .presets import preset_names, run_preset
 from .propagators import psi_behind, psi_hard_edge
-from .scenario import SWEEPABLE_PARAMS
+from .scenario import SWEEPABLE_PARAMS, fingerprint
 
 
 def _read_config(path: str):
@@ -85,9 +85,12 @@ def cmd_scan(args) -> int:
     if args.fields:
         rc.scenario.check_in_region(f"{rc.scenario.region}-region grid", rc.grid.z_min, rc.grid.z_max)
     x, z_det = talbot_section(rc.scenario, args.samples)
-    # rejects bad values before any write
+    # rejects bad values before any field is evaluated
     profiles = sweep_profiles(rc.scenario, args.param, values, x, z_det, args.threads)
+    grids = evaluate_densities([s for s, _ in profiles], rc.grid.x_axis(), rc.grid.z_axis(),
+                               args.threads) if args.fields else None
 
+    # everything is evaluated before the directory and the first file are made
     os.makedirs(args.out, exist_ok=True)
     stem = _stem(args.config)
     out_path = os.path.join(args.out, f"{stem}.sweep.csv")
@@ -98,7 +101,7 @@ def cmd_scan(args) -> int:
         rows.append((v, met.p_min, met.p_max, met.visibility))
         print(f"{stem}: {v:.6g}  {met.p_min:.6g}  {met.p_max:.6g}  {met.visibility:.4f}")
         if args.fields:
-            field = evaluate_grid(scn_v, rc.grid, workers=args.threads)
+            field = DensityField(rc.grid, grids[i], fingerprint(scn_v, rc.grid.lines()))
             [fp] = export_field(field, scn_v, os.path.join(args.out, f"{stem}.{args.param}_{i}"), ("pgm",))
             print(f"wrote {fp}")
     export_table_csv(out_path, f"{args.param},p_min,p_max,visibility", rows)

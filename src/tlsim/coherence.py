@@ -12,16 +12,18 @@ S^2 * nx multiply-adds in O(S * nx) memory, never an S x S x nx product.
 The scenario alone carries the wavelength: the spectral average and the
 wavelength scan evaluate one ``Scenario.with_wavelength`` copy per wavelength.
 
-A sweep, or a set of planes, splits its x samples into contiguous column
-chunks, one per worker, and runs the serial evaluation on each chunk in the
-process pool of ``parallel`` (reused within a process; its workers see the
-module state as of their fork).  Every kernel here sums in an order fixed by
-the geometry and S, not by the samples, so the joined columns equal the
-whole row bit for bit.
+One evaluator, :func:`evaluate_densities`, serves field grids, sweeps, sets
+of planes and ``tlsim scan --fields``: it runs row blocks (x columns when
+the rows are fewer than both 2 workers and nx) in the process pool of
+``parallel``, and scenarios that differ only in sigma_I share their
+per-source fields.  Every kernel here sums in an order fixed by the
+geometry and S, not by the samples, so the joined chunks equal the whole
+array bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -217,50 +219,54 @@ def talbot_section(scn: Scenario, samples: int) -> tuple[np.ndarray, float]:
     return centered_axis(*scn.metrics_window(), samples), z
 
 
-def _split_columns(fn, x: np.ndarray, workers: int | None, *args) -> list[np.ndarray]:
-    """The profiles ``fn(x, *args)`` returns, with x split into
-    ``min(len(x), workers)`` contiguous chunks (``workers`` defaults to the
-    CPU count), evaluated in the process pool and joined per profile."""
+def _density_chunk(scenarios, x: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """The densities of :func:`evaluate_densities` on one chunk of samples."""
+    # Two or more monochromatic GSM sources that differ only in sigma_I share
+    # their per-source fields, which do not depend on sigma_I.
+    first, sigma = scenarios[0], scenarios[0].source.sigma_I
+    shared = len(scenarios) > 1 and first.source.gsm and first.source.spectral is None and all(
+        dataclasses.replace(s, source=dataclasses.replace(s.source, sigma_I=sigma)) == first
+        for s in scenarios)
+    out = np.empty((len(scenarios), len(zs), len(x)))
+    for j, z in enumerate(zs.tolist()):
+        if shared:
+            F = source_field_matrix(first, x, z)
+            out[:, j] = [gsm_average(F, s.source) for s in scenarios]
+        else:
+            out[:, j] = [spectral_density_profile(s, x, z) for s in scenarios]
+    return out
+
+
+def evaluate_densities(scenarios, x, zs, workers: int | None = None) -> np.ndarray:
+    """The spectral density of each scenario at each z of ``zs`` on the
+    samples x, shape (len(scenarios), len(zs), len(x)), over ``workers``
+    processes (default: the CPU count).
+
+    The chunks depend on (nz, nx, workers) alone: ``min(nz, 4 workers)``
+    row blocks, or ``min(nx, workers)`` x columns when the rows are fewer
+    than both 2 workers and nx (a sweep's one plane, fig16's three, fig17's
+    two).  The result is bit-identical for any split and worker count.
+    """
     workers = default_workers(workers)
     x = np.asarray(x, dtype=float)
-    chunks = [(xc, *args) for xc in np.array_split(x, min(len(x), workers) or 1)]
-    parts = map_chunks(fn, chunks, workers)
-    return [np.concatenate(cols) for cols in zip(*parts)]
-
-
-def _sweep_columns(x: np.ndarray, scn: Scenario, param: str, scenarios, z: float) -> list[np.ndarray]:
-    """The spectral density at z of each swept scenario, on the samples x.
-    A sigma_I sweep of a monochromatic GSM source evaluates its fields once
-    and re-runs only the quadratic form: the fields do not depend on sigma_I."""
-    if param == "sigma_I" and scn.source.spectral is None:
-        F = source_field_matrix(scn, x, z)
-        return [gsm_average(F, s.source) for s in scenarios]
-    return [spectral_density_profile(s, x, z) for s in scenarios]
+    zs = np.asarray(zs, dtype=float)
+    if len(zs) >= min(len(x), 2 * workers):
+        axis, chunks = 1, [(scenarios, x, zc)
+                           for zc in np.array_split(zs, min(len(zs), 4 * workers) or 1)]
+    else:
+        axis, chunks = 2, [(scenarios, xc, zs) for xc in np.array_split(x, min(len(x), workers) or 1)]
+    return np.concatenate(map_chunks(_density_chunk, chunks, workers), axis=axis)
 
 
 def sweep_profiles(scn: Scenario, param: str, values, x: np.ndarray, z: float,
                    workers: int | None = None) -> list[tuple[Scenario, np.ndarray]]:
-    """(swept scenario, spectral density at z) per value of one parameter.
-
-    Every value is applied (so validated) before any field is evaluated.
-    The x columns are split over ``workers`` processes and joined; the
-    result is bit-identical for any worker count.
-    """
+    """(swept scenario, spectral density at z) per value of one parameter,
+    from :func:`evaluate_densities`.  Every value is applied (so validated)
+    before any field is evaluated."""
     scenarios = [apply_sweep_value(scn, param, v) for v in values]
     if not scenarios:
         raise DomainError(f"{param} sweep values must not be empty")
-    profiles = _split_columns(_sweep_columns, x, workers, scn, param, scenarios, z)
-    return list(zip(scenarios, profiles))
-
-
-def _plane_columns(x: np.ndarray, scn: Scenario, zs) -> list[np.ndarray]:
-    return [spectral_density_profile(scn, x, z) for z in zs]
-
-
-def plane_profiles(scn: Scenario, x: np.ndarray, zs, workers: int | None = None) -> list[np.ndarray]:
-    """The spectral density at each z of ``zs`` on the samples x, with the x
-    columns split over ``workers`` processes as in :func:`sweep_profiles`."""
-    return _split_columns(_plane_columns, x, workers, scn, zs)
+    return list(zip(scenarios, evaluate_densities(scenarios, x, [z], workers)[:, 0]))
 
 
 def coherence_sweep(scn: Scenario, sigma_list, *, samples: int = 2048,

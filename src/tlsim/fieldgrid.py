@@ -1,12 +1,12 @@
 """Density evaluation on rectangular (x, z) grids, cross-sections, exports.
 
-Grid evaluation is data-parallel over rows: every (x, z) sample is computed
-independently with a fixed per-point summation order, so results are
-bit-identical for any worker count and any repeated run.  The rows go in
-contiguous chunks to the process pool of ``parallel``, which is reused
-within a process; its workers see the module state as of their fork.  No
-interpolation happens anywhere; cross-sections return the nearest sampled
-row.
+A grid is evaluated by ``coherence.evaluate_densities``, the one evaluator
+from scenarios to densities, in ``min(nz, 4 workers)`` row blocks (x
+columns when the rows are fewer than both 2 workers and nx) over the
+process pool of ``parallel``.  Every (x, z) sample is computed with a
+fixed per-point summation order, so results are bit-identical for any
+worker count and any repeated run.  No interpolation happens anywhere;
+cross-sections return the nearest sampled row.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, centered_axis
-from .coherence import spectral_density_profile
-from .parallel import default_workers, map_chunks
+from .coherence import evaluate_densities
+from .parallel import default_workers  # noqa: F401  (bench/run.py imports it from here)
 from .scenario import Scenario, fingerprint, scenario_lines
 
 FORMATS = ("csv", "pgm", "meta")
@@ -100,15 +100,6 @@ class Profile:
         return float(np.trapezoid(self.p, self.x))
 
 
-def _eval_rows(scn: Scenario, grid: GridSpec, lo: int, hi: int) -> np.ndarray:
-    x = grid.x_axis()
-    zs = grid.z_axis()
-    out = np.empty((hi - lo, grid.nx), dtype=float)
-    for i in range(lo, hi):
-        out[i - lo] = spectral_density_profile(scn, x, float(zs[i]))
-    return out
-
-
 def evaluate_grid(scn: Scenario, grid: GridSpec, workers: int | None = None) -> DensityField:
     """Evaluate the scenario's density on the grid.
 
@@ -119,13 +110,7 @@ def evaluate_grid(scn: Scenario, grid: GridSpec, workers: int | None = None) -> 
     (incident field times the slit transmission).
     """
     scn.check_in_region(f"{scn.region}-region grid", grid.z_min, grid.z_max)
-    workers = default_workers(workers)
-
-    # Chunks follow the requested count, so outputs do not depend on the
-    # host; the pool never holds more processes than chunks or CPUs.
-    bounds = np.linspace(0, grid.nz, min(grid.nz, 4 * workers) + 1, dtype=int).tolist()
-    chunks = [(scn, grid, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    values = np.concatenate(map_chunks(_eval_rows, chunks, workers))
+    [values] = evaluate_densities([scn], grid.x_axis(), grid.z_axis(), workers)
     values.setflags(write=False)
     return DensityField(grid=grid, values=values, fingerprint=fingerprint(scn, grid.lines()))
 

@@ -1,10 +1,11 @@
 """One process pool per process for tlsim's data-parallel evaluations.
 
-Grid rows (``fieldgrid.evaluate_grid``) and the x columns of profiles
-(``coherence.sweep_profiles`` and ``coherence.plane_profiles``) are cut
-into chunks that ``map_chunks`` runs in order.  Each sample is computed
-with a summation order that does not depend on its chunk, so the joined
-result is bit-identical for any split.
+``coherence.evaluate_densities`` is the one caller of ``map_chunks``: it
+cuts its (z, x) samples into ``min(nz, 4 workers)`` row blocks, or into
+``min(nx, workers)`` x columns when the rows are fewer than both 2 workers
+and nx, and ``map_chunks`` runs the chunks in order.  Each sample is
+computed with a summation order that does not depend on its chunk, so the
+joined result is bit-identical for any split.
 
 The pool is created by the first call that needs more than one worker and
 is reused while that size repeats; a call of another size shuts the old

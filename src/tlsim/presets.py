@@ -16,9 +16,9 @@ import numpy as np
 from .coherence import (
     coherence_sweep,
     density_profile,
+    evaluate_densities,
     fringe_metrics,
     focusing_contrast,
-    plane_profiles,
     resonance_plane,
     resonance_scan,
     sweep_profiles,
@@ -36,7 +36,7 @@ from .fieldgrid import (
     export_profile_csv,
     export_table_csv,
 )
-from .scenario import fingerprint
+from .scenario import apply_sweep_value, fingerprint
 
 _UM = 1e-6
 _NM = 1e-9
@@ -280,7 +280,8 @@ def _profiles(entry, scn, grid, path, say, workers) -> list[str]:
     x = centered_axis(grid.x_min, grid.x_max, 1024)
     zs = [scn.z0 + frac * scn.z_talbot for frac in entry["z_fractions"]]
     extra = []
-    for frac, z, p in zip(entry["z_fractions"], zs, plane_profiles(scn, x, zs, workers)):
+    [profiles] = evaluate_densities([scn], x, zs, workers)
+    for frac, z, p in zip(entry["z_fractions"], zs, profiles):
         prof = Profile(z=z, x=x, p=p)
         tag = f"z{frac:g}zT"
         export_profile_csv(prof, path(f"profile_{tag}.csv"))
@@ -297,9 +298,8 @@ def _contrast(entry, scn, grid, path, say, workers) -> list[str]:
     x = centered_axis(-125 * _NM, 125 * _NM, 1024)
     inside = np.abs(x) < scn.grating1.half_width
     extra = [f"contrast.za = {za:.17g}", f"contrast.zb = {zb:.17g}"]
-    rows_a = sweep_profiles(scn, "K1", entry["k_list"], x, za, workers)
-    rows_b = sweep_profiles(scn, "K1", entry["k_list"], x, zb, workers)
-    for (scn_k, pa), (_, pb) in zip(rows_a, rows_b):
+    scenarios = [apply_sweep_value(scn, "K1", k) for k in entry["k_list"]]
+    for scn_k, (pa, pb) in zip(scenarios, evaluate_densities(scenarios, x, (za, zb), workers)):
         k = scn_k.grating1.comb_k
         _, dp = focusing_contrast(Profile(za, x, pa), Profile(zb, x, pb))
         export_table_csv(path(f"contrast_k{k}.csv"), "x_m,p_za,p_zb,delta_p",

@@ -45,9 +45,10 @@ def test_every_imported_tlsim_name_resolves():
 
 def test_tracer_finds_and_classifies_every_layer(tmp_path):
     tracer_mod = _load("tracer")
+    grids = (("fig4a", 64, 7), ("fig5a", 16, 4), ("fig15b", 32, 4))
     with tracer_mod.Tracer() as tracer:
         # the grids of the carpet, gsm_beam and comb_jet workloads' tiny size
-        for preset, nx, nz in (("fig4a", 64, 7), ("fig5a", 16, 4), ("fig15b", 32, 4)):
+        for preset, nx, nz in grids:
             presets.run_preset(preset, tmp_path / preset, threads=1, nx=nx, nz=nz,
                                echo=lambda *a: None)
     assert tracer.missing == []
@@ -55,6 +56,10 @@ def test_tracer_finds_and_classifies_every_layer(tmp_path):
     seen = {span[0] for span in tracer.spans}
     assert {"presets.run_preset", "propagators.behind_row", "propagators.between_row",
             "coherence.gsm_average"} <= seen
+    # bench/run.py reads fieldgrid.rows and row_ms from these spans: one per grid row
+    rows = [s for s in tracer.spans if s[0] == "coherence.spectral_density_profile"
+            and s[3] >= 0 and tracer.spans[s[3]][0] == "fieldgrid.evaluate_grid"]
+    assert len(rows) == sum(nz for _, _, nz in grids)
 
 
 def test_tracer_sees_the_sweep_drivers(tmp_path):
@@ -67,6 +72,9 @@ def test_tracer_sees_the_sweep_drivers(tmp_path):
     seen = {span[0] for span in tracer.spans}
     assert {"coherence.coherence_sweep", "coherence.resonance_scan",
             "coherence.focusing_contrast"} <= seen
+    # fig7's 17 coherence widths share the source fields of their one chunk
+    # (fig11 and fig17 have point sources)
+    assert sum(s[0] == "coherence.source_field_matrix" for s in tracer.spans) == 1
 
 
 def test_oracle_spot_checks_pass():

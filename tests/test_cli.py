@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from tlsim import fieldgrid, parallel
+from tlsim import cli, coherence, parallel
 from tlsim.cli import main
 from tlsim.coherence import fringe_metrics, spectral_density_profile
 from tlsim.config import parse_config
@@ -197,6 +197,23 @@ class TestScan:
         assert code == 0
         assert (out / "small.lambda_0.field.pgm").exists()
         assert (out / "small.lambda_1.field.pgm").exists()
+
+    def test_sigma_fields_equal_one_run_per_sigma(self, tmp_path, monkeypatch):
+        # the scan shares the source fields across sigma_I; each run does not
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+        line = SMALL_CONFIG + "source.xs_min = -1um\nsource.xs_max = 1um\nsource.xs_step = 0.5um\n"
+        cfg = tmp_path / "line.cfg"
+        cfg.write_text(line)
+        sigmas = ["10um", "1um", "0.3um"]
+        assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "s"), "--param",
+                     "sigma_I", "--values", ",".join(sigmas), "--fields", "--threads", "2"]) == 0
+        for i, sigma in enumerate(sigmas):
+            one = tmp_path / f"run{i}" / "line.cfg"
+            one.parent.mkdir()
+            one.write_text(line + f"source.sigma_i = {sigma}\n")
+            assert main(["run", "--config", str(one), "--out", str(one.parent)]) == 0
+            scanned = (tmp_path / "s" / f"line.sigma_I_{i}.field.pgm").read_bytes()
+            assert scanned == (one.parent / "line.field.pgm").read_bytes(), sigma
 
     def test_empty_values_rejected(self, config_file, tmp_path, capsys):
         out = tmp_path / "s"
@@ -416,12 +433,28 @@ def test_pool_failure_exits_1_without_traceback(config_file, tmp_path, capfd, mo
                                                 task, message):
     # both run in a real 2-process pool; the interrupt comes back as a task's result
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(fieldgrid, "_eval_rows", task)
+    monkeypatch.setattr(coherence, "_density_chunk", task)
     argv = ["run", "--config", str(config_file), "--out", str(tmp_path / "o"), "--threads", "2"]
     assert main(argv) == 1
     err = capfd.readouterr().err
     assert message in err and "Traceback" not in err
     assert parallel._pool is None
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_failed_scan_fields_leave_no_directory(config_file, tmp_path, monkeypatch, error):
+    # the profiles are evaluated, then the field grids fail or are interrupted
+    def fail(*args, **kwargs):
+        raise error("evaluation stopped")
+
+    monkeypatch.setattr(cli, "evaluate_densities", fail)
+    out = tmp_path / "out"
+    args = cli.build_parser().parse_args([
+        "scan", "--config", str(config_file), "--out", str(out),
+        "--param", "lambda", "--values", "4pm,5pm", "--samples", "16", "--fields"])
+    with pytest.raises(error):
+        args.fn(args)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("region, grid_line, command", [

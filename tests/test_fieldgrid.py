@@ -308,7 +308,7 @@ class TestWorkerDefaults:
                 self.rows = rows
 
             def result(self):
-                return np.zeros((self.rows, 5))
+                return np.zeros((1, self.rows, 5))
 
             def cancel(self):
                 return False
@@ -317,9 +317,9 @@ class TestWorkerDefaults:
             def __init__(self, max_workers, initializer=None):
                 seen.append(max_workers)
 
-            def submit(self, fn, scn, grid, lo, hi):
-                submitted.append((lo, hi))
-                return FakeFuture(hi - lo)
+            def submit(self, fn, scenarios, x, zs):
+                submitted.append((zs[0], zs[-1], len(zs)))
+                return FakeFuture(len(zs))
 
             def shutdown(self, wait=True, cancel_futures=False):
                 pass
@@ -331,7 +331,8 @@ class TestWorkerDefaults:
         assert seen == [pool]
         # the chunking still follows the requested worker count
         assert len(submitted) == chunks
-        assert submitted[0][0] == 0 and submitted[-1][1] == nz
+        assert submitted[0][0] == grid.z_min and submitted[-1][1] == grid.z_max
+        assert sum(n for _, _, n in submitted) == nz
 
 
 class TestProfileIntegrals:

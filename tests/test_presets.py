@@ -126,7 +126,7 @@ def test_sweep_preset_files_do_not_depend_on_threads(tmp_path, monkeypatch, name
             assert fa.read() == fb.read(), os.path.basename(a)
 
 
-@pytest.mark.parametrize("name, target", [("fig10b", "evaluate_grid"), ("fig16", "plane_profiles")])
+@pytest.mark.parametrize("name, target", [("fig10b", "evaluate_grid"), ("fig16", "evaluate_densities")])
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
 def test_failed_evaluation_leaves_no_directory(tmp_path, monkeypatch, name, target, error):
     # a field preset and a table preset, failing or interrupted
