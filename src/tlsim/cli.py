@@ -90,16 +90,16 @@ def cmd_scan(args) -> int:
     grids = evaluate_densities([s for s, _ in profiles], rc.grid.x_axis(), rc.grid.z_axis(),
                                args.threads) if args.fields else None
 
+    rows = [(v, m.p_min, m.p_max, m.visibility)
+            for v, m in zip(values, (fringe_metrics(p) for _, p in profiles))]
+
     # everything is evaluated before the directory and the first file are made
     os.makedirs(args.out, exist_ok=True)
     stem = _stem(args.config)
     out_path = os.path.join(args.out, f"{stem}.sweep.csv")
-    rows = []
     print(f"{stem}: {args.param}  P_min  P_max  V   (z = {z_det:.6g} m)")
-    for i, (v, (scn_v, p)) in enumerate(zip(values, profiles)):
-        met = fringe_metrics(p)
-        rows.append((v, met.p_min, met.p_max, met.visibility))
-        print(f"{stem}: {v:.6g}  {met.p_min:.6g}  {met.p_max:.6g}  {met.visibility:.4f}")
+    for i, ((v, p_min, p_max, vis), (scn_v, _)) in enumerate(zip(rows, profiles)):
+        print(f"{stem}: {v:.6g}  {p_min:.6g}  {p_max:.6g}  {vis:.4f}")
         if args.fields:
             field = DensityField(rc.grid, grids[i], fingerprint(scn_v, rc.grid.lines()))
             [fp] = export_field(field, scn_v, os.path.join(args.out, f"{stem}.{args.param}_{i}"), ("pgm",))
@@ -112,10 +112,13 @@ def cmd_scan(args) -> int:
 def cmd_oracle_check(args) -> int:
     if args.cases < 1:
         raise DomainError(f"--cases must be >= 1, got {args.cases}")
+    if args.seed < 0:
+        raise DomainError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for i in range(args.cases):
-        ctx, x, z, hard = random_oracle_case(rng, hard=(i % 3 == 2))
+        ctx, x, z = random_oracle_case(rng, hard=(i % 3 == 2))
+        hard = ctx.grating1.comb
         ref = quadrature_oracle(ctx, x, z, aperture_model="comb" if hard else "fuzzy")
         val = psi_hard_edge(ctx, x, z) if hard else psi_behind(ctx, x, z)
         err = abs(val - ref) / abs(ref)

@@ -114,7 +114,7 @@ SCHEMA: dict[str, tuple] = {
     "grating1.pitch": (parse_length, 500e-9, "length", "slit spacing d1"),
     "grating1.half_width": (parse_length, 75e-9, "length", "slit half-width b1"),
     "grating1.z": (parse_length, 0.05, "length", "grating-1 plane"),
-    "grating1.comb_k": (_parse_int, 1, "count", "comb term count K1 (1 = fuzzy slit)"),
+    "grating1.comb_k": (_parse_int, 1, "count", "comb term count K1 ((K1, eta1) != (1, 1) picks the comb)"),
     "grating1.comb_eta": (_parse_float, 1.0, "real", "comb tuning parameter eta1"),
     "source.xs": (parse_length, 0.0, "length", "point: x position (not with xs_* keys)"),
     "source.xs_min": (parse_length, -4e-6, "length", "line: first x (any xs_* key sets a line)"),
@@ -192,13 +192,15 @@ def build_run_config(vals: dict) -> RunConfig:
 
     The keys it sets pick the source: any of ``source.xs_min/_max/_step``
     makes a line, any ``spectral.*`` key a wavelength band, and a key the
-    source never reads is an error.  Collects every unknown key and every
-    independent invariant violation into one ConfigError rather than
-    stopping at the first.
+    source never reads is an error.  Grating 1's comb parameters other than
+    (1, 1.0) pick the hard-edged comb, any others its fuzzy slits.  Collects
+    every unknown key and every independent invariant violation into one
+    ConfigError rather than stopping at the first.
     """
     given = set(vals)
     line = any(key.startswith("source.xs_") for key in given)
     vals = {key: spec[1] for key, spec in SCHEMA.items() if spec[1] is not None} | vals
+    comb = (vals["grating1.comb_k"], vals["grating1.comb_eta"]) != (1, 1.0)
     problems = [(0, f"unknown key {key!r}") for key in sorted(given - SCHEMA.keys())]
 
     def attempt(section, fn):
@@ -225,7 +227,7 @@ def build_run_config(vals: dict) -> RunConfig:
             pitch=vals["grating1.pitch"],
             half_width=vals["grating1.half_width"],
             z_pos=vals["grating1.z"],
-            comb_k=vals["grating1.comb_k"],
+            comb_k=vals["grating1.comb_k"] if comb else None,
             comb_eta=vals["grating1.comb_eta"],
         )
     )
@@ -276,8 +278,6 @@ def build_run_config(vals: dict) -> RunConfig:
                 grating1=g1,
                 source=source,
                 region=vals["scenario.region"],
-                # grating 1's comb parameters are its slit model
-                propagator="hard-edge" if g1.comb else "standard",
             )
         )
 

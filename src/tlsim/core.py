@@ -82,16 +82,18 @@ class GratingSpec:
     """One diffraction grating: N identical slits on a uniform pitch.
 
     ``half_width`` is the Gaussian form-factor parameter b (the open window
-    spans 2b).  ``comb_k``/``comb_eta`` are the hard-edge propagator's comb of K
-    narrow Gaussians tuned by eta; (1, 1.0) is no comb.  Even at K = 1 the
-    hard-edge field is sqrt(2/pi)/eta times the fuzzy-slit field, not equal to it.
+    spans 2b).  The grating owns its slit model: ``comb_k = None`` is fuzzy
+    Gaussian slits, an integer K >= 1 hard-edged slits simulated by a comb of K
+    narrow Gaussians tuned by ``comb_eta``, which fuzzy slits leave at 1.0.
+    Even at K = 1, eta = 1 the comb field is sqrt(2/pi) times the fuzzy-slit
+    field, not equal to it.
     """
 
     n_slits: int
     pitch: float        # m, center-to-center
     half_width: float   # m, slit half-width b
     z_pos: float        # m, grating plane
-    comb_k: int = 1
+    comb_k: int | None = None
     comb_eta: float = 1.0
 
     def __post_init__(self) -> None:
@@ -109,15 +111,17 @@ class GratingSpec:
             raise DomainError(
                 f"open windows overlap: 2*half_width={2.0 * self.half_width} > pitch={self.pitch}"
             )
-        if not (1 <= self.comb_k <= MAX_SLITS):
+        if self.comb and not (1 <= self.comb_k <= MAX_SLITS):
             raise DomainError(f"comb_k must be in [1, {MAX_SLITS}], got {self.comb_k}")
         if not (0.0 < self.comb_eta < math.inf):
             raise DomainError(f"comb_eta must be finite and positive, got {self.comb_eta}")
+        if not self.comb and self.comb_eta != 1.0:
+            raise DomainError(f"comb_eta = {self.comb_eta} tunes a comb: set comb_k too")
 
     @property
     def comb(self) -> bool:
-        """Comb parameters other than (1, 1.0): only the hard-edge model reads them."""
-        return (self.comb_k, self.comb_eta) != (1, 1.0)
+        """Hard-edged comb slits (``comb_k`` set) rather than fuzzy ones."""
+        return self.comb_k is not None
 
     @property
     def span(self) -> float:

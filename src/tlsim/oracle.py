@@ -58,17 +58,17 @@ def _aperture1(ctx: PathContext, model: str):
     if model == "fuzzy":
         return lambda xi: gaussian_slit(xi, g1.half_width)
     if model == "comb":
-        return lambda xi: comb_form_factor(xi, g1.half_width, g1.comb_eta, g1.comb_k)
+        return lambda xi: comb_form_factor(xi, g1.half_width, g1.comb_eta, g1.comb_k or 1)
     raise DomainError(f"aperture_model must be 'fuzzy' or 'comb', got {model!r}")
 
 
-def _raw_between(ctx: PathContext, x: float, z: float, panels: int, order: int, window: float) -> complex:
+def _raw_between(ctx: PathContext, x: float, z: float, panels: int, window: float) -> complex:
     z0 = ctx.grating0.z_pos
     v = ctx.particle.v_z
     t0 = (z0 - ctx.z_s) / v
     t1 = t0 + (z - z0) / v
     b0 = ctx.grating0.half_width
-    xi0, w0 = composite_gauss_legendre(-window * b0, window * b0, panels, order)
+    xi0, w0 = composite_gauss_legendre(-window * b0, window * b0, panels)
     f = (
         gaussian_slit(xi0, b0)
         * free_kernel(x, t1, ctx.x0 + xi0, t0, ctx.particle)
@@ -78,7 +78,7 @@ def _raw_between(ctx: PathContext, x: float, z: float, panels: int, order: int, 
 
 
 def _raw_behind(
-    ctx: PathContext, x: float, z: float, panels: int, order: int, window: float, model: str
+    ctx: PathContext, x: float, z: float, panels: int, window: float, model: str
 ) -> complex:
     z0, z1 = ctx.grating0.z_pos, ctx.grating1.z_pos
     v = ctx.particle.v_z
@@ -86,8 +86,8 @@ def _raw_behind(
     t1 = t0 + (z1 - z0) / v
     t2 = t1 + (z - z1) / v
     b0, b1 = ctx.grating0.half_width, ctx.grating1.half_width
-    xi0, w0 = composite_gauss_legendre(-window * b0, window * b0, panels, order)
-    xi1, w1 = composite_gauss_legendre(-window * b1, window * b1, panels, order)
+    xi0, w0 = composite_gauss_legendre(-window * b0, window * b0, panels)
+    xi1, w1 = composite_gauss_legendre(-window * b1, window * b1, panels)
     aperture = _aperture1(ctx, model)
 
     src = w0 * gaussian_slit(xi0, b0) * free_kernel(ctx.x0 + xi0, t0, ctx.x_s, 0.0, ctx.particle)
@@ -112,7 +112,6 @@ def quadrature_oracle(
     *,
     window: float = 8.0,
     rel_tol: float = 1e-8,
-    order: int = 32,
     max_panels: int = 512,
 ) -> complex:
     """Direct numerical quadrature of the slit path integral at one point.
@@ -120,8 +119,8 @@ def quadrature_oracle(
     Returns a value directly comparable with ``between_row`` (one slit,
     ``ctx.x1 is None``), psi_behind and psi_hard_edge (see module docstring
     for the normalization).  A point on or before the last grating plane
-    crossed raises DomainError from the free kernel.  Doubles the panel count
-    until two successive results agree to ``rel_tol`` relative.
+    crossed raises DomainError from the free kernel.  Doubles the count of
+    32-point panels until two successive results agree to ``rel_tol`` relative.
     """
     if is_paraxial(ctx.z_s):
         raise DomainError("the quadrature oracle needs a finite source distance")
@@ -139,9 +138,9 @@ def quadrature_oracle(
     panels = 2
     while panels <= max_panels:
         if between:
-            val = _raw_between(ctx, x, z, panels, order, window)
+            val = _raw_between(ctx, x, z, panels, window)
         else:
-            val = _raw_behind(ctx, x, z, panels, order, window, aperture_model)
+            val = _raw_behind(ctx, x, z, panels, window, aperture_model)
         if prev is not None:
             scale = max(abs(val), 1e-300)
             if abs(val - prev) <= rel_tol * scale:
@@ -153,7 +152,7 @@ def quadrature_oracle(
     )
 
 
-def random_oracle_case(rng, hard: bool = False) -> tuple[PathContext, float, float, bool]:
+def random_oracle_case(rng, hard: bool = False) -> tuple[PathContext, float, float]:
     """One randomized behind-G1 configuration at the working scale.
 
     Wavelengths 3-8 pm, half-widths 20-100 nm, source 0.3-1 m before G0,
@@ -177,11 +176,10 @@ def random_oracle_case(rng, hard: bool = False) -> tuple[PathContext, float, flo
     ray = x1 + (x1 - x0) / z1 * (z - z1)
     width = max(b1, (z - z1) * lam / (math.pi * b1))
     x = ray + rng.uniform(-2.0, 2.0) * width
+    comb_k, comb_eta = None, 1.0  # fuzzy slits unless ``hard``
     if hard:
         comb_k = int(rng.choice([2, 4]))
         comb_eta = float(rng.uniform(0.5, 1.5))
-    else:
-        comb_k, comb_eta = 1, 1.0
     g0 = GratingSpec(n_slits=1, pitch=max(500e-9, 2.5 * b0), half_width=b0, z_pos=0.0)
     g1 = GratingSpec(
         n_slits=1, pitch=max(500e-9, 2.5 * b1), half_width=b1, z_pos=z1,
@@ -191,4 +189,4 @@ def random_oracle_case(rng, hard: bool = False) -> tuple[PathContext, float, flo
     ctx = PathContext(
         particle=particle, grating0=g0, grating1=g1, x_s=x_s, z_s=z_s, x0=x0, x1=x1
     )
-    return ctx, float(x), float(z), hard
+    return ctx, float(x), float(z)

@@ -600,8 +600,8 @@ def psi_behind(ctx: PathContext, x, z: float):
 def psi_hard_edge(ctx: PathContext, x, z: float):
     """Behind-G1 wave function with grating 1's hard-edged comb slits.
 
-    With comb_k = 1 this reduces exactly to sqrt(2/pi)/eta times
-    :func:`psi_behind`.
+    Fuzzy slits are read as the K = 1, eta = 1 comb.  With comb_k = 1 this
+    reduces exactly to sqrt(2/pi)/eta times :func:`psi_behind`.
     """
     return _behind_path(ctx, x, z, hard=True)
 
@@ -614,6 +614,6 @@ def _behind_path(ctx: PathContext, x, z: float, hard: bool):
     out = behind_row(
         ctx.lam, ctx.z_s, ctx.x_s, g0.z_pos, g1.z_pos, g0.half_width, g1.half_width,
         np.array([ctx.x0]), np.array([ctx.x1]), xr, z,
-        comb_k=g1.comb_k, comb_eta=g1.comb_eta, hard=hard,
+        comb_k=g1.comb_k or 1, comb_eta=g1.comb_eta, hard=hard,
     )
     return complex(out[0]) if scalar else out

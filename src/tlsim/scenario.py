@@ -17,34 +17,33 @@ from .core import (
 )
 
 REGIONS = ("between", "behind", "full")
-PROPAGATORS = ("standard", "hard-edge")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Particle, two gratings, source, region and G1's slit model ``propagator``
-    (standard: fuzzy slits, hard-edge: comb).  ``source.z_s = -inf`` is the paraxial form."""
+    """Particle, two gratings, source and region.  Grating 1 owns the slit model
+    (``GratingSpec.comb``).  ``source.z_s = -inf`` is the paraxial form."""
 
     particle: Particle
     grating0: GratingSpec
     grating1: GratingSpec
     source: SourceSpec
     region: str = "full"
-    propagator: str = "standard"
 
     def __post_init__(self) -> None:
         if self.region not in REGIONS:
             raise DomainError(f"region must be one of {REGIONS}, got {self.region!r}")
-        if self.propagator not in PROPAGATORS:
-            raise DomainError(f"propagator must be one of {PROPAGATORS}, got {self.propagator!r}")
         if not (self.grating0.z_pos < self.grating1.z_pos):
             raise DomainError("grating G1 must lie behind grating G0")
         if not (self.source.z_s < self.grating0.z_pos):
             raise DomainError("source must precede grating G0")
-        if self.propagator == "standard" and self.grating1.comb:
-            raise DomainError("standard propagator ignores grating 1's comb_k/comb_eta: use hard-edge")
         if self.grating0.comb:
             raise DomainError("hard-edged comb slits are supported on grating 1 only")
+
+    @property
+    def propagator(self) -> str:
+        """Grating 1's slit model by name: hard-edge for the comb, else standard."""
+        return "hard-edge" if self.grating1.comb else "standard"
 
     @property
     def lam(self) -> float:
@@ -101,7 +100,7 @@ SWEEPABLE_PARAMS = ("sigma_I", "lambda", "K1", "eta1", "zs", "xs")
 
 def apply_sweep_value(scn: Scenario, param: str, value: float) -> Scenario:
     """A copy of the scenario with one sweepable parameter replaced.  K1 and
-    eta1 describe the hard-edged comb, so they also select its propagator."""
+    eta1 describe the hard-edged comb, so they make grating 1 a comb."""
     if param == "sigma_I":
         if not scn.source.gsm:
             raise DomainError("sigma_I can only be swept on a line source of two or more "
@@ -120,14 +119,10 @@ def apply_sweep_value(scn: Scenario, param: str, value: float) -> Scenario:
         k = int(round(value))
         if k != value:
             raise DomainError(f"K1 sweep values must be integers, got {value}")
-        return dataclasses.replace(
-            scn, grating1=dataclasses.replace(scn.grating1, comb_k=k), propagator="hard-edge"
-        )
+        return dataclasses.replace(scn, grating1=dataclasses.replace(scn.grating1, comb_k=k))
     if param == "eta1":
-        return dataclasses.replace(
-            scn, grating1=dataclasses.replace(scn.grating1, comb_eta=float(value)),
-            propagator="hard-edge",
-        )
+        g1 = dataclasses.replace(scn.grating1, comb_k=scn.grating1.comb_k or 1, comb_eta=float(value))
+        return dataclasses.replace(scn, grating1=g1)
     if param == "zs":
         if scn.source.gsm and is_paraxial(value):
             raise DomainError("zs = -inf cannot be swept on a line source of two or more "
@@ -171,7 +166,7 @@ def scenario_lines(scn: Scenario) -> list[str]:
         f"grating1.pitch = {_fmt(scn.grating1.pitch)}",
         f"grating1.half_width = {_fmt(scn.grating1.half_width)}",
         f"grating1.z = {_fmt(scn.grating1.z_pos)}",
-        f"grating1.comb_k = {scn.grating1.comb_k}",
+        f"grating1.comb_k = {scn.grating1.comb_k or 1}",
         f"grating1.comb_eta = {_fmt(scn.grating1.comb_eta)}",
         f"source.kind = {src.kind}",
         f"source.xs = {','.join(_fmt(v) for v in src.x_positions)}",

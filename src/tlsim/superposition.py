@@ -49,13 +49,12 @@ def superpose_behind(scn: Scenario, x, z: float, *, x_s: float | None = None):
     if scn.region == "between":
         raise DomainError("scenario region is 'between'; behind-G1 field not available")
     xr, scalar = _as_row(x)
-    hard = scn.propagator == "hard-edge"
     g1 = scn.grating1
     out = behind_row(
         scn.lam, scn.source.z_s, _source_x(scn, x_s), scn.z0, scn.z1,
         scn.grating0.half_width, g1.half_width,
         slit_positions(scn.grating0), slit_positions(g1), xr, z,
-        comb_k=g1.comb_k, comb_eta=g1.comb_eta, hard=hard,
+        comb_k=g1.comb_k or 1, comb_eta=g1.comb_eta, hard=g1.comb,
     )
     return complex(out[0]) if scalar else out
 

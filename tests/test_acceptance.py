@@ -67,13 +67,13 @@ def test_criterion_01_oracle_equivalence():
     t0 = time.perf_counter()
     worst_fuzzy = 0.0
     for _ in range(25):
-        ctx, x, z, _ = random_oracle_case(rng)
+        ctx, x, z = random_oracle_case(rng)
         ref = quadrature_oracle(ctx, x, z, "fuzzy")
         worst_fuzzy = max(worst_fuzzy, abs(psi_behind(ctx, x, z) - ref) / abs(ref))
     worst_comb = 0.0
     k_seen = set()
     for _ in range(10):
-        ctx, x, z, _ = random_oracle_case(rng, hard=True)
+        ctx, x, z = random_oracle_case(rng, hard=True)
         ref = quadrature_oracle(ctx, x, z, "comb")
         worst_comb = max(worst_comb, abs(psi_hard_edge(ctx, x, z) - ref) / abs(ref))
         k_seen.add(ctx.grating1.comb_k)
@@ -132,7 +132,7 @@ def test_criterion_03_talbot_self_imaging():
     g1 = GratingSpec(1, PITCH, 75e-9, 2.0 * Z_TALBOT)  # parked far downstream
     src = SourceSpec(kind="point", x_positions=(0.0,), z_s=PARAXIAL_ZS)
     req = Scenario(particle=particle, grating0=g0, grating1=g1, source=src,
-                   region="between", propagator="standard")
+                   region="between")
     # N0 = 64 slits sit at half-integer multiples of the pitch; the half-length
     # image is shifted by d/2 onto integer multiples (the slit midpoints)
     worst_half = 0.0
@@ -161,7 +161,7 @@ def test_criterion_04_resonance_scan():
     g1 = GratingSpec(9, PITCH, 75e-9, Z1)
     src = SourceSpec(kind="point", x_positions=(0.0,), z_s=PARAXIAL_ZS)
     scn = Scenario(particle=particle, grating0=g0, grating1=g1, source=src,
-                   region="behind", propagator="standard")
+                   region="behind")
     lams = [3e-12 + 0.25e-12 * k for k in range(17)]
     rows = resonance_scan(scn, lams)
     pmax = np.array([r[2] for r in rows])
@@ -186,7 +186,7 @@ def coherence_sweep_rows():
     xs = tuple(-4e-6 + 0.25e-6 * k for k in range(33))
     src = SourceSpec(kind="line", x_positions=xs, z_s=-0.5)
     scn = Scenario(particle=particle, grating0=g0, grating1=g1, source=src,
-                   region="behind", propagator="standard")
+                   region="behind")
     sigmas = np.logspace(-2, 2, 17) * 1e-6
     return coherence_sweep(scn, sigmas)
 
@@ -268,7 +268,7 @@ def test_criterion_07_hard_edge_focusing():
     for K in (1, 16):
         g1 = GratingSpec(5, PITCH, b1, Z1, comb_k=K, comb_eta=1.5)
         scn = Scenario(particle=particle, grating0=g0, grating1=g1, source=src,
-                       region="behind", propagator="hard-edge")
+                       region="behind")
         pa = density_profile(scn, x, za)
         pb = density_profile(scn, x, zb)
         _, dp[K] = focusing_contrast(Profile(za, x, pa), Profile(zb, x, pb))
@@ -293,7 +293,7 @@ def test_criterion_08_beam_waist_location():
     g0 = GratingSpec(4, PITCH, 37.5e-9, 0.0)
     g1 = GratingSpec(5, PITCH, 75e-9, Z1, comb_k=64, comb_eta=1.5)
     scn = Scenario(particle=particle, grating0=g0, grating1=g1, source=src,
-                   region="behind", propagator="hard-edge")
+                   region="behind")
     grid = GridSpec(x_min=-75e-9, x_max=75e-9, z_min=Z1, z_max=0.055, nx=201, nz=501)
     field = evaluate_grid(scn, grid, workers=2)
     iz, ix = np.unravel_index(int(np.argmax(field.values)), field.values.shape)
@@ -310,7 +310,7 @@ def test_criterion_09_spectral_smearing():
     g1 = GratingSpec(9, PITCH, 75e-9, Z1)
     src = SourceSpec(kind="point", x_positions=(0.0,), z_s=PARAXIAL_ZS)
     scn = Scenario(particle=particle, grating0=g0, grating1=g1, source=src,
-                   region="behind", propagator="standard")
+                   region="behind")
     x = centered_axis(-2e-6, 2e-6, 1536)
     lams = [3e-12 + 0.25e-12 * k for k in range(21)]
     w = gaussian_spectral_weights(
@@ -365,7 +365,7 @@ def test_criterion_11_performance_contract():
     g1 = GratingSpec(33, PITCH, 75e-9, Z1)
     src = SourceSpec(kind="point", x_positions=(0.0,), z_s=-0.5)
     scn = Scenario(particle=particle, grating0=g0, grating1=g1, source=src,
-                   region="full", propagator="standard")
+                   region="full")
     grid = GridSpec(x_min=-10e-6, x_max=10e-6, z_min=0.0, z_max=0.15, nx=800, nz=600)
 
     t0 = time.perf_counter()

@@ -8,7 +8,7 @@ from tlsim import cli, coherence, parallel
 from tlsim.cli import main
 from tlsim.coherence import fringe_metrics, spectral_density_profile
 from tlsim.config import parse_config
-from tlsim.core import centered_axis
+from tlsim.core import DomainError, centered_axis
 from tlsim.fieldgrid import parse_csv, read_pgm
 from tlsim.presets import PRESETS
 from tlsim.scenario import apply_sweep_value
@@ -457,6 +457,25 @@ def test_failed_scan_fields_leave_no_directory(config_file, tmp_path, monkeypatc
     assert not out.exists()
 
 
+def test_failed_scan_metrics_leave_no_directory(config_file, tmp_path, capsys, monkeypatch):
+    # the first value's metrics succeed, the second value's fail
+    calls = []
+
+    def metrics(profile):
+        calls.append(profile)
+        if len(calls) == 2:
+            raise DomainError("profile values must be finite and non-negative")
+        return fringe_metrics(profile)
+
+    monkeypatch.setattr(cli, "fringe_metrics", metrics)
+    out = tmp_path / "out"
+    assert main(["scan", "--config", str(config_file), "--out", str(out),
+                 "--param", "lambda", "--values", "4pm,5pm", "--samples", "16"]) == 1
+    assert len(calls) == 2
+    assert capsys.readouterr().err == "error: profile values must be finite and non-negative\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("region, grid_line, command", [
     ("between", "grid.z_max = 0.12", ["run"]),
     ("behind", "grid.z_min = 0", ["scan", "--param", "lambda", "--values", "4pm,5pm",
@@ -487,6 +506,13 @@ class TestOracleCheck:
         captured = capsys.readouterr()
         assert "--cases must be >= 1" in captured.err
         assert "OK" not in captured.out
+
+    def test_negative_seed_exits_1(self, capsys):
+        # rejected before any case runs, as numpy's generator would raise
+        assert main(["oracle-check", "--cases", "1", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be >= 0, got -1\n"
+        assert captured.out == ""
 
 
 class TestHelp:

@@ -382,7 +382,7 @@ class TestDrivers:
         xs = tuple(-1e-6 + 0.25e-6 * k for k in range(9))
         src = SourceSpec(kind="line", x_positions=xs, z_s=-0.5)
         scn = Scenario(particle=fullerene, grating0=g0, grating1=g1, source=src,
-                       region="behind", propagator="standard")
+                       region="behind")
         rows = coherence_sweep(scn, np.logspace(-1, 1, 5) * 1e-6, samples=512)
         vs = [m.visibility for _, m in rows]
         for lo, hi in zip(vs, vs[1:]):
@@ -390,7 +390,7 @@ class TestDrivers:
 
     def test_sweep_rejects_empty_or_negative(self, fullerene, line_source_33, g0_main, g1_main):
         scn = Scenario(particle=fullerene, grating0=g0_main, grating1=g1_main,
-                       source=line_source_33, region="behind", propagator="standard")
+                       source=line_source_33, region="behind")
         with pytest.raises(DomainError):
             coherence_sweep(scn, [])
         with pytest.raises(DomainError):
@@ -399,7 +399,7 @@ class TestDrivers:
     def test_sweep_rejects_bad_sigma_before_any_field(self, fullerene, line_source_33, g0_main,
                                                       g1_main, monkeypatch):
         scn = Scenario(particle=fullerene, grating0=g0_main, grating1=g1_main,
-                       source=line_source_33, region="behind", propagator="standard")
+                       source=line_source_33, region="behind")
         _forbid_fields(monkeypatch)
         for bad in (math.nan, -1e-6):
             with pytest.raises(DomainError, match="sigma_I"):
@@ -411,7 +411,7 @@ class TestDrivers:
                                                           monkeypatch, kind, xs):
         src = SourceSpec(kind=kind, x_positions=xs, z_s=-0.5)
         scn = Scenario(particle=fullerene, grating0=g0_main, grating1=g1_main, source=src,
-                       region="behind", propagator="standard")
+                       region="behind")
         _forbid_fields(monkeypatch)
         with pytest.raises(DomainError, match="two or more positions"):
             coherence_sweep(scn, [0.1e-6, 10e-6], samples=16)
@@ -429,7 +429,7 @@ class TestDrivers:
         # G1 at 0.05 m; z_T = 0.1 m at 5 pm, and 0.03 m at 5 pm * 10/3
         particle = fullerene if region == "between" else Particle(fullerene.mass, 5e-12 * 10 / 3)
         scn = Scenario(particle=particle, grating0=g0_main, grating1=g1_main,
-                       source=line_source_33, region=region, propagator="standard")
+                       source=line_source_33, region=region)
         _forbid_fields(monkeypatch)
         with pytest.raises(DomainError, match=message):
             coherence_sweep(scn, [1e-6], samples=16)
@@ -439,7 +439,7 @@ class TestDrivers:
         g0 = GratingSpec(4, 500e-9, 37.5e-9, 0.0)
         g1 = GratingSpec(5, 500e-9, 75e-9, 0.05)
         scn = Scenario(particle=fullerene, grating0=g0, grating1=g1,
-                       source=plane_wave_source, region="between", propagator="standard")
+                       source=plane_wave_source, region="between")
         _forbid_fields(monkeypatch)
         with pytest.raises(DomainError, match=r"resonance plane .* at z = 0\.1 m .* between region"):
             resonance_scan(scn, [4e-12, 5e-12], samples=16)
@@ -448,7 +448,7 @@ class TestDrivers:
         g0 = GratingSpec(4, 500e-9, 37.5e-9, 0.0)
         g1 = GratingSpec(5, 500e-9, 75e-9, 0.05)
         scn = Scenario(particle=fullerene, grating0=g0, grating1=g1,
-                       source=plane_wave_source, region="behind", propagator="standard")
+                       source=plane_wave_source, region="behind")
         rows = resonance_scan(scn, [3e-12, 5e-12, 7e-12], samples=256)
         assert len(rows) == 3
         lam, v, pmax = rows[1]
@@ -461,7 +461,7 @@ class TestDrivers:
         g0 = GratingSpec(8, 500e-9, 37.5e-9, 0.0)
         g1 = GratingSpec(9, 500e-9, 75e-9, 0.05)
         scn = Scenario(particle=fullerene, grating0=g0, grating1=g1,
-                       source=plane_wave_source, region="behind", propagator="standard")
+                       source=plane_wave_source, region="behind")
         lams = [2.0e-12 + 0.125e-12 * k for k in range(9)]
         rows = resonance_scan(scn, lams, samples=768)
         pmax = [r[2] for r in rows]
@@ -472,7 +472,7 @@ class TestDrivers:
 
     def test_source_matrix_shape(self, fullerene, line_source_33, g0_main, g1_main):
         scn = Scenario(particle=fullerene, grating0=g0_main, grating1=g1_main,
-                       source=line_source_33, region="behind", propagator="standard")
+                       source=line_source_33, region="behind")
         x = centered_axis(-1e-6, 1e-6, 64)
         F = source_field_matrix(scn, x, 0.1)
         assert F.shape == (33, 64)
@@ -481,7 +481,7 @@ class TestDrivers:
         x = centered_axis(-1e-6, 1e-6, 64)
         pt = SourceSpec(kind="point", x_positions=(0.0,), z_s=-0.5)
         scn = Scenario(particle=fullerene, grating0=g0_main, grating1=g1_main,
-                       source=pt, region="behind", propagator="standard")
+                       source=pt, region="behind")
         p = density_profile(scn, x, 0.1)
         assert p.shape == x.shape and np.all(p >= 0.0)
 
@@ -509,7 +509,7 @@ def _line_9(fullerene, spectral=None):
     xs = tuple(-1e-6 + 0.25e-6 * k for k in range(9))
     src = SourceSpec(kind="line", x_positions=xs, z_s=-0.5, spectral=spectral)
     return Scenario(particle=fullerene, grating0=g0, grating1=g1, source=src,
-                    region="behind", propagator="standard")
+                    region="behind")
 
 
 class TestSweepProfiles:

@@ -28,7 +28,7 @@ def _scenario(particle, n0=3, n1=2, region="full", z_s=-0.5, **g1_kw):
     g1 = GratingSpec(n1, 500e-9, 75e-9, 0.05, **g1_kw)
     src = SourceSpec(kind="point", x_positions=(0.0,), z_s=z_s)
     return Scenario(particle=particle, grating0=g0, grating1=g1, source=src,
-                    region=region, propagator="standard")
+                    region=region)
 
 
 def _small_grid(region="full"):
@@ -345,7 +345,6 @@ class TestProfileIntegrals:
             grating1=GratingSpec(5, 500e-9, 75e-9, 0.05, comb_k=64, comb_eta=1.5),
             source=SourceSpec(kind="point", x_positions=(0.0,), z_s=-0.5),
             region="behind",
-            propagator="hard-edge",
         )
         grid = GridSpec(-250e-9, 250e-9, 0.05, 0.06, 257, 101)
         field = evaluate_grid(scn, grid, workers=2)

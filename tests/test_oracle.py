@@ -62,18 +62,18 @@ class TestOracleInterface:
             quadrature_oracle(ctx, 0.0, 0.01, aperture_model="comb")
 
     def test_unknown_aperture_model(self, fullerene, rng):
-        ctx, x, z, _ = random_oracle_case(rng)
+        ctx, x, z = random_oracle_case(rng)
         with pytest.raises(DomainError):
             quadrature_oracle(ctx, x, z, aperture_model="boxcar")
 
     def test_nonconvergence_raises(self, fullerene, rng):
-        ctx, x, z, _ = random_oracle_case(rng)
+        ctx, x, z = random_oracle_case(rng)
         with pytest.raises(OracleConvergenceError):
             quadrature_oracle(ctx, x, z, rel_tol=1e-8, max_panels=2)
 
     def test_self_consistency_across_windows(self, rng):
         # the converged value is window-independent once tails are negligible
-        ctx, x, z, _ = random_oracle_case(rng)
+        ctx, x, z = random_oracle_case(rng)
         a = quadrature_oracle(ctx, x, z, window=8.0)
         b = quadrature_oracle(ctx, x, z, window=10.0)
         assert a == pytest.approx(b, rel=1e-6)

@@ -36,10 +36,9 @@ from tlsim.scenario import Scenario, apply_sweep_value
 from tlsim.superposition import density, superpose_behind, superpose_between
 
 
-def _scenario(particle, g0, g1, x_s, z_s, region, propagator="standard"):
+def _scenario(particle, g0, g1, x_s, z_s, region):
     src = SourceSpec(kind="point", x_positions=(x_s,), z_s=z_s)
-    return Scenario(particle=particle, grating0=g0, grating1=g1, source=src,
-                    region=region, propagator=propagator)
+    return Scenario(particle=particle, grating0=g0, grating1=g1, source=src, region=region)
 
 
 def _ctx_between(particle, b0=37.5e-9, x_s=1e-6, z_s=-0.5, x0=2.5e-7):
@@ -48,7 +47,7 @@ def _ctx_between(particle, b0=37.5e-9, x_s=1e-6, z_s=-0.5, x0=2.5e-7):
 
 
 def _ctx_behind(particle, b0=37.5e-9, b1=75e-9, z1=0.05, x_s=1e-6, z_s=-0.5,
-                x0=2.5e-7, x1=-2.5e-7, comb_k=1, comb_eta=1.0):
+                x0=2.5e-7, x1=-2.5e-7, comb_k=None, comb_eta=1.0):
     g0 = GratingSpec(1, 500e-9, b0, 0.0)
     g1 = GratingSpec(1, 500e-9, b1, z1, comb_k=comb_k, comb_eta=comb_eta)
     return PathContext(particle=particle, grating0=g0, grating1=g1, x_s=x_s, z_s=z_s, x0=x0, x1=x1)
@@ -274,7 +273,7 @@ class TestPsiBehind:
         from tlsim.oracle import random_oracle_case
 
         for _ in range(5):
-            ctx, x, z, _ = random_oracle_case(rng)
+            ctx, x, z = random_oracle_case(rng)
             ref = quadrature_oracle(ctx, x, z, "fuzzy")
             assert abs(psi_behind(ctx, x, z) - ref) / abs(ref) < 1e-6
 
@@ -368,7 +367,7 @@ class TestPsiHardEdge:
         from tlsim.oracle import random_oracle_case
 
         for _ in range(4):
-            ctx, x, z, _ = random_oracle_case(rng, hard=True)
+            ctx, x, z = random_oracle_case(rng, hard=True)
             ref = quadrature_oracle(ctx, x, z, "comb")
             assert abs(psi_hard_edge(ctx, x, z) - ref) / abs(ref) < 1e-6
 
@@ -380,7 +379,7 @@ class TestPsiHardEdge:
 
         rng = np.random.default_rng(1)
         for _ in range(4):
-            ctx, x, z, _ = random_oracle_case(rng, hard=True)
+            ctx, x, z = random_oracle_case(rng, hard=True)
             g1 = dataclasses.replace(ctx.grating1, comb_k=1, comb_eta=0.7)
             ctx = dataclasses.replace(ctx, grating1=g1)
             ref = quadrature_oracle(ctx, x, z, "comb")
@@ -528,13 +527,12 @@ class TestParaxialLimitAsValue:
         The comb's offsets and widths scale with b1, so it projects the same way.
         The constant alone does not pin the source terms; the projection does."""
         pitch = pitch_scale * max(b0, b1)
-        k, eta = comb or (1, 1.0)
+        k, eta = comb or (None, 1.0)
         scn = Scenario(
             particle=Particle(mass=1.2e-24, lambda_dB=lam),
             grating0=GratingSpec(n0, pitch, b0, 0.0),
             grating1=GratingSpec(n1, pitch, b1, z1, comb_k=k, comb_eta=eta),
             source=SourceSpec(kind="point", x_positions=(x_s,), z_s=-0.5),
-            propagator="standard" if comb is None else "hard-edge",
         )
         x0s, x1s = slit_positions(scn.grating0), slit_positions(scn.grating1)
         half = max(x0s[-1], x1s[-1]) + 2e-6
@@ -556,7 +554,7 @@ class TestParaxialLimitAsValue:
                 else:
                     q = behind_row(lam, PARAXIAL_ZS, 0.0, 0.0, R * z1 / (R + z1), b0, b1 / m1,
                                    x0s - x_s, (x1s - x_s) / m1, xp, R * z / (R + z),
-                                   comb_k=k, comb_eta=eta, hard=comb is not None)
+                                   comb_k=k or 1, comb_eta=eta, hard=comb is not None)
                 q = density(q)
                 assert np.max(np.abs(p / p.max() - q / q.max())) <= 1e-11
             if diffs[1] >= self.RESOLVABLE:

@@ -13,19 +13,18 @@ from tlsim.core import (
     PARAXIAL_ZS, DomainError, GratingSpec, Particle, SourceSpec, SpectralSpec,
     centered_axis, slit_positions,
 )
+from tlsim.config import parse_config
 from tlsim.presets import preset_run_config
 from tlsim.propagators import _BLOCK, PathContext, between_row, psi_behind
-from tlsim.scenario import Scenario, fingerprint, scenario_lines
+from tlsim.scenario import Scenario, apply_sweep_value, fingerprint, scenario_lines
 from tlsim.superposition import density, superpose_behind, superpose_between
 
 
-def _req(particle, n0=4, n1=3, x_s=0.0, z_s=-0.5, region="full", propagator="standard",
-         comb_k=1, comb_eta=1.0):
+def _req(particle, n0=4, n1=3, x_s=0.0, z_s=-0.5, region="full", comb_k=None, comb_eta=1.0):
     g0 = GratingSpec(n0, 500e-9, 37.5e-9, 0.0)
     g1 = GratingSpec(n1, 500e-9, 75e-9, 0.05, comb_k=comb_k, comb_eta=comb_eta)
     src = SourceSpec(kind="point", x_positions=(x_s,), z_s=z_s)
-    return Scenario(particle=particle, grating0=g0, grating1=g1, source=src,
-                    region=region, propagator=propagator)
+    return Scenario(particle=particle, grating0=g0, grating1=g1, source=src, region=region)
 
 
 class TestSuperposeBetween:
@@ -132,17 +131,14 @@ class TestSuperposeBehind:
         assert np.allclose(whole, split, rtol=0.0, atol=1e-12 * scale)
 
     def test_parity_for_on_axis_source(self, fullerene):
-        for prop, kwargs in (
-            ("standard", {}),
-            ("hard-edge", {"comb_k": 16, "comb_eta": 1.5}),
-        ):
-            req = _req(fullerene, n0=32, n1=33, propagator=prop, **kwargs)
+        for kwargs in ({}, {"comb_k": 16, "comb_eta": 1.5}):
+            req = _req(fullerene, n0=32, n1=33, **kwargs)
             x = centered_axis(-6e-6, 6e-6, 501)
             p = density(superpose_behind(req, x, 0.15))
             assert np.max(np.abs(p - p[::-1])) <= 1e-9 * p.max()
 
     def test_parity_paraxial(self, fullerene):
-        req = _req(fullerene, n0=8, n1=9, z_s=PARAXIAL_ZS, propagator="standard")
+        req = _req(fullerene, n0=8, n1=9, z_s=PARAXIAL_ZS)
         x = centered_axis(-3e-6, 3e-6, 401)
         p = density(superpose_behind(req, x, 0.12))
         assert np.max(np.abs(p - p[::-1])) <= 1e-9 * p.max()
@@ -155,26 +151,25 @@ class TestSuperposeBehind:
         assert np.array_equal(a, b)
 
     def test_scalar_equals_row_element(self, fullerene):
-        req = _req(fullerene, n0=5, n1=4, comb_k=3, comb_eta=1.5, propagator="hard-edge")
+        req = _req(fullerene, n0=5, n1=4, comb_k=3, comb_eta=1.5)
         x = np.linspace(-2e-6, 2e-6, 9)
         row = superpose_behind(req, x, 0.07)
         for j in (0, 4, 8):
             assert superpose_behind(req, float(x[j]), 0.07) == row[j]
 
-    @pytest.mark.parametrize("n0, n1, x_s, z_s, propagator, layout", [
-        pytest.param(32, 33, 1e-6, -0.5, "standard", "spread", id="32-33-1e-06--0.5-standard"),
-        pytest.param(8, 9, 0.0, PARAXIAL_ZS, "standard", "spread", id="8-9-0.0--inf-standard"),
-        pytest.param(1, 9, 1e-6, -0.5, "standard", "spread", id="n0=1"),
-        pytest.param(8, 1, 1e-6, -0.5, "standard", "spread", id="n1=1"),
-        *(pytest.param(32, 33, 1e-6, -0.5, "standard", count, id=f"one tile of {count}")
+    @pytest.mark.parametrize("n0, n1, x_s, z_s, layout", [
+        pytest.param(32, 33, 1e-6, -0.5, "spread", id="32-33-1e-06--0.5-standard"),
+        pytest.param(8, 9, 0.0, PARAXIAL_ZS, "spread", id="8-9-0.0--inf-standard"),
+        pytest.param(1, 9, 1e-6, -0.5, "spread", id="n0=1"),
+        pytest.param(8, 1, 1e-6, -0.5, "spread", id="n1=1"),
+        *(pytest.param(32, 33, 1e-6, -0.5, count, id=f"one tile of {count}")
           for count in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)),
-        pytest.param(32, 33, 1e-6, -0.5, "standard", "tile each", id="one sample per tile"),
+        pytest.param(32, 33, 1e-6, -0.5, "tile each", id="one sample per tile"),
     ])
-    def test_scalar_equals_row_factorised(self, fullerene, rng, n0, n1, x_s, z_s, propagator,
-                                          layout):
+    def test_scalar_equals_row_factorised(self, fullerene, rng, n0, n1, x_s, z_s, layout):
         # no sample's value may depend on the other samples of its row, of
         # its x-tile or of its block of _BLOCK samples in the contraction
-        req = _req(fullerene, n0=n0, n1=n1, x_s=x_s, z_s=z_s, propagator=propagator)
+        req = _req(fullerene, n0=n0, n1=n1, x_s=x_s, z_s=z_s)
         if layout == "spread":  # irregularly spaced samples spanning many x-tiles
             x, planes = np.sort(rng.uniform(-6e-6, 6e-6, 61)), (0.05, 0.0500001, 0.07, 0.14)
         elif layout == "tile each":  # just past z1 every tile is narrower than the 0.1 um step
@@ -284,31 +279,43 @@ class TestDensity:
 
 class TestRequestValidation:
     def test_hard_edge_takes_paraxial_source(self, fullerene):
-        comb = _req(fullerene, z_s=PARAXIAL_ZS, propagator="hard-edge", comb_k=16, comb_eta=1.5)
+        comb = _req(fullerene, z_s=PARAXIAL_ZS, comb_k=16, comb_eta=1.5)
         assert comb.source.paraxial and comb.propagator == "hard-edge"
         assert np.all(np.isfinite(superpose_behind(comb, np.linspace(-1e-6, 1e-6, 9), 0.08)))
         # the echo names the slit model, so a K = 1, eta = 1 comb does not
         # hash the same as the fuzzy slit it equals up to sqrt(2/pi)
         fuzzy = _req(fullerene, z_s=PARAXIAL_ZS)
-        k1 = _req(fullerene, z_s=PARAXIAL_ZS, propagator="hard-edge")
+        k1 = _req(fullerene, z_s=PARAXIAL_ZS, comb_k=1)
         assert "scenario.propagator = paraxial" in scenario_lines(fuzzy)
         assert "scenario.propagator = hard-edge" in scenario_lines(k1)
         assert fingerprint(k1) != fingerprint(fuzzy)
 
-    def test_standard_rejects_comb(self, fullerene):
-        for comb_k, comb_eta in ((16, 1.0), (1, 1.5), (16, 1.5)):
-            with pytest.raises(DomainError, match="standard propagator ignores"):
-                _req(fullerene, comb_k=comb_k, comb_eta=comb_eta)
-            assert _req(fullerene, comb_k=comb_k, comb_eta=comb_eta, propagator="hard-edge")
+    def test_comb_eta_needs_comb_k(self):
+        # eta tunes the comb; fuzzy slits (comb_k = None) have none to tune
+        with pytest.raises(DomainError, match="set comb_k too"):
+            GratingSpec(3, 500e-9, 75e-9, 0.05, comb_eta=1.5)
+        assert GratingSpec(3, 500e-9, 75e-9, 0.05, comb_k=1, comb_eta=1.5).comb
 
-    def test_paraxial_is_not_a_propagator(self, fullerene):
-        with pytest.raises(DomainError, match="propagator must be one of"):
-            _req(fullerene, z_s=PARAXIAL_ZS, propagator="paraxial")
+    def test_unit_comb_is_hard_edge(self, fullerene):
+        # the K = 1, eta = 1 comb, built directly or reached by a K1 or eta1
+        # sweep value of fuzzy slits, is hard-edged and hashes apart from them;
+        # a config that sets only comb_k = 1 names the defaults: fuzzy slits
+        fuzzy = _req(fullerene)
+        combs = [_req(fullerene, comb_k=1), apply_sweep_value(fuzzy, "K1", 1.0),
+                 apply_sweep_value(fuzzy, "eta1", 1.0)]
+        for comb in combs:
+            assert comb == combs[0]
+            assert "scenario.propagator = hard-edge" in scenario_lines(comb)
+            assert fingerprint(comb) != fingerprint(fuzzy)
+        base = "particle.lambda = 5pm\n"
+        k1 = parse_config(base + "grating1.comb_k = 1\n").scenario
+        assert k1 == parse_config(base).scenario and not k1.grating1.comb
+        assert "scenario.propagator = standard" in scenario_lines(k1)
 
     def test_g0_comb_rejected(self, fullerene):
         g1 = GratingSpec(1, 500e-9, 75e-9, 0.05)
         src = SourceSpec(kind="point", x_positions=(0.0,), z_s=-0.5)
-        for comb in ({"comb_k": 4}, {"comb_eta": 1.5}):
+        for comb in ({"comb_k": 4}, {"comb_k": 1, "comb_eta": 1.5}):
             g0 = GratingSpec(2, 500e-9, 37.5e-9, 0.0, **comb)
             with pytest.raises(DomainError, match="grating 1 only"):
                 Scenario(particle=fullerene, grating0=g0, grating1=g1, source=src)
