@@ -2,12 +2,14 @@
 and the derived scans (coherence sweep, wavelength resonance, focusing
 contrast).
 
-The per-source complex fields are computed once per detector point and then
-combined through the S x S coherence kernel, so sweeping the coherence width
-costs only the quadratic form, not new propagator work.  The form contracts
-G = kappa . F over the sources as BLAS matmuls of a shape fixed by S (the
-block rule of :func:`gsm_average`) and then folds conj(F_i) * G_i over i:
-S^2 * nx multiply-adds in O(S * nx) memory, never an S x S x nx product.
+The per-source complex fields do not depend on sigma_I.  The scenarios of
+one z row share a memo of them, keyed by the scenario with sigma_I set aside
+(W * S * nx complex values for W wavelengths), so sweeping the coherence
+width, on a spectral line too, costs only the quadratic form, not new
+propagator work.  The form contracts G = kappa . F over the sources as BLAS
+matmuls of a shape fixed by S (the block rule of :func:`gsm_average`) and
+then folds conj(F_i) * G_i over i: S^2 * nx multiply-adds in O(S * nx)
+memory, never an S x S x nx product.
 
 The scenario alone carries the wavelength: the spectral average and the
 wavelength scan evaluate one ``Scenario.with_wavelength`` copy per wavelength.
@@ -15,10 +17,9 @@ wavelength scan evaluate one ``Scenario.with_wavelength`` copy per wavelength.
 One evaluator, :func:`evaluate_densities`, serves field grids, sweeps, sets
 of planes and ``tlsim scan --fields``: it runs row blocks (x columns when
 the rows are fewer than both 2 workers and nx) in the process pool of
-``parallel``, and scenarios that differ only in sigma_I share their
-per-source fields.  Every kernel here sums in an order fixed by the
-geometry and S, not by the samples, so the joined chunks equal the whole
-array bit for bit.
+``parallel``.  Every kernel here sums in an order fixed by the geometry and
+S, not by the samples, so the joined chunks equal the whole array bit for
+bit.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, SourceSpec, SpectralSpec, centered_axis
+from .core import COHERENT_SIGMA, DomainError, SourceSpec, SpectralSpec, centered_axis
 from .parallel import default_workers, map_chunks
 from .propagators import reduce_paths
 from .scenario import Scenario, apply_sweep_value
@@ -185,21 +186,28 @@ def source_field_matrix(scn: Scenario, x: np.ndarray, z: float) -> np.ndarray:
     return np.stack([field_at(scn, x, z, x_s=xs) for xs in scn.source.x_positions])
 
 
-def density_profile(scn: Scenario, x: np.ndarray, z: float) -> np.ndarray:
+def density_profile(scn: Scenario, x: np.ndarray, z: float, fields: dict | None = None) -> np.ndarray:
     """Density at one z for the scenario's source model (point, line, or GSM),
-    at the scenario's single wavelength."""
-    if scn.source.gsm:
-        return gsm_average(source_field_matrix(scn, x, z), scn.source)
-    return density(field_at(scn, x, z))
+    at the scenario's single wavelength.  ``fields`` memoizes a GSM line's
+    per-source fields under the scenario with sigma_I set aside."""
+    if not scn.source.gsm:
+        return density(field_at(scn, x, z))
+    fields = {} if fields is None else fields
+    key = dataclasses.replace(scn, source=dataclasses.replace(scn.source, sigma_I=COHERENT_SIGMA))
+    if key not in fields:
+        fields[key] = source_field_matrix(scn, x, z)
+    return gsm_average(fields[key], scn.source)
 
 
-def spectral_density_profile(scn: Scenario, x: np.ndarray, z: float) -> np.ndarray:
+def spectral_density_profile(scn: Scenario, x: np.ndarray, z: float,
+                             fields: dict | None = None) -> np.ndarray:
     """Density at one z including the scenario's spectral average, if any:
-    one scenario per wavelength of the spectrum, averaged incoherently."""
+    one scenario per wavelength of the spectrum, averaged incoherently.
+    Each wavelength's :func:`density_profile` gets the memo ``fields``."""
     spec = scn.source.spectral
     if spec is None:
-        return density_profile(scn, x, z)
-    stack = [density_profile(scn.with_wavelength(lam), x, z) for lam in spec.lambda_list]
+        return density_profile(scn, x, z, fields)
+    stack = [density_profile(scn.with_wavelength(lam), x, z, fields) for lam in spec.lambda_list]
     return spectral_average(stack, gaussian_spectral_weights(spec))
 
 
@@ -221,19 +229,10 @@ def talbot_section(scn: Scenario, samples: int) -> tuple[np.ndarray, float]:
 
 def _density_chunk(scenarios, x: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """The densities of :func:`evaluate_densities` on one chunk of samples."""
-    # Two or more monochromatic GSM sources that differ only in sigma_I share
-    # their per-source fields, which do not depend on sigma_I.
-    first, sigma = scenarios[0], scenarios[0].source.sigma_I
-    shared = len(scenarios) > 1 and first.source.gsm and first.source.spectral is None and all(
-        dataclasses.replace(s, source=dataclasses.replace(s.source, sigma_I=sigma)) == first
-        for s in scenarios)
     out = np.empty((len(scenarios), len(zs), len(x)))
     for j, z in enumerate(zs.tolist()):
-        if shared:
-            F = source_field_matrix(first, x, z)
-            out[:, j] = [gsm_average(F, s.source) for s in scenarios]
-        else:
-            out[:, j] = [spectral_density_profile(s, x, z) for s in scenarios]
+        fields: dict = {}
+        out[:, j] = [spectral_density_profile(s, x, z, fields) for s in scenarios]
     return out
 
 
@@ -246,6 +245,7 @@ def evaluate_densities(scenarios, x, zs, workers: int | None = None) -> np.ndarr
     row blocks, or ``min(nx, workers)`` x columns when the rows are fewer
     than both 2 workers and nx (a sweep's one plane, fig16's three, fig17's
     two).  The result is bit-identical for any split and worker count.
+    In a row, scenarios that differ only in sigma_I share fields, spectral or not.
     """
     workers = default_workers(workers)
     x = np.asarray(x, dtype=float)

@@ -186,6 +186,12 @@ def _inclusive_range(vals: dict, prefix: str) -> tuple[float, ...]:
     return tuple(lo + k * step for k in range(count))
 
 
+def _missing_keys(given) -> list[tuple[int, str]]:
+    """One problem per required key (no SCHEMA default) not in ``given``."""
+    return [(0, f"missing required key {key!r}")
+            for key, spec in SCHEMA.items() if spec[1] is None and key not in given]
+
+
 def build_run_config(vals: dict) -> RunConfig:
     """Assemble and validate a RunConfig from a value mapping; optional keys
     it leaves out take their SCHEMA defaults.
@@ -194,14 +200,15 @@ def build_run_config(vals: dict) -> RunConfig:
     makes a line, any ``spectral.*`` key a wavelength band, and a key the
     source never reads is an error.  Grating 1's comb parameters other than
     (1, 1.0) pick the hard-edged comb, any others its fuzzy slits.  Collects
-    every unknown key and every independent invariant violation into one
-    ConfigError rather than stopping at the first.
+    every unknown or missing key and every independent invariant violation
+    into one ConfigError rather than stopping at the first.
     """
     given = set(vals)
     line = any(key.startswith("source.xs_") for key in given)
     vals = {key: spec[1] for key, spec in SCHEMA.items() if spec[1] is not None} | vals
     comb = (vals["grating1.comb_k"], vals["grating1.comb_eta"]) != (1, 1.0)
     problems = [(0, f"unknown key {key!r}") for key in sorted(given - SCHEMA.keys())]
+    problems += _missing_keys(given)
 
     def attempt(section, fn):
         try:
@@ -210,7 +217,7 @@ def build_run_config(vals: dict) -> RunConfig:
             problems.append((0, f"{section}: {exc}"))
             return None
 
-    particle = attempt(
+    particle = None if "particle.lambda" not in vals else attempt(
         "particle", lambda: Particle(mass=vals["particle.mass"], lambda_dB=vals["particle.lambda"])
     )
     g0 = attempt(
@@ -326,10 +333,7 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             problems.append((lineno, f"{key}: {exc}"))
 
-    for key, (conv, default, unit, text_) in SCHEMA.items():
-        if default is None and key not in key_lines:
-            problems.append((0, f"missing required key {key!r}"))
-
+    problems += _missing_keys(key_lines)
     if problems:
         raise ConfigError(problems)
 

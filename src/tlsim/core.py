@@ -145,9 +145,10 @@ class SpectralSpec:
 
     mean_lambda: float                 # m
     sigma_g: float                     # m
-    lambda_list: tuple[float, ...]     # m, sample wavelengths
+    lambda_list: tuple[float, ...]     # m, sample wavelengths (any sequence, stored as a tuple)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "lambda_list", tuple(map(float, self.lambda_list)))
         if not (self.sigma_g > 0.0):
             raise DomainError(f"sigma_g must be positive, got {self.sigma_g}")
         if not (0.0 < self.mean_lambda < math.inf):
@@ -164,16 +165,19 @@ class SourceSpec:
 
     ``sigma_I`` is the effective spatial-coherence width; ``math.inf`` means a
     fully coherent source.  ``z_s == -inf`` selects the paraxial (plane-wave)
-    limit, in which case the transverse positions are ignored.
+    limit, in which case the transverse positions are ignored.  Positions and
+    a spectrum's wavelengths are stored as tuples of float, so that every
+    ``Scenario`` hashes and compares by value.
     """
 
     kind: str                          # "point" | "line"
-    x_positions: tuple[float, ...]     # m
+    x_positions: tuple[float, ...]     # m (any sequence, stored as a tuple)
     z_s: float                         # m, must lie before grating 0
     sigma_I: float = COHERENT_SIGMA    # m
     spectral: SpectralSpec | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "x_positions", tuple(map(float, self.x_positions)))
         if self.kind not in ("point", "line"):
             raise DomainError(f"source kind must be 'point' or 'line', got {self.kind!r}")
         if len(self.x_positions) == 0:

@@ -536,12 +536,28 @@ class TestSweepProfiles:
             spectral_density_profile(apply_sweep_value(scn, param, v), x, z).tobytes()
             for v in values]
 
-    def test_spectral_sweep_averages_the_spectrum(self, fullerene):
+    def test_spectral_sweep_averages_the_spectrum(self, fullerene, monkeypatch):
         scn = _line_9(fullerene, _spectrum([4e-12, 5e-12, 6e-12], 5e-12, 1e-12))
         rows = coherence_sweep(scn, self.SIGMAS, samples=128)
         assert rows == self._per_sigma_rows(scn, 128)
         mono = coherence_sweep(_line_9(fullerene), self.SIGMAS, samples=128)
         assert [m for _, m in rows] != [m for _, m in mono]
+        # the sigma_I values share each wavelength's fields: 3 evaluations
+        # per row, not 3 per row and sigma_I
+        scenarios = [apply_sweep_value(scn, "sigma_I", s) for s in self.SIGMAS]
+        x, zs = talbot_section(scn, 128)[0], (0.08, scn.z0 + scn.z_talbot)
+        per_scenario = np.array([[spectral_density_profile(s, x, z) for z in zs] for s in scenarios])
+        calls = []
+        field_matrix = coherence.source_field_matrix
+
+        def counted(scn_lam, x, z):
+            calls.append((scn_lam.lam, z))
+            return field_matrix(scn_lam, x, z)
+
+        monkeypatch.setattr(coherence, "source_field_matrix", counted)
+        shared = evaluate_densities(scenarios, x, zs, workers=1)
+        assert sorted(calls) == sorted((lam, z) for lam in (4e-12, 5e-12, 6e-12) for z in zs)
+        assert shared.tobytes() == per_scenario.tobytes()
 
     def test_resonance_scan_rejects_spectral_source(self, fullerene):
         scn = _line_9(fullerene, _spectrum([4e-12, 5e-12, 6e-12], 5e-12, 1e-12))
@@ -561,6 +577,48 @@ class TestSweepProfiles:
             coherence_sweep(scn, [1e-6, math.nan], samples=64)
         with pytest.raises(DomainError, match="must not be empty"):
             sweep_profiles(scn, "K1", [], x, z)
+
+
+class TestSharedFields:
+    """A row's scenarios that differ only in sigma_I share their per-source
+    fields; no others do."""
+
+    @pytest.mark.parametrize("wrap", [list, np.array])
+    def test_sigma_sweep_on_list_or_array_positions(self, fullerene, wrap):
+        scn = _line_9(fullerene)
+        src = SourceSpec(kind="line", x_positions=wrap(scn.source.x_positions), z_s=-0.5)
+        assert type(src.x_positions) is tuple and all(type(v) is float for v in src.x_positions)
+        other = dataclasses.replace(scn, source=src)
+        assert other == scn and hash(other) == hash(scn)
+        sigmas = TestSweepProfiles.SIGMAS
+        assert coherence_sweep(other, sigmas, samples=64) == coherence_sweep(scn, sigmas, samples=64)
+
+    @settings(max_examples=6)
+    @given(order=st.permutations(range(7)), odd=st.sampled_from(["zs", "b1"]),
+           odd_band=st.booleans(), nx=st.integers(2, 32), nz=st.integers(1, 2),
+           sigma_first=st.sampled_from([0.1e-6, COHERENT_SIGMA]))
+    def test_shared_fields_equal_the_per_scenario_path(self, fullerene, order, odd, odd_band,
+                                                       nx, nz, sigma_first):
+        mono = _line_9(fullerene)
+        band = _line_9(fullerene, _spectrum([4e-12, 5e-12, 6e-12], 5e-12, 1e-12))
+        sigmas = (sigma_first, 1e-6, 10e-6)
+        mix = [apply_sweep_value(scn, "sigma_I", s) for scn in (mono, band) for s in sigmas]
+        # one scenario that differs from another in more than sigma_I
+        base = band if odd_band else mono
+        if odd == "zs":
+            mix.append(apply_sweep_value(base, "zs", -1.0))
+        else:
+            g1 = dataclasses.replace(base.grating1, half_width=60e-9)
+            mix.append(dataclasses.replace(base, grating1=g1))
+        mix = [mix[k] for k in order]
+        x = centered_axis(-2e-6, 2e-6, nx)
+        zs = (0.08, 0.1)[:nz]
+        per_scenario = np.array([[spectral_density_profile(s, x, z) for z in zs] for s in mix])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parallel.os, "cpu_count", lambda: 2)
+            for workers in (1, 2):
+                got = evaluate_densities(mix, x, zs, workers=workers)
+                assert got.tobytes() == per_scenario.tobytes()
 
 
 class TestSweepColumnSplit:

@@ -77,6 +77,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown key 'grid.nxx'"):
             build_run_config({"particle.lambda": 5e-12, "grid.nxx": 3})
 
+    def test_missing_key_in_a_value_mapping_named(self):
+        with pytest.raises(ConfigError) as err:
+            build_run_config({})
+        assert err.value.problems == [(0, "missing required key 'particle.lambda'")]
+        # reported together with every other problem of the mapping
+        with pytest.raises(ConfigError) as err:
+            build_run_config({"grid.nx": 1, "grid.nxx": 3})
+        msgs = [msg for _, msg in err.value.problems]
+        assert "missing required key 'particle.lambda'" in msgs
+        assert "unknown key 'grid.nxx'" in msgs
+        assert any(msg.startswith("grid: ") for msg in msgs) and len(msgs) == 3
+
+    def test_missing_key_reported_with_every_other_problem(self):
+        text = "grid.nx = many\nbogus.key = 1\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.problems == [
+            (0, "missing required key 'particle.lambda'"),
+            (1, "grid.nx: malformed integer 'many'"),
+            (2, "unknown key 'bogus.key'"),
+        ]
+
     def test_all_problems_reported_with_line_numbers(self):
         text = "particle.lambda = 5parsec\nbogus.key = 1\ngrating0.slits = many\n"
         with pytest.raises(ConfigError) as err:
