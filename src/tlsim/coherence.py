@@ -4,35 +4,36 @@ contrast).
 
 The per-source complex fields do not depend on sigma_I.  The scenarios of
 one z row share a memo of them, keyed by the scenario with sigma_I set aside
-(W * S * nx complex values for W wavelengths), so sweeping the coherence
-width, on a spectral line too, costs only the quadratic form, not new
-propagator work.  The form contracts G = kappa . F over the sources as BLAS
-matmuls of a shape fixed by S (the block rule of :func:`gsm_average`) and
-then folds conj(F_i) * G_i over i: S^2 * nx multiply-adds in O(S * nx)
-memory, never an S x S x nx product.
+and kept only while a later scenario of the row has the key, so sweeping
+the coherence width, on a spectral line too, costs only the quadratic form,
+not new propagator work.  The form contracts G = kappa . F over the sources
+as BLAS matmuls of a shape fixed by S (the block rule of
+:func:`gsm_average`) and then folds conj(F_i) * G_i over i: S^2 * nx
+multiply-adds in O(S * nx) memory, never an S x S x nx product.
 
 The scenario alone carries the wavelength: the spectral average and the
 wavelength scan evaluate one ``Scenario.with_wavelength`` copy per wavelength.
 
 One evaluator, :func:`evaluate_densities`, serves field grids, sweeps, sets
-of planes and ``tlsim scan --fields``: it runs row blocks (x columns when
-the rows are fewer than both 2 workers and nx) in the process pool of
-``parallel``.  Every kernel here sums in an order fixed by the geometry and
-S, not by the samples, so the joined chunks equal the whole array bit for
-bit.
+of planes and ``tlsim scan --fields``: it runs row blocks (x columns, cut
+in |x| order, when the rows are fewer than both 2 workers and nx) in the
+process pool of ``parallel``.  Every kernel here sums in an order fixed by
+the geometry and S, not by the samples, so the joined chunks equal the
+whole array bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import COHERENT_SIGMA, DomainError, SourceSpec, SpectralSpec, centered_axis
 from .parallel import default_workers, map_chunks
-from .propagators import reduce_paths
+from .propagators import distinct_abs, reduce_paths
 from .scenario import Scenario, apply_sweep_value
 from .superposition import density, superpose_behind, superpose_between
 
@@ -186,17 +187,33 @@ def source_field_matrix(scn: Scenario, x: np.ndarray, z: float) -> np.ndarray:
     return np.stack([field_at(scn, x, z, x_s=xs) for xs in scn.source.x_positions])
 
 
+def _fields_key(scn: Scenario) -> Scenario:
+    """The memo key of a GSM line's per-source fields: the scenario with
+    sigma_I set aside."""
+    return dataclasses.replace(scn, source=dataclasses.replace(scn.source, sigma_I=COHERENT_SIGMA))
+
+
+def _per_wavelength(scn: Scenario) -> list[Scenario]:
+    """One scenario per wavelength of the spectrum, or the scenario itself."""
+    spec = scn.source.spectral
+    return [scn] if spec is None else [scn.with_wavelength(lam) for lam in spec.lambda_list]
+
+
 def density_profile(scn: Scenario, x: np.ndarray, z: float, fields: dict | None = None) -> np.ndarray:
     """Density at one z for the scenario's source model (point, line, or GSM),
-    at the scenario's single wavelength.  ``fields`` memoizes a GSM line's
-    per-source fields under the scenario with sigma_I set aside."""
+    at the scenario's single wavelength.  ``fields`` is the memo of
+    :func:`_density_chunk`: it maps the key of a GSM line's per-source
+    fields (:func:`_fields_key`) to (uses left, fields or None), and each
+    entry is dropped at its last use."""
     if not scn.source.gsm:
         return density(field_at(scn, x, z))
-    fields = {} if fields is None else fields
-    key = dataclasses.replace(scn, source=dataclasses.replace(scn.source, sigma_I=COHERENT_SIGMA))
-    if key not in fields:
-        fields[key] = source_field_matrix(scn, x, z)
-    return gsm_average(fields[key], scn.source)
+    key = _fields_key(scn)
+    left, F = fields.pop(key, (1, None)) if fields else (1, None)
+    if F is None:
+        F = source_field_matrix(scn, x, z)
+    if left > 1:
+        fields[key] = (left - 1, F)
+    return gsm_average(F, scn.source)
 
 
 def spectral_density_profile(scn: Scenario, x: np.ndarray, z: float,
@@ -207,7 +224,7 @@ def spectral_density_profile(scn: Scenario, x: np.ndarray, z: float,
     spec = scn.source.spectral
     if spec is None:
         return density_profile(scn, x, z, fields)
-    stack = [density_profile(scn.with_wavelength(lam), x, z, fields) for lam in spec.lambda_list]
+    stack = [density_profile(w, x, z, fields) for w in _per_wavelength(scn)]
     return spectral_average(stack, gaussian_spectral_weights(spec))
 
 
@@ -228,12 +245,25 @@ def talbot_section(scn: Scenario, samples: int) -> tuple[np.ndarray, float]:
 
 
 def _density_chunk(scenarios, x: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """The densities of :func:`evaluate_densities` on one chunk of samples."""
+    """The densities of :func:`evaluate_densities` on one chunk of samples.
+
+    A row's memo holds a GSM line's per-source fields only while a later
+    (scenario, wavelength) of the chunk has their key."""
+    uses = Counter(_fields_key(w) for s in scenarios for w in _per_wavelength(s) if w.source.gsm)
     out = np.empty((len(scenarios), len(zs), len(x)))
     for j, z in enumerate(zs.tolist()):
-        fields: dict = {}
+        fields = {key: (n, None) for key, n in uses.items() if n > 1}
         out[:, j] = [spectral_density_profile(s, x, z, fields) for s in scenarios]
     return out
+
+
+def _mirror_pair_columns(x: np.ndarray, n: int) -> list[np.ndarray]:
+    """The indices of x in min(n, distinct |x|) chunks of about equal size,
+    cut in |x| order, so that every mirror pair x, -x lands in one chunk."""
+    distinct, group = distinct_abs(x)
+    parts = np.array_split(np.arange(len(distinct)), min(n, len(distinct)))
+    chunk = np.searchsorted([p[0] for p in parts[1:]], group, side="right")
+    return [np.flatnonzero(chunk == k) for k in range(len(parts))]
 
 
 def evaluate_densities(scenarios, x, zs, workers: int | None = None) -> np.ndarray:
@@ -241,21 +271,27 @@ def evaluate_densities(scenarios, x, zs, workers: int | None = None) -> np.ndarr
     samples x, shape (len(scenarios), len(zs), len(x)), over ``workers``
     processes (default: the CPU count).
 
-    The chunks depend on (nz, nx, workers) alone: ``min(nz, 4 workers)``
-    row blocks, or ``min(nx, workers)`` x columns when the rows are fewer
-    than both 2 workers and nx (a sweep's one plane, fig16's three, fig17's
-    two).  The result is bit-identical for any split and worker count.
-    In a row, scenarios that differ only in sigma_I share fields, spectral or not.
+    The chunks depend on (nz, x, workers) alone: ``min(nz, 4 workers)``
+    row blocks, or up to ``workers`` x columns when the rows are fewer than
+    both 2 workers and nx (a sweep's one plane, fig16's three, fig17's
+    two).  Columns are cut in |x| order, so every mirror pair x, -x lands
+    in one chunk and a self-mirror row evaluates each |x| once (the mirror
+    rule of ``superposition``).  The result is bit-identical for any split
+    and worker count.  In a row, scenarios that differ only in sigma_I
+    share fields, spectral or not.
     """
     workers = default_workers(workers)
     x = np.asarray(x, dtype=float)
     zs = np.asarray(zs, dtype=float)
     if len(zs) >= min(len(x), 2 * workers):
-        axis, chunks = 1, [(scenarios, x, zc)
-                           for zc in np.array_split(zs, min(len(zs), 4 * workers) or 1)]
-    else:
-        axis, chunks = 2, [(scenarios, xc, zs) for xc in np.array_split(x, min(len(x), workers) or 1)]
-    return np.concatenate(map_chunks(_density_chunk, chunks, workers), axis=axis)
+        chunks = [(scenarios, x, zc) for zc in np.array_split(zs, min(len(zs), 4 * workers) or 1)]
+        return np.concatenate(map_chunks(_density_chunk, chunks, workers), axis=1)
+    cols = _mirror_pair_columns(x, workers)
+    out = np.empty((len(scenarios), len(zs), len(x)))
+    for c, part in zip(cols, map_chunks(_density_chunk, [(scenarios, x[c], zs) for c in cols],
+                                        workers)):
+        out[:, :, c] = part
+    return out
 
 
 def sweep_profiles(scn: Scenario, param: str, values, x: np.ndarray, z: float,

@@ -1,9 +1,9 @@
 """One process pool per process for tlsim's data-parallel evaluations.
 
 ``coherence.evaluate_densities`` is the one caller of ``map_chunks``: it
-cuts its (z, x) samples into ``min(nz, 4 workers)`` row blocks, or into
-``min(nx, workers)`` x columns when the rows are fewer than both 2 workers
-and nx, and ``map_chunks`` runs the chunks in order.  Each sample is
+cuts its (z, x) samples into ``min(nz, 4 workers)`` row blocks, or into up
+to ``workers`` x columns (in |x| order) when the rows are fewer than both 2
+workers and nx, and ``map_chunks`` runs the chunks in order.  Each sample is
 computed with a summation order that does not depend on its chunk, so the
 joined result is bit-identical for any split.
 

@@ -10,6 +10,16 @@ Both sums take a validated :class:`~tlsim.scenario.Scenario`, which alone
 carries the wavelength: a spectral average evaluates one scenario per
 wavelength (``Scenario.with_wavelength``).  The only per-call override is
 ``x_s``, which picks one source point (required for a distributed source).
+
+Mirror rule: both gratings sit centred on the axis, so when the source is
+paraxial or sits at x_s = 0 every row is its own mirror image, psi(-x) =
+psi(x).  Both sums then evaluate their kernel at the distinct |x| only and
+copy each value to its mirror sample, scalar calls included, so scalar ==
+row still holds, parity is exact, and values at x < 0 are those at |x|
+(the factorised and between kernels are mirror-symmetric only to
+round-off).  The rule skips grating 1's hard-edged comb, whose bits the
+direct kernel keeps (its own fold of mirror pairs serves it).  An
+off-centre source takes the kernel at every x.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DomainError, slit_positions
-from .propagators import _as_row, behind_row, between_row
+from .propagators import _as_row, behind_row, between_row, distinct_abs, mirror_symmetric
 from .scenario import Scenario
 
 
@@ -32,31 +42,45 @@ def _source_x(scn: Scenario, x_s: float | None) -> float:
     return scn.source.x_positions[0]
 
 
+def _on_samples(row, x, mirror: bool):
+    """``row`` (a kernel over a sample array) at the samples x, a scalar or
+    an array; on a self-mirror row (``mirror``) it runs at the distinct |x|."""
+    xr, scalar = _as_row(x)
+    if mirror:
+        ax, inv = distinct_abs(xr)
+        out = row(ax)[inv]
+    else:
+        out = row(xr)
+    return complex(out[0]) if scalar else out
+
+
 def superpose_between(scn: Scenario, x, z: float, *, x_s: float | None = None):
     """Coherent sum over grating-0 slits in the between-gratings region."""
     if scn.region == "behind":
         raise DomainError("scenario region is 'behind'; between-gratings field not available")
     if not (scn.z0 <= z <= scn.z1):
         raise DomainError(f"between-gratings point needs z0 <= z <= z1, got z={z}")
-    xr, scalar = _as_row(x)
-    out = between_row(scn.lam, scn.source.z_s, _source_x(scn, x_s), scn.z0,
-                      scn.grating0.half_width, slit_positions(scn.grating0), xr, z)
-    return complex(out[0]) if scalar else out
+    x_s, z_s, x0s = _source_x(scn, x_s), scn.source.z_s, slit_positions(scn.grating0)
+    return _on_samples(
+        lambda xr: between_row(scn.lam, z_s, x_s, scn.z0, scn.grating0.half_width, x0s, xr, z),
+        x, mirror_symmetric(x_s, z_s, x0s),
+    )
 
 
 def superpose_behind(scn: Scenario, x, z: float, *, x_s: float | None = None):
     """Coherent double sum over grating-1 x grating-0 slits behind grating 1."""
     if scn.region == "between":
         raise DomainError("scenario region is 'between'; behind-G1 field not available")
-    xr, scalar = _as_row(x)
     g1 = scn.grating1
-    out = behind_row(
-        scn.lam, scn.source.z_s, _source_x(scn, x_s), scn.z0, scn.z1,
-        scn.grating0.half_width, g1.half_width,
-        slit_positions(scn.grating0), slit_positions(g1), xr, z,
-        comb_k=g1.comb_k or 1, comb_eta=g1.comb_eta, hard=g1.comb,
+    x_s, z_s = _source_x(scn, x_s), scn.source.z_s
+    x0s, x1s = slit_positions(scn.grating0), slit_positions(g1)
+    return _on_samples(
+        lambda xr: behind_row(
+            scn.lam, z_s, x_s, scn.z0, scn.z1, scn.grating0.half_width, g1.half_width,
+            x0s, x1s, xr, z, comb_k=g1.comb_k or 1, comb_eta=g1.comb_eta, hard=g1.comb,
+        ),
+        x, not g1.comb and mirror_symmetric(x_s, z_s, x0s, x1s),
     )
-    return complex(out[0]) if scalar else out
 
 
 def density(psi):

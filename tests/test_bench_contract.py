@@ -8,6 +8,7 @@ modules and change nothing there.
 import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,17 @@ def test_tracer_sees_the_sweep_drivers(tmp_path):
     # fig7's 17 coherence widths share the source fields of their one chunk
     # (fig11 and fig17 have point sources)
     assert sum(s[0] == "coherence.source_field_matrix" for s in tracer.spans) == 1
+
+
+def test_fig17_matches_the_benchmark_fingerprint(tmp_path):
+    """fig17's meta fingerprint hashes its contrast peaks and wells at 17
+    digits, and the benchmark compares it exactly with its reference: a
+    changed bit of the hard-edged comb fails here, not only in the benchmark."""
+    checks = _load("checks")
+    ref = json.loads((BENCH / "reference" / "comb_jet.json").read_text(encoding="utf-8"))
+    [step] = [s for s in ref["full"]["steps"] if "fig17.meta.txt" in s["files"]]
+    presets.run_preset("fig17", tmp_path, threads=1, echo=lambda *a: None)
+    assert checks._meta_lines(tmp_path / "fig17.meta.txt")["fingerprint"] == step["fingerprint"]
 
 
 def test_oracle_spot_checks_pass():

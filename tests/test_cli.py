@@ -335,6 +335,18 @@ class TestScan:
         assert "paraxial source" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_extreme_wavelength_exits_1_without_files(self, config_file, tmp_path, capsys):
+        out = tmp_path / "s"
+        code = main([
+            "scan", "--config", str(config_file), "--out", str(out),
+            "--param", "lambda", "--values", "1e-300", "--samples", "4",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "float64's range" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_lambda_on_spectral_config_exits_1_without_files(self, tmp_path, capsys):
         cfg = tmp_path / "spec.cfg"
         cfg.write_text(SPECTRAL_CONFIG)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -559,6 +560,20 @@ class TestSweepProfiles:
         assert sorted(calls) == sorted((lam, z) for lam in (4e-12, 5e-12, 6e-12) for z in zs)
         assert shared.tobytes() == per_scenario.tobytes()
 
+    @pytest.mark.parametrize("preset, lam, z", [
+        ("fig4a", 1e-300, 0.1),    # factorised behind-G1 kernel: its phase tables overflow
+        ("fig14c", 1e-300, 0.1),   # the direct kernel of the hard-edged comb
+        ("fig4a", 1e-310, 0.03),   # between the gratings
+        ("fig4a", 5e-324, 0.1),    # lam (z1 - z0) underflows to a zero divisor
+    ])
+    def test_extreme_wavelength_raises_without_warning(self, preset, lam, z):
+        scn = preset_run_config(preset).scenario
+        x = centered_axis(-4e-6, 4e-6, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="float64's range"):
+                sweep_profiles(scn, "lambda", [lam], x, z, workers=1)
+
     def test_resonance_scan_rejects_spectral_source(self, fullerene):
         scn = _line_9(fullerene, _spectrum([4e-12, 5e-12, 6e-12], 5e-12, 1e-12))
         with pytest.raises(DomainError, match="spectrum fixes the wavelengths"):
@@ -621,6 +636,26 @@ class TestSharedFields:
                 assert got.tobytes() == per_scenario.tobytes()
 
 
+    def test_memo_keeps_fields_only_while_a_later_scenario_has_their_key(self, fullerene):
+        """A one-scenario row of a 33-point line at 21 wavelengths shares no
+        fields, so it holds one wavelength's (S, nx) fields at a time, not
+        all 21 (8.9 MB at nx = 800)."""
+        g0 = GratingSpec(4, 500e-9, 37.5e-9, 0.0)
+        g1 = GratingSpec(3, 500e-9, 75e-9, 0.05)
+        xs = tuple(-4e-6 + 0.25e-6 * k for k in range(33))
+        spec = _spectrum(np.linspace(3e-12, 7e-12, 21), 5e-12, 2.25e-12)
+        src = SourceSpec(kind="line", x_positions=xs, z_s=-0.5, sigma_I=1e-6, spectral=spec)
+        scn = Scenario(particle=fullerene, grating0=g0, grating1=g1, source=src)
+        x = centered_axis(-4e-6, 4e-6, 800)
+        tracemalloc.start()
+        try:
+            evaluate_densities([scn], x, [0.03], workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
+
+
 class TestSweepColumnSplit:
     """The densities of many scenarios at one or several planes, split anyhow
     along x or z, or over any worker count, join to the whole array bit for
@@ -639,6 +674,11 @@ class TestSweepColumnSplit:
             assert scn.source.paraxial and scn.source.spectral is not None
             x, z = talbot_section(scn, 40)
             return scn, "zs", (-math.inf, -10.0), x, (z,)
+        if name == "point-on-axis":
+            # fig4a's on-axis source, whose rows are their own mirror images,
+            # between the gratings and behind them
+            scn = preset_run_config("fig4a").scenario
+            return scn, "lambda", (4e-12, 5e-12), centered_axis(-4e-6, 4e-6, 40), (0.03, 0.1)
         scn = preset_run_config("fig17").scenario
         x = centered_axis(-125e-9, 125e-9, 40)
         if name == "comb-planes":
@@ -650,8 +690,8 @@ class TestSweepColumnSplit:
         assert (z == scn.z1) == (name == "comb-at-z1")
         return scn, "K1", (16,), x, (z,)
 
-    @pytest.mark.parametrize("name", ["fig7-gsm", "paraxial-spectral", "comb-at-z1",
-                                      "comb-past-z1", "comb-planes"])
+    @pytest.mark.parametrize("name", ["fig7-gsm", "paraxial-spectral", "point-on-axis",
+                                      "comb-at-z1", "comb-past-z1", "comb-planes"])
     def test_chunks_join_to_the_whole_row(self, name, monkeypatch):
         scn, param, values, x, zs = self._case(name)
         scenarios = [apply_sweep_value(scn, param, v) for v in values]
