@@ -11,6 +11,11 @@ as BLAS matmuls of a shape fixed by S (the block rule of
 :func:`gsm_average`) and then folds conj(F_i) * G_i over i: S^2 * nx
 multiply-adds in O(S * nx) memory, never an S x S x nx product.
 
+Both gratings are centred, so a line's source at -s gives at x the field
+its source at s gives at -x.  :func:`source_field_matrix` evaluates each
+such pair with one kernel call over x and -x; x_s = 0 takes the mirror rule
+of ``superposition``, and any other position its own call.
+
 The scenario alone carries the wavelength: the spectral average and the
 wavelength scan evaluate one ``Scenario.with_wavelength`` copy per wavelength.
 
@@ -33,7 +38,7 @@ import numpy as np
 
 from .core import COHERENT_SIGMA, DomainError, SourceSpec, SpectralSpec, centered_axis
 from .parallel import default_workers, map_chunks
-from .propagators import distinct_abs, reduce_paths
+from .propagators import _LATTICE_ULPS, _as_row, distinct_abs, reduce_paths
 from .scenario import Scenario, apply_sweep_value
 from .superposition import density, superpose_behind, superpose_between
 
@@ -182,9 +187,39 @@ def field_at(scn: Scenario, x: np.ndarray, z: float, *, x_s: float | None = None
     return superpose(scn, x, z, x_s=x_s)
 
 
-def source_field_matrix(scn: Scenario, x: np.ndarray, z: float) -> np.ndarray:
-    """Per-source complex fields, shape (S, nx)."""
-    return np.stack([field_at(scn, x, z, x_s=xs) for xs in scn.source.x_positions])
+def _mirror_union(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of x and -x, ascending (0 once), and the index
+    among them of each sample and of its negation."""
+    ax, inv = distinct_abs(x)
+    n, n0 = ax.size, np.count_nonzero(ax[:1] == 0.0)
+    at_pos, at_neg, neg = n - n0 + inv, n - 1 - inv, x < 0.0
+    u = np.concatenate([-ax[n0:][::-1], ax])
+    return u, np.where(neg, at_neg, at_pos), np.where(neg, at_pos, at_neg)
+
+
+def source_field_matrix(scn: Scenario, x, z: float) -> np.ndarray:
+    """Per-source complex fields, shape (S, nx), or (S,) at a scalar x.
+
+    Position i pairs with S-1-i when their sum is within _LATTICE_ULPS ulps
+    of the largest |x_s| (a line stepped from its lower end misses exact
+    antisymmetry by about an ulp).  The larger member's ``field_at`` call
+    over x and -x gives its own field at x and, read at -x, the other's,
+    at a scalar x too.  Any other position, x_s = 0 among them, takes its
+    own call.
+    """
+    xr, scalar = _as_row(x)
+    xs = scn.source.x_positions
+    tol = _LATTICE_ULPS * np.spacing(max(map(abs, xs)))
+    F = np.empty((len(xs), xr.size), dtype=complex)
+    union = None
+    for i, (s, m) in enumerate(zip(xs, reversed(xs))):
+        if s == m or abs(s + m) > tol:
+            F[i] = field_at(scn, xr, z, x_s=s)
+        elif s > m:
+            union = union or _mirror_union(xr)
+            row = field_at(scn, union[0], z, x_s=s)
+            F[i], F[-1 - i] = row[union[1]], row[union[2]]
+    return F[:, 0] if scalar else F
 
 
 def _fields_key(scn: Scenario) -> Scenario:

@@ -372,6 +372,8 @@ def behind_row(
             lam, z0, z1, b1, z, sig0, p23, bq, alpha, beta, gamma, x0s, x1s, x
         )
 
+    if not x.size:
+        return np.zeros(0, dtype=complex)
     # On a self-mirror row the terms are built at the distinct |x| only.
     xe, inv = distinct_abs(x) if mirror_symmetric(x_s, z_s, x0s, x1s) else (x, None)
     dx1 = xe[None, :] - x1s[:, None]

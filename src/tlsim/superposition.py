@@ -18,8 +18,9 @@ copy each value to its mirror sample, scalar calls included, so scalar ==
 row still holds, parity is exact, and values at x < 0 are those at |x|
 (the factorised and between kernels are mirror-symmetric only to
 round-off).  The rule skips grating 1's hard-edged comb, whose bits the
-direct kernel keeps (its own fold of mirror pairs serves it).  An
-off-centre source takes the kernel at every x.
+direct kernel keeps (its own fold of mirror pairs serves it).  A call for
+an off-centre source takes the kernel at every x it is given; a line's
+sources at +-s share one such call (``coherence.source_field_matrix``).
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from tlsim.coherence import (
     coherence_sweep,
     density_profile,
     evaluate_densities,
+    field_at,
     fringe_metrics,
     focusing_contrast,
     gaussian_spectral_weights,
@@ -40,6 +41,7 @@ from tlsim.fieldgrid import Profile
 from tlsim.presets import PRESETS, preset_run_config
 from tlsim.propagators import reduce_paths
 from tlsim.scenario import Scenario, apply_sweep_value
+from tlsim.superposition import density
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -478,6 +480,15 @@ class TestDrivers:
         F = source_field_matrix(scn, x, 0.1)
         assert F.shape == (33, 64)
 
+    @pytest.mark.parametrize("xs", [None, (-1e-6, 0.5e-6, 2e-6)], ids=["paired", "unpaired"])
+    @pytest.mark.parametrize("z", [0.03, 0.05, 0.1])
+    def test_source_matrix_of_an_empty_row(self, xs, z):
+        scn = preset_run_config("fig5a").scenario
+        if xs is not None:
+            scn = dataclasses.replace(scn, source=dataclasses.replace(scn.source, x_positions=xs))
+        F = source_field_matrix(scn, np.array([]), z)
+        assert F.shape == (len(scn.source.x_positions), 0) and F.dtype == complex
+
     def test_density_profile_point_vs_distributed(self, fullerene, g0_main, g1_main):
         x = centered_axis(-1e-6, 1e-6, 64)
         pt = SourceSpec(kind="point", x_positions=(0.0,), z_s=-0.5)
@@ -536,6 +547,21 @@ class TestSweepProfiles:
         assert [p.tobytes() for _, p in rows] == [
             spectral_density_profile(apply_sweep_value(scn, param, v), x, z).tobytes()
             for v in values]
+
+    @pytest.mark.parametrize("z", [0.03, 0.1], ids=["between", "behind"])
+    def test_xs_sweep_equals_the_point_source_at_each_position(self, z):
+        """Each profile is the point source at its position, bit for bit.  The
+        profile at -s is that at s mirrored, to round-off: the identity that
+        mirror-paired line sources rest on."""
+        fig4a = preset_run_config("fig4a").scenario
+        x = centered_axis(-1e-5, 1e-5, 65)
+        rows = sweep_profiles(fig4a, "xs", [2e-6, -2e-6], x, z, workers=1)
+        for (scn, p), v in zip(rows, (2e-6, -2e-6)):
+            point = build_run_config({"particle.lambda": 5e-12, "source.xs": v}).scenario
+            assert scn == point
+            assert p.tobytes() == density(field_at(point, x, z)).tobytes()
+        (_, plus), (_, minus) = rows
+        assert np.max(np.abs(minus - plus[::-1])) <= 1e-12 * plus.max()
 
     def test_spectral_sweep_averages_the_spectrum(self, fullerene, monkeypatch):
         scn = _line_9(fullerene, _spectrum([4e-12, 5e-12, 6e-12], 5e-12, 1e-12))

@@ -7,13 +7,15 @@ bits exactly; the superposition sums copy the kernel's value at |x| to -x
 for fuzzy slits; ``evaluate_densities`` keeps mirror pairs in one chunk.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlsim import propagators
-from tlsim.coherence import _mirror_pair_columns
+from tlsim import coherence, parallel, propagators
+from tlsim.coherence import _mirror_pair_columns, evaluate_densities, field_at, source_field_matrix
 from tlsim.core import PARAXIAL_ZS, GratingSpec, Particle, SourceSpec, centered_axis, slit_positions
 from tlsim.propagators import behind_row, between_row, mirror_symmetric
 from tlsim.scenario import Scenario
@@ -172,3 +174,102 @@ class TestEvaluatorChunks:
         assert all(len(c) for c in cols) and len(cols) <= n
         chunk_of = {abs(float(x[i])): k for k, c in enumerate(cols) for i in c}
         assert all(chunk_of[abs(float(v))] == k for k, c in enumerate(cols) for v in x[c])
+
+
+def _line_scenario(geometry, xs, comb):
+    """The geometry of ``_scenario`` with a GSM line at the positions xs."""
+    n0, n1, b0, b1, pitch_scale, z1, lam, z_s = geometry
+    scn = _scenario(n0, n1, b0, b1, pitch_scale, z1, lam, 0.0, z_s, comb)
+    return dataclasses.replace(scn, source=SourceSpec(kind="line", x_positions=xs, z_s=z_s,
+                                                      sigma_I=1e-6))
+
+
+def _stepped_line(S, half, nudges):
+    """S positions stepped from -half, as a config line is built (a pair then
+    misses exact antisymmetry by about an ulp), each moved by its nudge in ulps."""
+    step = 2.0 * half / (S - 1)
+    return tuple(float(v + n * np.spacing(v)) for v, n in
+                 zip((-half + k * step for k in range(S)), nudges))
+
+
+def _per_source(scn, x, z):
+    return np.stack([field_at(scn, x, z, x_s=s) for s in scn.source.x_positions])
+
+
+class TestMirrorPairedSources:
+    """On a line that is symmetric to round-off, the source at -s takes the
+    field of the source at s at -x: one kernel call per pair.
+
+    Fields agree with their own per-source evaluation to 1e-12 of max|F|
+    behind G1.  Between the gratings ``between_row`` rounds its phases from
+    tables referenced to the first slit, so its mirror image differs in the
+    last digits of phases of up to ~1e4 rad near G0: up to 1.3e-11 of
+    max|F| on fig5a's 33-point line over its +-10 um, 800-sample rows,
+    hence 1e-10 there."""
+
+    @settings(max_examples=12)
+    @given(
+        geometry=st.tuples(st.integers(1, 33), st.integers(1, 33), st.floats(20e-9, 100e-9),
+                           st.floats(20e-9, 100e-9), st.floats(2.5, 6.0), st.floats(0.02, 0.08),
+                           st.floats(3e-12, 8e-12), st.floats(-50.0, -0.3)),
+        comb=st.one_of(st.none(), st.tuples(st.integers(1, 16), st.floats(0.3, 1.5))),
+        S=st.integers(2, 40), half=st.floats(0.1e-6, 4e-6),
+        nudge=st.lists(st.integers(-3, 3), min_size=40, max_size=40),
+        span=st.floats(1e-6, 12e-6), nx=st.integers(1, 41), seed=st.integers(0, 2**32 - 1),
+        frac=st.floats(0.0, 1.0), past=st.floats(1e-12, 2.0),
+    )
+    def test_pairs_match_per_source_fields(self, geometry, comb, S, half, nudge, span, nx,
+                                           seed, frac, past):
+        """Scalar == row and 1, 2 and 3 workers bit for bit, and every field
+        close to its own ``field_at``, between the gratings and behind G1."""
+        scn = _line_scenario(geometry, _stepped_line(S, half, nudge), comb)
+        x = np.random.default_rng(seed).permutation(
+            centered_axis(-span, span, nx) if nx > 1 else np.zeros(1))
+        order = np.argsort(x)
+        at_neg = np.empty_like(order)  # the index of -x[k]
+        at_neg[order] = order[::-1]
+        zs = (frac * scn.z1, scn.z1 * (1.0 + past))
+        for z, tol in zip(zs, (1e-10, 1e-12)):
+            F = source_field_matrix(scn, x, z)
+            # every position pairs: the i-th from the left is the mirror of the i-th from the right
+            assert F[:S // 2].tobytes() == F[::-1][:S // 2][:, at_neg].tobytes()
+            ref = _per_source(scn, x, z)
+            assert np.max(np.abs(F - ref), initial=0.0) <= tol * np.max(np.abs(ref))
+            for k in {0, nx // 2, nx - 1}:
+                assert source_field_matrix(scn, float(x[k]), z).tobytes() == F[:, k].tobytes()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parallel.os, "cpu_count", lambda: 2)
+            rows = [evaluate_densities([scn], x, zs, workers=w).tobytes() for w in (1, 2, 3)]
+        assert rows[0] == rows[1] == rows[2]
+
+    @pytest.mark.parametrize("z", [0.03, 0.05, 0.1])
+    def test_unpaired_positions_take_their_own_call(self, z):
+        """x_s = 0, a position moved off symmetry by more than the tolerance
+        and its former partner are byte-identical to ``field_at``."""
+        xs = list(_stepped_line(9, 2e-6, [0] * 9))
+        xs[4], xs[1] = 0.0, xs[1] + 4 * propagators._LATTICE_ULPS * np.spacing(2e-6)
+        scn = _line_scenario((8, 9, 37.5e-9, 75e-9, 4.0, 0.05, 5e-12, -0.5), tuple(xs), None)
+        x = centered_axis(-5e-6, 5e-6, 33)
+        F, ref = source_field_matrix(scn, x, z), _per_source(scn, x, z)
+        for i in (1, 4, 7):
+            assert F[i].tobytes() == ref[i].tobytes()
+        assert F.tobytes() != ref.tobytes()  # the other pairs take the mirror rule
+
+    @pytest.mark.parametrize("xs", [(0.0,), (1e-6,), (-1e-6, 0.5e-6, 2e-6), (1e-6, 3e-6)],
+                             ids=["on-axis point", "point", "asymmetric", "one-sided"])
+    @pytest.mark.parametrize("z", [0.03, 0.1])
+    def test_line_without_pairs_is_byte_identical(self, xs, z):
+        scn = _line_scenario((8, 9, 37.5e-9, 75e-9, 4.0, 0.05, 5e-12, -0.5), xs, None)
+        x = centered_axis(-5e-6, 5e-6, 32)
+        assert source_field_matrix(scn, x, z).tobytes() == _per_source(scn, x, z).tobytes()
+
+    @pytest.mark.parametrize("z", [0.03, 0.1])
+    def test_x_zero_is_evaluated_once(self, z, monkeypatch):
+        scn = _line_scenario((8, 9, 37.5e-9, 75e-9, 4.0, 0.05, 5e-12, -0.5), (-1e-6, 1e-6), None)
+        seen = []
+        real = coherence.field_at
+        monkeypatch.setattr(coherence, "field_at",
+                            lambda s, x, z, x_s: seen.append(np.array(x)) or real(s, x, z, x_s=x_s))
+        source_field_matrix(scn, np.array([-2e-6, 0.0, 1e-6, 2e-6]), z)
+        [x] = seen
+        assert x.tolist() == [-2e-6, -1e-6, 0.0, 1e-6, 2e-6]

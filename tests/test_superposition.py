@@ -349,3 +349,23 @@ class TestCallShape:
         x_s = line_source_33.x_positions[3]
         assert superpose_behind(scn, 0.0, 0.08, x_s=x_s) == superpose_behind(
             _req(fullerene, x_s=x_s), 0.0, 0.08)
+
+    @pytest.mark.parametrize("preset, z, x_s", [
+        ("fig15b", 0.07, None),    # the hard-edged comb's direct kernel
+        ("fig15b", 0.05, None),    # its z == z1 plane limit
+        ("fig4a", 0.1, None),      # the factorised kernel
+        ("fig4b", 0.1, None),      # off-centre source: no mirror rule
+        ("fig4a", 0.03, None),     # between the gratings
+        ("fig5a", 0.1, 1e-6),      # one source of a line
+    ])
+    def test_empty_row_is_empty(self, preset, z, x_s):
+        scn = preset_run_config(preset).scenario
+        superpose = superpose_between if z < scn.z1 else superpose_behind
+        psi = superpose(scn, np.array([]), z, x_s=x_s)
+        assert psi.shape == (0,) and psi.dtype == complex
+
+    def test_empty_single_path_row_is_empty(self, fullerene):
+        scn = _req(fullerene)
+        ctx = PathContext(particle=fullerene, grating0=scn.grating0, grating1=scn.grating1,
+                          x_s=0.0, z_s=-0.5, x0=0.0, x1=0.0)
+        assert psi_behind(ctx, np.array([]), 0.08).shape == (0,)
