@@ -38,7 +38,7 @@ import numpy as np
 
 from .core import COHERENT_SIGMA, DomainError, SourceSpec, SpectralSpec, centered_axis
 from .parallel import default_workers, map_chunks
-from .propagators import _LATTICE_ULPS, _as_row, distinct_abs, reduce_paths
+from .propagators import _LATTICE_ULPS, _as_row, reduce_paths
 from .scenario import Scenario, apply_sweep_value
 from .superposition import density, superpose_behind, superpose_between
 
@@ -190,7 +190,7 @@ def field_at(scn: Scenario, x: np.ndarray, z: float, *, x_s: float | None = None
 def _mirror_union(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct values of x and -x, ascending (0 once), and the index
     among them of each sample and of its negation."""
-    ax, inv = distinct_abs(x)
+    ax, inv = np.unique(np.abs(x), return_inverse=True)
     n, n0 = ax.size, np.count_nonzero(ax[:1] == 0.0)
     at_pos, at_neg, neg = n - n0 + inv, n - 1 - inv, x < 0.0
     u = np.concatenate([-ax[n0:][::-1], ax])
@@ -295,7 +295,7 @@ def _density_chunk(scenarios, x: np.ndarray, zs: np.ndarray) -> np.ndarray:
 def _mirror_pair_columns(x: np.ndarray, n: int) -> list[np.ndarray]:
     """The indices of x in min(n, distinct |x|) chunks of about equal size,
     cut in |x| order, so that every mirror pair x, -x lands in one chunk."""
-    distinct, group = distinct_abs(x)
+    distinct, group = np.unique(np.abs(x), return_inverse=True)
     parts = np.array_split(np.arange(len(distinct)), min(n, len(distinct)))
     chunk = np.searchsorted([p[0] for p in parts[1:]], group, side="right")
     return [np.flatnonzero(chunk == k) for k in range(len(parts))]

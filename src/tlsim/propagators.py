@@ -46,8 +46,9 @@ spacing follows from the geometry, and the contraction over x0 runs as BLAS
 matmuls of a shape fixed by (N0, N1) (the block rule of
 :func:`_behind_factorised`), so a sample's value does not depend on which
 other samples share its row, nor on the BLAS thread count.  The comb and
-single fuzzy paths keep the direct one-exponential-per-path kernel, which
-evaluates each |x| of a self-mirror row once (:func:`_fold_mirrored`).
+single fuzzy paths keep the direct one-exponential-per-path kernel.  Every
+kernel evaluates each x it is given; a self-mirror row's |x| are shared out
+by ``superposition``.
 
 Every detector position must be finite; a NaN or infinite x or z raises a
 DomainError.
@@ -342,10 +343,7 @@ def behind_row(
     the hard-edged comb form (``hard=True``); z == z1 evaluates the analytic
     limit (incident field times slit transmission).  Every fuzzy sum over two
     or more paths goes to :func:`_behind_factorised`; the direct kernel takes
-    single paths and the comb.  On a self-mirror row (x_s = 0 or a paraxial
-    source, antisymmetric lattices) the direct kernel evaluates each |x|
-    once and folds it in reversed path order for x < 0, bit for bit what
-    it would sum at x itself.
+    single paths and the comb, at every sample of x.
     """
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
     x1s = np.atleast_1d(np.asarray(x1s, dtype=float))
@@ -374,9 +372,7 @@ def behind_row(
 
     if not x.size:
         return np.zeros(0, dtype=complex)
-    # On a self-mirror row the terms are built at the distinct |x| only.
-    xe, inv = distinct_abs(x) if mirror_symmetric(x_s, z_s, x0s, x1s) else (x, None)
-    dx1 = xe[None, :] - x1s[:, None]
+    dx1 = x[None, :] - x1s[:, None]
 
     # A fuzzy slit is the one-term comb: offset 0, so ck = fk = 0.
     K, eta = (comb_k, comb_eta) if hard else (1, 1.0)
@@ -398,8 +394,7 @@ def behind_row(
             + 2.0 * dx1[:, None, None, :] * (bq[:, :, None, None] - (1j * fk)[None, None, :, None])
         )
         terms = np.exp((1j * math.pi) * phase)
-        psi = _fold_mirrored(terms.reshape(-1, xe.shape[0]), x, inv)
-        return pref * psi / np.sqrt(sig0)
+        return pref * reduce_paths(terms.reshape(-1, x.shape[0])) / np.sqrt(sig0)
 
     d2 = _d_squared(sig0, spreading_sigma(lam, z0, z1, z, b1, comb_scale), z0, z1, z)
     d = complex(np.sqrt(d2))
@@ -412,7 +407,7 @@ def behind_row(
     # Direct kernel: one exponential per path term, with the quadratic phase
     # assembled in place in one (paths, nx) buffer.  Only the hard-edged
     # comb and single fuzzy paths come here.
-    acc = np.empty((len(x1s), len(x0s), K, xe.shape[0]), dtype=complex)
+    acc = np.empty((len(x1s), len(x0s), K, x.shape[0]), dtype=complex)
     np.subtract(
         w[:, None, None, :], bq[:, :, None, None] - (1j * fk)[None, None, :, None],
         out=acc,
@@ -423,53 +418,7 @@ def behind_row(
     acc += (p23[:, :, None] + (1j * ck)[None, None, :])[:, :, :, None]
     np.multiply(acc, 1j * math.pi, out=acc)
     np.exp(acc, out=acc)
-    psi = _fold_mirrored(acc.reshape(-1, xe.shape[0]), x, inv)
-    return pref * psi / d
-
-
-def mirror_symmetric(x_s: float, z_s: float, *lattices: np.ndarray) -> bool:
-    """Whether every row is its own mirror image, psi(-x) = psi(x): the source
-    sits at x_s = 0 or is paraxial, and every slit lattice is exactly
-    antisymmetric, xs == -xs[::-1] (as ``slit_positions`` builds it)."""
-    return (x_s == 0.0 or is_paraxial(z_s)) and all(
-        np.array_equal(xs, -xs[::-1]) for xs in lattices
-    )
-
-
-def distinct_abs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct |x| of the samples, ascending, and the index of each
-    sample's |x| among them.  ``np.unique`` would also import ``numpy.ma``
-    (about 1.4 MB resident) into processes that never load it otherwise,
-    such as a parent that only hands rows to its pool, or a worker that
-    evaluates comb rows."""
-    ax = np.abs(x)
-    order = np.argsort(ax, kind="stable")
-    ax = ax[order]
-    first = np.ones(ax.shape, dtype=bool)
-    first[1:] = ax[1:] != ax[:-1]
-    inv = np.empty(x.shape, dtype=np.intp)
-    inv[order] = np.cumsum(first) - 1
-    return ax[first], inv
-
-
-def _fold_mirrored(terms: np.ndarray, x: np.ndarray, inv: np.ndarray | None) -> np.ndarray:
-    """Fold (paths, n) terms into the row over the samples x.
-
-    ``inv`` is None when the terms are over x itself.  Otherwise they are
-    over the distinct |x| of a self-mirror row, ``inv`` maps each sample to
-    its column, and a sample x < 0 folds its column in reversed path order.
-    Every term is unchanged when x, x_s, x0, x1 and m_k all change sign, and
-    the mirror (n1, n0, k) -> (N1-1-n1, N0-1-n0, K-1-k) reverses the
-    flattened path order, so this is bit for bit the fold of the terms at x.
-    """
-    psi = reduce_paths(terms)
-    if inv is None:
-        return psi
-    psi = psi[inv]
-    neg = x < 0.0
-    if neg.any():
-        psi[neg] = reduce_paths(terms[::-1])[inv[neg]]
-    return psi
+    return pref * reduce_paths(acc.reshape(-1, x.shape[0])) / d
 
 
 # Largest |log| of a phase-table entry inside one tile.  Table entries then
@@ -683,7 +632,9 @@ def psi_hard_edge(ctx: PathContext, x, z: float):
     """Behind-G1 wave function with grating 1's hard-edged comb slits.
 
     Fuzzy slits are read as the K = 1, eta = 1 comb.  With comb_k = 1 this
-    reduces exactly to sqrt(2/pi)/eta times :func:`psi_behind`.
+    returns sqrt(2/pi)/eta times :func:`psi_behind`, which is right only at
+    eta = 1: the K = 1 form factor is a Gaussian of width b1*eta, but the
+    kernel keeps the slit width b1 (a known bug).
     """
     return _behind_path(ctx, x, z, hard=True)
 

@@ -11,16 +11,17 @@ carries the wavelength: a spectral average evaluates one scenario per
 wavelength (``Scenario.with_wavelength``).  The only per-call override is
 ``x_s``, which picks one source point (required for a distributed source).
 
-Mirror rule: both gratings sit centred on the axis, so when the source is
-paraxial or sits at x_s = 0 every row is its own mirror image, psi(-x) =
-psi(x).  Both sums then evaluate their kernel at the distinct |x| only and
-copy each value to its mirror sample, scalar calls included, so scalar ==
-row still holds, parity is exact, and values at x < 0 are those at |x|
-(the factorised and between kernels are mirror-symmetric only to
-round-off).  The rule skips grating 1's hard-edged comb, whose bits the
-direct kernel keeps (its own fold of mirror pairs serves it).  A call for
-an off-centre source takes the kernel at every x it is given; a line's
-sources at +-s share one such call (``coherence.source_field_matrix``).
+Mirror rule: both gratings sit centred on the axis (``slit_positions``
+builds exactly antisymmetric lattices), so when the source is paraxial or
+sits at x_s = 0 every row is its own mirror image, psi(-x) = psi(x), for
+fuzzy slits and the hard-edged comb alike.  Both sums then evaluate their
+kernel at the distinct |x| only and copy each value to its mirror sample,
+scalar calls included, so scalar == row still holds, parity is exact, and
+values at x < 0 are those at |x| (the kernels are mirror-symmetric only to
+round-off).  The rule lives here alone: the kernels carry no mirror code.
+A call for an off-centre source takes the kernel at every x it is given;
+a line's sources at +-s share one such call
+(``coherence.source_field_matrix``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DomainError, slit_positions
-from .propagators import _as_row, behind_row, between_row, distinct_abs, mirror_symmetric
+from .propagators import _as_row, behind_row, between_row
 from .scenario import Scenario
 
 
@@ -43,12 +44,13 @@ def _source_x(scn: Scenario, x_s: float | None) -> float:
     return scn.source.x_positions[0]
 
 
-def _on_samples(row, x, mirror: bool):
+def _on_samples(scn: Scenario, x_s: float, row, x):
     """``row`` (a kernel over a sample array) at the samples x, a scalar or
-    an array; on a self-mirror row (``mirror``) it runs at the distinct |x|."""
+    an array; on a self-mirror row (source at x_s = 0 or paraxial) it runs
+    at the distinct |x|."""
     xr, scalar = _as_row(x)
-    if mirror:
-        ax, inv = distinct_abs(xr)
+    if x_s == 0.0 or scn.source.paraxial:
+        ax, inv = np.unique(np.abs(xr), return_inverse=True)
         out = row(ax)[inv]
     else:
         out = row(xr)
@@ -61,11 +63,10 @@ def superpose_between(scn: Scenario, x, z: float, *, x_s: float | None = None):
         raise DomainError("scenario region is 'behind'; between-gratings field not available")
     if not (scn.z0 <= z <= scn.z1):
         raise DomainError(f"between-gratings point needs z0 <= z <= z1, got z={z}")
-    x_s, z_s, x0s = _source_x(scn, x_s), scn.source.z_s, slit_positions(scn.grating0)
-    return _on_samples(
-        lambda xr: between_row(scn.lam, z_s, x_s, scn.z0, scn.grating0.half_width, x0s, xr, z),
-        x, mirror_symmetric(x_s, z_s, x0s),
-    )
+    x_s, x0s = _source_x(scn, x_s), slit_positions(scn.grating0)
+    return _on_samples(scn, x_s, lambda xr: between_row(
+        scn.lam, scn.source.z_s, x_s, scn.z0, scn.grating0.half_width, x0s, xr, z,
+    ), x)
 
 
 def superpose_behind(scn: Scenario, x, z: float, *, x_s: float | None = None):
@@ -73,15 +74,11 @@ def superpose_behind(scn: Scenario, x, z: float, *, x_s: float | None = None):
     if scn.region == "between":
         raise DomainError("scenario region is 'between'; behind-G1 field not available")
     g1 = scn.grating1
-    x_s, z_s = _source_x(scn, x_s), scn.source.z_s
-    x0s, x1s = slit_positions(scn.grating0), slit_positions(g1)
-    return _on_samples(
-        lambda xr: behind_row(
-            scn.lam, z_s, x_s, scn.z0, scn.z1, scn.grating0.half_width, g1.half_width,
-            x0s, x1s, xr, z, comb_k=g1.comb_k or 1, comb_eta=g1.comb_eta, hard=g1.comb,
-        ),
-        x, not g1.comb and mirror_symmetric(x_s, z_s, x0s, x1s),
-    )
+    x_s, x0s, x1s = _source_x(scn, x_s), slit_positions(scn.grating0), slit_positions(g1)
+    return _on_samples(scn, x_s, lambda xr: behind_row(
+        scn.lam, scn.source.z_s, x_s, scn.z0, scn.z1, scn.grating0.half_width, g1.half_width,
+        x0s, x1s, xr, z, comb_k=g1.comb_k or 1, comb_eta=g1.comb_eta, hard=g1.comb,
+    ), x)
 
 
 def density(psi):

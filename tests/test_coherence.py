@@ -19,6 +19,7 @@ from tlsim.core import (
 )
 from tlsim.coherence import (
     _GSM_BLOCK,
+    CoherenceConsistencyError,
     FringeMetrics,
     _kappa,
     coherence_sweep,
@@ -191,6 +192,36 @@ class TestGsmAverage:
         for bad in (F, F[0, 0], np.zeros((2, 3, 4), dtype=complex)):
             with pytest.raises(DomainError):
                 gsm_average(bad, spec)
+
+
+class TestConsistencyErrors:
+    """The quadratic form's own checks, reached by substituting the kernel:
+    a Gaussian kappa is symmetric and positive semi-definite, so a valid
+    source never trips them."""
+
+    XS = (-1e-6, 0.0, 1e-6)
+    F = np.array([[1.0, 0.5j], [1.0j, -0.25], [0.5, 1.0 + 1.0j]])
+
+    def _patch(self, monkeypatch, fn):
+        real = coherence._kappa
+        monkeypatch.setattr(coherence, "_kappa", lambda source: fn(real(source)))
+
+    def test_antisymmetric_kernel_raises_on_the_imaginary_part(self, monkeypatch):
+        skew = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+        self._patch(monkeypatch, lambda k: k + 1e-6 * skew)
+        with pytest.raises(CoherenceConsistencyError, match="imaginary part"):
+            gsm_average(self.F, _kernel_spec(self.XS, 1e-6))
+
+    def test_negated_kernel_raises_on_the_negative_value(self, monkeypatch):
+        self._patch(monkeypatch, lambda k: -k)
+        with pytest.raises(CoherenceConsistencyError, match="negative"):
+            gsm_average(self.F, _kernel_spec(self.XS, 1e-6))
+
+    def test_round_off_excursion_clamps_to_zero(self, monkeypatch):
+        spec = _kernel_spec(self.XS, 1e-6)
+        assert np.all(gsm_average(self.F, spec) > 0.0)
+        self._patch(monkeypatch, lambda k: -1e-14 * k)
+        assert gsm_average(self.F, spec).tolist() == [0.0, 0.0]
 
 
 _gsm_cases = dict(

@@ -1,10 +1,10 @@
 """The mirror rule: a row that is its own mirror image evaluates each |x| once.
 
 Both gratings are centred on the axis, so for a source at x_s = 0 or a
-paraxial one psi(-x) = psi(x).  The direct behind-G1 kernel folds the terms
-of |x| in reversed path order for x < 0, which reproduces its unmirrored
-bits exactly; the superposition sums copy the kernel's value at |x| to -x
-for fuzzy slits; ``evaluate_densities`` keeps mirror pairs in one chunk.
+paraxial one psi(-x) = psi(x), for fuzzy slits and the hard-edged comb
+alike.  The superposition sums, the rule's one home, evaluate the kernel at
+the distinct |x| and copy each value to -x; ``evaluate_densities`` keeps
+mirror pairs in one chunk.
 """
 
 import dataclasses
@@ -14,19 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlsim import coherence, parallel, propagators
+from tlsim import coherence, parallel, propagators, superposition
 from tlsim.coherence import _mirror_pair_columns, evaluate_densities, field_at, source_field_matrix
 from tlsim.core import PARAXIAL_ZS, GratingSpec, Particle, SourceSpec, centered_axis, slit_positions
-from tlsim.propagators import behind_row, between_row, mirror_symmetric
+from tlsim.propagators import behind_row, between_row
 from tlsim.scenario import Scenario
 from tlsim.superposition import density, superpose_behind, superpose_between
-
-
-def _unmirrored(fn, *args, **kwargs):
-    """``fn`` with the mirror predicate off: every sample evaluated as given."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(propagators, "mirror_symmetric", lambda *a: False)
-        return fn(*args, **kwargs)
 
 
 def _scenario(n0, n1, b0, b1, pitch_scale, z1, lam, x_s, z_s, comb=None):
@@ -39,54 +32,7 @@ def _scenario(n0, n1, b0, b1, pitch_scale, z1, lam, x_s, z_s, comb=None):
     )
 
 
-class TestDirectKernelFold:
-    @settings(max_examples=40)
-    @given(
-        n0=st.integers(1, 16),
-        n1=st.integers(1, 16),
-        comb=st.one_of(st.none(), st.tuples(st.integers(1, 64), st.floats(0.2, 1.5))),
-        lam=st.floats(3e-12, 8e-12),
-        b0=st.floats(20e-9, 100e-9),
-        b1=st.floats(20e-9, 100e-9),
-        pitch_scale=st.floats(2.5, 6.0),
-        z1=st.floats(0.02, 0.08),
-        source=st.one_of(st.tuples(st.floats(-50.0, -0.3), st.just(0.0)),
-                         st.tuples(st.just(PARAXIAL_ZS), st.floats(-3e-6, 3e-6))),
-        z_kind=st.sampled_from(["plane", "plane+1e-12", "beyond"]),
-        beyond=st.floats(0.01, 2.0),
-        nx=st.integers(1, 15),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_fold_equals_unmirrored_kernel(self, n0, n1, comb, lam, b0, b1, pitch_scale, z1,
-                                           source, z_kind, beyond, nx, seed):
-        """Comb rows (and single fuzzy paths, ``comb=None``) on odd and even
-        mirror-paired rows, shuffled, with x = 0 in the odd ones: the fold
-        gives the unmirrored kernel's bits at every sample."""
-        z_s, x_s = source
-        if comb is None:
-            n0 = n1 = 1  # fuzzy sums over two or more paths are factorised
-        x0s = slit_positions(GratingSpec(n0, pitch_scale * b0, b0, 0.0))
-        x1s = slit_positions(GratingSpec(n1, pitch_scale * b1, b1, z1))
-        assert mirror_symmetric(x_s, z_s, x0s, x1s)
-        span = max(x0s[-1], x1s[-1]) + 2e-6
-        x = np.random.default_rng(seed).permutation(
-            centered_axis(-span, span, nx) if nx > 1 else np.zeros(1))
-        z = {"plane": z1, "plane+1e-12": z1 * (1.0 + 1e-12), "beyond": z1 * (1.0 + beyond)}[z_kind]
-        k, eta = comb if comb else (1, 1.0)
-        args = (lam, z_s, x_s, 0.0, z1, b0, b1, x0s, x1s, x, z)
-        kwargs = dict(comb_k=k, comb_eta=eta, hard=comb is not None)
-        ref = _unmirrored(behind_row, *args, **kwargs)
-        assert behind_row(*args, **kwargs).tobytes() == ref.tobytes()
-
-    def test_off_centre_source_is_not_mirrored(self):
-        x0s = slit_positions(GratingSpec(4, 250e-9, 37.5e-9, 0.0))
-        assert mirror_symmetric(0.0, -0.5, x0s)
-        assert mirror_symmetric(2e-6, PARAXIAL_ZS, x0s)
-        assert not mirror_symmetric(2e-6, -0.5, x0s)
-        assert not mirror_symmetric(0.0, -0.5, x0s + 1e-9)
-
-
-def _fuzzy_self_mirror():
+def _self_mirror():
     return st.builds(
         _scenario,
         n0=st.integers(1, 16), n1=st.integers(1, 16),
@@ -94,16 +40,19 @@ def _fuzzy_self_mirror():
         pitch_scale=st.floats(2.5, 6.0), z1=st.floats(0.02, 0.08),
         lam=st.floats(3e-12, 8e-12),
         x_s=st.just(0.0), z_s=st.one_of(st.just(PARAXIAL_ZS), st.floats(-50.0, -0.3)),
+        comb=st.one_of(st.none(), st.tuples(st.integers(1, 64), st.floats(0.2, 1.5))),
     )
 
 
 class TestSuperpositionRule:
     @settings(max_examples=30)
-    @given(scn=_fuzzy_self_mirror(), frac=st.floats(0.0, 1.0),
-           past=st.one_of(st.just(1e-12), st.floats(1e-12, 2.0)), nx=st.integers(2, 41))
+    @given(scn=_self_mirror(), frac=st.floats(0.0, 1.0),
+           past=st.one_of(st.just(0.0), st.just(1e-12), st.floats(1e-12, 2.0)),
+           nx=st.integers(2, 41))
     def test_self_mirror_rows_are_exact_mirror_copies(self, scn, frac, past, nx):
-        """p(-x) == p(x) bit for bit, at x >= 0 the kernel's own bits, and at
-        x < 0 within 1e-12 of the row maximum of the kernel evaluated at -x."""
+        """Fuzzy slits or the comb, behind G1 from the plane z1 on: p(-x) ==
+        p(x) bit for bit, at x >= 0 the kernel's own bits, and at x < 0
+        within 1e-12 of the row maximum of the kernel evaluated at -x."""
         span = max(slit_positions(scn.grating0)[-1], slit_positions(scn.grating1)[-1]) + 3e-6
         x = centered_axis(-span, span, nx)
         x0s, x1s = slit_positions(scn.grating0), slit_positions(scn.grating1)
@@ -114,7 +63,8 @@ class TestSuperpositionRule:
              between_row(scn.lam, scn.source.z_s, 0.0, 0.0, g0.half_width, x0s, x, z_between)),
             (superpose_behind(scn, x, z_behind),
              behind_row(scn.lam, scn.source.z_s, 0.0, 0.0, scn.z1, g0.half_width,
-                        g1.half_width, x0s, x1s, x, z_behind)),
+                        g1.half_width, x0s, x1s, x, z_behind, comb_k=g1.comb_k or 1,
+                        comb_eta=g1.comb_eta, hard=g1.comb)),
         ]
         for psi, direct in rows:
             p, p_direct = density(psi), density(direct)
@@ -147,19 +97,19 @@ class TestSuperpositionRule:
             scn.lam, z_s, x_s, 0.0, scn.z1, g0.half_width, g1.half_width, x0s, x1s, x, z,
             comb_k=g1.comb_k or 1, comb_eta=g1.comb_eta, hard=g1.comb).tobytes()
 
-    def test_comb_rows_take_the_kernel_fold(self):
-        """The rule skips the hard-edged comb: its rows are the direct
-        kernel's, whose x < 0 bits differ from those at |x|."""
-        scn = _scenario(4, 5, 37.5e-9, 75e-9, 4.0, 0.05, 5e-12, 0.0, -0.5, comb=(16, 1.5))
-        g0, g1 = scn.grating0, scn.grating1
-        x = centered_axis(-125e-9, 125e-9, 1024)
-        z = 0.0575
-        psi = superpose_behind(scn, x, z)
-        ref = _unmirrored(behind_row, scn.lam, -0.5, 0.0, 0.0, 0.05, g0.half_width,
-                          g1.half_width, slit_positions(g0), slit_positions(g1), x, z,
-                          comb_k=16, comb_eta=1.5, hard=True)
-        assert psi.tobytes() == ref.tobytes()
-        assert psi.tobytes() != psi[::-1].tobytes()
+    @pytest.mark.parametrize("z_s", [-0.5, PARAXIAL_ZS], ids=["x_s = 0", "paraxial"])
+    @pytest.mark.parametrize("z", [0.05, 0.0575])
+    def test_comb_row_is_evaluated_once_per_abs_x(self, z_s, z, monkeypatch):
+        """A self-mirror comb row calls the kernel once, at its distinct |x|."""
+        scn = _scenario(4, 5, 37.5e-9, 75e-9, 4.0, 0.05, 5e-12, 0.0, z_s, comb=(16, 1.5))
+        seen = []
+        real = superposition.behind_row
+        monkeypatch.setattr(superposition, "behind_row",
+                            lambda *a, **kw: seen.append(np.array(a[9])) or real(*a, **kw))
+        psi = superpose_behind(scn, np.array([-2e-7, 0.0, 1e-7, 2e-7, -1e-7, 1e-7]), z)
+        [x] = seen
+        assert x.tolist() == [0.0, 1e-7, 2e-7]
+        assert psi[[0, 4, 5]].tobytes() == psi[[3, 2, 2]].tobytes()
 
 
 class TestEvaluatorChunks:
