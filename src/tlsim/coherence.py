@@ -2,14 +2,13 @@
 and the derived scans (coherence sweep, wavelength resonance, focusing
 contrast).
 
-The per-source complex fields do not depend on sigma_I.  The scenarios of
-one z row share a memo of them, keyed by the scenario with sigma_I set aside
-and kept only while a later scenario of the row has the key, so sweeping
-the coherence width, on a spectral line too, costs only the quadratic form,
-not new propagator work.  The form contracts G = kappa . F over the sources
-as BLAS matmuls of a shape fixed by S (the block rule of
-:func:`gsm_average`) and then folds conj(F_i) * G_i over i: S^2 * nx
-multiply-adds in O(S * nx) memory, never an S x S x nx product.
+The per-source complex fields do not depend on sigma_I.  A z row evaluates
+once the fields that several of its scenarios share, keyed by the scenario
+with sigma_I set aside, so sweeping the coherence width, on a spectral line
+too, costs only the quadratic form, not new propagator work.  The form
+contracts G = kappa . F over the sources as BLAS matmuls of a shape fixed by
+S (the block rule of :func:`gsm_average`) and then folds conj(F_i) * G_i over
+i: S^2 * nx multiply-adds in O(S * nx) memory, never an S x S x nx product.
 
 Both gratings are centred, so a line's source at -s gives at x the field
 its source at s gives at -x.  :func:`source_field_matrix` evaluates each
@@ -223,8 +222,8 @@ def source_field_matrix(scn: Scenario, x, z: float) -> np.ndarray:
 
 
 def _fields_key(scn: Scenario) -> Scenario:
-    """The memo key of a GSM line's per-source fields: the scenario with
-    sigma_I set aside."""
+    """The key of a GSM line's per-source fields: the scenario with sigma_I
+    set aside."""
     return dataclasses.replace(scn, source=dataclasses.replace(scn.source, sigma_I=COHERENT_SIGMA))
 
 
@@ -234,33 +233,25 @@ def _per_wavelength(scn: Scenario) -> list[Scenario]:
     return [scn] if spec is None else [scn.with_wavelength(lam) for lam in spec.lambda_list]
 
 
-def density_profile(scn: Scenario, x: np.ndarray, z: float, fields: dict | None = None) -> np.ndarray:
+def density_profile(scn: Scenario, x: np.ndarray, z: float, F: np.ndarray | None = None) -> np.ndarray:
     """Density at one z for the scenario's source model (point, line, or GSM),
-    at the scenario's single wavelength.  ``fields`` is the memo of
-    :func:`_density_chunk`: it maps the key of a GSM line's per-source
-    fields (:func:`_fields_key`) to (uses left, fields or None), and each
-    entry is dropped at its last use."""
+    at the scenario's single wavelength.  A GSM line averages its per-source
+    fields ``F`` (:func:`source_field_matrix` on x at z), evaluated here when
+    none are given."""
     if not scn.source.gsm:
         return density(field_at(scn, x, z))
-    key = _fields_key(scn)
-    left, F = fields.pop(key, (1, None)) if fields else (1, None)
-    if F is None:
-        F = source_field_matrix(scn, x, z)
-    if left > 1:
-        fields[key] = (left - 1, F)
-    return gsm_average(F, scn.source)
+    return gsm_average(source_field_matrix(scn, x, z) if F is None else F, scn.source)
 
 
 def spectral_density_profile(scn: Scenario, x: np.ndarray, z: float,
                              fields: dict | None = None) -> np.ndarray:
     """Density at one z including the scenario's spectral average, if any:
-    one scenario per wavelength of the spectrum, averaged incoherently.
-    Each wavelength's :func:`density_profile` gets the memo ``fields``."""
+    one scenario per wavelength of the spectrum, averaged incoherently.  Each
+    takes its per-source fields from ``fields`` by :func:`_fields_key`, if there."""
+    stack = [density_profile(w, x, z, fields.get(_fields_key(w)) if fields else None)
+             for w in _per_wavelength(scn)]
     spec = scn.source.spectral
-    if spec is None:
-        return density_profile(scn, x, z, fields)
-    stack = [density_profile(w, x, z, fields) for w in _per_wavelength(scn)]
-    return spectral_average(stack, gaussian_spectral_weights(spec))
+    return stack[0] if spec is None else spectral_average(stack, gaussian_spectral_weights(spec))
 
 
 def talbot_plane(scn: Scenario) -> float:
@@ -282,13 +273,14 @@ def talbot_section(scn: Scenario, samples: int) -> tuple[np.ndarray, float]:
 def _density_chunk(scenarios, x: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """The densities of :func:`evaluate_densities` on one chunk of samples.
 
-    A row's memo holds a GSM line's per-source fields only while a later
-    (scenario, wavelength) of the chunk has their key."""
+    A row first evaluates the per-source fields whose key two or more
+    (scenario, wavelength) pairs of the chunk share, and frees them at its end."""
     uses = Counter(_fields_key(w) for s in scenarios for w in _per_wavelength(s) if w.source.gsm)
     out = np.empty((len(scenarios), len(zs), len(x)))
     for j, z in enumerate(zs.tolist()):
-        fields = {key: (n, None) for key, n in uses.items() if n > 1}
+        fields = {key: source_field_matrix(key, x, z) for key, n in uses.items() if n > 1}
         out[:, j] = [spectral_density_profile(s, x, z, fields) for s in scenarios]
+        del fields  # before the next row evaluates its own
     return out
 
 

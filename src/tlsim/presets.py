@@ -344,9 +344,6 @@ def run_preset(
     scn, grid = rc.scenario, rc.grid
     entry = PRESETS[name]
     kind = entry["kind"]
-    driver = _TABLE_DRIVERS.get(kind)
-    if driver is None and kind != "field":
-        raise DomainError(f"preset {name!r} has unknown kind {kind!r}")
     note = f"note = {entry['note']}"
 
     def say(msg: str) -> None:
@@ -374,6 +371,6 @@ def run_preset(
         written.append(os.path.join(out_dir, f"{name}.{kind_ext}"))
         return written[-1]
 
-    extra = driver(entry, scn, grid, path, say, threads)
+    extra = _TABLE_DRIVERS[kind](entry, scn, grid, path, say, threads)
     export_meta(path("meta.txt"), scn, extra + [note], fingerprint(scn, extra))
     return written

@@ -343,13 +343,21 @@ def behind_row(
     the hard-edged comb form (``hard=True``); z == z1 evaluates the analytic
     limit (incident field times slit transmission).  Every fuzzy sum over two
     or more paths goes to :func:`_behind_factorised`; the direct kernel takes
-    single paths and the comb, at every sample of x.
+    single paths and the comb, at every sample of x, in blocks of at most
+    ``_MAX_TERMS`` path terms (a comb that needs more per sample raises).
     """
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
     x1s = np.atleast_1d(np.asarray(x1s, dtype=float))
     x = _detector_row(x, z)
     if z < z1:
         raise DomainError(f"behind-region evaluation needs z >= z1, got z={z}, z1={z1}")
+
+    # A fuzzy slit is the one-term comb: offset 0, so ck = fk = 0.
+    K, eta = (comb_k, comb_eta) if hard else (1, 1.0)
+    per_sample = len(x1s) * len(x0s) * K
+    if hard and per_sample > _MAX_TERMS:
+        raise DomainError(f"the comb needs {per_sample} path terms per sample "
+                          f"({per_sample / 2**26:.3g} GiB), more than the direct kernel's {_MAX_TERMS}")
 
     sig0 = spreading_sigma(lam, z_s, z0, z1, b0)
     comb_scale = (comb_k / comb_eta) ** 2 if (hard and comb_k > 1) else 1.0
@@ -370,55 +378,54 @@ def behind_row(
             lam, z0, z1, b1, z, sig0, p23, bq, alpha, beta, gamma, x0s, x1s, x
         )
 
-    if not x.size:
-        return np.zeros(0, dtype=complex)
-    dx1 = x[None, :] - x1s[:, None]
-
-    # A fuzzy slit is the one-term comb: offset 0, so ck = fk = 0.
-    K, eta = (comb_k, comb_eta) if hard else (1, 1.0)
+    # Direct kernel: one exponential per path term, over blocks of samples of at
+    # most _MAX_TERMS terms.  A sample's terms and their fold depend on it alone,
+    # so the blocks join to the whole row bit for bit.
+    if not (x.size and per_sample):  # no samples, or an empty sum over no paths
+        return np.zeros(x.size, dtype=complex)
     mk = comb_offsets(K)
     ck = mk * mk / (2.0 * math.pi * eta * eta)
     fk = K * mk / (2.0 * math.pi * eta * eta * b1)
     pref = _SQRT_2_OVER_PI / eta if hard else 1.0
 
-    if z == z1:
-        # Analytic z -> z1 limit.
-        e_lim = complex(
-            (sig0 - 1.0) / (z1 - z0)
-        ) + 1j * sig0 * lam * comb_scale / (2.0 * math.pi * b1 * b1)
-        quad = (dx1 * dx1) * (e_lim / (lam * sig0))
-        phase = (
-            quad[:, None, None, :]
-            + p23[:, :, None, None]
-            + (1j * ck)[None, None, :, None]
-            + 2.0 * dx1[:, None, None, :] * (bq[:, :, None, None] - (1j * fk)[None, None, :, None])
+    def block(x):
+        dx1 = x[None, :] - x1s[:, None]
+        if z == z1:
+            # Analytic z -> z1 limit.
+            e_lim = complex(
+                (sig0 - 1.0) / (z1 - z0)
+            ) + 1j * sig0 * lam * comb_scale / (2.0 * math.pi * b1 * b1)
+            quad = (dx1 * dx1) * (e_lim / (lam * sig0))
+            phase = (
+                quad[:, None, None, :]
+                + p23[:, :, None, None]
+                + (1j * ck)[None, None, :, None]
+                + 2.0 * dx1[:, None, None, :] * (bq[:, :, None, None] - (1j * fk)[None, None, :, None])
+            )
+            terms = np.exp((1j * math.pi) * phase)
+            return pref * reduce_paths(terms.reshape(-1, x.shape[0])) / np.sqrt(sig0)
+
+        d2 = _d_squared(sig0, spreading_sigma(lam, z0, z1, z, b1, comb_scale), z0, z1, z)
+        d = complex(np.sqrt(d2))
+        Lz = lam * (z - z1)
+        c_quad = Lz * sig0 / d2
+        w = dx1 / Lz
+        t1 = dx1 * w
+        acc = np.empty((len(x1s), len(x0s), K, x.shape[0]), dtype=complex)
+        np.subtract(
+            w[:, None, None, :], bq[:, :, None, None] - (1j * fk)[None, None, :, None],
+            out=acc,
         )
-        terms = np.exp((1j * math.pi) * phase)
-        return pref * reduce_paths(terms.reshape(-1, x.shape[0])) / np.sqrt(sig0)
+        np.multiply(acc, acc, out=acc)
+        np.multiply(acc, -c_quad, out=acc)
+        acc += t1[:, None, None, :]
+        acc += (p23[:, :, None] + (1j * ck)[None, None, :])[:, :, :, None]
+        np.multiply(acc, 1j * math.pi, out=acc)
+        np.exp(acc, out=acc)
+        return pref * reduce_paths(acc.reshape(-1, x.shape[0])) / d
 
-    d2 = _d_squared(sig0, spreading_sigma(lam, z0, z1, z, b1, comb_scale), z0, z1, z)
-    d = complex(np.sqrt(d2))
-    Lz = lam * (z - z1)
-    c_quad = Lz * sig0 / d2
-
-    w = dx1 / Lz
-    t1 = dx1 * w
-
-    # Direct kernel: one exponential per path term, with the quadratic phase
-    # assembled in place in one (paths, nx) buffer.  Only the hard-edged
-    # comb and single fuzzy paths come here.
-    acc = np.empty((len(x1s), len(x0s), K, x.shape[0]), dtype=complex)
-    np.subtract(
-        w[:, None, None, :], bq[:, :, None, None] - (1j * fk)[None, None, :, None],
-        out=acc,
-    )
-    np.multiply(acc, acc, out=acc)
-    np.multiply(acc, -c_quad, out=acc)
-    acc += t1[:, None, None, :]
-    acc += (p23[:, :, None] + (1j * ck)[None, None, :])[:, :, :, None]
-    np.multiply(acc, 1j * math.pi, out=acc)
-    np.exp(acc, out=acc)
-    return pref * reduce_paths(acc.reshape(-1, x.shape[0])) / d
+    step = _MAX_TERMS // per_sample
+    return np.concatenate([block(x[i:i + step]) for i in range(0, x.size, step)])
 
 
 # Largest |log| of a phase-table entry inside one tile.  Table entries then
@@ -432,6 +439,9 @@ _TILE_LOG_BOUND = 64.0
 # its uniform lattice.  Centres built as n*d, or shifted and scaled from
 # such, stay within about 5.
 _LATTICE_ULPS = 16.0
+
+# Most path terms in one buffer of the direct kernel (256 MiB of complex128).
+_MAX_TERMS = 2**24
 
 # Samples per block of the behind-G1 contraction over x0 (see the block
 # rule of _behind_factorised).

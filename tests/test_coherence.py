@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -262,6 +263,21 @@ class TestGsmAverageProperties:
         b = data.draw(st.integers(a + 1, nx))
         assert np.array_equal(gsm_average(F[:, a:b], spec), gsm_average(F, spec)[a:b])
 
+    @settings(max_examples=60)
+    @given(S=st.integers(1, 64), nx=st.integers(1, 40), step=st.floats(0.05e-6, 1e-6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_coherence_width_limits_on_random_fields(self, S, nx, step, seed):
+        rng = np.random.default_rng(seed)
+        xs = (np.arange(S) - (S - 1) / 2) * step
+        assert max(_gsm_limit_errors(_random_phase_fields(rng, S, nx), xs)) <= 1e-12
+
+    def test_coherence_width_limits_on_fig5a_fields(self):
+        scn = preset_run_config("fig5a").scenario
+        x, z = talbot_section(scn, 64)
+        for zr in (z, scn.z1 + 1e-3):
+            F = source_field_matrix(scn, x, zr)
+            assert max(_gsm_limit_errors(F, scn.source.x_positions)) <= 1e-12
+
     def test_identical_across_blas_threads(self, tmp_path):
         """Every matmul of the form has a shape fixed by S, so fig7's 33 x 2048
         fields give byte-identical densities on 1 and 2 BLAS threads, for
@@ -310,6 +326,21 @@ class TestGsmAverageProperties:
             spec = _kernel_spec(scn.source.x_positions, sigma)
             ref = np.maximum(_outer_product_form(F, spec), 0.0)
             assert np.all(np.abs(gsm_average(F, spec) - ref) <= tol)
+
+
+def _gsm_limit_errors(F, xs):
+    """How far ``gsm_average`` of the fields F on the line xs sits from its
+    coherent limit |sum_i F_i|^2 / sqrt(2 pi) at sigma_I = inf and from its
+    incoherent limit sum_i |F_i|^2 / sqrt(2 pi) at sigma_I = 1e-12 m, each
+    relative to the limit, or to the incoherent level where the coherent
+    sum cancels below it."""
+    diag = _diag(F)
+    coherent = np.abs(F.sum(axis=0)) ** 2 / SQRT_2PI
+    return tuple(
+        float(np.max(np.abs(gsm_average(F, _kernel_spec(xs, sigma)) - ref)
+                     / np.maximum(ref, diag)))
+        for sigma, ref in ((COHERENT_SIGMA, coherent), (1e-12, diag))
+    )
 
 
 class TestFringeMetrics:
@@ -692,6 +723,57 @@ class TestSharedFields:
                 got = evaluate_densities(mix, x, zs, workers=workers)
                 assert got.tobytes() == per_scenario.tobytes()
 
+
+    @staticmethod
+    def _case(fullerene, name):
+        """(scenarios, shared keys, unshared GSM (scenario, wavelength) pairs)."""
+        mono = _line_9(fullerene)
+        band = _line_9(fullerene, _spectrum([4e-12, 5e-12, 6e-12], 5e-12, 1e-12))
+        sweep = [apply_sweep_value(mono, "sigma_I", s) for s in TestSweepProfiles.SIGMAS]
+        if name == "sigma-shared":
+            return sweep, 1, 0
+        if name == "spectral-sigma-shared":
+            return [apply_sweep_value(band, "sigma_I", s) for s in TestSweepProfiles.SIGMAS], 3, 0
+        if name == "unshared":
+            return [band, apply_sweep_value(mono, "zs", -1.0)], 0, 4
+        return sweep + [band], 1, 3  # "mixed"
+
+    CASES = ["sigma-shared", "spectral-sigma-shared", "unshared", "mixed"]
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_one_field_evaluation_per_shared_key_per_row(self, fullerene, monkeypatch, name):
+        scenarios, shared, unshared = self._case(fullerene, name)
+        x = centered_axis(-2e-6, 2e-6, 16)
+        zs = (0.08, 0.1)
+        per_scenario = np.array([[spectral_density_profile(s, x, z) for z in zs]
+                                 for s in scenarios])
+        calls = []
+        real = coherence.source_field_matrix
+        monkeypatch.setattr(coherence, "source_field_matrix",
+                            lambda scn, x, z: calls.append(z) or real(scn, x, z))
+        got = evaluate_densities(scenarios, x, zs, workers=1)
+        assert got.tobytes() == per_scenario.tobytes()
+        assert sorted(calls) == sorted(zs * (shared + unshared))
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_profiles_leave_the_fields_they_are_given_unchanged(self, fullerene, name):
+        scenarios, _, _ = self._case(fullerene, name)
+        x = centered_axis(-2e-6, 2e-6, 16)
+        z = 0.08
+        pairs = [w for s in scenarios for w in coherence._per_wavelength(s)]
+        fields = {coherence._fields_key(w): source_field_matrix(w, x, z) for w in pairs}
+        before = {key: (F, F.tobytes()) for key, F in fields.items()}
+        for F in fields.values():
+            F.flags.writeable = False
+        for s in scenarios:
+            alone = spectral_density_profile(s, x, z)
+            for given in (MappingProxyType(fields), {}):
+                assert spectral_density_profile(s, x, z, given).tobytes() == alone.tobytes()
+        for w in pairs:
+            F = fields[coherence._fields_key(w)]
+            assert density_profile(w, x, z, F).tobytes() == density_profile(w, x, z).tobytes()
+        assert fields.keys() == before.keys()
+        assert all(fields[key] is F and F.tobytes() == b for key, (F, b) in before.items())
 
     def test_memo_keeps_fields_only_while_a_later_scenario_has_their_key(self, fullerene):
         """A one-scenario row of a 33-point line at 21 wavelengths shares no

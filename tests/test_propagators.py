@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tlsim
+from tlsim import propagators
 from tlsim.core import (
     HBAR, PARAXIAL_ZS, DomainError, GratingSpec, Particle, SourceSpec, centered_axis,
     slit_positions,
@@ -742,6 +743,121 @@ class TestFactorisedBehind:
         x = np.linspace(-12e-6, 12e-6, 41)
         _assert_matches_closed_form(lam, PARAXIAL_ZS, 0.0, R * z1 / (R + z1), b0, b1 / m1,
                                     x0s, x1s, x, R * 0.15 / (R + 0.15))
+
+
+class TestDirectKernelBound:
+    """The direct kernel holds at most ``_MAX_TERMS`` path terms in one
+    buffer: a row takes blocks of samples, and a comb whose one sample needs
+    more is refused before any term is built.  The bound is lowered here, so
+    no large buffer is allocated."""
+
+    @pytest.mark.parametrize("K", [1, 2, 7, 16, 64])
+    @pytest.mark.parametrize("eta", [0.2, 0.7, 1.5])
+    def test_blocked_rows_equal_the_whole_row(self, monkeypatch, K, eta):
+        lam, z1, b0, b1 = 5e-12, 0.05, 37.5e-9, 75e-9
+        x0s = slit_positions(GratingSpec(4, 500e-9, b0, 0.0))
+        x1s = slit_positions(GratingSpec(3, 500e-9, b1, z1))
+        x = np.concatenate([np.linspace(-2e-6, 2e-6, 40), [0.0, 1e-3]])
+        per_sample = len(x0s) * len(x1s) * K
+        for z_s in (-0.5, PARAXIAL_ZS):
+            for z in (z1, z1 * (1.0 + 1e-12), 0.08):
+                args = (lam, z_s, 1e-6, 0.0, z1, b0, b1, x0s, x1s, x, z)
+                whole = behind_row(*args, comb_k=K, comb_eta=eta, hard=True)
+                single = behind_row(*args[:7], [x0s[1]], [x1s[2]], x, z)
+                for step in (1, 5, 41):
+                    monkeypatch.setattr(propagators, "_MAX_TERMS", step * per_sample + per_sample - 1)
+                    got = behind_row(*args, comb_k=K, comb_eta=eta, hard=True)
+                    assert got.tobytes() == whole.tobytes()
+                # a single path in blocks of one sample is a scalar call, whose
+                # one-element in-place products numpy rounds apart from a row's
+                for step in (2, 5, 41):
+                    monkeypatch.setattr(propagators, "_MAX_TERMS", step)
+                    got = behind_row(*args[:7], [x0s[1]], [x1s[2]], x, z)
+                    assert got.tobytes() == single.tobytes()
+                monkeypatch.undo()
+
+    def test_a_comb_over_the_bound_is_refused_before_any_term(self, monkeypatch):
+        x0s = slit_positions(GratingSpec(3, 500e-9, 37.5e-9, 0.0))
+        x1s = slit_positions(GratingSpec(2, 500e-9, 75e-9, 0.05))
+        args = (5e-12, -0.5, 0.0, 0.0, 0.05, 37.5e-9, 75e-9, x0s, x1s, np.zeros(3), 0.06)
+        monkeypatch.setattr(propagators, "_MAX_TERMS", 23)
+
+        def built(*a, **k):
+            raise AssertionError("a path table was built")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(propagators, "spreading_sigma", built)
+            mp.setattr(propagators, "xi0_grouped", built)
+            with pytest.raises(DomainError, match="needs 24 path terms per sample"):
+                behind_row(*args, comb_k=4, hard=True)
+        # at the bound itself a block holds one sample
+        monkeypatch.setattr(propagators, "_MAX_TERMS", 24)
+        assert behind_row(*args, comb_k=4, hard=True).shape == (3,)
+
+    @pytest.mark.parametrize("hard", [False, True])
+    def test_no_paths_sum_to_a_zero_row(self, hard):
+        psi = behind_row(5e-12, -0.5, 0.0, 0.0, 0.05, 37.5e-9, 75e-9, [], [0.0],
+                         np.zeros(3), 0.07, comb_k=4, hard=hard)
+        assert psi.dtype == complex and psi.tolist() == [0j, 0j, 0j]
+
+
+class TestLinearityOverSlits:
+    """A row is linear in its slits: splitting one lattice into two
+    contiguous slices, each still a uniform lattice, splits the row into
+    the sum of the two parts' rows, between the gratings and through the
+    factorised kernel behind G1."""
+
+    @settings(max_examples=40)
+    @given(
+        n0=st.integers(2, 24),
+        n1=st.integers(2, 24),
+        lam=st.floats(3e-12, 8e-12),
+        b0=st.floats(20e-9, 100e-9),
+        b1=st.floats(20e-9, 100e-9),
+        pitch_scale0=st.floats(2.5, 8.0),
+        pitch_scale1=st.floats(2.5, 8.0),
+        z1=st.floats(0.02, 0.08),
+        z_s=st.one_of(st.just(PARAXIAL_ZS), st.floats(-50.0, -0.3)),
+        x_s=st.floats(-3e-6, 3e-6),
+        cut=st.floats(0.0, 1.0),
+        split_g1=st.booleans(),
+        between=st.floats(0.01, 0.99),
+        beyond=st.floats(0.01, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_row_is_the_sum_of_its_slit_subsets(self, n0, n1, lam, b0, b1, pitch_scale0,
+                                                pitch_scale1, z1, z_s, x_s, cut, split_g1,
+                                                between, beyond, seed):
+        x0s = slit_positions(GratingSpec(n0, pitch_scale0 * b0, b0, 0.0))
+        x1s = slit_positions(GratingSpec(n1, pitch_scale1 * b1, b1, z1))
+        span = max(x0s[-1], x1s[-1]) + 3e-6
+        x = np.sort(np.random.default_rng(seed).uniform(-span, span, 41))
+        worst = _split_residual(lam, z_s, x_s, z1, b0, b1, x0s, x1s, x, cut, split_g1,
+                               (0.0, between * z1, z1), (z1, z1 * (1.0 + 1e-6), z1 * (1.0 + beyond)))
+        assert worst <= 1e-10
+
+
+def _split_residual(lam, z_s, x_s, z1, b0, b1, x0s, x1s, x, cut, split_g1, zs_between, zs_behind):
+    """The largest |row - (part a + part b)| / max |row| over the given
+    planes (G0 at z = 0).  G0's lattice is cut after its first
+    1 + round(cut (N - 2)) slits; behind G1, G1's instead when ``split_g1``."""
+
+    def parts(xs):
+        k = 1 + round(cut * (len(xs) - 2))
+        return xs, xs[:k], xs[k:]
+
+    def residual(rows):
+        whole, a, b = rows
+        return np.max(np.abs(whole - (a + b))) / np.max(np.abs(whole))
+
+    worst = [residual([between_row(lam, z_s, x_s, 0.0, b0, p, x, z) for p in parts(x0s)])
+             for z in zs_between]
+    for z in zs_behind:
+        pairs = ([(x0s, p) for p in parts(x1s)] if split_g1
+                 else [(p, x1s) for p in parts(x0s)])
+        worst.append(residual([behind_row(lam, z_s, x_s, 0.0, z1, b0, b1, p0, p1, x, z)
+                               for p0, p1 in pairs]))
+    return max(worst)
 
 
 def _assert_between_matches_closed_form(lam, z_s, x_s, b0, x0s, x, z):
