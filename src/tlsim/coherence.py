@@ -15,8 +15,12 @@ its source at s gives at -x.  :func:`source_field_matrix` evaluates each
 such pair with one kernel call over x and -x; x_s = 0 takes the mirror rule
 of ``superposition``, and any other position its own call.
 
-The scenario alone carries the wavelength: the spectral average and the
-wavelength scan evaluate one ``Scenario.with_wavelength`` copy per wavelength.
+The spectral average of a point or paraxial source takes one field call per
+row for its whole band (the ``lam`` override of ``superposition``), whose
+rows equal the one-wavelength calls bit for bit.  A GSM line takes one
+``Scenario.with_wavelength`` copy per wavelength, so that a row holds one
+(S, nx) field matrix at a time and its sigma_I sweep shares each one; the
+wavelength scan evaluates one copy per wavelength too.
 
 One evaluator, :func:`evaluate_densities`, serves field grids, sweeps, sets
 of planes and ``tlsim scan --fields``: it runs row blocks (x columns, cut
@@ -174,8 +178,9 @@ def spectral_average(densities, weights) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def field_at(scn: Scenario, x: np.ndarray, z: float, *, x_s: float | None = None):
-    """Complex superposed field of one source point at height z.
+def field_at(scn: Scenario, x: np.ndarray, z: float, *, x_s: float | None = None, lam=None):
+    """Complex superposed field of one source point at height z, at the
+    scenario's wavelength or, one row each, at the wavelengths ``lam``.
 
     Picks the between/behind form from z relative to the G1 plane and the
     scenario region (the z == z1 row belongs to the behind form only when the
@@ -183,7 +188,7 @@ def field_at(scn: Scenario, x: np.ndarray, z: float, *, x_s: float | None = None
     """
     between = scn.region == "between" or (scn.region == "full" and z <= scn.z1)
     superpose = superpose_between if between else superpose_behind
-    return superpose(scn, x, z, x_s=x_s)
+    return superpose(scn, x, z, x_s=x_s, lam=lam)
 
 
 def _mirror_union(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -245,12 +250,17 @@ def density_profile(scn: Scenario, x: np.ndarray, z: float, F: np.ndarray | None
 
 def spectral_density_profile(scn: Scenario, x: np.ndarray, z: float,
                              fields: dict | None = None) -> np.ndarray:
-    """Density at one z including the scenario's spectral average, if any:
-    one scenario per wavelength of the spectrum, averaged incoherently.  Each
-    takes its per-source fields from ``fields`` by :func:`_fields_key`, if there."""
-    stack = [density_profile(w, x, z, fields.get(_fields_key(w)) if fields else None)
-             for w in _per_wavelength(scn)]
+    """Density at one z including the scenario's spectral average, if any,
+    averaged incoherently over the spectrum's wavelengths.  A point or
+    paraxial source evaluates the whole band in one field call; a GSM line
+    takes one scenario per wavelength, each with its per-source fields from
+    ``fields`` by :func:`_fields_key`, if there."""
     spec = scn.source.spectral
+    if spec is not None and not scn.source.gsm:
+        stack = density(field_at(scn, x, z, lam=np.array(spec.lambda_list)))
+    else:
+        stack = [density_profile(w, x, z, fields.get(_fields_key(w)) if fields else None)
+                 for w in _per_wavelength(scn)]
     return stack[0] if spec is None else spectral_average(stack, gaussian_spectral_weights(spec))
 
 

@@ -26,7 +26,7 @@ Every fuzzy-slit path term is a complex Gaussian: a real envelope times a
 phase.  The fuzzy kernels take the envelope from its log-magnitude with one
 real exponential per term and build the phase from phasor tables, so no
 complex exponential is taken per path term.  Between the gratings the
-tables are a per-slit phasor (N0 complex exponentials per call), a
+tables are a per-slit phasor (N0 complex exponentials per wavelength), a
 per-sample phasor and the powers of one per-sample ratio, which carry the
 x*x0 cross term (2 complex exponentials per sample).
 
@@ -39,7 +39,7 @@ each table is the powers of one ratio per sample: a sample costs 2 complex
 exponentials and N0*N1 complex multiply-adds.  A path matrix entry costs one
 real exponential (its envelope), and its phase is a product of phasor tables
 over (x0, x1), (tile, x0) and (tile, x1): N0*N1 + tiles*(N0 + N1) complex
-exponentials per call.  ``between_row`` and the factorised kernel therefore
+exponentials per wavelength.  ``between_row`` and the factorised kernel therefore
 need slit centres x[n] = x[0] + n*d up to round-off and reject any other
 array with a DomainError.  Tile centres sit on a lattice in absolute x whose
 spacing follows from the geometry, and the contraction over x0 runs as BLAS
@@ -49,6 +49,17 @@ other samples share its row, nor on the BLAS thread count.  The comb and
 single fuzzy paths keep the direct one-exponential-per-path kernel.  Every
 kernel evaluates each x it is given; a self-mirror row's |x| are shared out
 by ``superposition``.
+
+Both row kernels take one wavelength or a 1-D band of W, for a row of
+shape (nx,) or (W, nx).  Each wavelength's scalar coefficients come from
+the same scalar arithmetic as a one-wavelength call's and are broadcast
+over its tables, so row w of a band equals the call at lam[w] bit for bit.
+What does not depend on the wavelength (the lattice checks, the detector
+row, the path geometry) is built once per call.  The factorised kernel
+keeps each wavelength's own tile lattice and contracts the (wavelength,
+tile) pairs as one tile list; the direct kernel takes the wavelengths one
+at a time.  A band is evaluated in groups of at most ``_GROUP_TERMS`` path
+terms.
 
 Every detector position must be finite; a NaN or infinite x or z raises a
 DomainError.
@@ -215,10 +226,13 @@ def reduce_paths(terms: np.ndarray) -> np.ndarray:
     """
     while terms.shape[0] > 1:
         m = terms.shape[0] // 2
-        rest = terms[2 * m:]
-        terms = terms[0:2 * m:2] + terms[1:2 * m:2]
-        if rest.shape[0]:
-            terms = np.concatenate([terms, rest], axis=0)
+        if terms.shape[0] % 2:  # the odd last row joins the sums without a concatenated copy
+            folded = np.empty((m + 1,) + terms.shape[1:], dtype=terms.dtype)
+            np.add(terms[0:2 * m:2], terms[1:2 * m:2], out=folded[:m])
+            folded[m] = terms[-1]
+            terms = folded
+        else:
+            terms = terms[0::2] + terms[1::2]
     return terms[0]
 
 
@@ -242,7 +256,8 @@ def _finite_row(kernel):
     a NaN, while a log-magnitude that falls to -inf gives the true zero.
     The kernels divide only by quantities that are nonzero in exact
     arithmetic (D^2 = 0 is rejected apart), so a ZeroDivisionError means
-    such a scale underflowed to zero, as at lam = 5e-324.
+    such a scale underflowed to zero, as at lam = 5e-324.  The error names
+    the wavelengths at fault: in a band, those whose own rows fail.
     """
     @functools.wraps(kernel)
     def row(lam, *args, **kwargs):
@@ -253,8 +268,31 @@ def _finite_row(kernel):
                 return psi
         except ZeroDivisionError:
             pass
-        raise DomainError(f"the path phase tables leave float64's range at wavelength {lam:g} m")
+        lams = np.atleast_1d(lam)
+        if lams.size > 1:
+            lams = [w for w in lams if not _evaluates(row, w, args, kwargs)]
+        raise DomainError(f"the path phase tables leave float64's range at wavelength(s) "
+                          f"{', '.join(f'{w:g}' for w in lams)} m")
     return row
+
+
+def _evaluates(row, lam: float, args, kwargs) -> bool:
+    """Whether the row kernel ``row`` evaluates at the one wavelength ``lam``."""
+    try:
+        row(lam, *args, **kwargs)
+    except DomainError:
+        return False
+    return True
+
+
+def _wavelengths(lam) -> tuple[list[float], bool]:
+    """A row kernel's wavelengths as Python floats, and whether ``lam`` is a
+    scalar.  Each wavelength's coefficients are then taken with the same
+    scalar arithmetic as a one-wavelength call's."""
+    lams = np.asarray(lam, dtype=float)
+    if lams.ndim > 1 or lams.size == 0:
+        raise DomainError(f"lam must be one wavelength or a 1-D array, got shape {lams.shape}")
+    return lams.reshape(-1).tolist(), lams.ndim == 0
 
 
 @_finite_row
@@ -282,41 +320,71 @@ def between_row(
     term kappa x x0; the slits are a uniform lattice (checked by
     :func:`_lattice_pitch`), so the cross term's phasors are the powers of
     one ratio per sample, built as a running product along the slit axis.
+
+    ``lam`` is one wavelength, for a row of shape (nx,), or a 1-D array of
+    W wavelengths, for shape (W, nx) in one call.  Each wavelength's scalar
+    coefficients come from the same scalar arithmetic as a one-wavelength
+    call's and are broadcast over its (N0, nx) tables, so every element goes
+    through the same operations: row w equals the call at lam[w] bit for
+    bit.  The wavelengths are taken in groups of at most ``_GROUP_TERMS``
+    path terms.
     """
+    lams, scalar = _wavelengths(lam)
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
     d0 = _lattice_pitch(x0s)
     x = _detector_row(x, z)
-    sig0 = spreading_sigma(lam, z_s, z0, z, b0)  # also checks lam and z_s < z0 <= z
-    q = 1.0 / (lam * sig0)
+    # spreading_sigma also checks each lam and z_s < z0 <= z
+    sig0 = [spreading_sigma(lam, z_s, z0, z, b0) for lam in lams]
     a = 1.0 / (z0 - z_s)  # 0 for a paraxial source
-    beta = lam / (2.0 * math.pi * b0 * b0)
-    qc = q * complex(a, beta)
-    p3 = (x0s - x_s) ** 2 / (lam * (z0 - z_s))
-    g = (x0s - x_s) / (z0 - z_s)
     dz = z - z0
 
-    # (N0, nx) envelope exp(-pi Im phi), one real exponential per term.
-    dx = x[None, :] - x0s[:, None]
-    env = dx * (-math.pi * qc.imag)
-    env += ((-2.0 * math.pi * q.imag) * g)[:, None]
-    env *= dx
-    env += ((math.pi * q.imag * dz) * (g * g))[:, None]
-    np.maximum(env, _LOG_FLOOR, out=env)
-    np.exp(env, out=env)
+    def coefficients(lam, sig0):
+        # A wavelength's scalar factors, in a one-wavelength call's arithmetic.
+        q = 1.0 / (lam * sig0)
+        beta = lam / (2.0 * math.pi * b0 * b0)
+        qc = q * complex(a, beta)
+        kappa = 2.0 * beta * q.imag
+        return (lam * (z0 - z_s), -math.pi * qc.imag, -2.0 * math.pi * q.imag,
+                math.pi * q.imag * dz, qc.real, 2.0 * q.real, q.real * dz,
+                2.0 * q.real * (-x_s * a) + kappa * x0s[0],
+                1j * math.pi * kappa * d0, np.sqrt(sig0))
 
-    # Re phi = phi0[n] + Re(qc) x^2 + 2 Re(q) g_s x + kappa x x0[n], with
-    # g_s = -x_s/(z0 - z_s) and x0[n] = x0[0] + n d0.  The (N0, nx) phasor
-    # table takes the per-slit phasor; the per-sample phasor multiplies the
-    # folded sum.
-    kappa = 2.0 * beta * q.imag
-    phi0 = qc.real * x0s * x0s - 2.0 * q.real * g * x0s - q.real * dz * g * g + p3
-    terms = _powers(np.exp((1j * math.pi * kappa * d0) * x), x0s.shape[0])
-    terms *= np.exp((1j * math.pi) * phi0)[:, None]
-    terms.real *= env
-    terms.imag *= env
-    per_sample = (qc.real * x + (2.0 * q.real * (-x_s * a) + kappa * x0s[0])) * x
-    psi = reduce_paths(terms) * np.exp((1j * math.pi) * per_sample)
-    return psi / np.sqrt(sig0)
+    def rows(lams, sig0):
+        # Slit-by-wavelength tables are (N0, W), per-sample ones (W, nx).
+        co = np.array(list(map(coefficients, lams, sig0))).T.copy()
+        lam_r, env2, env1, env0, qc_re, q_re2, q_re_dz, linear = co[:8].real
+        ratio, root = co[8:]
+        p3 = (x0s[:, None] - x_s) ** 2 / lam_r
+        g = ((x0s - x_s) / (z0 - z_s))[:, None]
+
+        # (N0, W, nx) envelope exp(-pi Im phi), one real exponential per term.
+        dx = (x[None, :] - x0s[:, None])[:, None, :]
+        env = dx * env2[:, None]
+        env += (env1 * g)[:, :, None]
+        env *= dx
+        env += (env0 * (g * g))[:, :, None]
+        np.maximum(env, _LOG_FLOOR, out=env)
+        np.exp(env, out=env)
+
+        # Re phi = phi0[n] + Re(qc) x^2 + 2 Re(q) g_s x + kappa x x0[n], with
+        # g_s = -x_s/(z0 - z_s) and x0[n] = x0[0] + n d0.  The (N0, W, nx)
+        # phasor table takes the per-slit phasor; the per-sample phasor
+        # multiplies the folded sum.
+        c0 = x0s[:, None]
+        phi0 = qc_re * c0 * c0 - q_re2 * g * c0 - q_re_dz * g * g + p3
+        ratios = np.exp(ratio[:, None] * x).reshape(-1)
+        terms = _powers(ratios, x0s.shape[0]).reshape(x0s.shape[0], len(lams), x.shape[0])
+        terms *= np.exp((1j * math.pi) * phi0)[:, :, None]
+        terms.real *= env
+        terms.imag *= env
+        per_sample = (qc_re[:, None] * x + linear[:, None]) * x
+        psi = reduce_paths(terms) * np.exp((1j * math.pi) * per_sample)
+        return psi / root[:, None]
+
+    n = max(1, _GROUP_TERMS // max(1, x0s.shape[0] * x.shape[0]))
+    groups = [rows(lams[i:i + n], sig0[i:i + n]) for i in range(0, len(lams), n)]
+    psi = groups[0] if len(groups) == 1 else np.concatenate(groups)
+    return psi[0] if scalar else psi
 
 
 @_finite_row
@@ -345,7 +413,14 @@ def behind_row(
     or more paths goes to :func:`_behind_factorised`; the direct kernel takes
     single paths and the comb, at every sample of x, in blocks of at most
     ``_MAX_TERMS`` path terms (a comb that needs more per sample raises).
+
+    ``lam`` is one wavelength, for a row of shape (nx,), or a 1-D array of
+    W wavelengths, for shape (W, nx) in one call; row w equals the call at
+    lam[w] bit for bit.  The (W, N1, N0) path tables are built in one pass;
+    the factorised kernel contracts the band in groups of wavelengths, the
+    direct kernel one wavelength at a time.
     """
+    lams, scalar = _wavelengths(lam)
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
     x1s = np.atleast_1d(np.asarray(x1s, dtype=float))
     x = _detector_row(x, z)
@@ -359,28 +434,37 @@ def behind_row(
         raise DomainError(f"the comb needs {per_sample} path terms per sample "
                           f"({per_sample / 2**26:.3g} GiB), more than the direct kernel's {_MAX_TERMS}")
 
-    sig0 = spreading_sigma(lam, z_s, z0, z1, b0)
-    comb_scale = (comb_k / comb_eta) ** 2 if (hard and comb_k > 1) else 1.0
-    L10 = lam * (z1 - z0)
+    sig0 = [spreading_sigma(lam, z_s, z0, z1, b0) for lam in lams]
+    L10 = [lam * (z1 - z0) for lam in lams]
 
     dx10 = x1s[:, None] - x0s[None, :]
     u = xi0_grouped(x0s[None, :], x1s[:, None], x_s, z0, z1, z_s)
-    p3 = (x0s - x_s) ** 2 / (lam * (z0 - z_s))
-    p23 = (dx10 * dx10 - u * u / sig0) / L10 + p3[None, :]
-    bq = (dx10 - u / sig0) / L10
+    s0, l10 = np.array(sig0)[:, None, None], np.array(L10)[:, None, None]
+    p3 = (x0s - x_s) ** 2 / np.array([lam * (z0 - z_s) for lam in lams])[:, None]
+    p23 = (dx10 * dx10 - u * u / s0) / l10 + p3[:, None, :]
+    bq = (dx10 - u / s0) / l10
 
     if not hard and len(x1s) * len(x0s) > 1:
-        r = (z1 - z0) / (z0 - z_s)
-        alpha = (1.0 - 1.0 / sig0) / L10
-        beta = r / (sig0 * L10) - alpha
-        gamma = -x_s * r / (sig0 * L10)
-        return _behind_factorised(
-            lam, z0, z1, b1, z, sig0, p23, bq, alpha, beta, gamma, x0s, x1s, x
+        psi = _behind_factorised(
+            lams, z_s, x_s, z0, z1, b1, z, sig0, L10, p23, bq, x0s, x1s, x
         )
+    else:
+        comb_scale = (comb_k / comb_eta) ** 2 if (hard and comb_k > 1) else 1.0
+        psi = np.stack([
+            _behind_direct(lam, z0, z1, b1, z, s0, p, b, x1s, x, K, eta, comb_scale, hard)
+            for lam, s0, p, b in zip(lams, sig0, p23, bq)
+        ])
+    return psi[0] if scalar else psi
 
-    # Direct kernel: one exponential per path term, over blocks of samples of at
-    # most _MAX_TERMS terms.  A sample's terms and their fold depend on it alone,
-    # so the blocks join to the whole row bit for bit.
+
+def _behind_direct(lam, z0, z1, b1, z, sig0, p23, bq, x1s, x, K, eta, comb_scale, hard):
+    """The direct behind-G1 kernel at one wavelength: one exponential per
+    path term, over blocks of samples of at most _MAX_TERMS terms.  A
+    sample's terms and their fold depend on it alone, so the blocks join to
+    the whole row bit for bit.  A buffer holds at least two terms: numpy
+    rounds a one-element in-place complex product apart from a longer one's,
+    so a single path's one sample is evaluated twice over."""
+    per_sample = p23.size * K
     if not (x.size and per_sample):  # no samples, or an empty sum over no paths
         return np.zeros(x.size, dtype=complex)
     mk = comb_offsets(K)
@@ -389,6 +473,8 @@ def behind_row(
     pref = _SQRT_2_OVER_PI / eta if hard else 1.0
 
     def block(x):
+        if per_sample * x.shape[0] == 1:
+            return block(np.repeat(x, 2))[:1]
         dx1 = x[None, :] - x1s[:, None]
         if z == z1:
             # Analytic z -> z1 limit.
@@ -411,7 +497,7 @@ def behind_row(
         c_quad = Lz * sig0 / d2
         w = dx1 / Lz
         t1 = dx1 * w
-        acc = np.empty((len(x1s), len(x0s), K, x.shape[0]), dtype=complex)
+        acc = np.empty(p23.shape + (K, x.shape[0]), dtype=complex)
         np.subtract(
             w[:, None, None, :], bq[:, :, None, None] - (1j * fk)[None, None, :, None],
             out=acc,
@@ -440,8 +526,16 @@ _TILE_LOG_BOUND = 64.0
 # such, stay within about 5.
 _LATTICE_ULPS = 16.0
 
-# Most path terms in one buffer of the direct kernel (256 MiB of complex128).
+# Most path terms in one buffer of the direct kernel (256 MiB of complex128),
+# and in the path matrices M of one wavelength of the factorised kernel.
 _MAX_TERMS = 2**24
+
+# Most path terms in the buffers of one group of wavelengths of a row kernel
+# call (512 KiB of complex128); a group holds at least one wavelength.  A
+# larger group's buffers page-fault afresh on every call: a fig12 behind-G1
+# row of 21 wavelengths in one group took about 700 minor faults and 20%
+# longer than in groups of this size.
+_GROUP_TERMS = 2**15
 
 # Samples per block of the behind-G1 contraction over x0 (see the block
 # rule of _behind_factorised).
@@ -460,8 +554,8 @@ def _lattice_pitch(xs: np.ndarray) -> float:
     if n == 1:
         return 0.0
     d = (xs[-1] - xs[0]) / (n - 1)
-    off = float(np.max(np.abs(xs[0] + np.arange(n) * d - xs)))
-    if not (off <= _LATTICE_ULPS * np.spacing(np.max(np.abs(xs)))):
+    off = float(np.abs(xs[0] + np.arange(n) * d - xs).max())
+    if not (off <= _LATTICE_ULPS * np.spacing(np.abs(xs).max())):
         raise DomainError(
             f"slit phase tables need uniformly spaced slit centres: "
             f"a centre lies {off:.3g} m off the lattice of pitch {d:.6g} m"
@@ -484,22 +578,23 @@ def _powers(r: np.ndarray, n: int) -> np.ndarray:
 
 
 def _behind_factorised(
-    lam: float,
+    lams: list[float],
+    z_s: float,
+    x_s: float,
     z0: float,
     z1: float,
     b1: float,
     z: float,
-    sig0: complex,
+    sig0: list[complex],
+    L10: list[float],
     p23: np.ndarray,
     bq: np.ndarray,
-    alpha: complex,
-    beta: complex,
-    gamma: complex,
     x0s: np.ndarray,
     x1s: np.ndarray,
     x: np.ndarray,
 ) -> np.ndarray:
-    """Fuzzy-slit behind-G1 sum over all (x1, x0) paths, factorised on x-tiles.
+    """Fuzzy-slit behind-G1 sum over all (x1, x0) paths, factorised on x-tiles,
+    at W wavelengths: shape (W, nx).
 
     Path (x1, x0) contributes exp(i*pi*phi) / D with
 
@@ -507,8 +602,8 @@ def _behind_factorised(
         bq = alpha x1 + beta x0 + gamma,
 
     where A, B and c are written so that nothing cancels as z -> z1; at
-    z == z1 they give the plane limit.  Around a tile centre x_c, with
-    delta = x - x_c,
+    z == z1 they give the plane limit; ``p23`` and ``bq`` are (W, N1, N0).
+    Around a tile centre x_c, with delta = x - x_c,
 
         phi(x) = phi(x_c) + A delta (2 x_c + delta)
                  + delta (c_u x1 + c_v x0 + c_s),
@@ -540,84 +635,169 @@ def _behind_factorised(
     exponential per entry, and M's phase is a product of the phasor tables
     exp(i pi Re e) over (x0, x1), exp(i pi x_c Re g0) over (tile, x0) and
     exp(i pi Re(x_c g1 + a_quad x_c^2)) over (tile, x1): N0*N1 + tiles*(N0 +
-    N1) complex exponentials per call.  Each tile's M is scaled to a largest
-    magnitude of 1, and the scale comes back with the chirp in the log
-    domain: far off-axis M alone would underflow and the chirp alone
+    N1) complex exponentials per wavelength.  Each tile's M is scaled to a
+    largest magnitude of 1, and the scale comes back with the chirp in the
+    log domain: far off-axis M alone would underflow and the chirp alone
     overflow.
+
+    Wavelength axis: each wavelength's scalar coefficients come from the
+    same scalar arithmetic as a one-wavelength call's, and its tables are
+    broadcast from them.  Each wavelength keeps its own tile lattice (the
+    spacing depends on lam), and the (wavelength, tile) pairs form one tile
+    list, so every sample of the band is one sample of one contraction and
+    the block rule makes row w bit-identical to the call at lam[w].  The
+    wavelengths are contracted in groups whose M, V blocks and accumulator
+    hold at most _GROUP_TERMS terms, or one wavelength; a wavelength whose M
+    alone needs more than _MAX_TERMS raises a DomainError before any of them
+    is built.
     """
     d0, d1 = _lattice_pitch(x0s), _lattice_pitch(x1s)
-    d2 = _d_squared(sig0, spreading_sigma(lam, z0, z1, z, b1), z0, z1, z)
-    a_quad = (
-        complex((sig0 - 1.0) / (z1 - z0)) + 1j * sig0 * lam / (2.0 * math.pi * b1 * b1)
-    ) / (lam * d2)
-    b_lin = 2.0 * sig0 / d2
-    const = p23 - (lam * (z - z1) * sig0 / d2) * (bq * bq)
-    c_u = b_lin * alpha - 2.0 * a_quad
-    c_v = b_lin * beta
-    g1 = c_u * x1s
-    g0 = c_v * x0s + b_lin * gamma
+    n0, n1 = len(x0s), len(x1s)
 
-    # Tile lattice in absolute x: |pi Im(g) delta| <= _TILE_LOG_BOUND within
-    # a tile.  The spacing depends on the geometry only, never on x.
-    span = math.pi * max(float(np.max(np.abs(g1.imag))), float(np.max(np.abs(g0.imag))))
-    if span > 0.0:
-        h = 2.0 * _TILE_LOG_BOUND / span
-        tiles, tile_of = np.unique(np.rint(x / h), return_inverse=True)
-        xc = tiles * h
-    else:  # no table entry changes magnitude: one tile at x = 0
-        xc, tile_of = np.zeros(1), np.zeros(x.shape, dtype=np.intp)
-    delta = x - xc[tile_of]
+    r = (z1 - z0) / (z0 - z_s)
 
-    # (tiles, N1, N0) path matrices M = exp(i pi m), each tile scaled to a
-    # largest |M| of 1.  Each table holds i pi times its part of m, so its
-    # real part adds to log|M| and its imaginary part to M's phase; the
-    # tables depend on the geometry and the tile centres only.  The envelope
-    # is allocated after M's phasors and freed before the contraction, which
-    # lets the allocator reuse M's pages from call to call instead of
-    # faulting them in afresh.
+    def coefficients(lam, sig0, L10):
+        # A wavelength's scalar factors, in a one-wavelength call's arithmetic.
+        alpha = (1.0 - 1.0 / sig0) / L10
+        beta = r / (sig0 * L10) - alpha
+        gamma = -x_s * r / (sig0 * L10)
+        d2 = _d_squared(sig0, spreading_sigma(lam, z0, z1, z, b1), z0, z1, z)
+        a_quad = (
+            complex((sig0 - 1.0) / (z1 - z0)) + 1j * sig0 * lam / (2.0 * math.pi * b1 * b1)
+        ) / (lam * d2)
+        b_lin = 2.0 * sig0 / d2
+        c_u = b_lin * alpha - 2.0 * a_quad
+        c_v = b_lin * beta
+        return (lam * (z - z1) * sig0 / d2, a_quad, b_lin, c_u, c_v, b_lin * gamma,
+                c_v * d0, c_u * d1, d2)
+
+    c_bq, a_quad, b_lin, c_u, c_v, c_s, k_v, k_u, d2 = np.array(
+        list(map(coefficients, lams, sig0, L10))).T.copy()
+    g1 = c_u[:, None] * x1s
+    g0 = c_v[:, None] * x0s + c_s[:, None]
+
+    # Each wavelength's tile lattice, and the groups of wavelengths whose
+    # buffers stay within the bound.
+    span = math.pi * np.maximum(np.abs(g1.imag).max(axis=1), np.abs(g0.imag).max(axis=1))
+    xc, lam_of, t_first, first, tile_of, slot = _tile_lattices(x, span)
+    b_first = first[t_first].tolist()
+    t_first = t_first.tolist()
+    groups, lo = [], 0
+    for w, lam in enumerate(lams):
+        m_terms = (t_first[w + 1] - t_first[w]) * n1 * n0
+        if m_terms > _MAX_TERMS:
+            raise DomainError(
+                f"the factorised kernel needs {m_terms} path-matrix terms at wavelength {lam:g} m "
+                f"({m_terms / 2**26:.3g} GiB), more than its {_MAX_TERMS}")
+        held = ((t_first[w + 1] - t_first[lo]) * n1 * n0
+                + (b_first[w + 1] - b_first[lo]) * _BLOCK * (n0 + n1))
+        if w > lo and held > _GROUP_TERMS:
+            groups.append((lo, w))
+            lo = w
+    groups.append((lo, len(lams)))
+
     ipi = 1j * math.pi
-    t01 = ipi * (const - (b_lin * bq - a_quad * x1s[:, None]) * x1s[:, None])
-    ixc = (ipi * xc)[:, None]
-    t0 = ixc * g0
-    t1 = ixc * (g1 + a_quad * xc[:, None])
-    m = np.multiply(np.exp(1j * t01.imag)[None, :, :], np.exp(1j * t1.imag)[:, :, None])
-    m *= np.exp(1j * t0.imag)[:, None, :]
-    env = np.add(t01.real[None, :, :], t1.real[:, :, None])
-    env += t0.real[:, None, :]
-    scale = env.max(axis=(1, 2))
-    env -= scale[:, None, None]
-    np.maximum(env, _LOG_FLOOR, out=env)
-    np.exp(env, out=env)
-    m.real *= env
-    m.imag *= env
-    del env
+    const = p23 - c_bq[:, None, None] * (bq * bq)
+    c1 = x1s[:, None]
+    t01 = ipi * (const - (b_lin[:, None, None] * bq - a_quad[:, None, None] * c1) * c1)
+    p01 = np.exp(1j * t01.imag)
+    rows = []
+    for lo, hi in groups:
+        ts = slice(t_first[lo], t_first[hi])
+        xc_g, lam_g, tile_g = xc[ts], lam_of[ts], tile_of[lo:hi] - t_first[lo]
+        delta = x - xc_g[tile_g]
 
-    # Each tile's samples fill blocks of _BLOCK slots, the last one padded;
-    # sample j sits in slot[j].  One matmul per tile covers all its blocks.
-    ipd = (1j * math.pi) * delta
-    counts = np.bincount(tile_of, minlength=xc.shape[0])
-    blocks = -(-counts // _BLOCK)
-    first = np.cumsum(blocks) - blocks
-    order = np.argsort(tile_of, kind="stable")
-    shift = first * _BLOCK - (np.cumsum(counts) - counts)  # slot - position in order
-    slot = np.empty_like(tile_of)
-    slot[order] = np.arange(x.shape[0]) + shift[tile_of[order]]
-    n_blk = int(blocks.sum())
-    r_v = np.zeros(n_blk * _BLOCK, dtype=complex)
-    r_v[slot] = np.exp(ipd * (c_v * d0))
-    v = _powers(r_v, len(x0s)).reshape(len(x0s), n_blk, _BLOCK).transpose(1, 0, 2)
-    acc = np.empty((len(x1s), n_blk * _BLOCK), dtype=complex)
-    acc_blocks = acc.reshape(len(x1s), n_blk, _BLOCK).transpose(1, 0, 2)
-    for t, (f, b) in enumerate(zip(first.tolist(), blocks.tolist())):
-        np.matmul(m[t], v[f:f + b], out=acc_blocks[f:f + b])
-    del v
-    terms = acc.take(slot, axis=1)
-    terms *= _powers(np.exp(ipd * (c_u * d1)), len(x1s))
-    s = reduce_paths(terms)
-    with np.errstate(divide="ignore"):
-        log_s = np.log(s)
-    chirp = ipd * (a_quad * (2.0 * xc[tile_of] + delta) + (g1[0] + g0[0]))
-    return np.exp(log_s + chirp + scale[tile_of]) / np.sqrt(d2)
+        # (tiles, N1, N0) path matrices M = exp(i pi m), each tile scaled to
+        # a largest |M| of 1.  Each table holds i pi times its part of m, so
+        # its real part adds to log|M| and its imaginary part to M's phase;
+        # the tables depend on the geometry and the tile centres only.  The
+        # envelope is allocated after M's phasors and freed before the
+        # contraction, which lets the allocator reuse M's pages from call to
+        # call instead of faulting them in afresh.
+        ixc = (ipi * xc_g)[:, None]
+        t0 = ixc * g0[lam_g]
+        t1 = ixc * (g1[lam_g] + a_quad[lam_g, None] * xc_g[:, None])
+        own = [(w, slice(t_first[w] - t_first[lo], t_first[w + 1] - t_first[lo]))
+               for w in range(lo, hi)]  # each wavelength's tiles in the group
+        p1 = np.exp(1j * t1.imag)[:, :, None]
+        m = np.empty((xc_g.shape[0], n1, n0), dtype=complex)
+        for w, sl in own:
+            np.multiply(p01[w], p1[sl], out=m[sl])
+        m *= np.exp(1j * t0.imag)[:, None, :]
+        env = np.empty(m.shape)
+        for w, sl in own:
+            np.add(t01.real[w], t1.real[sl, :, None], out=env[sl])
+        env += t0.real[:, None, :]
+        scale = env.max(axis=(1, 2))
+        env -= scale[:, None, None]
+        np.maximum(env, _LOG_FLOOR, out=env)
+        np.exp(env, out=env)
+        m.real *= env
+        m.imag *= env
+        del env
+
+        # Each tile's samples fill blocks of _BLOCK slots, the last one
+        # padded; a sample sits in its slot.  One matmul per tile covers all
+        # its blocks.
+        ipd = (1j * math.pi) * delta
+        slot_g = (slot[lo:hi] - b_first[lo] * _BLOCK).reshape(-1)
+        n_blk = b_first[hi] - b_first[lo]
+        r_v = np.zeros(n_blk * _BLOCK, dtype=complex)
+        r_v[slot_g] = np.exp(ipd * k_v[lo:hi, None]).reshape(-1)
+        v = _powers(r_v, n0).reshape(n0, n_blk, _BLOCK).transpose(1, 0, 2)
+        acc = np.empty((n1, n_blk * _BLOCK), dtype=complex)
+        acc_blocks = acc.reshape(n1, n_blk, _BLOCK).transpose(1, 0, 2)
+        bounds = [f - b_first[lo] for f in first[t_first[lo]:t_first[hi] + 1].tolist()]
+        for t, (f, e) in enumerate(zip(bounds, bounds[1:])):
+            np.matmul(m[t], v[f:e], out=acc_blocks[f:e])
+        del v
+        terms = acc.take(slot_g, axis=1)
+        terms *= _powers(np.exp(ipd * k_u[lo:hi, None]).reshape(-1), n1)
+        # a zero sum logs to -inf, under the errstate of behind_row
+        log_s = np.log(reduce_paths(terms).reshape(hi - lo, -1))
+        chirp = ipd * (a_quad[lo:hi, None] * (2.0 * xc_g[tile_g] + delta)
+                       + (g1[lo:hi, :1] + g0[lo:hi, :1]))
+        rows.append(np.exp(log_s + chirp + scale[tile_g]) / np.sqrt(d2[lo:hi, None]))
+    return rows[0] if len(rows) == 1 else np.concatenate(rows)
+
+
+def _tile_lattices(x: np.ndarray, span: np.ndarray):
+    """Every wavelength's tile lattice and the contraction's slots, the
+    tiles numbered in one list in (wavelength, centre) order as
+    ``np.unique`` would number them.
+
+    Tile centres sit on a lattice in absolute x with |pi Im(g) delta| <=
+    _TILE_LOG_BOUND within a tile, where span[w] is pi max |Im g| at
+    wavelength w; the spacing depends on the geometry only, never on x.
+    Each tile's samples fill blocks of _BLOCK slots, in x order, the last
+    block padded.  Returns each tile's centre and wavelength, each
+    wavelength's first tile and each tile's first block (both with the
+    total appended), and each sample's tile and slot, (W, nx).
+    """
+    # Where no table entry changes magnitude (span 0) one tile sits at x = 0:
+    # x / inf puts every sample there, and its centre is 0 * 0.
+    h = [2.0 * _TILE_LOG_BOUND / s if s > 0.0 else math.inf for s in span.tolist()]
+    k = np.rint(x / np.array(h)[:, None])
+    h = np.array([v if v < math.inf else 0.0 for v in h])
+    n = max(k.shape[1], 1)
+    order = k.argsort(axis=1, kind="stable")
+    order += n * np.arange(k.shape[0])[:, None]
+    order = order.reshape(-1)
+    ks = k.reshape(-1)[order]
+    new = np.empty(ks.shape, dtype=bool)
+    np.not_equal(ks[1:], ks[:-1], out=new[1:])
+    new[::n] = True  # each wavelength's lattice starts a tile
+    start = new.nonzero()[0]
+    tile = new.cumsum() - 1
+    first = np.zeros(start.shape[0] + 1, dtype=np.intp)
+    np.cumsum(-(-np.bincount(tile, minlength=start.shape[0]) // _BLOCK), out=first[1:])
+    tile_of, slot = np.empty_like(tile), np.empty_like(tile)
+    tile_of[order] = tile
+    slot[order] = np.arange(ks.shape[0]) + (first[:-1] * _BLOCK - start)[tile]
+    lam_of = start // n
+    t_first = start.searchsorted(n * np.arange(k.shape[0] + 1))
+    return (ks[start] * h[lam_of], lam_of, t_first, first,
+            tile_of.reshape(k.shape), slot.reshape(k.shape))
 
 
 # ---------------------------------------------------------------------------

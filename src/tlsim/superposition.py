@@ -6,10 +6,11 @@ a sequential contraction over grating-0 slits where the behind-G1 kernel is
 factorised.  It is the same for a scalar detector point and for a whole row
 of points, so grid samples are bit-equal to direct point calls.
 
-Both sums take a validated :class:`~tlsim.scenario.Scenario`, which alone
-carries the wavelength: a spectral average evaluates one scenario per
-wavelength (``Scenario.with_wavelength``).  The only per-call override is
-``x_s``, which picks one source point (required for a distributed source).
+Both sums take a validated :class:`~tlsim.scenario.Scenario`, which
+carries the wavelength.  Two per-call overrides exist: ``x_s`` picks one
+source point (required for a distributed source), and ``lam`` evaluates a
+1-D array of W wavelengths in one kernel call, giving shape (W, nx) (or
+(W,) at a scalar x); row w is bit-identical to the call at lam[w].
 
 Mirror rule: both gratings sit centred on the axis (``slit_positions``
 builds exactly antisymmetric lattices), so when the source is paraxial or
@@ -45,38 +46,42 @@ def _source_x(scn: Scenario, x_s: float | None) -> float:
 
 
 def _on_samples(scn: Scenario, x_s: float, row, x):
-    """``row`` (a kernel over a sample array) at the samples x, a scalar or
-    an array; on a self-mirror row (source at x_s = 0 or paraxial) it runs
-    at the distinct |x|."""
+    """``row`` (a kernel over a sample array, one row or one per wavelength)
+    at the samples x, a scalar or an array; on a self-mirror row (source at
+    x_s = 0 or paraxial) it runs at the distinct |x|."""
     xr, scalar = _as_row(x)
     if x_s == 0.0 or scn.source.paraxial:
         ax, inv = np.unique(np.abs(xr), return_inverse=True)
-        out = row(ax)[inv]
+        out = row(ax).take(inv, axis=-1)
     else:
         out = row(xr)
-    return complex(out[0]) if scalar else out
+    if not scalar:
+        return out
+    return complex(out[0]) if out.ndim == 1 else out[:, 0]
 
 
-def superpose_between(scn: Scenario, x, z: float, *, x_s: float | None = None):
+def superpose_between(scn: Scenario, x, z: float, *, x_s: float | None = None, lam=None):
     """Coherent sum over grating-0 slits in the between-gratings region."""
     if scn.region == "behind":
         raise DomainError("scenario region is 'behind'; between-gratings field not available")
     if not (scn.z0 <= z <= scn.z1):
         raise DomainError(f"between-gratings point needs z0 <= z <= z1, got z={z}")
     x_s, x0s = _source_x(scn, x_s), slit_positions(scn.grating0)
+    lam = scn.lam if lam is None else lam
     return _on_samples(scn, x_s, lambda xr: between_row(
-        scn.lam, scn.source.z_s, x_s, scn.z0, scn.grating0.half_width, x0s, xr, z,
+        lam, scn.source.z_s, x_s, scn.z0, scn.grating0.half_width, x0s, xr, z,
     ), x)
 
 
-def superpose_behind(scn: Scenario, x, z: float, *, x_s: float | None = None):
+def superpose_behind(scn: Scenario, x, z: float, *, x_s: float | None = None, lam=None):
     """Coherent double sum over grating-1 x grating-0 slits behind grating 1."""
     if scn.region == "between":
         raise DomainError("scenario region is 'between'; behind-G1 field not available")
     g1 = scn.grating1
     x_s, x0s, x1s = _source_x(scn, x_s), slit_positions(scn.grating0), slit_positions(g1)
+    lam = scn.lam if lam is None else lam
     return _on_samples(scn, x_s, lambda xr: behind_row(
-        scn.lam, scn.source.z_s, x_s, scn.z0, scn.z1, scn.grating0.half_width, g1.half_width,
+        lam, scn.source.z_s, x_s, scn.z0, scn.z1, scn.grating0.half_width, g1.half_width,
         x0s, x1s, xr, z, comb_k=g1.comb_k or 1, comb_eta=g1.comb_eta, hard=g1.comb,
     ), x)
 

@@ -63,6 +63,32 @@ def test_tracer_finds_and_classifies_every_layer(tmp_path):
     assert len(rows) == sum(nz for _, _, nz in grids)
 
 
+def test_tracer_classifies_band_calls(tmp_path):
+    """A spectral row is one kernel call for its whole band, whose ``lam``
+    is an array: the tracer still classifies it."""
+    tracer_mod = _load("tracer")
+    with tracer_mod.Tracer() as tracer:
+        presets.run_preset("fig12", tmp_path / "fig12", threads=1, nx=16, nz=4,
+                           echo=lambda *a: None)
+    assert tracer.missing == []
+    assert tracer.unclassified == 0
+    kernels = [s for s in tracer.spans
+               if s[0] in ("propagators.behind_row", "propagators.between_row")]
+    assert kernels and all(s[4]["terms"] > 0 for s in kernels)
+    assert {s[4]["branch"] for s in kernels if "branch" in s[4]} == {"paraxial"}
+
+    def in_grid(span):
+        while span[3] >= 0:
+            span = tracer.spans[span[3]]
+            if span[0] == "fieldgrid.evaluate_grid":
+                return True
+        return False
+
+    # the grid's rows at z = 0 and z1 lie between the gratings, two behind G1
+    assert sorted(s[0] for s in kernels if in_grid(s)) == (
+        ["propagators.behind_row"] * 2 + ["propagators.between_row"] * 2)
+
+
 def test_tracer_sees_the_sweep_drivers(tmp_path):
     tracer_mod = _load("tracer")
     with tracer_mod.Tracer() as tracer:

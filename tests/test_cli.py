@@ -96,6 +96,19 @@ class TestRun:
         assert "finite" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("lam_min, named", [("1e-300", "1e-300"), ("5e-324", "4.94066e-324")])
+    def test_band_past_float64_exits_1_without_files(self, tmp_path, capsys, lam_min, named):
+        """A band's one wavelength past float64's range fails the run, naming it."""
+        cfg = tmp_path / "band.cfg"
+        cfg.write_text(SMALL_CONFIG + f"spectral.mean = 5pm\nspectral.lambda_min = {lam_min}\n"
+                       "spectral.lambda_max = 5pm\nspectral.lambda_step = 2.5pm\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.rstrip().endswith(f"float64's range at wavelength(s) {named} m")
+        assert not out.exists()
+
     def test_paraxial_comb_runs(self, tmp_path):
         cfg = tmp_path / "comb.cfg"
         cfg.write_text(SMALL_CONFIG + "source.zs = -inf\ngrating1.comb_k = 16\n"

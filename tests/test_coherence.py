@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tlsim
-from tlsim import coherence, parallel
+from tlsim import coherence, parallel, superposition
 from tlsim.core import (
     COHERENT_SIGMA, DomainError, GratingSpec, Particle, SourceSpec, SpectralSpec, centered_axis,
 )
@@ -389,6 +389,31 @@ class TestSpectral:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             gaussian_spectral_weights(_spectrum([], 5e-12, 1e-12))
+
+    def test_band_rows_take_one_kernel_call_at_any_worker_count(self, monkeypatch):
+        """fig12's 21-wavelength band takes one kernel call per row, between
+        the gratings and behind G1, and gives the bytes of one scenario per
+        wavelength on 1, 2 and 3 workers."""
+        rc = preset_run_config("fig12", nx=24, nz=7)
+        scn, x, zs = rc.scenario, rc.grid.x_axis(), rc.grid.z_axis()
+        spec = scn.source.spectral
+        weights = gaussian_spectral_weights(spec)
+        per_wavelength = np.array([
+            spectral_average([density_profile(scn.with_wavelength(lam), x, z)
+                              for lam in spec.lambda_list], weights)
+            for z in zs.tolist()])
+        calls = []
+        with monkeypatch.context() as mp:
+            for name in ("between_row", "behind_row"):
+                real = getattr(superposition, name)
+                mp.setattr(superposition, name,
+                           lambda *a, real=real, **k: calls.append(np.size(a[0])) or real(*a, **k))
+            whole = evaluate_densities([scn], x, zs, workers=1)
+        assert calls == [len(spec.lambda_list)] * len(zs)
+        assert whole[0].tobytes() == per_wavelength.tobytes()
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
+        for workers in (2, 3):
+            assert evaluate_densities([scn], x, zs, workers=workers).tobytes() == whole.tobytes()
 
     def test_fig12_weights_unchanged(self):
         spec = preset_run_config("fig12").scenario.source.spectral

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +328,35 @@ class TestPsiBehind:
         x = np.array([0.0, 125e-9, 250e-9, 1e-6])
         for z in (0.05, 0.0625, 0.1, 0.15):
             assert np.all(np.isfinite(psi_behind(ctx, x, z)))
+
+    @settings(max_examples=200)
+    @given(
+        lam=st.floats(3e-12, 8e-12),
+        b0=st.floats(20e-9, 100e-9),
+        b1=st.floats(20e-9, 100e-9),
+        z1=st.floats(0.02, 0.08),
+        z_s=st.one_of(st.just(PARAXIAL_ZS), st.floats(-50.0, -0.3)),
+        x_s=st.floats(-3e-6, 3e-6),
+        x0=st.floats(-3e-6, 3e-6),
+        x1=st.floats(-3e-6, 3e-6),
+        past=st.one_of(st.just(0.0), st.just(1e-12), st.floats(1e-9, 2.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_single_path_scalar_equals_row(self, lam, b0, b1, z1, z_s, x_s, x0, x1, past, seed):
+        """A single fuzzy path takes the direct kernel, whose one-sample call
+        evaluates a buffer of two terms: numpy rounds a one-element in-place
+        complex product apart from a longer one's."""
+        g0 = GratingSpec(1, 500e-9, b0, 0.0)
+        g1 = GratingSpec(1, 500e-9, b1, z1)
+        ctx = PathContext(particle=Particle(mass=1.2e-24, lambda_dB=lam), grating0=g0,
+                          grating1=g1, x_s=x_s, z_s=z_s, x0=x0, x1=x1)
+        x = np.random.default_rng(seed).uniform(-6e-6, 6e-6, 41)
+        z = z1 * (1.0 + past)
+        row = psi_behind(ctx, x, z)
+        scalars = np.array([psi_behind(ctx, float(xj), z) for xj in x])
+        assert scalars.tobytes() == row.tobytes()
+        band = behind_row([lam, lam], z_s, x_s, 0.0, z1, b0, b1, [x0], [x1], x[:1], z)
+        assert band.tobytes() == np.array([row[:1], row[:1]]).tobytes()
 
 
 class TestPsiHardEdge:
@@ -835,6 +866,137 @@ class TestLinearityOverSlits:
         worst = _split_residual(lam, z_s, x_s, z1, b0, b1, x0s, x1s, x, cut, split_g1,
                                (0.0, between * z1, z1), (z1, z1 * (1.0 + 1e-6), z1 * (1.0 + beyond)))
         assert worst <= 1e-10
+
+
+def _band_kernel(kind, n0, n1, b0, b1, pitch_scale0, pitch_scale1, z1, z_s, x_s, comb,
+                 between, beyond):
+    """A row kernel over (lam, x) for one geometry (G0 at z = 0): between the
+    gratings for ``kind`` "z0" and "between", behind G1 otherwise."""
+    x0s = slit_positions(GratingSpec(n0, pitch_scale0 * b0, b0, 0.0))
+    x1s = slit_positions(GratingSpec(n1, pitch_scale1 * b1, b1, z1))
+    if kind in ("z0", "between"):
+        z = 0.0 if kind == "z0" else between * z1
+        return lambda lam, x: between_row(lam, z_s, x_s, 0.0, b0, x0s, x, z)
+    z = {"z1": z1, "z1(1+1e-12)": z1 * (1.0 + 1e-12), "beyond": z1 * (1.0 + beyond)}[kind]
+    k, eta = comb or (1, 1.0)
+    return lambda lam, x: behind_row(lam, z_s, x_s, 0.0, z1, b0, b1, x0s, x1s, x, z,
+                                     comb_k=k, comb_eta=eta, hard=comb is not None)
+
+
+class TestWavelengthAxis:
+    """A 1-D ``lam`` of W wavelengths gives (W, nx) rows in one call, each
+    bit-identical to its one-wavelength call."""
+
+    @settings(max_examples=60)
+    @given(
+        n0=st.integers(1, 24),
+        n1=st.integers(1, 24),
+        lams=st.lists(st.floats(3e-12, 8e-12), min_size=1, max_size=25),
+        b0=st.floats(20e-9, 100e-9),
+        b1=st.floats(20e-9, 100e-9),
+        pitch_scale0=st.floats(2.5, 8.0),
+        pitch_scale1=st.floats(2.5, 8.0),
+        z1=st.floats(0.02, 0.08),
+        z_s=st.one_of(st.just(PARAXIAL_ZS), st.floats(-50.0, -0.3)),
+        x_s=st.floats(-3e-6, 3e-6),
+        kind=st.sampled_from(["z0", "between", "z1", "z1(1+1e-12)", "beyond"]),
+        between=st.floats(0.01, 0.99),
+        beyond=st.floats(0.01, 2.0),
+        comb=st.one_of(st.none(), st.tuples(st.integers(1, 4), st.floats(0.3, 1.5))),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_band_rows_equal_their_one_wavelength_calls(self, n0, n1, lams, b0, b1,
+                                                        pitch_scale0, pitch_scale1, z1, z_s,
+                                                        x_s, kind, between, beyond, comb,
+                                                        seed):
+        kernel = _band_kernel(kind, n0, n1, b0, b1, pitch_scale0, pitch_scale1, z1, z_s, x_s,
+                              comb, between, beyond)
+        rng = np.random.default_rng(seed)
+        span = 0.5 * max(n0 * pitch_scale0 * b0, n1 * pitch_scale1 * b1) + 3e-6
+        x = np.concatenate([rng.uniform(-span, span, 37), [0.0, 1e-5, -1e-4, 1e-3]])
+        lams = np.array(lams)
+        band = kernel(lams, x)
+        assert band.shape == (len(lams), len(x))
+        for w, lam in enumerate(lams.tolist()):
+            assert band[w].tobytes() == kernel(lam, x).tobytes()
+        # scalar == row inside a band, and a permuted row is the permuted band
+        for j in range(0, len(x), 5):
+            assert kernel(lams, x[j:j + 1]).tobytes() == band[:, j:j + 1].tobytes()
+        perm = rng.permutation(len(x))
+        assert kernel(lams, x[perm]).tobytes() == band[:, perm].tobytes()
+
+    def test_scalar_lam_keeps_the_row_shape(self):
+        kernel = _band_kernel("beyond", 8, 9, 37.5e-9, 75e-9, 500 / 37.5, 500 / 75, 0.05,
+                              PARAXIAL_ZS, 0.0, None, 0.5, 1.0)
+        x = np.linspace(-2e-6, 2e-6, 9)
+        assert kernel(5e-12, x).shape == (9,)
+        assert kernel(np.array(5e-12), x).shape == (9,)
+        assert kernel([5e-12], x).shape == (1, 9)
+        for lam in ([], [[5e-12]]):
+            with pytest.raises(DomainError, match="1-D array"):
+                kernel(lam, x)
+
+    @pytest.mark.parametrize("kind, bad", [
+        ("beyond", 1e-300),   # the factorised kernel's phase tables overflow
+        ("comb", 1e-300),     # the direct kernel of the hard-edged comb
+        ("between", 1e-310),  # between the gratings
+        ("beyond", 5e-324),   # lam (z1 - z0) underflows to a zero divisor
+    ])
+    def test_a_band_names_the_wavelength_past_float64(self, kind, bad):
+        comb = (4, 0.7) if kind == "comb" else None
+        kernel = _band_kernel("beyond" if kind == "comb" else kind, 8, 9, 37.5e-9, 75e-9,
+                              500 / 37.5, 500 / 75, 0.05, -0.5, 1e-6, comb, 0.6, 1.0)
+        x = np.linspace(-4e-6, 4e-6, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="float64's range") as err:
+                kernel([5e-12, bad, 6e-12], x)
+        assert str(err.value).endswith(f"wavelength(s) {bad:g} m")
+
+    @pytest.mark.parametrize("bad", [-1e-12, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("kind", ["between", "beyond", "comb"])
+    def test_every_wavelength_of_a_band_is_checked(self, kind, bad):
+        comb = (4, 0.7) if kind == "comb" else None
+        kernel = _band_kernel("beyond" if kind == "comb" else kind, 8, 9, 37.5e-9, 75e-9,
+                              500 / 37.5, 500 / 75, 0.05, -0.5, 1e-6, comb, 0.6, 1.0)
+        with pytest.raises(DomainError, match=f"wavelength must be finite and positive, got {bad}"):
+            kernel([5e-12, 6e-12, bad], np.zeros(3))
+
+
+class TestWavelengthGroups:
+    """A band is evaluated in groups of wavelengths of at most _GROUP_TERMS
+    path terms, which join to the whole band bit for bit; a wavelength whose
+    path matrices alone exceed _MAX_TERMS is refused before they are built.
+    The bounds are lowered here, so no large buffer is allocated."""
+
+    LAMS = np.linspace(3e-12, 8e-12, 7)
+
+    @pytest.mark.parametrize("kind", ["between", "z1", "beyond"])
+    @pytest.mark.parametrize("z_s", [-0.5, PARAXIAL_ZS])
+    def test_grouped_band_equals_the_whole_band(self, monkeypatch, kind, z_s):
+        kernel = _band_kernel(kind, 8, 9, 37.5e-9, 75e-9, 500 / 37.5, 500 / 75, 0.05, z_s, 1e-6,
+                              None, 0.6, 1.0)
+        x = np.concatenate([np.linspace(-6e-6, 6e-6, 61), [1e-4, -1e-3]])
+        whole = kernel(self.LAMS, x)
+        for bound in (1, 2000, 5000, 12000):
+            monkeypatch.setattr(propagators, "_GROUP_TERMS", bound)
+            assert kernel(self.LAMS, x).tobytes() == whole.tobytes()
+
+    def test_a_wavelength_over_the_bound_is_refused_before_its_tables(self, monkeypatch):
+        # 1000 tiles of 32 x 32 paths: one wavelength's M is 1024000 terms (16 MB)
+        x0s = slit_positions(GratingSpec(32, 500e-9, 37.5e-9, 0.0))
+        x1s = slit_positions(GratingSpec(32, 500e-9, 75e-9, 0.05))
+        x = np.linspace(-1e-3, 1e-3, 1000)
+        monkeypatch.setattr(propagators, "_MAX_TERMS", 10**6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="needs 1024000 path-matrix terms at "
+                                                  "wavelength 5e-12 m"):
+                behind_row([5e-12, 6e-12], -0.5, 0.0, 0.0, 0.05, 37.5e-9, 75e-9, x0s, x1s, x, 0.06)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 def _split_residual(lam, z_s, x_s, z1, b0, b1, x0s, x1s, x, cut, split_g1, zs_between, zs_behind):
