@@ -289,7 +289,8 @@ def _density_chunk(scenarios, x: np.ndarray, zs: np.ndarray) -> np.ndarray:
     out = np.empty((len(scenarios), len(zs), len(x)))
     for j, z in enumerate(zs.tolist()):
         fields = {key: source_field_matrix(key, x, z) for key, n in uses.items() if n > 1}
-        out[:, j] = [spectral_density_profile(s, x, z, fields) for s in scenarios]
+        for i, s in enumerate(scenarios):
+            out[i, j] = spectral_density_profile(s, x, z, fields)
         del fields  # before the next row evaluates its own
     return out
 

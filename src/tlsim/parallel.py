@@ -14,18 +14,18 @@ one, so no fork happens while an executor thread is alive.  Starting a
 pool costs tens of milliseconds and fresh workers run cold, which is why
 it is kept.  A worker is a fork of the process as it was when the pool
 started: it runs the module state of that moment, not of a later call.
+A serial run never imports ``concurrent.futures`` or ``multiprocessing``.
 """
 
 from __future__ import annotations
 
 import os
 import signal
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 from .core import DomainError
 
-_pool: ProcessPoolExecutor | None = None
+ProcessPoolExecutor = None  # concurrent.futures' executor, bound by the first pool
+_pool = None
 _pool_size = 0
 
 
@@ -48,10 +48,12 @@ def _ignore_sigint() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _get_pool(size: int) -> ProcessPoolExecutor:
-    global _pool, _pool_size
+def _get_pool(size: int):
+    global _pool, _pool_size, ProcessPoolExecutor
     if _pool is None or _pool_size != size:
         shutdown_pool()
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
         _pool = ProcessPoolExecutor(max_workers=size, initializer=_ignore_sigint)
         _pool_size = size
     return _pool
@@ -86,6 +88,7 @@ def map_chunks(fn, chunks, workers: int) -> list:
     size = min(workers, len(chunks), os.cpu_count() or 1)
     if size <= 1:
         return [fn(*args) for args in chunks]
+    from concurrent.futures.process import BrokenProcessPool
     pool = _get_pool(size)
     futures = []
     try:

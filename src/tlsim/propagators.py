@@ -51,15 +51,17 @@ kernel evaluates each x it is given; a self-mirror row's |x| are shared out
 by ``superposition``.
 
 Both row kernels take one wavelength or a 1-D band of W, for a row of
-shape (nx,) or (W, nx).  Each wavelength's scalar coefficients come from
-the same scalar arithmetic as a one-wavelength call's and are broadcast
-over its tables, so row w of a band equals the call at lam[w] bit for bit.
-What does not depend on the wavelength (the lattice checks, the detector
-row, the path geometry) is built once per call.  The factorised kernel
-keeps each wavelength's own tile lattice and contracts the (wavelength,
-tile) pairs as one tile list; the direct kernel takes the wavelengths one
-at a time.  A band is evaluated in groups of at most ``_GROUP_TERMS`` path
-terms.
+shape (nx,) or (W, nx); their common wrapper :func:`_finite_row` hands
+each kernel the band as a list.  Each wavelength's scalar coefficients
+come from the same scalar arithmetic as a one-wavelength call's and are
+broadcast over its tables, so row w of a band equals the call at lam[w]
+bit for bit.  What does not depend on the wavelength (the lattice checks,
+the detector row, the path geometry) is built once per call.  The
+factorised kernel keeps each wavelength's own tile lattice and contracts
+the (wavelength, tile) pairs as one tile list; the direct kernel takes the
+wavelengths one at a time.  A band is evaluated in groups of wavelengths,
+and the direct kernel's row in blocks of samples, each of at most
+``_GROUP_TERMS`` path terms or one wavelength or sample.
 
 Every detector position must be finite; a NaN or infinite x or z raises a
 DomainError.
@@ -223,16 +225,14 @@ def reduce_paths(terms: np.ndarray) -> np.ndarray:
     The fold tree depends only on the path count, never on nx, so a scalar
     evaluation and a whole-row evaluation produce bit-identical sums (numpy's
     own reduce picks different accumulation orders for different shapes).
+    An odd last row is carried into the next fold unchanged.
     """
     while terms.shape[0] > 1:
-        m = terms.shape[0] // 2
-        if terms.shape[0] % 2:  # the odd last row joins the sums without a concatenated copy
-            folded = np.empty((m + 1,) + terms.shape[1:], dtype=terms.dtype)
-            np.add(terms[0:2 * m:2], terms[1:2 * m:2], out=folded[:m])
-            folded[m] = terms[-1]
-            terms = folded
-        else:
-            terms = terms[0::2] + terms[1::2]
+        n, m = terms.shape[0], terms.shape[0] // 2
+        folded = np.empty((n - m,) + terms.shape[1:], dtype=terms.dtype)
+        np.add(terms[0:2 * m:2], terms[1:2 * m:2], out=folded[:m])
+        folded[m:] = terms[2 * m:]
+        terms = folded
     return terms[0]
 
 
@@ -246,8 +246,11 @@ _LOG_FLOOR = -700.0
 
 
 def _finite_row(kernel):
-    """A row kernel that raises a DomainError, and emits no numpy warning,
-    when a path table leaves float64's range.
+    """A row kernel over a wavelength band that raises a DomainError, and
+    emits no numpy warning, when a path table leaves float64's range.
+
+    ``lam`` is one wavelength, for a row of shape (nx,), or a 1-D array of
+    W, for (W, nx); the kernel takes it as a list of W floats.
 
     A finite wavelength can still be too small for the phase tables: at
     lam = 1e-300 the coefficients reach ~1e300 and their squares overflow.
@@ -261,18 +264,21 @@ def _finite_row(kernel):
     """
     @functools.wraps(kernel)
     def row(lam, *args, **kwargs):
+        lams = np.asarray(lam, dtype=float)
+        if lams.ndim > 1 or lams.size == 0:
+            raise DomainError(f"lam must be one wavelength or a 1-D array, got shape {lams.shape}")
+        band = lams.reshape(-1).tolist()
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                psi = kernel(lam, *args, **kwargs)
+                psi = kernel(band, *args, **kwargs)
             if np.isfinite(psi).all():
-                return psi
+                return psi[0] if lams.ndim == 0 else psi
         except ZeroDivisionError:
             pass
-        lams = np.atleast_1d(lam)
-        if lams.size > 1:
-            lams = [w for w in lams if not _evaluates(row, w, args, kwargs)]
+        if len(band) > 1:
+            band = [w for w in band if not _evaluates(row, w, args, kwargs)]
         raise DomainError(f"the path phase tables leave float64's range at wavelength(s) "
-                          f"{', '.join(f'{w:g}' for w in lams)} m")
+                          f"{', '.join(f'{w:g}' for w in band)} m")
     return row
 
 
@@ -285,19 +291,9 @@ def _evaluates(row, lam: float, args, kwargs) -> bool:
     return True
 
 
-def _wavelengths(lam) -> tuple[list[float], bool]:
-    """A row kernel's wavelengths as Python floats, and whether ``lam`` is a
-    scalar.  Each wavelength's coefficients are then taken with the same
-    scalar arithmetic as a one-wavelength call's."""
-    lams = np.asarray(lam, dtype=float)
-    if lams.ndim > 1 or lams.size == 0:
-        raise DomainError(f"lam must be one wavelength or a 1-D array, got shape {lams.shape}")
-    return lams.reshape(-1).tolist(), lams.ndim == 0
-
-
 @_finite_row
 def between_row(
-    lam: float,
+    lam: list[float],
     z_s: float,
     x_s: float,
     z0: float,
@@ -321,20 +317,15 @@ def between_row(
     :func:`_lattice_pitch`), so the cross term's phasors are the powers of
     one ratio per sample, built as a running product along the slit axis.
 
-    ``lam`` is one wavelength, for a row of shape (nx,), or a 1-D array of
-    W wavelengths, for shape (W, nx) in one call.  Each wavelength's scalar
-    coefficients come from the same scalar arithmetic as a one-wavelength
-    call's and are broadcast over its (N0, nx) tables, so every element goes
-    through the same operations: row w equals the call at lam[w] bit for
-    bit.  The wavelengths are taken in groups of at most ``_GROUP_TERMS``
-    path terms.
+    ``lam`` is a band (see :func:`_finite_row`).  Each wavelength's scalar
+    coefficients are broadcast over its (N0, nx) tables, so row w equals the
+    call at lam[w] bit for bit.  The band is taken in groups of wavelengths.
     """
-    lams, scalar = _wavelengths(lam)
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
     d0 = _lattice_pitch(x0s)
     x = _detector_row(x, z)
-    # spreading_sigma also checks each lam and z_s < z0 <= z
-    sig0 = [spreading_sigma(lam, z_s, z0, z, b0) for lam in lams]
+    # spreading_sigma also checks each wavelength and z_s < z0 <= z
+    sig0 = [spreading_sigma(w, z_s, z0, z, b0) for w in lam]
     a = 1.0 / (z0 - z_s)  # 0 for a paraxial source
     dz = z - z0
 
@@ -382,14 +373,13 @@ def between_row(
         return psi / root[:, None]
 
     n = max(1, _GROUP_TERMS // max(1, x0s.shape[0] * x.shape[0]))
-    groups = [rows(lams[i:i + n], sig0[i:i + n]) for i in range(0, len(lams), n)]
-    psi = groups[0] if len(groups) == 1 else np.concatenate(groups)
-    return psi[0] if scalar else psi
+    groups = [rows(lam[i:i + n], sig0[i:i + n]) for i in range(0, len(lam), n)]
+    return groups[0] if len(groups) == 1 else np.concatenate(groups)
 
 
 @_finite_row
 def behind_row(
-    lam: float,
+    lam: list[float],
     z_s: float,
     x_s: float,
     z0: float,
@@ -412,15 +402,12 @@ def behind_row(
     limit (incident field times slit transmission).  Every fuzzy sum over two
     or more paths goes to :func:`_behind_factorised`; the direct kernel takes
     single paths and the comb, at every sample of x, in blocks of at most
-    ``_MAX_TERMS`` path terms (a comb that needs more per sample raises).
+    ``_GROUP_TERMS`` path terms (a comb that needs more than ``_MAX_TERMS``
+    per sample raises).
 
-    ``lam`` is one wavelength, for a row of shape (nx,), or a 1-D array of
-    W wavelengths, for shape (W, nx) in one call; row w equals the call at
-    lam[w] bit for bit.  The (W, N1, N0) path tables are built in one pass;
-    the factorised kernel contracts the band in groups of wavelengths, the
-    direct kernel one wavelength at a time.
+    ``lam`` is a band (see :func:`_finite_row`); row w equals the call at
+    lam[w] bit for bit.  The (W, N1, N0) path tables are built in one pass.
     """
-    lams, scalar = _wavelengths(lam)
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
     x1s = np.atleast_1d(np.asarray(x1s, dtype=float))
     x = _detector_row(x, z)
@@ -434,36 +421,39 @@ def behind_row(
         raise DomainError(f"the comb needs {per_sample} path terms per sample "
                           f"({per_sample / 2**26:.3g} GiB), more than the direct kernel's {_MAX_TERMS}")
 
-    sig0 = [spreading_sigma(lam, z_s, z0, z1, b0) for lam in lams]
-    L10 = [lam * (z1 - z0) for lam in lams]
+    sig0 = [spreading_sigma(w, z_s, z0, z1, b0) for w in lam]
+    L10 = [w * (z1 - z0) for w in lam]
 
     dx10 = x1s[:, None] - x0s[None, :]
     u = xi0_grouped(x0s[None, :], x1s[:, None], x_s, z0, z1, z_s)
     s0, l10 = np.array(sig0)[:, None, None], np.array(L10)[:, None, None]
-    p3 = (x0s - x_s) ** 2 / np.array([lam * (z0 - z_s) for lam in lams])[:, None]
+    p3 = (x0s - x_s) ** 2 / np.array([w * (z0 - z_s) for w in lam])[:, None]
     p23 = (dx10 * dx10 - u * u / s0) / l10 + p3[:, None, :]
     bq = (dx10 - u / s0) / l10
 
     if not hard and len(x1s) * len(x0s) > 1:
-        psi = _behind_factorised(
-            lams, z_s, x_s, z0, z1, b1, z, sig0, L10, p23, bq, x0s, x1s, x
-        )
-    else:
-        comb_scale = (comb_k / comb_eta) ** 2 if (hard and comb_k > 1) else 1.0
-        psi = np.stack([
-            _behind_direct(lam, z0, z1, b1, z, s0, p, b, x1s, x, K, eta, comb_scale, hard)
-            for lam, s0, p, b in zip(lams, sig0, p23, bq)
-        ])
-    return psi[0] if scalar else psi
+        return _behind_factorised(lam, z_s, x_s, z0, z1, b1, z, sig0, L10, p23, bq, x0s, x1s, x)
+    comb_scale = (comb_k / comb_eta) ** 2 if (hard and comb_k > 1) else 1.0
+    return np.stack([
+        _behind_direct(w, z0, z1, b1, z, s0, p, b, x1s, x, K, eta, comb_scale, hard)
+        for w, s0, p, b in zip(lam, sig0, p23, bq)
+    ])
+
+
+def _plane_limit(lam, sig0, z0, z1, b1, scale=1.0) -> complex:
+    """lam D^2 times a behind-G1 path phase's x^2 coefficient, with nothing
+    cancelling as z -> z1; ``scale`` is the comb's Sigma1 scale, else 1."""
+    return (complex((sig0 - 1.0) / (z1 - z0))
+            + 1j * sig0 * lam * scale / (2.0 * math.pi * b1 * b1))
 
 
 def _behind_direct(lam, z0, z1, b1, z, sig0, p23, bq, x1s, x, K, eta, comb_scale, hard):
     """The direct behind-G1 kernel at one wavelength: one exponential per
-    path term, over blocks of samples of at most _MAX_TERMS terms.  A
-    sample's terms and their fold depend on it alone, so the blocks join to
-    the whole row bit for bit.  A buffer holds at least two terms: numpy
-    rounds a one-element in-place complex product apart from a longer one's,
-    so a single path's one sample is evaluated twice over."""
+    path term, over blocks of samples of at most _GROUP_TERMS terms, or of
+    one sample.  A sample's terms and their fold depend on it alone, so the
+    blocks join to the whole row bit for bit.  A buffer holds at least two
+    terms: numpy rounds a one-element in-place complex product apart from a
+    longer one's, so a single path's one sample is evaluated twice over."""
     per_sample = p23.size * K
     if not (x.size and per_sample):  # no samples, or an empty sum over no paths
         return np.zeros(x.size, dtype=complex)
@@ -477,11 +467,8 @@ def _behind_direct(lam, z0, z1, b1, z, sig0, p23, bq, x1s, x, K, eta, comb_scale
             return block(np.repeat(x, 2))[:1]
         dx1 = x[None, :] - x1s[:, None]
         if z == z1:
-            # Analytic z -> z1 limit.
-            e_lim = complex(
-                (sig0 - 1.0) / (z1 - z0)
-            ) + 1j * sig0 * lam * comb_scale / (2.0 * math.pi * b1 * b1)
-            quad = (dx1 * dx1) * (e_lim / (lam * sig0))
+            # Analytic z -> z1 limit, where D^2 = Sigma0.
+            quad = (dx1 * dx1) * (_plane_limit(lam, sig0, z0, z1, b1, comb_scale) / (lam * sig0))
             phase = (
                 quad[:, None, None, :]
                 + p23[:, :, None, None]
@@ -510,7 +497,7 @@ def _behind_direct(lam, z0, z1, b1, z, sig0, p23, bq, x1s, x, K, eta, comb_scale
         np.exp(acc, out=acc)
         return pref * reduce_paths(acc.reshape(-1, x.shape[0])) / d
 
-    step = _MAX_TERMS // per_sample
+    step = max(1, _GROUP_TERMS // per_sample)
     return np.concatenate([block(x[i:i + step]) for i in range(0, x.size, step)])
 
 
@@ -526,15 +513,16 @@ _TILE_LOG_BOUND = 64.0
 # such, stay within about 5.
 _LATTICE_ULPS = 16.0
 
-# Most path terms in one buffer of the direct kernel (256 MiB of complex128),
-# and in the path matrices M of one wavelength of the factorised kernel.
+# Most path terms of a unit that no block can split (256 MiB of complex128):
+# one sample of the comb in the direct kernel, and the path matrices M of
+# one wavelength of the factorised kernel.  A larger unit is refused.
 _MAX_TERMS = 2**24
 
-# Most path terms in the buffers of one group of wavelengths of a row kernel
-# call (512 KiB of complex128); a group holds at least one wavelength.  A
-# larger group's buffers page-fault afresh on every call: a fig12 behind-G1
-# row of 21 wavelengths in one group took about 700 minor faults and 20%
-# longer than in groups of this size.
+# Most path terms in the buffers of a group of wavelengths, or of a block of
+# the direct kernel's samples (512 KiB of complex128); a group holds at least
+# one wavelength, a block one sample.  Larger buffers page-fault afresh on
+# every call: a fig12 behind-G1 row of 21 wavelengths in one group took
+# about 700 minor faults and 20% longer than in groups of this size.
 _GROUP_TERMS = 2**15
 
 # Samples per block of the behind-G1 contraction over x0 (see the block
@@ -662,9 +650,7 @@ def _behind_factorised(
         beta = r / (sig0 * L10) - alpha
         gamma = -x_s * r / (sig0 * L10)
         d2 = _d_squared(sig0, spreading_sigma(lam, z0, z1, z, b1), z0, z1, z)
-        a_quad = (
-            complex((sig0 - 1.0) / (z1 - z0)) + 1j * sig0 * lam / (2.0 * math.pi * b1 * b1)
-        ) / (lam * d2)
+        a_quad = _plane_limit(lam, sig0, z0, z1, b1) / (lam * d2)
         b_lin = 2.0 * sig0 / d2
         c_u = b_lin * alpha - 2.0 * a_quad
         c_v = b_lin * beta

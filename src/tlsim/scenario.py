@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -187,5 +186,6 @@ def scenario_lines(scn: Scenario) -> list[str]:
 
 def fingerprint(scn: Scenario, extra_lines: list[str] | None = None) -> str:
     """Deterministic sha256 fingerprint of a scenario (plus grid echo lines)."""
+    import hashlib  # at first use, so that importing tlsim does not load it
     text = "\n".join(scenario_lines(scn) + (extra_lines or []))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

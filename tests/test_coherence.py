@@ -576,6 +576,14 @@ class TestDrivers:
         F = source_field_matrix(scn, np.array([]), z)
         assert F.shape == (len(scn.source.x_positions), 0) and F.dtype == complex
 
+    @pytest.mark.parametrize("nz, nx", [(0, 0), (0, 3), (2, 0), (2, 3), (9, 3)])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_scenarios_give_an_empty_stack(self, monkeypatch, nz, nx, workers):
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)  # no pool starts
+        zs, x = np.linspace(0.03, 0.1, nz), np.linspace(-1e-6, 1e-6, nx)
+        p = evaluate_densities([], x, zs, workers=workers)
+        assert p.shape == (0, nz, nx) and p.dtype == float
+
     def test_density_profile_point_vs_distributed(self, fullerene, g0_main, g1_main):
         x = centered_axis(-1e-6, 1e-6, 64)
         pt = SourceSpec(kind="point", x_positions=(0.0,), z_s=-0.5)

@@ -158,3 +158,21 @@ def test_no_worker_outlives_its_process():
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+def test_setup_leaves_pool_and_hash_modules_unloaded():
+    """Importing tlsim and loading a preset's config import neither the
+    process pool's modules nor hashlib: a serial run's set-up never pays
+    for them."""
+    src = Path(parallel.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "import tlsim.presets\n"
+        "tlsim.presets.preset_run_config('fig12')\n"
+        "print(*[m for m in ('concurrent.futures', 'multiprocessing', 'hashlib')"
+        " if m in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.split() == []

@@ -776,11 +776,36 @@ class TestFactorisedBehind:
                                     x0s, x1s, x, R * 0.15 / (R + 0.15))
 
 
+class TestReducePaths:
+    """``reduce_paths`` folds adjacent pairs, level by level, and carries an
+    odd last row into the next level unchanged."""
+
+    @staticmethod
+    def _pairwise(rows):
+        rows = list(rows)
+        while len(rows) > 1:
+            odd = rows[-1:] if len(rows) % 2 else []
+            rows = [rows[i] + rows[i + 1] for i in range(0, len(rows) - 1, 2)] + odd
+        return rows[0]
+
+    @pytest.mark.parametrize("n", range(1, 18))
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_equals_the_explicit_pairwise_sum(self, rng, n, dtype):
+        terms = rng.normal(size=(n, 7)) * 10.0 ** rng.integers(-8, 8, size=(n, 1))
+        if dtype is complex:
+            terms = terms + 1j * rng.normal(size=(n, 7))
+        kept = terms.copy()
+        got = reduce_paths(terms)
+        assert got.dtype == terms.dtype and got.shape == (7,)
+        assert got.tobytes() == self._pairwise(terms).tobytes()
+        assert terms.tobytes() == kept.tobytes()
+
+
 class TestDirectKernelBound:
-    """The direct kernel holds at most ``_MAX_TERMS`` path terms in one
-    buffer: a row takes blocks of samples, and a comb whose one sample needs
-    more is refused before any term is built.  The bound is lowered here, so
-    no large buffer is allocated."""
+    """The direct kernel holds at most ``_GROUP_TERMS`` path terms, or one
+    sample's, in one buffer: a row takes blocks of samples.  A comb whose one
+    sample needs more than ``_MAX_TERMS`` is refused before any term is
+    built.  The bounds are lowered here, so no large buffer is allocated."""
 
     @pytest.mark.parametrize("K", [1, 2, 7, 16, 64])
     @pytest.mark.parametrize("eta", [0.2, 0.7, 1.5])
@@ -796,13 +821,13 @@ class TestDirectKernelBound:
                 whole = behind_row(*args, comb_k=K, comb_eta=eta, hard=True)
                 single = behind_row(*args[:7], [x0s[1]], [x1s[2]], x, z)
                 for step in (1, 5, 41):
-                    monkeypatch.setattr(propagators, "_MAX_TERMS", step * per_sample + per_sample - 1)
+                    monkeypatch.setattr(propagators, "_GROUP_TERMS", step * per_sample + per_sample - 1)
                     got = behind_row(*args, comb_k=K, comb_eta=eta, hard=True)
                     assert got.tobytes() == whole.tobytes()
                 # a single path in blocks of one sample is a scalar call, whose
                 # one-element in-place products numpy rounds apart from a row's
                 for step in (2, 5, 41):
-                    monkeypatch.setattr(propagators, "_MAX_TERMS", step)
+                    monkeypatch.setattr(propagators, "_GROUP_TERMS", step)
                     got = behind_row(*args[:7], [x0s[1]], [x1s[2]], x, z)
                     assert got.tobytes() == single.tobytes()
                 monkeypatch.undo()
@@ -821,9 +846,31 @@ class TestDirectKernelBound:
             mp.setattr(propagators, "xi0_grouped", built)
             with pytest.raises(DomainError, match="needs 24 path terms per sample"):
                 behind_row(*args, comb_k=4, hard=True)
-        # at the bound itself a block holds one sample
+        # a comb at the bound itself is evaluated, in blocks of one sample
+        # when the block bound is below it
         monkeypatch.setattr(propagators, "_MAX_TERMS", 24)
         assert behind_row(*args, comb_k=4, hard=True).shape == (3,)
+        monkeypatch.setattr(propagators, "_GROUP_TERMS", 1)
+        assert behind_row(*args, comb_k=4, hard=True).shape == (3,)
+
+    @pytest.mark.parametrize("z", [0.05, 0.07], ids=["z1", "beyond"])
+    def test_a_comb_row_peaks_within_its_blocks(self, monkeypatch, z):
+        """1024 samples of a 4 x 4 comb at K = 16 are 2^18 path terms (4 MiB);
+        in blocks of 2^12 terms (64 KiB) the row stays far below that, also
+        at z1, where the limit branch holds about three block buffers."""
+        x0s = slit_positions(GratingSpec(4, 500e-9, 37.5e-9, 0.0))
+        x1s = slit_positions(GratingSpec(4, 500e-9, 75e-9, 0.05))
+        x = np.linspace(-2e-6, 2e-6, 1024)
+        args = (5e-12, -0.5, 1e-6, 0.0, 0.05, 37.5e-9, 75e-9, x0s, x1s, x, z)
+        monkeypatch.setattr(propagators, "_GROUP_TERMS", 2**12)
+        tracemalloc.start()
+        try:
+            psi = behind_row(*args, comb_k=16, comb_eta=0.7, hard=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert psi.shape == (1024,) and np.isfinite(psi).all()
+        assert peak < 1e6
 
     @pytest.mark.parametrize("hard", [False, True])
     def test_no_paths_sum_to_a_zero_row(self, hard):
@@ -926,15 +973,19 @@ class TestWavelengthAxis:
         assert kernel(lams, x[perm]).tobytes() == band[:, perm].tobytes()
 
     def test_scalar_lam_keeps_the_row_shape(self):
-        kernel = _band_kernel("beyond", 8, 9, 37.5e-9, 75e-9, 500 / 37.5, 500 / 75, 0.05,
-                              PARAXIAL_ZS, 0.0, None, 0.5, 1.0)
+        # between the gratings, the factorised kernel and the comb's direct
+        # kernel behind G1 and at z1
         x = np.linspace(-2e-6, 2e-6, 9)
-        assert kernel(5e-12, x).shape == (9,)
-        assert kernel(np.array(5e-12), x).shape == (9,)
-        assert kernel([5e-12], x).shape == (1, 9)
-        for lam in ([], [[5e-12]]):
-            with pytest.raises(DomainError, match="1-D array"):
-                kernel(lam, x)
+        for kind, comb in (("between", None), ("beyond", None), ("beyond", (4, 0.7)),
+                           ("z1", (4, 0.7))):
+            kernel = _band_kernel(kind, 8, 9, 37.5e-9, 75e-9, 500 / 37.5, 500 / 75, 0.05,
+                                  PARAXIAL_ZS, 0.0, comb, 0.5, 1.0)
+            assert kernel(5e-12, x).shape == (9,)
+            assert kernel(np.array(5e-12), x).shape == (9,)
+            assert kernel([5e-12], x).shape == (1, 9)
+            for lam in ([], np.zeros(0), [[5e-12]], np.full((2, 2), 5e-12)):
+                with pytest.raises(DomainError, match="1-D array"):
+                    kernel(lam, x)
 
     @pytest.mark.parametrize("kind, bad", [
         ("beyond", 1e-300),   # the factorised kernel's phase tables overflow
