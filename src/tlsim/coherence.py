@@ -11,9 +11,10 @@ S (the block rule of :func:`gsm_average`) and then folds conj(F_i) * G_i over
 i: S^2 * nx multiply-adds in O(S * nx) memory, never an S x S x nx product.
 
 Both gratings are centred, so a line's source at -s gives at x the field
-its source at s gives at -x.  :func:`source_field_matrix` evaluates each
-such pair with one kernel call over x and -x; x_s = 0 takes the mirror rule
-of ``superposition``, and any other position its own call.
+its source at s gives at -x.  :func:`source_field_matrix` evaluates a whole
+line with one kernel call over x and -x, whose batch of source points
+holds each mirror pair once; x_s = 0 takes the mirror rule of
+``superposition``.
 
 The spectral average of a point or paraxial source takes one field call per
 row for its whole band (the ``lam`` override of ``superposition``), whose
@@ -206,23 +207,20 @@ def source_field_matrix(scn: Scenario, x, z: float) -> np.ndarray:
 
     Position i pairs with S-1-i when their sum is within _LATTICE_ULPS ulps
     of the largest |x_s| (a line stepped from its lower end misses exact
-    antisymmetry by about an ulp).  The larger member's ``field_at`` call
-    over x and -x gives its own field at x and, read at -x, the other's,
-    at a scalar x too.  Any other position, x_s = 0 among them, takes its
-    own call.
+    antisymmetry by about an ulp).  One ``field_at`` call over x and -x
+    takes every position but the smaller member of each pair: a position
+    reads its own field at x, and its partner's at -x.
     """
     xr, scalar = _as_row(x)
-    xs = scn.source.x_positions
-    tol = _LATTICE_ULPS * np.spacing(max(map(abs, xs)))
+    xs = np.array(scn.source.x_positions)
+    tol = _LATTICE_ULPS * np.spacing(np.abs(xs).max())
+    paired = (xs != xs[::-1]) & (np.abs(xs + xs[::-1]) <= tol)
+    own = ~paired | (xs > xs[::-1])
+    u, at_x, at_neg = _mirror_union(xr)
+    rows = field_at(scn, u, z, x_s=xs[own])
     F = np.empty((len(xs), xr.size), dtype=complex)
-    union = None
-    for i, (s, m) in enumerate(zip(xs, reversed(xs))):
-        if s == m or abs(s + m) > tol:
-            F[i] = field_at(scn, xr, z, x_s=s)
-        elif s > m:
-            union = union or _mirror_union(xr)
-            row = field_at(scn, union[0], z, x_s=s)
-            F[i], F[-1 - i] = row[union[1]], row[union[2]]
+    F[own] = rows[:, at_x]
+    F[~own] = rows[(np.cumsum(own) - 1)[::-1][~own]][:, at_neg]
     return F[:, 0] if scalar else F
 
 
@@ -305,9 +303,10 @@ def _mirror_pair_columns(x: np.ndarray, n: int) -> list[np.ndarray]:
 
 
 def evaluate_densities(scenarios, x, zs, workers: int | None = None) -> np.ndarray:
-    """The spectral density of each scenario at each z of ``zs`` on the
-    samples x, shape (len(scenarios), len(zs), len(x)), over ``workers``
-    processes (default: the CPU count).
+    """The spectral density of each scenario at each z of the 1-D ``zs`` on
+    the samples x, shape (len(scenarios), len(zs), len(x)), or
+    (len(scenarios), len(zs)) at a scalar x, over ``workers`` processes
+    (default: the CPU count).
 
     The chunks depend on (nz, x, workers) alone: ``min(nz, 4 workers)``
     row blocks, or up to ``workers`` x columns when the rows are fewer than
@@ -319,17 +318,20 @@ def evaluate_densities(scenarios, x, zs, workers: int | None = None) -> np.ndarr
     share fields, spectral or not.
     """
     workers = default_workers(workers)
-    x = np.asarray(x, dtype=float)
+    x, scalar = _as_row(x)
     zs = np.asarray(zs, dtype=float)
+    if zs.ndim != 1:
+        raise DomainError(f"zs must be a 1-D array, got shape {zs.shape}")
     if len(zs) >= min(len(x), 2 * workers):
         chunks = [(scenarios, x, zc) for zc in np.array_split(zs, min(len(zs), 4 * workers) or 1)]
-        return np.concatenate(map_chunks(_density_chunk, chunks, workers), axis=1)
-    cols = _mirror_pair_columns(x, workers)
-    out = np.empty((len(scenarios), len(zs), len(x)))
-    for c, part in zip(cols, map_chunks(_density_chunk, [(scenarios, x[c], zs) for c in cols],
-                                        workers)):
-        out[:, :, c] = part
-    return out
+        out = np.concatenate(map_chunks(_density_chunk, chunks, workers), axis=1)
+    else:
+        cols = _mirror_pair_columns(x, workers)
+        out = np.empty((len(scenarios), len(zs), len(x)))
+        for c, part in zip(cols, map_chunks(_density_chunk, [(scenarios, x[c], zs) for c in cols],
+                                            workers)):
+            out[:, :, c] = part
+    return out[..., 0] if scalar else out
 
 
 def sweep_profiles(scn: Scenario, param: str, values, x: np.ndarray, z: float,

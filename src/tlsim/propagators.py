@@ -50,18 +50,22 @@ single fuzzy paths keep the direct one-exponential-per-path kernel.  Every
 kernel evaluates each x it is given; a self-mirror row's |x| are shared out
 by ``superposition``.
 
-Both row kernels take one wavelength or a 1-D band of W, for a row of
-shape (nx,) or (W, nx); their common wrapper :func:`_finite_row` hands
-each kernel the band as a list.  Each wavelength's scalar coefficients
-come from the same scalar arithmetic as a one-wavelength call's and are
-broadcast over its tables, so row w of a band equals the call at lam[w]
-bit for bit.  What does not depend on the wavelength (the lattice checks,
-the detector row, the path geometry) is built once per call.  The
-factorised kernel keeps each wavelength's own tile lattice and contracts
-the (wavelength, tile) pairs as one tile list; the direct kernel takes the
-wavelengths one at a time.  A band is evaluated in groups of wavelengths,
-and the direct kernel's row in blocks of samples, each of at most
-``_GROUP_TERMS`` path terms or one wavelength or sample.
+Both row kernels take one wavelength or a 1-D band of W, and one source
+point or a 1-D batch of B, for a row of shape lam.shape + x_s.shape +
+(nx,); their common wrapper :func:`_finite_row` hands each kernel the band
+as a list and the batch as an array.  Each (wavelength, source) entry's
+scalar coefficients come from the same scalar arithmetic as a one-entry
+call's and are broadcast over its tables, so entry (w, b) equals the call
+at (lam[w], x_s[b]) bit for bit.  What does not depend on the entry (the
+lattice checks, the detector row, the path geometry) is built once per
+call, and what depends on the wavelength alone is built once per
+wavelength and shared by the batch: between the gratings the powers of
+kappa, behind G1 the factorised kernel's tile lattice with its U and V
+tables.  The factorised kernel contracts the (wavelength, tile) pairs as
+one tile list, in groups of consecutive tiles; ``between_row`` takes its
+entries in groups of wavelengths and blocks of sources, and the direct
+kernel one at a time, in blocks of samples.  A group or block holds at
+most ``_GROUP_TERMS`` path terms, or one tile, entry or sample.
 
 Every detector position must be finite; a NaN or infinite x or z raises a
 DomainError.
@@ -246,11 +250,15 @@ _LOG_FLOOR = -700.0
 
 
 def _finite_row(kernel):
-    """A row kernel over a wavelength band that raises a DomainError, and
-    emits no numpy warning, when a path table leaves float64's range.
+    """A row kernel over a wavelength band and a batch of source points that
+    raises a DomainError, and emits no numpy warning, when a path table
+    leaves float64's range.
 
-    ``lam`` is one wavelength, for a row of shape (nx,), or a 1-D array of
-    W, for (W, nx); the kernel takes it as a list of W floats.
+    ``lam`` is one wavelength or a 1-D array of W, and ``x_s`` one source
+    point or a 1-D array of B; the row has shape lam.shape + x_s.shape +
+    (nx,): (nx,), (W, nx), (B, nx) or (W, B, nx).  The kernel takes the band
+    as a list of W floats and the sources as a (B,) array, and returns
+    (W, B, nx).
 
     A finite wavelength can still be too small for the phase tables: at
     lam = 1e-300 the coefficients reach ~1e300 and their squares overflow.
@@ -263,20 +271,21 @@ def _finite_row(kernel):
     the wavelengths at fault: in a band, those whose own rows fail.
     """
     @functools.wraps(kernel)
-    def row(lam, *args, **kwargs):
-        lams = np.asarray(lam, dtype=float)
-        if lams.ndim > 1 or lams.size == 0:
-            raise DomainError(f"lam must be one wavelength or a 1-D array, got shape {lams.shape}")
+    def row(lam, z_s, x_s, *args, **kwargs):
+        lams, sources = np.asarray(lam, dtype=float), np.asarray(x_s, dtype=float)
+        for name, what, v in (("lam", "wavelength", lams), ("x_s", "source point", sources)):
+            if v.ndim > 1 or v.size == 0:
+                raise DomainError(f"{name} must be one {what} or a 1-D array, got shape {v.shape}")
         band = lams.reshape(-1).tolist()
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                psi = kernel(band, *args, **kwargs)
+                psi = kernel(band, z_s, sources.reshape(-1), *args, **kwargs)
             if np.isfinite(psi).all():
-                return psi[0] if lams.ndim == 0 else psi
+                return psi.reshape(lams.shape + sources.shape + psi.shape[-1:])
         except ZeroDivisionError:
             pass
         if len(band) > 1:
-            band = [w for w in band if not _evaluates(row, w, args, kwargs)]
+            band = [w for w in band if not _evaluates(row, w, (z_s, x_s) + args, kwargs)]
         raise DomainError(f"the path phase tables leave float64's range at wavelength(s) "
                           f"{', '.join(f'{w:g}' for w in band)} m")
     return row
@@ -295,7 +304,7 @@ def _evaluates(row, lam: float, args, kwargs) -> bool:
 def between_row(
     lam: list[float],
     z_s: float,
-    x_s: float,
+    x_s: np.ndarray,
     z0: float,
     b0: float,
     x0s: np.ndarray,
@@ -317,9 +326,13 @@ def between_row(
     :func:`_lattice_pitch`), so the cross term's phasors are the powers of
     one ratio per sample, built as a running product along the slit axis.
 
-    ``lam`` is a band (see :func:`_finite_row`).  Each wavelength's scalar
-    coefficients are broadcast over its (N0, nx) tables, so row w equals the
-    call at lam[w] bit for bit.  The band is taken in groups of wavelengths.
+    ``lam`` is a band and ``x_s`` a batch (see :func:`_finite_row`).  Each
+    entry's scalar coefficients come from a one-entry call's arithmetic and
+    are broadcast over its (N0, nx) tables; kappa, so the power table, does
+    not involve x_s and is shared by the batch.  Entry (w, b) equals the
+    call at (lam[w], x_s[b]) bit for bit.  The entries are taken in groups
+    of wavelengths, each with its power table, and blocks of sources, whose
+    terms and envelopes hold at most _GROUP_TERMS entries, or one entry.
     """
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
     d0 = _lattice_pitch(x0s)
@@ -336,44 +349,62 @@ def between_row(
         qc = q * complex(a, beta)
         kappa = 2.0 * beta * q.imag
         return (lam * (z0 - z_s), -math.pi * qc.imag, -2.0 * math.pi * q.imag,
-                math.pi * q.imag * dz, qc.real, 2.0 * q.real, q.real * dz,
-                2.0 * q.real * (-x_s * a) + kappa * x0s[0],
+                math.pi * q.imag * dz, qc.real, 2.0 * q.real, q.real * dz, kappa * x0s[0],
                 1j * math.pi * kappa * d0, np.sqrt(sig0))
 
-    def rows(lams, sig0):
-        # Slit-by-wavelength tables are (N0, W), per-sample ones (W, nx).
-        co = np.array(list(map(coefficients, lams, sig0))).T.copy()
-        lam_r, env2, env1, env0, qc_re, q_re2, q_re_dz, linear = co[:8].real
-        ratio, root = co[8:]
-        p3 = (x0s[:, None] - x_s) ** 2 / lam_r
-        g = ((x0s - x_s) / (z0 - z_s))[:, None]
+    # Slit-by-entry tables are (N0, W, B), per-sample ones (W, B, nx).
+    co = np.array(list(map(coefficients, lam, sig0))).T.copy()
+    lam_r, env2, env1, env0, qc_re, q_re2, q_re_dz, k_x0 = co[:8].real[:, :, None]
+    ratio, root = co[8:]
+    linear = q_re2 * (-x_s * a) + k_x0
+    p3 = (x0s[:, None, None] - x_s) ** 2 / lam_r
+    g = ((x0s[:, None] - x_s) / (z0 - z_s))[:, None, :]
+    c0 = x0s[:, None, None]
+    phasor = np.exp((1j * math.pi) * (qc_re * c0 * c0 - q_re2 * g * c0 - q_re_dz * g * g + p3))
 
-        # (N0, W, nx) envelope exp(-pi Im phi), one real exponential per term.
-        dx = (x[None, :] - x0s[:, None])[:, None, :]
-        env = dx * env2[:, None]
-        env += (env1 * g)[:, :, None]
+    def envelope(ws, bs):
+        # (N0, W, B, nx) envelope exp(-pi Im phi), one real exponential per term.
+        gb = g[:, :, bs]
+        dx = (x[None, :] - x0s[:, None])[:, None, None, :]
+        env = np.empty(phasor[:, ws, bs].shape + x.shape)
+        np.multiply(dx, env2[ws, :, None], out=env)
+        env += (env1[ws] * gb)[..., None]
         env *= dx
-        env += (env0 * (g * g))[:, :, None]
+        env += (env0[ws] * (gb * gb))[..., None]
         np.maximum(env, _LOG_FLOOR, out=env)
-        np.exp(env, out=env)
+        return np.exp(env, out=env)
 
+    def rows(ws, bs, env, powers):
         # Re phi = phi0[n] + Re(qc) x^2 + 2 Re(q) g_s x + kappa x x0[n], with
         # g_s = -x_s/(z0 - z_s) and x0[n] = x0[0] + n d0.  The (N0, W, nx)
-        # phasor table takes the per-slit phasor; the per-sample phasor
-        # multiplies the folded sum.
-        c0 = x0s[:, None]
-        phi0 = qc_re * c0 * c0 - q_re2 * g * c0 - q_re_dz * g * g + p3
-        ratios = np.exp(ratio[:, None] * x).reshape(-1)
-        terms = _powers(ratios, x0s.shape[0]).reshape(x0s.shape[0], len(lams), x.shape[0])
-        terms *= np.exp((1j * math.pi) * phi0)[:, :, None]
+        # power table times each entry's per-slit phasor gives its terms;
+        # the per-sample phasor multiplies the folded sum.
+        terms = np.multiply(powers, phasor[:, ws, bs, None], out=powers if len(x_s) == 1 else None)
         terms.real *= env
         terms.imag *= env
-        per_sample = (qc_re[:, None] * x + linear[:, None]) * x
+        per_sample = (qc_re[ws, :, None] * x + linear[ws, bs, None]) * x
         psi = reduce_paths(terms) * np.exp((1j * math.pi) * per_sample)
-        return psi / root[:, None]
+        return psi / root[ws, None, None]
 
-    n = max(1, _GROUP_TERMS // max(1, x0s.shape[0] * x.shape[0]))
-    groups = [rows(lam[i:i + n], sig0[i:i + n]) for i in range(0, len(lam), n)]
+    # Groups of wavelengths, each with its power table, and in each group
+    # blocks of entries, whose terms and envelopes hold at most _GROUP_TERMS
+    # entries, or one entry.  The table is built after the first block's
+    # envelope: in the other order the between-gratings rows of a serial
+    # fig12 grid faulted about 3500 pages back in per grid, in this none.
+    unit = 2 * x0s.shape[0] * max(x.shape[0], 1)
+    n_w = max(1, _GROUP_TERMS // (unit * len(x_s)))
+    n_b = max(1, _GROUP_TERMS // (unit * n_w))
+    groups = []
+    for ws in (slice(i, i + n_w) for i in range(0, len(lam), n_w)):
+        blocks, powers = [], None
+        for bs in (slice(j, j + n_b) for j in range(0, len(x_s), n_b)):
+            env = envelope(ws, bs)
+            if powers is None:
+                ratios = np.exp(ratio[ws, None] * x)
+                powers = _powers(ratios.reshape(-1), x0s.shape[0])
+                powers = powers.reshape(x0s.shape[:1] + ratios.shape)[:, :, None]
+            blocks.append(rows(ws, bs, env, powers))
+        groups.append(blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1))
     return groups[0] if len(groups) == 1 else np.concatenate(groups)
 
 
@@ -381,7 +412,7 @@ def between_row(
 def behind_row(
     lam: list[float],
     z_s: float,
-    x_s: float,
+    x_s: np.ndarray,
     z0: float,
     z1: float,
     b0: float,
@@ -401,12 +432,13 @@ def behind_row(
     the hard-edged comb form (``hard=True``); z == z1 evaluates the analytic
     limit (incident field times slit transmission).  Every fuzzy sum over two
     or more paths goes to :func:`_behind_factorised`; the direct kernel takes
-    single paths and the comb, at every sample of x, in blocks of at most
-    ``_GROUP_TERMS`` path terms (a comb that needs more than ``_MAX_TERMS``
-    per sample raises).
+    single paths and the comb, one entry at a time and at every sample of
+    x, in blocks of at most ``_GROUP_TERMS`` path terms (a comb that needs
+    more than ``_MAX_TERMS`` per sample raises).
 
-    ``lam`` is a band (see :func:`_finite_row`); row w equals the call at
-    lam[w] bit for bit.  The (W, N1, N0) path tables are built in one pass.
+    ``lam`` is a band and ``x_s`` a batch (see :func:`_finite_row`); entry
+    (w, b) equals the call at (lam[w], x_s[b]) bit for bit.  The (W, B, N1,
+    N0) path tables are built in one pass.
     """
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
     x1s = np.atleast_1d(np.asarray(x1s, dtype=float))
@@ -414,30 +446,36 @@ def behind_row(
     if z < z1:
         raise DomainError(f"behind-region evaluation needs z >= z1, got z={z}, z1={z1}")
 
-    # A fuzzy slit is the one-term comb: offset 0, so ck = fk = 0.
+    # A fuzzy slit is the one-term comb: offset 0, so ck = fk = 0.  The unit
+    # no block splits is one sample of the comb, or one tile of the batch's
+    # path matrices in the factorised kernel.
     K, eta = (comb_k, comb_eta) if hard else (1, 1.0)
     per_sample = len(x1s) * len(x0s) * K
-    if hard and per_sample > _MAX_TERMS:
-        raise DomainError(f"the comb needs {per_sample} path terms per sample "
-                          f"({per_sample / 2**26:.3g} GiB), more than the direct kernel's {_MAX_TERMS}")
+    factorised = not hard and per_sample > 1
+    unit, what = (per_sample * len(x_s), "tile") if factorised else (per_sample, "sample")
+    if unit > _MAX_TERMS:
+        raise DomainError(f"the {'factorised kernel' if factorised else 'comb'} needs {unit} path "
+                          f"terms per {what} ({unit / 2**26:.3g} GiB), more than its {_MAX_TERMS}")
 
     sig0 = [spreading_sigma(w, z_s, z0, z1, b0) for w in lam]
     L10 = [w * (z1 - z0) for w in lam]
 
+    # (W, B, N1, N0) tables: the source enters through u and p3 only.
     dx10 = x1s[:, None] - x0s[None, :]
-    u = xi0_grouped(x0s[None, :], x1s[:, None], x_s, z0, z1, z_s)
-    s0, l10 = np.array(sig0)[:, None, None], np.array(L10)[:, None, None]
-    p3 = (x0s - x_s) ** 2 / np.array([w * (z0 - z_s) for w in lam])[:, None]
-    p23 = (dx10 * dx10 - u * u / s0) / l10 + p3[:, None, :]
+    u = xi0_grouped(x0s[None, :], x1s[:, None], x_s[:, None, None], z0, z1, z_s)
+    s0, l10 = np.array(sig0)[:, None, None, None], np.array(L10)[:, None, None, None]
+    p3 = (x0s - x_s[:, None]) ** 2 / np.array([w * (z0 - z_s) for w in lam])[:, None, None]
+    p23 = (dx10 * dx10 - u * u / s0) / l10 + p3[:, :, None, :]
     bq = (dx10 - u / s0) / l10
 
-    if not hard and len(x1s) * len(x0s) > 1:
+    if factorised:
         return _behind_factorised(lam, z_s, x_s, z0, z1, b1, z, sig0, L10, p23, bq, x0s, x1s, x)
     comb_scale = (comb_k / comb_eta) ** 2 if (hard and comb_k > 1) else 1.0
-    return np.stack([
-        _behind_direct(w, z0, z1, b1, z, s0, p, b, x1s, x, K, eta, comb_scale, hard)
-        for w, s0, p, b in zip(lam, sig0, p23, bq)
-    ])
+    return np.array([
+        [_behind_direct(w, z0, z1, b1, z, s0, p, b, x1s, x, K, eta, comb_scale, hard)
+         for p, b in zip(pw, bw)]
+        for w, s0, pw, bw in zip(lam, sig0, p23, bq)
+    ]).reshape(len(lam), len(x_s), x.size)
 
 
 def _plane_limit(lam, sig0, z0, z1, b1, scale=1.0) -> complex:
@@ -514,16 +552,20 @@ _TILE_LOG_BOUND = 64.0
 _LATTICE_ULPS = 16.0
 
 # Most path terms of a unit that no block can split (256 MiB of complex128):
-# one sample of the comb in the direct kernel, and the path matrices M of
-# one wavelength of the factorised kernel.  A larger unit is refused.
+# one sample of the comb in the direct kernel, and one tile's path matrices M
+# over a batch of sources in the factorised kernel.  A larger unit is refused.
 _MAX_TERMS = 2**24
 
-# Most path terms in the buffers of a group of wavelengths, or of a block of
-# the direct kernel's samples (512 KiB of complex128); a group holds at least
-# one wavelength, a block one sample.  Larger buffers page-fault afresh on
-# every call: a fig12 behind-G1 row of 21 wavelengths in one group took
-# about 700 minor faults and 20% longer than in groups of this size.
-_GROUP_TERMS = 2**15
+# Most path terms in the buffers of a group of tiles of the factorised
+# kernel, a block of entries of ``between_row`` or a block of samples of
+# the direct kernel (1 MiB of complex128); each holds at least one tile,
+# entry or sample.  A line of B sources makes each tile's path matrices B
+# times larger: fig5a's 17-entry rows near z1 then hold one tile per group
+# at 2**15, and its 200-sample grid took about 6% longer there than at
+# this size.  Larger buffers page-fault afresh on every call: a fig12
+# behind-G1 row of 21 wavelengths in one group took about 700 minor faults
+# and 20% longer.
+_GROUP_TERMS = 2**16
 
 # Samples per block of the behind-G1 contraction over x0 (see the block
 # rule of _behind_factorised).
@@ -568,7 +610,7 @@ def _powers(r: np.ndarray, n: int) -> np.ndarray:
 def _behind_factorised(
     lams: list[float],
     z_s: float,
-    x_s: float,
+    x_s: np.ndarray,
     z0: float,
     z1: float,
     b1: float,
@@ -582,7 +624,7 @@ def _behind_factorised(
     x: np.ndarray,
 ) -> np.ndarray:
     """Fuzzy-slit behind-G1 sum over all (x1, x0) paths, factorised on x-tiles,
-    at W wavelengths: shape (W, nx).
+    at W wavelengths and B source points: shape (W, B, nx).
 
     Path (x1, x0) contributes exp(i*pi*phi) / D with
 
@@ -590,7 +632,7 @@ def _behind_factorised(
         bq = alpha x1 + beta x0 + gamma,
 
     where A, B and c are written so that nothing cancels as z -> z1; at
-    z == z1 they give the plane limit; ``p23`` and ``bq`` are (W, N1, N0).
+    z == z1 they give the plane limit; ``p23`` and ``bq`` are (W, B, N1, N0).
     Around a tile centre x_c, with delta = x - x_c,
 
         phi(x) = phi(x_c) + A delta (2 x_c + delta)
@@ -623,77 +665,88 @@ def _behind_factorised(
     exponential per entry, and M's phase is a product of the phasor tables
     exp(i pi Re e) over (x0, x1), exp(i pi x_c Re g0) over (tile, x0) and
     exp(i pi Re(x_c g1 + a_quad x_c^2)) over (tile, x1): N0*N1 + tiles*(N0 +
-    N1) complex exponentials per wavelength.  Each tile's M is scaled to a
+    N1) complex exponentials per entry.  Each tile's M is scaled to a
     largest magnitude of 1, and the scale comes back with the chirp in the
     log domain: far off-axis M alone would underflow and the chirp alone
     overflow.
 
-    Wavelength axis: each wavelength's scalar coefficients come from the
-    same scalar arithmetic as a one-wavelength call's, and its tables are
-    broadcast from them.  Each wavelength keeps its own tile lattice (the
-    spacing depends on lam), and the (wavelength, tile) pairs form one tile
-    list, so every sample of the band is one sample of one contraction and
-    the block rule makes row w bit-identical to the call at lam[w].  The
-    wavelengths are contracted in groups whose M, V blocks and accumulator
-    hold at most _GROUP_TERMS terms, or one wavelength; a wavelength whose M
-    alone needs more than _MAX_TERMS raises a DomainError before any of them
-    is built.
+    Entries: only c_s = b_lin gamma involves x_s, and it never enters the
+    tables U and V, only the chirp and M, which is scaled per tile.  So the
+    tile lattice comes from c_u x1 and c_v x0 alone: one lattice per
+    wavelength, shared by the batch with its slots, delta and the U and V
+    tables.  Each entry keeps its own p23, bq, M, per-tile scale and chirp;
+    its scalar coefficients come from a one-entry call's arithmetic, and
+    the block rule makes entry (w, b) bit-identical to the call at (lam[w],
+    x_s[b]).  The (wavelength, tile) pairs form one tile list, contracted
+    in groups of consecutive tiles whose M, V and U blocks, accumulators
+    and terms hold at most _GROUP_TERMS terms, or one tile (``behind_row``
+    refuses a tile whose B path matrices alone need more than _MAX_TERMS).
+    A group ends before a wavelength that it reaches into but cannot hold,
+    so a band's wavelengths share groups whole and only a wavelength that
+    alone exceeds the bound is split.
     """
     d0, d1 = _lattice_pitch(x0s), _lattice_pitch(x1s)
-    n0, n1 = len(x0s), len(x1s)
+    n0, n1, n_src = len(x0s), len(x1s), len(x_s)
 
     r = (z1 - z0) / (z0 - z_s)
+    sources = x_s.tolist()
 
     def coefficients(lam, sig0, L10):
-        # A wavelength's scalar factors, in a one-wavelength call's arithmetic.
+        # A wavelength's scalar factors, and each source's c_s, in a
+        # one-entry call's arithmetic.
         alpha = (1.0 - 1.0 / sig0) / L10
         beta = r / (sig0 * L10) - alpha
-        gamma = -x_s * r / (sig0 * L10)
         d2 = _d_squared(sig0, spreading_sigma(lam, z0, z1, z, b1), z0, z1, z)
         a_quad = _plane_limit(lam, sig0, z0, z1, b1) / (lam * d2)
         b_lin = 2.0 * sig0 / d2
         c_u = b_lin * alpha - 2.0 * a_quad
         c_v = b_lin * beta
-        return (lam * (z - z1) * sig0 / d2, a_quad, b_lin, c_u, c_v, b_lin * gamma,
-                c_v * d0, c_u * d1, d2)
+        return ((lam * (z - z1) * sig0 / d2, a_quad, b_lin, c_u, c_v, c_v * d0, c_u * d1, d2),
+                [b_lin * (-s * r / (sig0 * L10)) for s in sources])
 
-    c_bq, a_quad, b_lin, c_u, c_v, c_s, k_v, k_u, d2 = np.array(
-        list(map(coefficients, lams, sig0, L10))).T.copy()
+    co, c_s = zip(*map(coefficients, lams, sig0, L10))
+    c_bq, a_quad, b_lin, c_u, c_v, k_v, k_u, d2 = np.array(co).T.copy()
     g1 = c_u[:, None] * x1s
-    g0 = c_v[:, None] * x0s + c_s[:, None]
+    g0v = c_v[:, None] * x0s
+    g0 = g0v[:, None, :] + np.array(c_s)[:, :, None]  # (W, B, N0)
 
-    # Each wavelength's tile lattice, and the groups of wavelengths whose
-    # buffers stay within the bound.
-    span = math.pi * np.maximum(np.abs(g1.imag).max(axis=1), np.abs(g0.imag).max(axis=1))
-    xc, lam_of, t_first, first, tile_of, slot = _tile_lattices(x, span)
-    b_first = first[t_first].tolist()
-    t_first = t_first.tolist()
-    groups, lo = [], 0
-    for w, lam in enumerate(lams):
-        m_terms = (t_first[w + 1] - t_first[w]) * n1 * n0
-        if m_terms > _MAX_TERMS:
-            raise DomainError(
-                f"the factorised kernel needs {m_terms} path-matrix terms at wavelength {lam:g} m "
-                f"({m_terms / 2**26:.3g} GiB), more than its {_MAX_TERMS}")
-        held = ((t_first[w + 1] - t_first[lo]) * n1 * n0
-                + (b_first[w + 1] - b_first[lo]) * _BLOCK * (n0 + n1))
-        if w > lo and held > _GROUP_TERMS:
-            groups.append((lo, w))
-            lo = w
-    groups.append((lo, len(lams)))
+    # Each wavelength's tile lattice over the samples in ascending order, and
+    # the groups of consecutive tiles whose buffers stay within the bound.
+    perm = x.argsort(kind="stable")
+    x_sorted, shape = x[perm], (len(lams), x.shape[0])
+    span = math.pi * np.maximum(np.abs(g1.imag).max(axis=1), np.abs(g0v.imag).max(axis=1))
+    xc, lam_of, start, first, tile, slot = _tile_lattices(x_sorted, span)
+    # the terms of the tiles before each: M, V and accumulators per slot, U and terms per sample
+    held = (n_src * n1 * n0 * np.arange(first.shape[0]) + _BLOCK * (n0 + n_src * n1) * first
+            + (1 + n_src) * n1 * start)
+    t_first = lam_of.searchsorted(np.arange(len(lams) + 1)).tolist()
+    cuts = [0]
+    while cuts[-1] < xc.shape[0]:
+        lo = cuts[-1]
+        hi = max(lo + 1, int(held.searchsorted(held[lo] + _GROUP_TERMS, "right")) - 1)
+        # a group that reaches into a wavelength it cannot hold ends before it
+        w = lam_of[hi - 1]
+        cuts.append(t_first[w] if lo < t_first[w] and hi < t_first[w + 1] else hi)
+
+    g_first = g1[:, :1] + g0[:, :, 0]  # (W, B): at the first slits x1[0], x0[0]
 
     ipi = 1j * math.pi
-    const = p23 - c_bq[:, None, None] * (bq * bq)
+    const = p23 - c_bq[:, None, None, None] * (bq * bq)
     c1 = x1s[:, None]
-    t01 = ipi * (const - (b_lin[:, None, None] * bq - a_quad[:, None, None] * c1) * c1)
+    t01 = ipi * (const - (b_lin[:, None, None, None] * bq - a_quad[:, None, None, None] * c1) * c1)
     p01 = np.exp(1j * t01.imag)
+    start, first = start.tolist(), first.tolist()
     rows = []
-    for lo, hi in groups:
-        ts = slice(t_first[lo], t_first[hi])
-        xc_g, lam_g, tile_g = xc[ts], lam_of[ts], tile_of[lo:hi] - t_first[lo]
-        delta = x - xc_g[tile_g]
+    for lo, hi in zip(cuts, cuts[1:]):
+        xc_g, lam_g, at = xc[lo:hi], lam_of[lo:hi], slice(start[lo], start[hi])
+        # Each of the group's (wavelength, sample) pairs in tile order: what
+        # the batch shares, delta and the ratios r_v and r_u.
+        tile_g = tile[at] - lo
+        lam_s = lam_g[tile_g]
+        delta = x_sorted[np.arange(start[lo], start[hi]) % shape[1]] - xc_g[tile_g]
+        ipd = (1j * math.pi) * delta
 
-        # (tiles, N1, N0) path matrices M = exp(i pi m), each tile scaled to
+        # (tiles, B, N1, N0) path matrices M = exp(i pi m), each scaled to
         # a largest |M| of 1.  Each table holds i pi times its part of m, so
         # its real part adds to log|M| and its imaginary part to M's phase;
         # the tables depend on the geometry and the tile centres only.  The
@@ -701,21 +754,21 @@ def _behind_factorised(
         # contraction, which lets the allocator reuse M's pages from call to
         # call instead of faulting them in afresh.
         ixc = (ipi * xc_g)[:, None]
-        t0 = ixc * g0[lam_g]
+        t0 = ixc[:, None] * g0[lam_g]
         t1 = ixc * (g1[lam_g] + a_quad[lam_g, None] * xc_g[:, None])
-        own = [(w, slice(t_first[w] - t_first[lo], t_first[w + 1] - t_first[lo]))
-               for w in range(lo, hi)]  # each wavelength's tiles in the group
-        p1 = np.exp(1j * t1.imag)[:, :, None]
-        m = np.empty((xc_g.shape[0], n1, n0), dtype=complex)
+        own = [(w, slice(max(t_first[w], lo) - lo, min(t_first[w + 1], hi) - lo))
+               for w in range(lam_g[0], lam_g[-1] + 1)]  # each wavelength's tiles in the group
+        p1 = np.exp(1j * t1.imag)[:, None, :, None]
+        m = np.empty((hi - lo, n_src, n1, n0), dtype=complex)
         for w, sl in own:
             np.multiply(p01[w], p1[sl], out=m[sl])
-        m *= np.exp(1j * t0.imag)[:, None, :]
+        m *= np.exp(1j * t0.imag)[:, :, None, :]
         env = np.empty(m.shape)
         for w, sl in own:
-            np.add(t01.real[w], t1.real[sl, :, None], out=env[sl])
-        env += t0.real[:, None, :]
-        scale = env.max(axis=(1, 2))
-        env -= scale[:, None, None]
+            np.add(t01.real[w], t1.real[sl, None, :, None], out=env[sl])
+        env += t0.real[:, :, None, :]
+        scale = env.max(axis=(2, 3))
+        env -= scale[:, :, None, None]
         np.maximum(env, _LOG_FLOOR, out=env)
         np.exp(env, out=env)
         m.real *= env
@@ -724,31 +777,32 @@ def _behind_factorised(
 
         # Each tile's samples fill blocks of _BLOCK slots, the last one
         # padded; a sample sits in its slot.  One matmul per tile covers all
-        # its blocks.
-        ipd = (1j * math.pi) * delta
-        slot_g = (slot[lo:hi] - b_first[lo] * _BLOCK).reshape(-1)
-        n_blk = b_first[hi] - b_first[lo]
-        r_v = np.zeros(n_blk * _BLOCK, dtype=complex)
-        r_v[slot_g] = np.exp(ipd * k_v[lo:hi, None]).reshape(-1)
-        v = _powers(r_v, n0).reshape(n0, n_blk, _BLOCK).transpose(1, 0, 2)
-        acc = np.empty((n1, n_blk * _BLOCK), dtype=complex)
-        acc_blocks = acc.reshape(n1, n_blk, _BLOCK).transpose(1, 0, 2)
-        bounds = [f - b_first[lo] for f in first[t_first[lo]:t_first[hi] + 1].tolist()]
+        # its blocks and sources.
+        slot_g = slot[at] - first[lo] * _BLOCK
+        n_slot = (first[hi] - first[lo]) * _BLOCK
+        r_v = np.zeros(n_slot, dtype=complex)
+        r_v[slot_g] = np.exp(ipd * k_v[lam_s])
+        v = _powers(r_v, n0).reshape(n0, -1, _BLOCK).transpose(1, 0, 2)
+        acc = np.empty((n1, n_src, n_slot), dtype=complex)
+        acc_blocks = acc.reshape(n1, n_src, -1, _BLOCK).transpose(1, 2, 0, 3)
+        bounds = [f - first[lo] for f in first[lo:hi + 1]]
         for t, (f, e) in enumerate(zip(bounds, bounds[1:])):
-            np.matmul(m[t], v[f:e], out=acc_blocks[f:e])
+            np.matmul(m[t, :, None], v[f:e], out=acc_blocks[:, f:e])
         del v
-        terms = acc.take(slot_g, axis=1)
-        terms *= _powers(np.exp(ipd * k_u[lo:hi, None]).reshape(-1), n1)
+        terms = acc.take(slot_g, axis=2)
+        terms *= _powers(np.exp(ipd * k_u[lam_s]), n1)[:, None, :]
         # a zero sum logs to -inf, under the errstate of behind_row
-        log_s = np.log(reduce_paths(terms).reshape(hi - lo, -1))
-        chirp = ipd * (a_quad[lo:hi, None] * (2.0 * xc_g[tile_g] + delta)
-                       + (g1[lo:hi, :1] + g0[lo:hi, :1]))
-        rows.append(np.exp(log_s + chirp + scale[tile_g]) / np.sqrt(d2[lo:hi, None]))
-    return rows[0] if len(rows) == 1 else np.concatenate(rows)
+        log_s = np.log(reduce_paths(terms))
+        chirp = ipd * (a_quad[lam_s] * (2.0 * xc_g[tile_g] + delta) + g_first[lam_s].T)
+        rows.append(np.exp(log_s + chirp + scale[tile_g].T) / np.sqrt(d2[lam_s]))
+    psi = np.empty((n_src,) + shape, dtype=complex)
+    if rows:
+        psi[:, :, perm] = np.concatenate(rows, axis=1).reshape(psi.shape)
+    return psi.transpose(1, 0, 2)
 
 
 def _tile_lattices(x: np.ndarray, span: np.ndarray):
-    """Every wavelength's tile lattice and the contraction's slots, the
+    """Every wavelength's tile lattice over the ascending samples x, the
     tiles numbered in one list in (wavelength, centre) order as
     ``np.unique`` would number them.
 
@@ -756,34 +810,26 @@ def _tile_lattices(x: np.ndarray, span: np.ndarray):
     _TILE_LOG_BOUND within a tile, where span[w] is pi max |Im g| at
     wavelength w; the spacing depends on the geometry only, never on x.
     Each tile's samples fill blocks of _BLOCK slots, in x order, the last
-    block padded.  Returns each tile's centre and wavelength, each
-    wavelength's first tile and each tile's first block (both with the
-    total appended), and each sample's tile and slot, (W, nx).
+    block padded.  Returns each tile's centre and wavelength; each tile's
+    first (wavelength, sample) pair in the flattened (W, nx) row and its
+    first block (both with the total appended); and each pair's tile and
+    slot.
     """
     # Where no table entry changes magnitude (span 0) one tile sits at x = 0:
     # x / inf puts every sample there, and its centre is 0 * 0.
     h = [2.0 * _TILE_LOG_BOUND / s if s > 0.0 else math.inf for s in span.tolist()]
-    k = np.rint(x / np.array(h)[:, None])
+    ks = np.rint(x / np.array(h)[:, None]).reshape(-1)
     h = np.array([v if v < math.inf else 0.0 for v in h])
-    n = max(k.shape[1], 1)
-    order = k.argsort(axis=1, kind="stable")
-    order += n * np.arange(k.shape[0])[:, None]
-    order = order.reshape(-1)
-    ks = k.reshape(-1)[order]
     new = np.empty(ks.shape, dtype=bool)
     np.not_equal(ks[1:], ks[:-1], out=new[1:])
-    new[::n] = True  # each wavelength's lattice starts a tile
+    new[::max(x.shape[0], 1)] = True  # each wavelength's lattice starts a tile
     start = new.nonzero()[0]
     tile = new.cumsum() - 1
     first = np.zeros(start.shape[0] + 1, dtype=np.intp)
     np.cumsum(-(-np.bincount(tile, minlength=start.shape[0]) // _BLOCK), out=first[1:])
-    tile_of, slot = np.empty_like(tile), np.empty_like(tile)
-    tile_of[order] = tile
-    slot[order] = np.arange(ks.shape[0]) + (first[:-1] * _BLOCK - start)[tile]
-    lam_of = start // n
-    t_first = start.searchsorted(n * np.arange(k.shape[0] + 1))
-    return (ks[start] * h[lam_of], lam_of, t_first, first,
-            tile_of.reshape(k.shape), slot.reshape(k.shape))
+    lam_of = start // max(x.shape[0], 1)
+    slot = np.arange(ks.shape[0]) + (first[:-1] * _BLOCK - start)[tile]
+    return ks[start] * h[lam_of], lam_of, np.append(start, ks.shape[0]), first, tile, slot
 
 
 # ---------------------------------------------------------------------------
@@ -792,8 +838,12 @@ def _tile_lattices(x: np.ndarray, span: np.ndarray):
 
 
 def _as_row(x):
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    return arr, np.ndim(x) == 0
+    """x as a float row, and whether it was a scalar; anything but a scalar
+    or a 1-D array raises a DomainError naming its shape."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim > 1:
+        raise DomainError(f"x must be a scalar or a 1-D array, got shape {arr.shape}")
+    return np.atleast_1d(arr), arr.ndim == 0
 
 
 def psi_behind(ctx: PathContext, x, z: float):

@@ -8,9 +8,10 @@ of points, so grid samples are bit-equal to direct point calls.
 
 Both sums take a validated :class:`~tlsim.scenario.Scenario`, which
 carries the wavelength.  Two per-call overrides exist: ``x_s`` picks one
-source point (required for a distributed source), and ``lam`` evaluates a
-1-D array of W wavelengths in one kernel call, giving shape (W, nx) (or
-(W,) at a scalar x); row w is bit-identical to the call at lam[w].
+source point, or a 1-D batch of B (required for a distributed source), and
+``lam`` evaluates a 1-D array of W wavelengths; either gives one row per
+entry, of shape lam.shape + x_s.shape + (nx,) (without the nx axis at a
+scalar x), all in one kernel call, each bit-identical to its one-entry call.
 
 Mirror rule: both gratings sit centred on the axis (``slit_positions``
 builds exactly antisymmetric lattices), so when the source is paraxial or
@@ -19,10 +20,11 @@ fuzzy slits and the hard-edged comb alike.  Both sums then evaluate their
 kernel at the distinct |x| only and copy each value to its mirror sample,
 scalar calls included, so scalar == row still holds, parity is exact, and
 values at x < 0 are those at |x| (the kernels are mirror-symmetric only to
-round-off).  The rule lives here alone: the kernels carry no mirror code.
-A call for an off-centre source takes the kernel at every x it is given;
-a line's sources at +-s share one such call
-(``coherence.source_field_matrix``).
+round-off).  In a batch that mixes such an entry with off-centre sources,
+the one kernel call runs at the distinct values of x and |x|, and the
+entry reads |x|.  The rule lives here alone: the kernels carry no mirror
+code.  An off-centre source takes the kernel at every x it is given; a
+line's sources share one such call (``coherence.source_field_matrix``).
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from .propagators import _as_row, behind_row, between_row
 from .scenario import Scenario
 
 
-def _source_x(scn: Scenario, x_s: float | None) -> float:
-    """The source point to evaluate: explicit, the single point, or 0 when paraxial."""
+def _source_x(scn: Scenario, x_s):
+    """The source point(s) to evaluate: explicit, the single point, or 0 when paraxial."""
     if x_s is not None:
         return x_s
     if scn.source.paraxial:
@@ -45,22 +47,28 @@ def _source_x(scn: Scenario, x_s: float | None) -> float:
     return scn.source.x_positions[0]
 
 
-def _on_samples(scn: Scenario, x_s: float, row, x):
-    """``row`` (a kernel over a sample array, one row or one per wavelength)
-    at the samples x, a scalar or an array; on a self-mirror row (source at
-    x_s = 0 or paraxial) it runs at the distinct |x|."""
+def _on_samples(scn: Scenario, x_s, row, x):
+    """``row`` (a kernel over a sample array, one row per wavelength and
+    source point) at the samples x, a scalar or an array.  A self-mirror
+    entry (source at x_s = 0 or paraxial) is read at |x|: a row of such
+    entries alone runs at the distinct |x|, a batch that mixes them with
+    others at the distinct values of x and |x|."""
     xr, scalar = _as_row(x)
-    if x_s == 0.0 or scn.source.paraxial:
+    mirror = np.asarray(scn.source.paraxial | (np.asarray(x_s) == 0.0))
+    if not mirror.any():
+        out = row(xr)
+    elif mirror.all():
         ax, inv = np.unique(np.abs(xr), return_inverse=True)
         out = row(ax).take(inv, axis=-1)
     else:
-        out = row(xr)
-    if not scalar:
-        return out
-    return complex(out[0]) if out.ndim == 1 else out[:, 0]
+        v, inv = np.unique(np.concatenate([np.abs(xr), xr]), return_inverse=True)
+        full = row(v)
+        out = np.where(mirror[:, None], full.take(inv[:xr.size], axis=-1),
+                       full.take(inv[xr.size:], axis=-1))
+    return (complex(out[0]) if out.ndim == 1 else out[..., 0]) if scalar else out
 
 
-def superpose_between(scn: Scenario, x, z: float, *, x_s: float | None = None, lam=None):
+def superpose_between(scn: Scenario, x, z: float, *, x_s=None, lam=None):
     """Coherent sum over grating-0 slits in the between-gratings region."""
     if scn.region == "behind":
         raise DomainError("scenario region is 'behind'; between-gratings field not available")
@@ -73,7 +81,7 @@ def superpose_between(scn: Scenario, x, z: float, *, x_s: float | None = None, l
     ), x)
 
 
-def superpose_behind(scn: Scenario, x, z: float, *, x_s: float | None = None, lam=None):
+def superpose_behind(scn: Scenario, x, z: float, *, x_s=None, lam=None):
     """Coherent double sum over grating-1 x grating-0 slits behind grating 1."""
     if scn.region == "between":
         raise DomainError("scenario region is 'between'; behind-G1 field not available")

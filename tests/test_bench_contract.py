@@ -89,6 +89,20 @@ def test_tracer_classifies_band_calls(tmp_path):
         ["propagators.behind_row"] * 2 + ["propagators.between_row"] * 2)
 
 
+def test_tracer_classifies_source_batch_calls(tmp_path):
+    """A GSM line row is one kernel call for all of its sources, whose
+    ``x_s`` is an array: the tracer still classifies it."""
+    tracer_mod = _load("tracer")
+    with tracer_mod.Tracer() as tracer:
+        presets.run_preset("fig5a", tmp_path / "fig5a", threads=1, nx=16, nz=4,
+                           echo=lambda *a: None)
+    assert tracer.missing == []
+    assert tracer.unclassified == 0
+    kernels = [s for s in tracer.spans
+               if s[0] in ("propagators.behind_row", "propagators.between_row")]
+    assert len(kernels) == 4 and all(s[4]["terms"] > 0 for s in kernels)
+
+
 def test_tracer_sees_the_sweep_drivers(tmp_path):
     tracer_mod = _load("tracer")
     with tracer_mod.Tracer() as tracer:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -415,6 +416,25 @@ class TestSpectral:
         for workers in (2, 3):
             assert evaluate_densities([scn], x, zs, workers=workers).tobytes() == whole.tobytes()
 
+    def test_line_rows_take_one_kernel_call_at_any_worker_count(self, monkeypatch, tmp_path):
+        """fig5a's 33-point line takes one kernel call per row for all of its
+        17 mirror pairs and x_s = 0, between the gratings and behind G1, on
+        1, 2 and 3 workers (each call logged to a file, which the forked
+        workers append to), with the same bytes."""
+        rc = preset_run_config("fig5a", nx=24, nz=7)
+        scn, x, zs = rc.scenario, rc.grid.x_axis(), rc.grid.z_axis()
+        log = tmp_path / "calls.txt"
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
+        for name in ("between_row", "behind_row"):
+            monkeypatch.setattr(superposition, name, _logged(getattr(superposition, name), log))
+        rows = []
+        for workers in (1, 2, 3):
+            log.write_text("")
+            rows.append(evaluate_densities([scn], x, zs, workers=workers).tobytes())
+            parallel.shutdown_pool()
+            assert log.read_text().split() == ["17"] * len(zs)
+        assert rows[0] == rows[1] == rows[2]
+
     def test_fig12_weights_unchanged(self):
         spec = preset_run_config("fig12").scenario.source.spectral
         lams = np.asarray(spec.lambda_list)
@@ -452,6 +472,15 @@ class TestFocusingContrast:
         p = np.abs(np.sin(x)) + 0.1
         _, dp = focusing_contrast(Profile(0.05, x, p), Profile(0.051, x, p.copy()))
         assert np.all(dp == 0.0)
+
+
+def _logged(kernel, log):
+    """``kernel``, appending its source count to the file ``log`` on each call."""
+    def logged(*args, **kwargs):
+        with open(log, "a") as f:
+            f.write(f"{np.size(args[2])}\n")
+        return kernel(*args, **kwargs)
+    return logged
 
 
 def _forbid_fields(monkeypatch):
@@ -617,6 +646,40 @@ def _line_9(fullerene, spectral=None):
     src = SourceSpec(kind="line", x_positions=xs, z_s=-0.5, spectral=spectral)
     return Scenario(particle=fullerene, grating0=g0, grating1=g1, source=src,
                     region="behind")
+
+
+class TestSampleShapes:
+    """x is a scalar or a 1-D array and zs a 1-D array; anything else raises a
+    DomainError naming the shape, not a numpy error."""
+
+    def test_density_profile_refuses_a_2d_x(self):
+        scn = preset_run_config("fig5a").scenario
+        with pytest.raises(DomainError, match=re.escape("x must be a scalar or a 1-D array, "
+                                                        "got shape (2, 2)")):
+            density_profile(scn, np.zeros((2, 2)), 0.1)
+        with pytest.raises(DomainError, match=r"got shape \(2, 2\)"):
+            source_field_matrix(scn, np.zeros((2, 2)), 0.1)
+
+    def test_evaluate_densities_refuses_a_2d_x(self):
+        scn = preset_run_config("fig5a").scenario
+        with pytest.raises(DomainError, match=re.escape("x must be a scalar or a 1-D array, "
+                                                        "got shape (2, 3)")):
+            evaluate_densities([scn], np.zeros((2, 3)), [0.1], 1)
+
+    @pytest.mark.parametrize("zs", [0.1, [[0.1, 0.2]]], ids=["scalar", "2-D"])
+    def test_evaluate_densities_refuses_zs_that_is_not_1d(self, zs):
+        scn = preset_run_config("fig5a").scenario
+        with pytest.raises(DomainError,
+                           match=re.escape(f"zs must be a 1-D array, got shape {np.shape(zs)}")):
+            evaluate_densities([scn], np.zeros(3), zs, 1)
+
+    def test_a_scalar_x_is_one_sample(self):
+        scn = preset_run_config("fig5a").scenario
+        x = np.linspace(-2e-6, 2e-6, 5)
+        row = evaluate_densities([scn], x, [0.03, 0.1], 1)
+        for j in range(5):
+            assert evaluate_densities([scn], float(x[j]), [0.03, 0.1], 1).tobytes() == \
+                row[:, :, j].tobytes()
 
 
 class TestSweepProfiles:

@@ -710,6 +710,46 @@ class TestFactorisedBehind:
         x = np.concatenate([-tails[::-1], np.sort(rng.uniform(-span, span, 41)), tails])
         _assert_matches_closed_form(lam, z_s, x_s, z1, b0, b1, x0s, x1s, x, z1 * (1.0 + past))
 
+    @settings(max_examples=60)
+    @given(
+        n0=st.integers(2, 32),
+        n1=st.integers(2, 32),
+        lam=st.floats(3e-12, 8e-12),
+        b0=st.floats(20e-9, 100e-9),
+        b1=st.floats(20e-9, 100e-9),
+        pitch_scale0=st.floats(2.5, 8.0),
+        pitch_scale1=st.floats(2.5, 8.0),
+        z1=st.floats(0.02, 0.08),
+        z_s=st.floats(-50.0, -0.3),
+        far=st.floats(-10.0, 10.0),
+        z_kind=st.sampled_from(["plane", "plane+1e-12", "plane+1e-7m", "beyond"]),
+        beyond=st.floats(0.01, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_far_off_axis_sources(self, n0, n1, lam, b0, b1, pitch_scale0, pitch_scale1, z1,
+                                  z_s, far, z_kind, beyond, seed):
+        """Sources up to 10 times the larger grating's half-width off axis,
+        whose c_s the tile lattice leaves out, against the closed form and,
+        away from z1 (1 + 1e-12), the direct sum.  The samples follow the
+        beam's centre x_s z / z_s."""
+        x0s = slit_positions(GratingSpec(n0, pitch_scale0 * b0, b0, 0.0))
+        x1s = slit_positions(GratingSpec(n1, pitch_scale1 * b1, b1, z1))
+        half = max(x0s[-1], x1s[-1])
+        x_s = far * 10.0 * half
+        z = {"plane": z1, "plane+1e-12": z1 * (1.0 + 1e-12),
+             "plane+1e-7m": z1 + 1e-7, "beyond": z1 * (1.0 + beyond)}[z_kind]
+        span = half + 3e-6
+        tails = np.array([1e-5, 1e-4, 1e-3])
+        x = x_s * z / z_s + np.concatenate([
+            -tails[::-1], np.sort(np.random.default_rng(seed).uniform(-span, span, 41)), tails])
+        ref = _assert_matches_closed_form(lam, z_s, x_s, z1, b0, b1, x0s, x1s, x, z)
+        if z_kind != "plane+1e-12":
+            direct = reduce_paths(np.stack([
+                behind_row(lam, z_s, x_s, 0.0, z1, b0, b1, [x0], [x1], x, z)
+                for x1 in x1s for x0 in x0s
+            ]))
+            assert np.max(np.abs(direct - ref)) <= 1e-10 * np.max(np.abs(ref))
+
     def test_rows_identical_across_blas_threads(self, tmp_path):
         """The contraction's matmuls have a shape fixed by the lattice, so
         factorised rows come out byte-identical on 1 and 2 BLAS threads: two
@@ -919,15 +959,23 @@ def _band_kernel(kind, n0, n1, b0, b1, pitch_scale0, pitch_scale1, z1, z_s, x_s,
                  between, beyond):
     """A row kernel over (lam, x) for one geometry (G0 at z = 0): between the
     gratings for ``kind`` "z0" and "between", behind G1 otherwise."""
+    kernel = _entry_kernel(kind, n0, n1, b0, b1, pitch_scale0, pitch_scale1, z1, z_s, comb,
+                           between, beyond)
+    return lambda lam, x: kernel(lam, x_s, x)
+
+
+def _entry_kernel(kind, n0, n1, b0, b1, pitch_scale0, pitch_scale1, z1, z_s, comb, between,
+                  beyond):
+    """The row kernel of :func:`_band_kernel` over (lam, x_s, x)."""
     x0s = slit_positions(GratingSpec(n0, pitch_scale0 * b0, b0, 0.0))
     x1s = slit_positions(GratingSpec(n1, pitch_scale1 * b1, b1, z1))
     if kind in ("z0", "between"):
         z = 0.0 if kind == "z0" else between * z1
-        return lambda lam, x: between_row(lam, z_s, x_s, 0.0, b0, x0s, x, z)
+        return lambda lam, x_s, x: between_row(lam, z_s, x_s, 0.0, b0, x0s, x, z)
     z = {"z1": z1, "z1(1+1e-12)": z1 * (1.0 + 1e-12), "beyond": z1 * (1.0 + beyond)}[kind]
     k, eta = comb or (1, 1.0)
-    return lambda lam, x: behind_row(lam, z_s, x_s, 0.0, z1, b0, b1, x0s, x1s, x, z,
-                                     comb_k=k, comb_eta=eta, hard=comb is not None)
+    return lambda lam, x_s, x: behind_row(lam, z_s, x_s, 0.0, z1, b0, b1, x0s, x1s, x, z,
+                                          comb_k=k, comb_eta=eta, hard=comb is not None)
 
 
 class TestWavelengthAxis:
@@ -1014,11 +1062,98 @@ class TestWavelengthAxis:
             kernel([5e-12, 6e-12, bad], np.zeros(3))
 
 
+class TestSourceAxis:
+    """A 1-D ``x_s`` of B source points gives (B, nx) rows in one call, each
+    bit-identical to its one-source call: behind G1 the sources share one
+    tile lattice per wavelength, which does not depend on x_s."""
+
+    @settings(max_examples=60)
+    @given(
+        n0=st.integers(1, 24),
+        n1=st.integers(1, 24),
+        lam=st.floats(3e-12, 8e-12),
+        sources=st.lists(st.floats(-30e-6, 30e-6), min_size=1, max_size=17),
+        b0=st.floats(20e-9, 100e-9),
+        b1=st.floats(20e-9, 100e-9),
+        pitch_scale0=st.floats(2.5, 8.0),
+        pitch_scale1=st.floats(2.5, 8.0),
+        z1=st.floats(0.02, 0.08),
+        z_s=st.one_of(st.just(PARAXIAL_ZS), st.floats(-50.0, -0.3)),
+        kind=st.sampled_from(["z0", "between", "z1", "z1(1+1e-12)", "beyond"]),
+        between=st.floats(0.01, 0.99),
+        beyond=st.floats(0.01, 2.0),
+        comb=st.one_of(st.none(), st.tuples(st.integers(1, 4), st.floats(0.3, 1.5))),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_rows_equal_their_one_source_calls(self, n0, n1, lam, sources, b0, b1,
+                                                     pitch_scale0, pitch_scale1, z1, z_s, kind,
+                                                     between, beyond, comb, seed):
+        kernel = _entry_kernel(kind, n0, n1, b0, b1, pitch_scale0, pitch_scale1, z1, z_s, comb,
+                               between, beyond)
+        rng = np.random.default_rng(seed)
+        span = 0.5 * max(n0 * pitch_scale0 * b0, n1 * pitch_scale1 * b1) + 3e-6
+        x = np.concatenate([rng.uniform(-span, span, 37), [0.0, 1e-5, -1e-4, 1e-3]])
+        xs = np.array(sources + [0.0])
+        batch = kernel(lam, xs, x)
+        assert batch.shape == (len(xs), len(x))
+        for b, x_s in enumerate(xs.tolist()):
+            assert batch[b].tobytes() == kernel(lam, x_s, x).tobytes()
+        # scalar == row inside a batch; a permuted batch, or row, is permuted alike
+        for j in range(0, len(x), 5):
+            assert kernel(lam, xs, x[j:j + 1]).tobytes() == batch[:, j:j + 1].tobytes()
+        perm, perm_x = rng.permutation(len(xs)), rng.permutation(len(x))
+        assert kernel(lam, xs[perm], x).tobytes() == batch[perm].tobytes()
+        assert kernel(lam, xs, x[perm_x]).tobytes() == batch[:, perm_x].tobytes()
+
+    @pytest.mark.parametrize("kind, comb", [("between", None), ("z1", None), ("beyond", None),
+                                            ("z1(1+1e-12)", None), ("beyond", (4, 0.7))])
+    def test_band_and_batch_give_every_entry(self, kind, comb):
+        kernel = _entry_kernel(kind, 8, 9, 37.5e-9, 75e-9, 500 / 37.5, 500 / 75, 0.05, -0.5,
+                               comb, 0.6, 1.0)
+        x = np.linspace(-6e-6, 6e-6, 23)
+        lams, xs = np.array([4e-12, 5e-12, 6.5e-12]), np.array([-20e-6, 0.0, 1e-6, 7e-6])
+        grid = kernel(lams, xs, x)
+        assert grid.shape == (3, 4, 23)
+        for w, lam in enumerate(lams.tolist()):
+            assert grid[w].tobytes() == kernel(lam, xs, x).tobytes()
+            for b, x_s in enumerate(xs.tolist()):
+                assert grid[w, b].tobytes() == kernel(lam, x_s, x).tobytes()
+
+    def test_scalar_x_s_keeps_the_row_shape(self):
+        x = np.linspace(-2e-6, 2e-6, 9)
+        for kind, comb in (("between", None), ("beyond", None), ("beyond", (4, 0.7)),
+                           ("z1", (4, 0.7))):
+            kernel = _entry_kernel(kind, 8, 9, 37.5e-9, 75e-9, 500 / 37.5, 500 / 75, 0.05,
+                                   -0.5, comb, 0.5, 1.0)
+            assert kernel(5e-12, 1e-6, x).shape == (9,)
+            assert kernel(5e-12, np.array(1e-6), x).shape == (9,)
+            assert kernel(5e-12, [1e-6], x).shape == (1, 9)
+            assert kernel(5e-12, [1e-6, 0.0, -3e-6], x[:1]).shape == (3, 1)
+            assert kernel([5e-12, 6e-12], 1e-6, x).shape == (2, 9)
+            for xs in ([], np.zeros(0), [[1e-6]], np.zeros((2, 2))):
+                with pytest.raises(DomainError, match="x_s must be one source point or a 1-D"):
+                    kernel(5e-12, xs, x)
+
+    @pytest.mark.parametrize("kind", ["between", "z1", "beyond"])
+    def test_grouped_batch_equals_the_whole_batch(self, monkeypatch, kind):
+        """Groups smaller than one wavelength's tiles, down to one tile or one
+        sample, join to the whole batch bit for bit."""
+        kernel = _entry_kernel(kind, 8, 9, 37.5e-9, 75e-9, 500 / 37.5, 500 / 75, 0.05, -0.5,
+                               None, 0.6, 1.0)
+        x = np.concatenate([np.linspace(-6e-6, 6e-6, 61), [1e-4, -1e-3]])
+        lams, xs = np.array([4e-12, 6e-12]), np.linspace(-10e-6, 10e-6, 5)
+        whole = kernel(lams, xs, x)
+        for bound in (1, 3000, 20000):
+            monkeypatch.setattr(propagators, "_GROUP_TERMS", bound)
+            assert kernel(lams, xs, x).tobytes() == whole.tobytes()
+
+
 class TestWavelengthGroups:
-    """A band is evaluated in groups of wavelengths of at most _GROUP_TERMS
-    path terms, which join to the whole band bit for bit; a wavelength whose
-    path matrices alone exceed _MAX_TERMS is refused before they are built.
-    The bounds are lowered here, so no large buffer is allocated."""
+    """A band is evaluated in groups of tiles, or blocks of samples, of at
+    most _GROUP_TERMS path terms, which join to the whole band bit for bit;
+    a tile whose path matrices over the batch of sources alone exceed
+    _MAX_TERMS is refused before any path table is built.  The bounds are
+    lowered here, so no large buffer is allocated."""
 
     LAMS = np.linspace(3e-12, 8e-12, 7)
 
@@ -1033,21 +1168,25 @@ class TestWavelengthGroups:
             monkeypatch.setattr(propagators, "_GROUP_TERMS", bound)
             assert kernel(self.LAMS, x).tobytes() == whole.tobytes()
 
-    def test_a_wavelength_over_the_bound_is_refused_before_its_tables(self, monkeypatch):
-        # 1000 tiles of 32 x 32 paths: one wavelength's M is 1024000 terms (16 MB)
+    def test_a_tile_over_the_bound_is_refused_before_its_tables(self, monkeypatch):
+        # 1000 sources over 32 x 32 paths: one tile's M is 1024000 terms (16 MB),
+        # and so are the path tables p23 and bq
         x0s = slit_positions(GratingSpec(32, 500e-9, 37.5e-9, 0.0))
         x1s = slit_positions(GratingSpec(32, 500e-9, 75e-9, 0.05))
-        x = np.linspace(-1e-3, 1e-3, 1000)
+        x_s, x = np.linspace(-1e-6, 1e-6, 1000), np.linspace(-1e-3, 1e-3, 1000)
         monkeypatch.setattr(propagators, "_MAX_TERMS", 10**6)
         tracemalloc.start()
         try:
-            with pytest.raises(DomainError, match="needs 1024000 path-matrix terms at "
-                                                  "wavelength 5e-12 m"):
-                behind_row([5e-12, 6e-12], -0.5, 0.0, 0.0, 0.05, 37.5e-9, 75e-9, x0s, x1s, x, 0.06)
+            with pytest.raises(DomainError, match="needs 1024000 path terms per tile"):
+                behind_row([5e-12, 6e-12], -0.5, x_s, 0.0, 0.05, 37.5e-9, 75e-9, x0s, x1s, x, 0.06)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+        # a batch at the bound itself is evaluated
+        monkeypatch.setattr(propagators, "_MAX_TERMS", 3 * 32 * 32)
+        psi = behind_row(5e-12, -0.5, x_s[:3], 0.0, 0.05, 37.5e-9, 75e-9, x0s, x1s, x[:5], 0.06)
+        assert psi.shape == (3, 5)
 
 
 def _split_residual(lam, z_s, x_s, z1, b0, b1, x0s, x1s, x, cut, split_g1, zs_between, zs_behind):
