@@ -12,9 +12,9 @@ i: S^2 * nx multiply-adds in O(S * nx) memory, never an S x S x nx product.
 
 Both gratings are centred, so a line's source at -s gives at x the field
 its source at s gives at -x.  :func:`source_field_matrix` evaluates a whole
-line with one kernel call over x and -x, whose batch of source points
-holds each mirror pair once; x_s = 0 takes the mirror rule of
-``superposition``.
+line with one field call on the samples x followed by -x, whose batch of
+source points holds each mirror pair once; the mirror rule of
+``superposition`` evaluates each distinct value once, and x_s = 0 reads |x|.
 
 The spectral average of a point or paraxial source takes one field call per
 row for its whole band (the ``lam`` override of ``superposition``), whose
@@ -180,8 +180,10 @@ def spectral_average(densities, weights) -> np.ndarray:
 
 
 def field_at(scn: Scenario, x: np.ndarray, z: float, *, x_s: float | None = None, lam=None):
-    """Complex superposed field of one source point at height z, at the
-    scenario's wavelength or, one row each, at the wavelengths ``lam``.
+    """Complex superposed field at height z of the source point ``x_s`` (by
+    default the scenario's single or paraxial one) or, one row each, of a
+    1-D batch of source points, at the scenario's wavelength or, one row
+    each, at the wavelengths ``lam``.
 
     Picks the between/behind form from z relative to the G1 plane and the
     scenario region (the z == z1 row belongs to the behind form only when the
@@ -192,35 +194,25 @@ def field_at(scn: Scenario, x: np.ndarray, z: float, *, x_s: float | None = None
     return superpose(scn, x, z, x_s=x_s, lam=lam)
 
 
-def _mirror_union(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct values of x and -x, ascending (0 once), and the index
-    among them of each sample and of its negation."""
-    ax, inv = np.unique(np.abs(x), return_inverse=True)
-    n, n0 = ax.size, np.count_nonzero(ax[:1] == 0.0)
-    at_pos, at_neg, neg = n - n0 + inv, n - 1 - inv, x < 0.0
-    u = np.concatenate([-ax[n0:][::-1], ax])
-    return u, np.where(neg, at_neg, at_pos), np.where(neg, at_pos, at_neg)
-
-
 def source_field_matrix(scn: Scenario, x, z: float) -> np.ndarray:
     """Per-source complex fields, shape (S, nx), or (S,) at a scalar x.
 
     Position i pairs with S-1-i when their sum is within _LATTICE_ULPS ulps
     of the largest |x_s| (a line stepped from its lower end misses exact
-    antisymmetry by about an ulp).  One ``field_at`` call over x and -x
-    takes every position but the smaller member of each pair: a position
-    reads its own field at x, and its partner's at -x.
+    antisymmetry by about an ulp).  One ``field_at`` call on x followed by
+    0.0 - x (no -0.0) takes every position but the smaller member of each
+    pair: a position reads its own field from the first half, and its
+    partner's from the second.
     """
     xr, scalar = _as_row(x)
     xs = np.array(scn.source.x_positions)
     tol = _LATTICE_ULPS * np.spacing(np.abs(xs).max())
     paired = (xs != xs[::-1]) & (np.abs(xs + xs[::-1]) <= tol)
     own = ~paired | (xs > xs[::-1])
-    u, at_x, at_neg = _mirror_union(xr)
-    rows = field_at(scn, u, z, x_s=xs[own])
+    rows = field_at(scn, np.concatenate([xr, 0.0 - xr]), z, x_s=xs[own])
     F = np.empty((len(xs), xr.size), dtype=complex)
-    F[own] = rows[:, at_x]
-    F[~own] = rows[(np.cumsum(own) - 1)[::-1][~own]][:, at_neg]
+    F[own] = rows[:, :xr.size]
+    F[~own] = rows[(np.cumsum(own) - 1)[::-1][~own], xr.size:]
     return F[:, 0] if scalar else F
 
 

@@ -16,15 +16,13 @@ scalar x), all in one kernel call, each bit-identical to its one-entry call.
 Mirror rule: both gratings sit centred on the axis (``slit_positions``
 builds exactly antisymmetric lattices), so when the source is paraxial or
 sits at x_s = 0 every row is its own mirror image, psi(-x) = psi(x), for
-fuzzy slits and the hard-edged comb alike.  Both sums then evaluate their
-kernel at the distinct |x| only and copy each value to its mirror sample,
-scalar calls included, so scalar == row still holds, parity is exact, and
-values at x < 0 are those at |x| (the kernels are mirror-symmetric only to
-round-off).  In a batch that mixes such an entry with off-centre sources,
-the one kernel call runs at the distinct values of x and |x|, and the
-entry reads |x|.  The rule lives here alone: the kernels carry no mirror
-code.  An off-centre source takes the kernel at every x it is given; a
-line's sources share one such call (``coherence.source_field_matrix``).
+fuzzy slits and the hard-edged comb alike.  Such a self-mirror entry reads
+the kernel at |x|, any other entry at x, and one kernel call runs at the
+distinct values that a call's entries read, so scalar == row still holds,
+parity is exact, and values at x < 0 are those at |x| (the kernels are
+mirror-symmetric only to round-off).  The rule lives here alone: the
+kernels carry no mirror code.  A line's sources share one such call
+(``coherence.source_field_matrix``).
 """
 
 from __future__ import annotations
@@ -50,21 +48,19 @@ def _source_x(scn: Scenario, x_s):
 def _on_samples(scn: Scenario, x_s, row, x):
     """``row`` (a kernel over a sample array, one row per wavelength and
     source point) at the samples x, a scalar or an array.  A self-mirror
-    entry (source at x_s = 0 or paraxial) is read at |x|: a row of such
-    entries alone runs at the distinct |x|, a batch that mixes them with
-    others at the distinct values of x and |x|."""
+    entry (source at x_s = 0 or paraxial) reads |x|, any other entry x; the
+    kernel runs once, at the distinct values the entries read, ascending,
+    and each entry gathers its own samples from that call.  Entries with
+    the same rule share their reads, so a batch sorts at most two rows."""
     xr, scalar = _as_row(x)
-    mirror = np.asarray(scn.source.paraxial | (np.asarray(x_s) == 0.0))
-    if not mirror.any():
-        out = row(xr)
-    elif mirror.all():
-        ax, inv = np.unique(np.abs(xr), return_inverse=True)
-        out = row(ax).take(inv, axis=-1)
-    else:
-        v, inv = np.unique(np.concatenate([np.abs(xr), xr]), return_inverse=True)
-        full = row(v)
-        out = np.where(mirror[:, None], full.take(inv[:xr.size], axis=-1),
-                       full.take(inv[xr.size:], axis=-1))
+    # the distinct read rules (True reads |x|) and each entry's index among them
+    rules, rule = np.unique(scn.source.paraxial | (np.asarray(x_s) == 0.0), return_inverse=True)
+    reads = np.where(rules[:, None], np.abs(xr), xr)
+    v, inv = np.unique(reads, return_inverse=True)
+    full = row(v)
+    # entry e's samples in its rows flattened over the entry and sample axes
+    at = inv.reshape(reads.shape)[rule] + v.size * np.arange(rule.size).reshape(rule.shape + (1,))
+    out = full.reshape(full.shape[:full.ndim - at.ndim] + (-1,)).take(at, axis=-1)
     return (complex(out[0]) if out.ndim == 1 else out[..., 0]) if scalar else out
 
 

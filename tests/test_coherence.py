@@ -316,6 +316,12 @@ class TestGsmAverageProperties:
             saved.append(out.read_bytes())
         assert saved[0] == saved[1]
 
+    def test_one_slit_metrics_window_is_one_pitch(self):
+        """fig19a's G1 is one slit, so its span is 0 and the window is +-pitch/2."""
+        scn = preset_run_config("fig19a").scenario
+        assert scn.grating1.n_slits == 1
+        assert scn.metrics_window() == (-scn.grating1.pitch / 2, scn.grating1.pitch / 2)
+
     def test_fig7_geometry_matches_outer_product(self):
         scn = preset_run_config("fig7").scenario
         lo, hi = scn.metrics_window()
@@ -390,6 +396,14 @@ class TestSpectral:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             gaussian_spectral_weights(_spectrum([], 5e-12, 1e-12))
+
+    @pytest.mark.parametrize("densities, weights, message", [
+        ([], [], "no densities to average"),
+        ([[1.0, 2.0], [3.0, 4.0]], [1.0], "2 densities but 1 weights"),
+    ], ids=["empty", "weight count"])
+    def test_average_shape_rejected(self, densities, weights, message):
+        with pytest.raises(DomainError, match=message):
+            spectral_average(densities, weights)
 
     def test_band_rows_take_one_kernel_call_at_any_worker_count(self, monkeypatch):
         """fig12's 21-wavelength band takes one kernel call per row, between
@@ -871,7 +885,7 @@ class TestSharedFields:
         assert fields.keys() == before.keys()
         assert all(fields[key] is F and F.tobytes() == b for key, (F, b) in before.items())
 
-    def test_memo_keeps_fields_only_while_a_later_scenario_has_their_key(self, fullerene):
+    def test_an_unshared_spectral_line_holds_one_wavelength_of_fields(self, fullerene):
         """A one-scenario row of a 33-point line at 21 wavelengths shares no
         fields, so it holds one wavelength's (S, nx) fields at a time, not
         all 21 (8.9 MB at nx = 800)."""

@@ -262,6 +262,12 @@ class TestParseConfig:
         with pytest.raises(DomainError, match="paraxial source"):
             apply_sweep_value(scn, "xs", 2e-6)
 
+    def test_xs_sweep_on_line_rejected(self):
+        scn = parse_config(MINIMAL + "source.xs_min = -1um\nsource.xs_max = 1um\n"
+                           "source.sigma_i = 1um\n").scenario
+        with pytest.raises(DomainError, match="xs sweep applies to point sources only"):
+            apply_sweep_value(scn, "xs", 2e-6)
+
     @pytest.mark.parametrize("line, section", [
         ("grating1.pitch = inf", "grating1"),
         ("grating0.half_width = inf", "grating0"),
@@ -275,9 +281,23 @@ class TestParseConfig:
         ("source.xs_step = inf", "source"),
         ("source.xs_min = -1e308\nsource.xs_max = 1e308", "source"),
         ("spectral.lambda_max = inf", "source"),
+        ("source.zs = inf", "source"),
     ])
     def test_non_finite_geometry_rejected(self, line, section):
         with pytest.raises(ConfigError, match=f"{section}: .*finite"):
+            parse_config(MINIMAL + line + "\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("spectral.lambda_step = 0", "source: spectral.lambda_step must be positive"),
+        ("spectral.lambda_max = 2pm", "source: spectral.lambda_max=2e-12 < spectral.lambda_min"),
+        ("source.xs_step = 0", "source: source.xs_step must be positive"),
+        ("scenario.region = middle", "scenario.region: 'middle' is not one of"),
+        ("output.formats = ,", "output.formats: output.formats must not be empty"),
+        ("grating1.z = -1mm", "scenario: grating G1 must lie behind grating G0"),
+        ("grating0.slits = 0", "grating0: n_slits must be >= 1"),
+    ])
+    def test_out_of_range_value_rejected(self, line, message):
+        with pytest.raises(ConfigError, match=message):
             parse_config(MINIMAL + line + "\n")
 
     def test_multiple_invariant_violations_collected(self):

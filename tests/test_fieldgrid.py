@@ -161,6 +161,11 @@ class TestCrossSection:
         prof = cross_section(field, 0.08).restrict(-1e-6, 1e-6)
         assert prof.x.min() >= -1e-6 and prof.x.max() <= 1e-6
 
+    def test_restrict_to_empty_window_rejected(self, fullerene):
+        prof = cross_section(self._field(fullerene), 0.08)
+        with pytest.raises(DomainError, match="contains no samples"):
+            prof.restrict(1.0, 2.0)
+
 
 class TestExports:
     def test_csv_round_trip_bit_exact(self, fullerene, tmp_path):
@@ -271,6 +276,19 @@ class TestExports:
             export_csv(field, "no/such/dir/f.csv")
         with pytest.raises(IOError, match="writing metadata to no/such/dir"):
             export_meta("no/such/dir/f.meta.txt", scn, [], field.fingerprint)
+
+    @pytest.mark.parametrize("read, content, message", [
+        (read_pgm, b"P2\n2 2\n65535\n", "not a binary PGM"),
+        (read_pgm, b"P5\n2 2\n255\n" + bytes(4), "expected 16-bit PGM, maxval=255"),
+        (read_pgm, None, "reading PGM from .*No such file"),
+        (parse_csv, None, "reading CSV from .*not found"),
+    ], ids=["pgm not P5", "pgm maxval 255", "pgm missing", "csv missing"])
+    def test_unreadable_file_rejected(self, tmp_path, read, content, message):
+        path = tmp_path / "in"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(IOError, match=message):
+            read(path)
 
     def test_profile_csv(self, fullerene, tmp_path):
         scn = _scenario(fullerene, n0=2, n1=2)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlsim import coherence, parallel, propagators, superposition
+from tlsim import parallel, propagators, superposition
 from tlsim.coherence import _mirror_pair_columns, evaluate_densities, field_at, source_field_matrix
 from tlsim.core import PARAXIAL_ZS, GratingSpec, Particle, SourceSpec, centered_axis, slit_positions
 from tlsim.propagators import behind_row, between_row
@@ -216,10 +216,49 @@ class TestMirrorPairedSources:
     @pytest.mark.parametrize("z", [0.03, 0.1])
     def test_x_zero_is_evaluated_once(self, z, monkeypatch):
         scn = _line_scenario((8, 9, 37.5e-9, 75e-9, 4.0, 0.05, 5e-12, -0.5), (-1e-6, 1e-6), None)
-        seen = []
-        real = coherence.field_at
-        monkeypatch.setattr(coherence, "field_at",
-                            lambda s, x, z, x_s: seen.append(np.array(x)) or real(s, x, z, x_s=x_s))
+        seen = _kernel_samples(monkeypatch)
         source_field_matrix(scn, np.array([-2e-6, 0.0, 1e-6, 2e-6]), z)
         [x] = seen
         assert x.tolist() == [-2e-6, -1e-6, 0.0, 1e-6, 2e-6]
+        assert not np.signbit(x[2])  # +0.0
+
+
+def _kernel_samples(monkeypatch):
+    """Patch both row kernels of ``superposition`` to append the sample
+    array of each call to the returned list."""
+    seen = []
+    for name, at in (("between_row", 6), ("behind_row", 9)):
+        real = getattr(superposition, name)
+        monkeypatch.setattr(superposition, name, lambda *a, real=real, at=at, **kw:
+                            seen.append(np.array(a[at])) or real(*a, **kw))
+    return seen
+
+
+class TestOneSamplePath:
+    """Every call evaluates its kernel once, at the ascending distinct values
+    its entries read: |x| for a self-mirror entry, x for any other."""
+
+    ROWS = [np.array([1e-6, -0.0, 3e-6, 1e-6, 0.0, -2e-6, 3e-6, -0.5e-6]),
+            np.array([2.5e-6, 2.5e-6, -1e-6, 0.0, -0.0])]
+
+    @pytest.mark.parametrize("x_s, z_s, batch", [
+        (1e-6, -0.5, None), (0.0, -0.5, None), (0.7e-6, PARAXIAL_ZS, None),
+        (0.0, -0.5, np.array([-1e-6, 0.0, 1e-6, 2.5e-6])),
+    ], ids=["off-axis point", "on-axis point", "paraxial", "mixed batch"])
+    @pytest.mark.parametrize("superpose, z", [
+        (superpose_between, 0.03), (superpose_behind, 0.05), (superpose_behind, 0.1),
+    ], ids=["between", "plane z1", "behind"])
+    def test_one_kernel_call_on_distinct_samples(self, x_s, z_s, batch, superpose, z,
+                                                 monkeypatch):
+        """The call equals, entry by entry, its one-sample calls bit for bit."""
+        scn = _scenario(8, 9, 37.5e-9, 75e-9, 4.0, 0.05, 5e-12, x_s, z_s)
+        entries = [None] if batch is None else batch.tolist()
+        for x in self.ROWS:
+            seen = _kernel_samples(monkeypatch)
+            psi = superpose(scn, x, z, x_s=batch).reshape(len(entries), len(x))
+            monkeypatch.undo()
+            [v] = seen
+            assert np.all(np.diff(v) > 0.0)
+            for row, s in zip(psi, entries):
+                one = [superpose(scn, float(xk), z, x_s=s) for xk in x]
+                assert row.tobytes() == np.array(one).tobytes()

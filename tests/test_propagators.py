@@ -323,6 +323,15 @@ class TestPsiBehind:
         with pytest.raises(DomainError):
             psi_behind(ctx, 0.0, 0.08)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"z_s": 0.01}, "source must precede grating G0"),
+        ({"grating1": None}, "x1 given but no grating 1"),
+        ({"grating1": GratingSpec(1, 500e-9, 75e-9, -0.05)}, "grating 1 must lie behind"),
+    ], ids=["source behind G0", "x1 without G1", "G1 before G0"])
+    def test_context_checks(self, fullerene, change, message):
+        with pytest.raises(DomainError, match=message):
+            dataclasses.replace(_ctx_behind(fullerene), **change)
+
     def test_finite_at_slit_centers_and_between(self, fullerene):
         ctx = _ctx_behind(fullerene, x0=0.0, x1=0.0, x_s=0.0)
         x = np.array([0.0, 125e-9, 250e-9, 1e-6])
