@@ -179,15 +179,13 @@ def spectral_average(densities, weights) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def field_at(scn: Scenario, x: np.ndarray, z: float, *, x_s: float | None = None, lam=None):
+def field_at(scn: Scenario, x: np.ndarray, z: float, *,
+             x_s: float | np.ndarray | None = None, lam=None):
     """Complex superposed field at height z of the source point ``x_s`` (by
     default the scenario's single or paraxial one) or, one row each, of a
     1-D batch of source points, at the scenario's wavelength or, one row
-    each, at the wavelengths ``lam``.
-
-    Picks the between/behind form from z relative to the G1 plane and the
-    scenario region (the z == z1 row belongs to the behind form only when the
-    scenario is restricted to the behind region).
+    each, at the wavelengths ``lam``.  The form follows z and the region: the
+    z == z1 row is behind G1 only in a scenario restricted to that region.
     """
     between = scn.region == "between" or (scn.region == "full" and z <= scn.z1)
     superpose = superpose_between if between else superpose_behind

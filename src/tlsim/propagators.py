@@ -15,57 +15,38 @@ finite for every input.
 
 On a grating plane the wave function is the incident field modulated by the
 slit transmission.  The between-gratings form reaches that limit at z == z0
-without a branch: its phase is written so that nothing cancels as z -> z0.
-Only the behind-G1 direct kernel keeps a separate z == z1 limit branch; the
-paraxial source z_s = -inf has none (its source terms are exact zeros).
-Everything is vectorized over the detector coordinate and over slit centers;
-the scalar entry points route through the same code path so grid samples and
-direct calls agree bit for bit.
+without a branch; only the behind-G1 direct kernel keeps a z == z1 branch,
+and the paraxial source z_s = -inf has none (its source terms are exact
+zeros).  Scalar entry points route through the row kernels, so grid samples
+and direct calls agree bit for bit.
 
-Every fuzzy-slit path term is a complex Gaussian: a real envelope times a
-phase.  The fuzzy kernels take the envelope from its log-magnitude with one
-real exponential per term and build the phase from phasor tables, so no
-complex exponential is taken per path term.  Between the gratings the
-tables are a per-slit phasor (N0 complex exponentials per wavelength), a
-per-sample phasor and the powers of one per-sample ratio, which carry the
-x*x0 cross term (2 complex exponentials per sample).
-
-Behind grating 1 every fuzzy-slit sum over two or more paths is factorised.
-For fixed z every path phase is quadratic in x with a path-independent x^2
-coefficient and an x^1 coefficient affine in (x1, x0), so around a tile
-centre x_c the sum splits into a per-tile path matrix, one phase table over
-x1, one over x0 and a common chirp.  Both gratings are uniform lattices, so
-each table is the powers of one ratio per sample: a sample costs 2 complex
-exponentials and N0*N1 complex multiply-adds.  A path matrix entry costs one
-real exponential (its envelope), and its phase is a product of phasor tables
-over (x0, x1), (tile, x0) and (tile, x1): N0*N1 + tiles*(N0 + N1) complex
-exponentials per wavelength.  ``between_row`` and the factorised kernel therefore
-need slit centres x[n] = x[0] + n*d up to round-off and reject any other
-array with a DomainError.  Tile centres sit on a lattice in absolute x whose
-spacing follows from the geometry, and the contraction over x0 runs as BLAS
-matmuls of a shape fixed by (N0, N1) (the block rule of
-:func:`_behind_factorised`), so a sample's value does not depend on which
-other samples share its row, nor on the BLAS thread count.  The comb and
-single fuzzy paths keep the direct one-exponential-per-path kernel.  Every
-kernel evaluates each x it is given; a self-mirror row's |x| are shared out
-by ``superposition``.
+Every fuzzy-slit path term is a real envelope, one real exponential of its
+log-magnitude, times a phase built from phasor tables: no complex
+exponential is taken per path term.  Between the gratings the tables are a
+per-slit phasor and, per sample, a phasor and the powers of one ratio (the
+x*x0 cross term).  Behind G1 every fuzzy sum over two or more paths is
+factorised on x-tiles (:func:`_behind_factorised`): a per-tile path matrix
+contracted by BLAS matmuls of a shape fixed by (N0, N1) with power tables
+over x1 and x0, so a sample's value depends neither on the other samples
+of its row nor on the BLAS thread count.  ``between_row`` and the
+factorised kernel need slit centres x[n] = x[0] + n*d up to round-off.  The
+comb and single fuzzy paths keep the direct one-exponential-per-path
+kernel.  A self-mirror row's |x| are shared out by ``superposition``.
 
 Both row kernels take one wavelength or a 1-D band of W, and one source
 point or a 1-D batch of B, for a row of shape lam.shape + x_s.shape +
-(nx,); their common wrapper :func:`_finite_row` hands each kernel the band
-as a list and the batch as an array.  Each (wavelength, source) entry's
-scalar coefficients come from the same scalar arithmetic as a one-entry
-call's and are broadcast over its tables, so entry (w, b) equals the call
-at (lam[w], x_s[b]) bit for bit.  What does not depend on the entry (the
-lattice checks, the detector row, the path geometry) is built once per
-call, and what depends on the wavelength alone is built once per
-wavelength and shared by the batch: between the gratings the powers of
-kappa, behind G1 the factorised kernel's tile lattice with its U and V
-tables.  The factorised kernel contracts the (wavelength, tile) pairs as
-one tile list, in groups of consecutive tiles; ``between_row`` takes its
-entries in groups of wavelengths and blocks of sources, and the direct
-kernel one at a time, in blocks of samples.  A group or block holds at
-most ``_GROUP_TERMS`` path terms, or one tile, entry or sample.
+(nx,) (see :func:`_finite_row`).  An entry's scalar coefficients come
+from a one-entry call's arithmetic, so entry (w, b) equals the call at
+(lam[w], x_s[b]) bit for bit.  What depends on the wavelength alone is
+built once per wavelength: between the gratings the powers of kappa,
+behind G1 the tile lattice and U and V tables.  Behind G1 an entry's path
+matrix is a diagonal scaling of one built at a reference source point
+x_ref on a lattice in absolute x_s: a tile builds one M per wavelength and
+cell of entries sharing x_ref (a whole line), and N0*N1 complex
+multiplies per other entry.  The factorised kernel works in groups of
+tiles, ``between_row`` in groups of wavelengths and blocks of sources, the
+direct kernel one entry at a time in blocks of samples; each holds at most
+``_GROUP_TERMS`` path terms, or one unit.
 
 Every detector position must be finite; a NaN or infinite x or z raises a
 DomainError.
@@ -205,10 +186,8 @@ def comb_form_factor(xi, b: float, eta: float, K: int):
 
 
 # ---------------------------------------------------------------------------
-# Row kernels.  These evaluate the wave function for a whole vector of
-# detector positions x (and all slit centers at once); the public single-path
-# operations below call them with singleton center arrays so that every code
-# path is the same one the grid evaluator uses.
+# Row kernels over a vector of detector positions x and all slit centres; the
+# single-path operations below call them with one centre per grating.
 # ---------------------------------------------------------------------------
 
 
@@ -240,11 +219,9 @@ def reduce_paths(terms: np.ndarray) -> np.ndarray:
     return terms[0]
 
 
-# Floor of a path term's log-magnitude.  numpy's vectorised real exp leaves
-# its fast path for results below the normal range and is then up to 60x
-# slower (measured on an AVX-512 host).  Behind G1 magnitudes are relative to a tile's largest
-# term, and e^-700 is far below the round-off of that tile's sums.  Between
-# the gratings they are absolute: the floor moves a sum only where every term
+# Floor of a path term's log-magnitude: numpy's real exp is up to 60x slower
+# below the normal range (AVX-512).  Behind G1 it lies far below the round-off
+# of a tile's sum; between the gratings it moves a sum only where every term
 # lies below e^-660, and there |psi|^2 underflows to 0 anyway.
 _LOG_FLOOR = -700.0
 
@@ -256,19 +233,15 @@ def _finite_row(kernel):
 
     ``lam`` is one wavelength or a 1-D array of W, and ``x_s`` one source
     point or a 1-D array of B; the row has shape lam.shape + x_s.shape +
-    (nx,): (nx,), (W, nx), (B, nx) or (W, B, nx).  The kernel takes the band
-    as a list of W floats and the sources as a (B,) array, and returns
-    (W, B, nx).
+    (nx,).  The kernel takes the band as a list of W floats and the sources
+    as a (B,) array, and returns (W, B, nx).
 
-    A finite wavelength can still be too small for the phase tables: at
-    lam = 1e-300 the coefficients reach ~1e300 and their squares overflow.
-    The kernel runs with numpy's floating-point warnings off, and its row
-    is checked instead: a table past the range reaches the row as an inf or
-    a NaN, while a log-magnitude that falls to -inf gives the true zero.
-    The kernels divide only by quantities that are nonzero in exact
-    arithmetic (D^2 = 0 is rejected apart), so a ZeroDivisionError means
-    such a scale underflowed to zero, as at lam = 5e-324.  The error names
-    the wavelengths at fault: in a band, those whose own rows fail.
+    At lam = 1e-300 the coefficients reach ~1e300 and their squares
+    overflow: the kernel runs with floating-point warnings off and its row
+    is checked instead (an inf or NaN fails; a log-magnitude of -inf is a
+    true zero).  The kernels divide only by quantities nonzero in exact
+    arithmetic, so a ZeroDivisionError means one underflowed to zero, as at
+    lam = 5e-324.  The error names the wavelengths whose own rows fail.
     """
     @functools.wraps(kernel)
     def row(lam, z_s, x_s, *args, **kwargs):
@@ -326,13 +299,11 @@ def between_row(
     :func:`_lattice_pitch`), so the cross term's phasors are the powers of
     one ratio per sample, built as a running product along the slit axis.
 
-    ``lam`` is a band and ``x_s`` a batch (see :func:`_finite_row`).  Each
-    entry's scalar coefficients come from a one-entry call's arithmetic and
-    are broadcast over its (N0, nx) tables; kappa, so the power table, does
-    not involve x_s and is shared by the batch.  Entry (w, b) equals the
-    call at (lam[w], x_s[b]) bit for bit.  The entries are taken in groups
-    of wavelengths, each with its power table, and blocks of sources, whose
-    terms and envelopes hold at most _GROUP_TERMS entries, or one entry.
+    ``lam`` is a band and ``x_s`` a batch (see :func:`_finite_row`); entry
+    (w, b) equals the call at (lam[w], x_s[b]) bit for bit.  kappa, so the
+    power table, does not involve x_s: the entries are taken in groups of
+    wavelengths, each with its power table, and blocks of sources of at
+    most _GROUP_TERMS terms and envelope entries, or one entry.
     """
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
     d0 = _lattice_pitch(x0s)
@@ -437,8 +408,9 @@ def behind_row(
     more than ``_MAX_TERMS`` per sample raises).
 
     ``lam`` is a band and ``x_s`` a batch (see :func:`_finite_row`); entry
-    (w, b) equals the call at (lam[w], x_s[b]) bit for bit.  The (W, B, N1,
-    N0) path tables are built in one pass.
+    (w, b) equals the call at (lam[w], x_s[b]) bit for bit.  The direct
+    kernel takes the path tables p23 and bq at every entry, the factorised
+    one at each wavelength's cells of x_ref only: (W, cells, N1, N0).
     """
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
     x1s = np.atleast_1d(np.asarray(x1s, dtype=float))
@@ -459,22 +431,23 @@ def behind_row(
 
     sig0 = [spreading_sigma(w, z_s, z0, z1, b0) for w in lam]
     L10 = [w * (z1 - z0) for w in lam]
-
-    # (W, B, N1, N0) tables: the source enters through u and p3 only.
     dx10 = x1s[:, None] - x0s[None, :]
-    u = xi0_grouped(x0s[None, :], x1s[:, None], x_s[:, None, None], z0, z1, z_s)
-    s0, l10 = np.array(sig0)[:, None, None, None], np.array(L10)[:, None, None, None]
-    p3 = (x0s - x_s[:, None]) ** 2 / np.array([w * (z0 - z_s) for w in lam])[:, None, None]
-    p23 = (dx10 * dx10 - u * u / s0) / l10 + p3[:, :, None, :]
-    bq = (dx10 - u / s0) / l10
+    s0, l10, l0 = (np.array(v)[:, None, None, None]
+                   for v in (sig0, L10, [w * (z0 - z_s) for w in lam]))
+
+    def tables(pts):
+        # (W, P, N1, N0) p23 and bq at the (W or 1, P) source points pts
+        u = xi0_grouped(x0s, x1s[:, None], pts[..., None, None], z0, z1, z_s)
+        p3 = (x0s - pts[..., None]) ** 2 / l0[..., 0]
+        return (dx10 * dx10 - u * u / s0) / l10 + p3[:, :, None, :], (dx10 - u / s0) / l10
 
     if factorised:
-        return _behind_factorised(lam, z_s, x_s, z0, z1, b1, z, sig0, L10, p23, bq, x0s, x1s, x)
+        return _behind_factorised(lam, z_s, x_s, z0, z1, b1, z, sig0, L10, tables, x0s, x1s, x)
     comb_scale = (comb_k / comb_eta) ** 2 if (hard and comb_k > 1) else 1.0
     return np.array([
         [_behind_direct(w, z0, z1, b1, z, s0, p, b, x1s, x, K, eta, comb_scale, hard)
          for p, b in zip(pw, bw)]
-        for w, s0, pw, bw in zip(lam, sig0, p23, bq)
+        for w, s0, pw, bw in zip(lam, sig0, *tables(x_s[None]))
     ]).reshape(len(lam), len(x_s), x.size)
 
 
@@ -486,12 +459,10 @@ def _plane_limit(lam, sig0, z0, z1, b1, scale=1.0) -> complex:
 
 
 def _behind_direct(lam, z0, z1, b1, z, sig0, p23, bq, x1s, x, K, eta, comb_scale, hard):
-    """The direct behind-G1 kernel at one wavelength: one exponential per
-    path term, over blocks of samples of at most _GROUP_TERMS terms, or of
-    one sample.  A sample's terms and their fold depend on it alone, so the
-    blocks join to the whole row bit for bit.  A buffer holds at least two
-    terms: numpy rounds a one-element in-place complex product apart from a
-    longer one's, so a single path's one sample is evaluated twice over."""
+    """The direct behind-G1 kernel at one wavelength: one exponential per path
+    term, in blocks of samples of at most _GROUP_TERMS terms (or one sample),
+    which join to the whole row bit for bit.  numpy rounds a one-element
+    in-place complex product apart, so a lone term is evaluated twice over."""
     per_sample = p23.size * K
     if not (x.size and per_sample):  # no samples, or an empty sum over no paths
         return np.zeros(x.size, dtype=complex)
@@ -539,36 +510,29 @@ def _behind_direct(lam, z0, z1, b1, z, sig0, p23, bq, x1s, x, K, eta, comb_scale
     return np.concatenate([block(x[i:i + step]) for i in range(0, x.size, step)])
 
 
-# Largest |log| of a phase-table entry inside one tile.  Table entries then
-# lie in [e^-B, e^B], so a tile's products M*U*V stay within e^(+-2B) of its
-# largest path term.  The kernel sums them divided by U[0]*V[0], which moves
-# every product by at most e^(+-2B) more: far from overflow, and terms M
-# drops to underflow stay negligible wherever the tables could amplify them.
+# Largest |log| of a phase-table entry inside one tile, and of each factor
+# of d over one cell of source points.  Tables then lie in [e^-B, e^B] (d in
+# [1, e^4B]), so a tile's products d*M*U*V, summed divided by U[0]*V[0],
+# stay within e^(+-8B) of its largest path term: far from overflow, and
+# terms M drops to underflow stay negligible wherever tables amplify them.
 _TILE_LOG_BOUND = 64.0
 
-# Largest distance, in ulps of the largest |centre|, of a slit centre from
-# its uniform lattice.  Centres built as n*d, or shifted and scaled from
-# such, stay within about 5.
+# Largest distance, in ulps of the largest |centre|, of a slit centre from its
+# uniform lattice; centres built as n*d, or shifted and scaled, stay within 5.
 _LATTICE_ULPS = 16.0
 
-# Most path terms of a unit that no block can split (256 MiB of complex128):
-# one sample of the comb in the direct kernel, and one tile's path matrices M
-# over a batch of sources in the factorised kernel.  A larger unit is refused.
+# Most path terms of a unit no block splits (256 MiB of complex128), else
+# refused: a comb sample, or one tile's path matrices over a batch of sources.
 _MAX_TERMS = 2**24
 
 # Most path terms in the buffers of a group of tiles of the factorised
 # kernel, a block of entries of ``between_row`` or a block of samples of
 # the direct kernel (1 MiB of complex128); each holds at least one tile,
-# entry or sample.  A line of B sources makes each tile's path matrices B
-# times larger: fig5a's 17-entry rows near z1 then hold one tile per group
-# at 2**15, and its 200-sample grid took about 6% longer there than at
-# this size.  Larger buffers page-fault afresh on every call: a fig12
-# behind-G1 row of 21 wavelengths in one group took about 700 minor faults
-# and 20% longer.
+# entry or sample.  Larger buffers page-fault afresh on every call: a fig12
+# behind-G1 row of 21 wavelengths in one group took 20% longer.
 _GROUP_TERMS = 2**16
 
-# Samples per block of the behind-G1 contraction over x0 (see the block
-# rule of _behind_factorised).
+# Samples per block of the behind-G1 contraction (see _behind_factorised).
 _BLOCK = 8
 
 
@@ -617,8 +581,7 @@ def _behind_factorised(
     z: float,
     sig0: list[complex],
     L10: list[float],
-    p23: np.ndarray,
-    bq: np.ndarray,
+    tables,
     x0s: np.ndarray,
     x1s: np.ndarray,
     x: np.ndarray,
@@ -631,84 +594,111 @@ def _behind_factorised(
         phi(x) = A (x - x1)^2 + B bq (x - x1) + p23 - c bq^2,
         bq = alpha x1 + beta x0 + gamma,
 
-    where A, B and c are written so that nothing cancels as z -> z1; at
-    z == z1 they give the plane limit; ``p23`` and ``bq`` are (W, B, N1, N0).
-    Around a tile centre x_c, with delta = x - x_c,
+    where nothing cancels as z -> z1 (z == z1 gives the plane limit);
+    ``tables`` gives p23 and bq at source points.  Around a tile centre x_c,
+    with delta = x - x_c,
 
-        phi(x) = phi(x_c) + A delta (2 x_c + delta)
-                 + delta (c_u x1 + c_v x0 + c_s),
+        phi(x) = phi(x_c) + A delta (2 x_c + delta) + delta (c_u x1 + c_v x0 + c_s),
 
     so the sum is a per-tile path matrix M, a table U over x1 and V over x0
-    (``g1`` = c_u x1 and ``g0`` = c_v x0 + c_s below) and a common chirp.
-    Both gratings are uniform lattices x[n] = x[0] + n d (checked by
-    :func:`_lattice_pitch`), so per sample U[n] = U[0] r_u^n and V[n] =
-    V[0] r_v^n, both from :func:`_powers`; U[0] V[0] joins the chirp.  The
-    contraction over x0 groups each tile's samples into blocks of _BLOCK,
-    the last one padded, and multiplies the tile's (N1, N0) matrix M by
-    each (N0, _BLOCK) block of V with one BLAS matmul per tile.  Then U
+    and a common chirp.  On uniform lattices (:func:`_lattice_pitch`) U[n] =
+    U[0] r_u^n and V[n] = V[0] r_v^n per sample (:func:`_powers`).  Each
+    tile's samples fill blocks of _BLOCK, the last one padded; one BLAS
+    matmul per tile multiplies M by each (N0, _BLOCK) block of V, then U
     multiplies the result and ``reduce_paths`` folds x1.  A sample costs 2
-    complex exponentials and N0*N1 multiply-adds, or up to _BLOCK times
-    that in a tile of fewer than _BLOCK samples.
+    complex exponentials and N0*N1 multiply-adds (a short tile pays for
+    _BLOCK samples).  Block rule: every matmul has the shape (N1, N0) @ (N0,
+    _BLOCK), fixed by the lattice, so a sample's bits do not depend on the
+    other samples of its row, tile or block, and a scalar call, its row and
+    a permuted row agree bit for bit.
 
-    Block rule: every matmul has the shape (N1, N0) @ (N0, _BLOCK), fixed
-    by the lattice alone, so the same BLAS kernel rounds each entry from
-    its own row of M and column of V.  A sample's bits do not depend on how
-    many samples share its row, its tile or its block, or where in the
-    block it sits, so a scalar call, its row and a permuted row agree bit
-    for bit.
+    M's exponent, m = e[k, n1] + x_c (g0[k] + g1[n1]) + a_quad x_c^2, gives
+    log|M| = -pi Im(m) as broadcast tables with one real exponential per
+    entry, and M's phase as phasor tables over (x0, x1), (tile, x0) and
+    (tile, x1).  Each tile's M is scaled to a largest magnitude of 1, and the
+    scale comes back with the chirp in the log domain.
 
-    M's exponent at x_c, expanded in x_c, is
+    Entries: x_s never enters U and V, so the tile lattice (from c_u x1 and
+    c_v x0) and the U and V tables are shared by the batch.  x_s enters m
+    through u and bq (linearly), p3 (quadratically) and c_s = b_lin gamma,
+    so from a reference point x_ref, with D = x_s - x_ref,
 
-        m = e[k, n1] + x_c (g0[k] + g1[n1]) + a_quad x_c^2,
+        m_b = m_ref + D (a1 x1 + a0 x0 + q (x_s + x_ref) + e_c x_c),
 
-    so log|M| = -pi Im(m) is a sum of broadcast tables and one real
-    exponential per entry, and M's phase is a product of the phasor tables
-    exp(i pi Re e) over (x0, x1), exp(i pi x_c Re g0) over (tile, x0) and
-    exp(i pi Re(x_c g1 + a_quad x_c^2)) over (tile, x1): N0*N1 + tiles*(N0 +
-    N1) complex exponentials per entry.  Each tile's M is scaled to a
-    largest magnitude of 1, and the scale comes back with the chirp in the
-    log domain: far off-axis M alone would underflow and the chirp alone
-    overflow.
-
-    Entries: only c_s = b_lin gamma involves x_s, and it never enters the
-    tables U and V, only the chirp and M, which is scaled per tile.  So the
-    tile lattice comes from c_u x1 and c_v x0 alone: one lattice per
-    wavelength, shared by the batch with its slots, delta and the U and V
-    tables.  Each entry keeps its own p23, bq, M, per-tile scale and chirp;
-    its scalar coefficients come from a one-entry call's arithmetic, and
-    the block rule makes entry (w, b) bit-identical to the call at (lam[w],
-    x_s[b]).  The (wavelength, tile) pairs form one tile list, contracted
-    in groups of consecutive tiles whose M, V and U blocks, accumulators
-    and terms hold at most _GROUP_TERMS terms, or one tile (``behind_row``
-    refuses a tile whose B path matrices alone need more than _MAX_TERMS).
-    A group ends before a wavelength that it reaches into but cannot hold,
-    so a band's wavelengths share groups whole and only a wavelength that
-    alone exceeds the bound is split.
+    and M_b = d_b M_ref with d_b = exp(i pi D (a1 x1 + a0 x0)), an outer
+    product of a factor over x1 and one over x0; the rest joins the scale.
+    x_ref lies on a lattice in absolute x_s whose spacing keeps each
+    factor's |log| within _TILE_LOG_BOUND, and each factor is divided by its
+    smallest magnitude, so |d| >= 1 takes no entry of M below its floor.  A
+    tile builds M once per wavelength and cell (the entries sharing x_ref),
+    and each entry's N0*N1 multiplies by d run in a copy of M just before
+    the matmul; an entry at x_ref skips them.  The coefficients come from a
+    one-entry call's arithmetic and x_ref from x_s and the geometry alone,
+    so entry (w, b) equals the call at (lam[w], x_s[b]) bit for bit.  The
+    (wavelength, tile) pairs are contracted in groups of consecutive tiles
+    whose cells' M, V and U blocks, accumulators and terms hold at most
+    _GROUP_TERMS terms, or one tile; a group ends before a wavelength it
+    reaches into but cannot hold (``behind_row`` refuses a tile whose B path
+    matrices need more than _MAX_TERMS).
     """
     d0, d1 = _lattice_pitch(x0s), _lattice_pitch(x1s)
     n0, n1, n_src = len(x0s), len(x1s), len(x_s)
+    # entries take an x_ref and a cell, but a one-source call with nothing to scale builds M at x_s
+    cells = n_src > 1 or bool(x_s.any() and not is_paraxial(z_s))
 
     r = (z1 - z0) / (z0 - z_s)
-    sources = x_s.tolist()
+
+    def c_s(b_lin, sig0, L10, pts=x_s):
+        return [b_lin * (-s * r / (sig0 * L10)) for s in pts.tolist()]
 
     def coefficients(lam, sig0, L10):
-        # A wavelength's scalar factors, and each source's c_s, in a
-        # one-entry call's arithmetic.
+        # A wavelength's scalar factors in a one-entry call's arithmetic, with
+        # x_s's share of m (see "Entries") where there are cells, and c_s.
         alpha = (1.0 - 1.0 / sig0) / L10
         beta = r / (sig0 * L10) - alpha
         d2 = _d_squared(sig0, spreading_sigma(lam, z0, z1, z, b1), z0, z1, z)
         a_quad = _plane_limit(lam, sig0, z0, z1, b1) / (lam * d2)
         b_lin = 2.0 * sig0 / d2
+        c_bq = lam * (z - z1) * sig0 / d2
         c_u = b_lin * alpha - 2.0 * a_quad
         c_v = b_lin * beta
-        return ((lam * (z - z1) * sig0 / d2, a_quad, b_lin, c_u, c_v, c_v * d0, c_u * d1, d2),
-                [b_lin * (-s * r / (sig0 * L10)) for s in sources])
+        co = (c_bq, a_quad, b_lin, c_u, c_v, c_v * d0, c_u * d1, d2)
+        if cells:  # p3_s is minus half of p3's x_s x0 coefficient
+            k, p3_s = r / (sig0 * L10), 1.0 / (lam * (z0 - z_s))
+            co += (k * (b_lin - 2.0 + 2.0 * c_bq * alpha),
+                   2.0 * (k * (1.0 + r) - p3_s + c_bq * k * beta),
+                   p3_s - k * (r + c_bq * k), -b_lin * k)
+        return co, c_s(b_lin, sig0, L10)
 
-    co, c_s = zip(*map(coefficients, lams, sig0, L10))
-    c_bq, a_quad, b_lin, c_u, c_v, k_v, k_u, d2 = np.array(co).T.copy()
+    per_lam, c_b = zip(*map(coefficients, lams, sig0, L10))
+    c_bq, a_quad, b_lin, c_u, c_v, k_v, k_u, d2, *shares = np.array(per_lam).T.copy()
+
+    c_ref = c_b = np.array(c_b)
+    refs, ipi = x_s[None], 1j * math.pi
+    if cells:
+        a1, a0, q, e_c = shares
+        x0_max, x1_max = max(abs(x0s[0]), abs(x0s[-1])), max(abs(x1s[0]), abs(x1s[-1]))
+        span = math.pi * np.maximum(np.abs(a1.imag) * x1_max, np.abs(a0.imag) * x0_max)
+        ks, h = _on_lattice(x_s, span.tolist())
+        x_ref, kv, cell = ks * h[:, None], ks + 0.0, np.zeros(ks.shape, dtype=np.intp)
+        if n_src > 1:  # the cells: a wavelength's distinct x_ref (never -0.0)
+            kv, cell = np.unique(kv, return_inverse=True)
+        refs, cell = kv.reshape(-1, kv.shape[-1]) * h[:, None], cell.reshape(ks.shape)
+        c_ref = np.array([c_s(c[2], sg, L, row) for c, sg, L, row in zip(per_lam, sig0, L10, refs)])
+        scaled = (x_s != x_ref) & (not is_paraxial(z_s))  # the entries whose d is not 1
+        runs = [[k for k, (a, b) in enumerate(zip([False] + v, v + [False])) if a != b]
+                for v in scaled.tolist()]
+        runs = [list(zip(e[::2], e[1::2])) for e in runs]  # [i, j) of consecutive scaled entries
+        delta = x_s - x_ref  # d's factors over its smallest magnitudes, which join the lift
+        e1, e0 = ((ipi * delta * a[:, None])[..., None] * xs for a, xs in ((a1, x1s), (a0, x0s)))
+        low1, low0 = e1.real.min(axis=2), e0.real.min(axis=2)
+        dmat = np.exp(e1 - low1[..., None])[..., None] * np.exp(e0 - low0[..., None])[..., None, :]
+        lift, eps = low1 + low0 + ipi * q[:, None] * delta * (x_s + x_ref), e_c[:, None] * delta
+    p23, bq = tables(refs)
+
     g1 = c_u[:, None] * x1s
     g0v = c_v[:, None] * x0s
-    g0 = g0v[:, None, :] + np.array(c_s)[:, :, None]  # (W, B, N0)
+    g0 = g0v[:, None, :] + c_ref[:, :, None]  # (W, cells, N0)
 
     # Each wavelength's tile lattice over the samples in ascending order, and
     # the groups of consecutive tiles whose buffers stay within the bound.
@@ -717,7 +707,7 @@ def _behind_factorised(
     span = math.pi * np.maximum(np.abs(g1.imag).max(axis=1), np.abs(g0v.imag).max(axis=1))
     xc, lam_of, start, first, tile, slot = _tile_lattices(x_sorted, span)
     # the terms of the tiles before each: M, V and accumulators per slot, U and terms per sample
-    held = (n_src * n1 * n0 * np.arange(first.shape[0]) + _BLOCK * (n0 + n_src * n1) * first
+    held = (refs.shape[1] * n1 * n0 * np.arange(first.shape[0]) + _BLOCK * (n0 + n_src * n1) * first
             + (1 + n_src) * n1 * start)
     t_first = lam_of.searchsorted(np.arange(len(lams) + 1)).tolist()
     cuts = [0]
@@ -728,9 +718,8 @@ def _behind_factorised(
         w = lam_of[hi - 1]
         cuts.append(t_first[w] if lo < t_first[w] and hi < t_first[w + 1] else hi)
 
-    g_first = g1[:, :1] + g0[:, :, 0]  # (W, B): at the first slits x1[0], x0[0]
+    g_first = g1[:, :1] + (g0v[:, :1] + c_b)  # (W, B): at the first slits x1[0], x0[0]
 
-    ipi = 1j * math.pi
     const = p23 - c_bq[:, None, None, None] * (bq * bq)
     c1 = x1s[:, None]
     t01 = ipi * (const - (b_lin[:, None, None, None] * bq - a_quad[:, None, None, None] * c1) * c1)
@@ -739,27 +728,23 @@ def _behind_factorised(
     rows = []
     for lo, hi in zip(cuts, cuts[1:]):
         xc_g, lam_g, at = xc[lo:hi], lam_of[lo:hi], slice(start[lo], start[hi])
-        # Each of the group's (wavelength, sample) pairs in tile order: what
-        # the batch shares, delta and the ratios r_v and r_u.
+        # The group's (wavelength, sample) pairs in tile order, shared by the batch.
         tile_g = tile[at] - lo
         lam_s = lam_g[tile_g]
         delta = x_sorted[np.arange(start[lo], start[hi]) % shape[1]] - xc_g[tile_g]
         ipd = (1j * math.pi) * delta
 
-        # (tiles, B, N1, N0) path matrices M = exp(i pi m), each scaled to
-        # a largest |M| of 1.  Each table holds i pi times its part of m, so
-        # its real part adds to log|M| and its imaginary part to M's phase;
-        # the tables depend on the geometry and the tile centres only.  The
-        # envelope is allocated after M's phasors and freed before the
-        # contraction, which lets the allocator reuse M's pages from call to
-        # call instead of faulting them in afresh.
+        # (tiles, cells, N1, N0) path matrices M = exp(i pi m), each scaled to a
+        # largest |M| of 1: a table's real part adds to log|M|, its imaginary
+        # part to M's phase.  The envelope is allocated after M's phasors and
+        # freed before the contraction, so the allocator reuses M's pages.
         ixc = (ipi * xc_g)[:, None]
         t0 = ixc[:, None] * g0[lam_g]
         t1 = ixc * (g1[lam_g] + a_quad[lam_g, None] * xc_g[:, None])
         own = [(w, slice(max(t_first[w], lo) - lo, min(t_first[w + 1], hi) - lo))
                for w in range(lam_g[0], lam_g[-1] + 1)]  # each wavelength's tiles in the group
         p1 = np.exp(1j * t1.imag)[:, None, :, None]
-        m = np.empty((hi - lo, n_src, n1, n0), dtype=complex)
+        m = np.empty((hi - lo, refs.shape[1], n1, n0), dtype=complex)
         for w, sl in own:
             np.multiply(p01[w], p1[sl], out=m[sl])
         m *= np.exp(1j * t0.imag)[:, :, None, :]
@@ -774,10 +759,19 @@ def _behind_factorised(
         m.real *= env
         m.imag *= env
         del env
+        if cells:  # each entry's cell's scale, lifted where d scales it
+            scale = scale[np.arange(hi - lo)[:, None], cell[lam_g]]
+            scale = np.where(scaled[lam_g], scale + lift[lam_g] + ixc * eps[lam_g], scale)
 
-        # Each tile's samples fill blocks of _BLOCK slots, the last one
-        # padded; a sample sits in its slot.  One matmul per tile covers all
-        # its blocks and sources.
+        def entries(t):  # tile t's (B, 1, N1, N0) matrices: its cells' M, times d
+            w = lam_g[t]
+            mt = m[t, cell[w]]
+            for i, j in runs[w]:
+                mt[i:j] *= dmat[w, i:j]
+            return mt[:, None]
+
+        # Each tile's samples fill blocks of _BLOCK slots, the last one padded;
+        # one matmul per tile covers all its blocks and sources.
         slot_g = slot[at] - first[lo] * _BLOCK
         n_slot = (first[hi] - first[lo]) * _BLOCK
         r_v = np.zeros(n_slot, dtype=complex)
@@ -786,8 +780,9 @@ def _behind_factorised(
         acc = np.empty((n1, n_src, n_slot), dtype=complex)
         acc_blocks = acc.reshape(n1, n_src, -1, _BLOCK).transpose(1, 2, 0, 3)
         bounds = [f - first[lo] for f in first[lo:hi + 1]]
-        for t, (f, e) in enumerate(zip(bounds, bounds[1:])):
-            np.matmul(m[t, :, None], v[f:e], out=acc_blocks[:, f:e])
+        for mt, f, e in zip(map(entries, range(hi - lo)) if cells else m[:, :, None],
+                            bounds, bounds[1:]):
+            np.matmul(mt, v[f:e], out=acc_blocks[:, f:e])
         del v
         terms = acc.take(slot_g, axis=2)
         terms *= _powers(np.exp(ipd * k_u[lam_s]), n1)[:, None, :]
@@ -801,25 +796,29 @@ def _behind_factorised(
     return psi.transpose(1, 0, 2)
 
 
+def _on_lattice(v: np.ndarray, span: list[float]):
+    """Each value's nearest point k h on row w's lattice, as k, and h = 2
+    _TILE_LOG_BOUND / span[w], over which a table whose |log| changes by
+    span[w] per unit keeps within the bound; span 0 puts all at k = 0, h = 0."""
+    h = [2.0 * _TILE_LOG_BOUND / s if s > 0.0 else math.inf for s in span]
+    ks = np.rint(v / np.array(h)[:, None])
+    return ks, np.array([g if g < math.inf else 0.0 for g in h])
+
+
 def _tile_lattices(x: np.ndarray, span: np.ndarray):
     """Every wavelength's tile lattice over the ascending samples x, the
     tiles numbered in one list in (wavelength, centre) order as
     ``np.unique`` would number them.
 
-    Tile centres sit on a lattice in absolute x with |pi Im(g) delta| <=
-    _TILE_LOG_BOUND within a tile, where span[w] is pi max |Im g| at
-    wavelength w; the spacing depends on the geometry only, never on x.
-    Each tile's samples fill blocks of _BLOCK slots, in x order, the last
-    block padded.  Returns each tile's centre and wavelength; each tile's
-    first (wavelength, sample) pair in the flattened (W, nx) row and its
-    first block (both with the total appended); and each pair's tile and
-    slot.
+    Tile centres sit on :func:`_on_lattice` for span[w] = pi max |Im g|
+    at wavelength w.  Each tile's samples fill blocks of _BLOCK slots, in x
+    order, the last block padded.  Returns each tile's centre and
+    wavelength; each tile's first (wavelength, sample) pair in the flattened
+    (W, nx) row and its first block (both with the total appended); and
+    each pair's tile and slot.
     """
-    # Where no table entry changes magnitude (span 0) one tile sits at x = 0:
-    # x / inf puts every sample there, and its centre is 0 * 0.
-    h = [2.0 * _TILE_LOG_BOUND / s if s > 0.0 else math.inf for s in span.tolist()]
-    ks = np.rint(x / np.array(h)[:, None]).reshape(-1)
-    h = np.array([v if v < math.inf else 0.0 for v in h])
+    ks, h = _on_lattice(x, span.tolist())
+    ks = ks.reshape(-1)
     new = np.empty(ks.shape, dtype=bool)
     np.not_equal(ks[1:], ks[:-1], out=new[1:])
     new[::max(x.shape[0], 1)] = True  # each wavelength's lattice starts a tile

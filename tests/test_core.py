@@ -274,3 +274,28 @@ class TestCenteredAxis:
             centered_axis(1.0, 0.0, 10)
         with pytest.raises(DomainError):
             centered_axis(0.0, 1.0, 1)
+
+
+class TestSpecChecks:
+    """The construction checks of the source and scenario specs."""
+
+    def test_source_kind_rejected(self):
+        with pytest.raises(DomainError, match="source kind must be 'point' or 'line', got 'ring'"):
+            SourceSpec(kind="ring", x_positions=(0.0,), z_s=-0.5)
+
+    def test_point_source_needs_one_position(self):
+        with pytest.raises(DomainError, match="point source must have exactly one x position"):
+            SourceSpec(kind="point", x_positions=(0.0, 1e-6), z_s=-0.5)
+
+    def test_scenario_region_rejected(self, fullerene):
+        from tlsim.scenario import Scenario
+        src = SourceSpec(kind="point", x_positions=(0.0,), z_s=-0.5)
+        with pytest.raises(DomainError, match="region must be one of .* got 'inside'"):
+            Scenario(particle=fullerene, grating0=GratingSpec(3, 500e-9, 37.5e-9, 0.0),
+                     grating1=GratingSpec(3, 500e-9, 75e-9, 0.05), source=src, region="inside")
+
+    def test_echo_formats_floats_at_17_digits_and_the_rest_as_str(self):
+        from tlsim.scenario import _fmt
+        assert _fmt(0.1) == "0.10000000000000001"
+        assert _fmt(33) == "33"
+        assert _fmt("standard") == "standard"

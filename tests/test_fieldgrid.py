@@ -16,6 +16,7 @@ from tlsim.fieldgrid import (
     export_meta,
     export_pgm,
     export_profile_csv,
+    export_table_csv,
     parse_csv,
     read_pgm,
 )
@@ -289,6 +290,20 @@ class TestExports:
             path.write_bytes(content)
         with pytest.raises(IOError, match=message):
             read(path)
+
+    @pytest.mark.parametrize("write, what", [
+        (lambda path: export_pgm(DensityField(grid=GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2),
+                                              values=np.zeros((2, 2)), fingerprint="0" * 64),
+                                 path), "PGM"),
+        (lambda path: export_table_csv(path, "a,b", [(1.0, 2.0)]), "CSV"),
+    ], ids=["pgm", "table_csv"])
+    def test_unwritable_path_rejected(self, tmp_path, write, what):
+        # a regular file where the parent directory should be
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(IOError, match=f"writing {what} to .*out"):
+            write(blocker / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_profile_csv(self, fullerene, tmp_path):
         scn = _scenario(fullerene, n0=2, n1=2)

@@ -1157,6 +1157,82 @@ class TestSourceAxis:
             assert kernel(lams, xs, x).tobytes() == whole.tobytes()
 
 
+class TestReferenceLattice:
+    """Behind G1 an entry's path matrix is a diagonal scaling of the one at its
+    reference point x_ref, on a lattice in absolute x_s.  Batches that
+    straddle cell boundaries, with entries exactly at x_ref, give each entry
+    its one-source call's bytes."""
+
+    @staticmethod
+    def _spacing(monkeypatch, kernel):
+        # the x_ref spacing: the first lattice _behind_factorised asks for
+        seen = []
+        lattice = propagators._on_lattice
+
+        def record(v, span):
+            ks, h = lattice(v, span)
+            seen.append((ks, h))
+            return ks, h
+
+        monkeypatch.setattr(propagators, "_on_lattice", record)
+        kernel()
+        monkeypatch.setattr(propagators, "_on_lattice", lattice)
+        return seen
+
+    @pytest.mark.parametrize("z_s", [-0.5, PARAXIAL_ZS])
+    @pytest.mark.parametrize("kind", ["z1", "z1(1+1e-12)", "beyond", "far"])
+    def test_entries_across_cells_equal_their_one_source_calls(self, monkeypatch, z_s, kind):
+        z1, b0, b1, lam = 0.05, 37.5e-9, 75e-9, 5e-12
+        x0s = slit_positions(GratingSpec(32, 500e-9, b0, 0.0))
+        x1s = slit_positions(GratingSpec(33, 500e-9, b1, z1))
+        z = {"z1": z1, "z1(1+1e-12)": z1 * (1.0 + 1e-12), "beyond": z1 + 0.01, "far": 3 * z1}[kind]
+
+        def row(x_s, x):
+            return behind_row(lam, z_s, x_s, 0.0, z1, b0, b1, x0s, x1s, x, z)
+
+        x = np.linspace(-6e-6, 6e-6, 25)
+        seen = self._spacing(monkeypatch, lambda: row(np.array([1e-6, 0.0]), x))
+        h = float(seen[0][1][0])
+        if z_s == PARAXIAL_ZS:
+            assert h == 0.0  # nothing depends on x_s: one cell, at 0
+            h = 40e-6
+        # at x_ref (0, h, -2h), just either side of the boundaries at h/2 and
+        # -3h/2, and inside cells
+        xs = np.array([0.0, h, -2.0 * h, 0.5 * h * (1 - 1e-9), 0.5 * h * (1 + 1e-9),
+                       -1.5 * h * (1 - 1e-9), -1.5 * h * (1 + 1e-9), 0.3 * h, 1e-6])
+        # the samples follow the beams' centres x_s z / z_s
+        x = np.concatenate([x, -h * z * np.linspace(-2.0, 1.0, 7) / (1.0 if z_s == PARAXIAL_ZS
+                                                                      else z_s)])
+        seen = self._spacing(monkeypatch, lambda: row(xs, x))
+        if z_s != PARAXIAL_ZS:
+            assert np.unique(seen[0][0]).size == 4  # the batch spans four cells
+            assert np.array_equal(seen[0][0][0, :3] * h, xs[:3])  # three entries sit at x_ref
+        batch = row(xs, x)
+        assert batch.shape == (len(xs), len(x)) and np.isfinite(batch).all()
+        for b, x_s in enumerate(xs.tolist()):
+            assert batch[b].tobytes() == row(x_s, x).tobytes()
+        perm = np.random.default_rng(5).permutation(len(xs))
+        assert row(xs[perm], x).tobytes() == batch[perm].tobytes()
+
+    @pytest.mark.parametrize("past", [1e-3, 1e-2, 0.05])
+    def test_fig5a_line_matches_the_closed_form(self, rng, past):
+        """fig5a's whole 33-point line as one batch, each entry against the
+        closed-form path sum at 1 mm, 10 mm and 0.05 m past z1."""
+        scn = preset_run_config("fig5a").scenario
+        assert scn.z0 == 0.0
+        g0, g1 = scn.grating0, scn.grating1
+        x0s, x1s = slit_positions(g0), slit_positions(g1)
+        xs = np.array(scn.source.x_positions)
+        assert len(xs) == 33
+        span = max(x0s[-1], x1s[-1]) + 3e-6
+        x = np.sort(rng.uniform(-span, span, 31))
+        args = (scn.lam, scn.source.z_s, xs, g1.z_pos, g0.half_width, g1.half_width, x0s, x1s, x,
+                g1.z_pos + past)
+        batch = behind_row(*args[:3], 0.0, *args[3:])
+        for b, x_s in enumerate(xs.tolist()):
+            _assert_matches_closed_form(*args[:2], x_s, *args[3:], got=batch[b])
+
+
 class TestWavelengthGroups:
     """A band is evaluated in groups of tiles, or blocks of samples, of at
     most _GROUP_TERMS path terms, which join to the whole band bit for bit;
@@ -1240,10 +1316,11 @@ def _assert_between_matches_closed_form(lam, z_s, x_s, b0, x0s, x, z):
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
-def _assert_matches_closed_form(lam, z_s, x_s, z1, b0, b1, x0s, x1s, x, z):
-    """``behind_row`` (G0 at z = 0) against the pairwise sum of the closed-form
-    path terms; returns that reference sum."""
-    got = behind_row(lam, z_s, x_s, 0.0, z1, b0, b1, x0s, x1s, x, z)
+def _assert_matches_closed_form(lam, z_s, x_s, z1, b0, b1, x0s, x1s, x, z, got=None):
+    """``behind_row`` (G0 at z = 0), or its row ``got`` at x_s, against the
+    pairwise sum of the closed-form path terms; returns that reference sum."""
+    if got is None:
+        got = behind_row(lam, z_s, x_s, 0.0, z1, b0, b1, x0s, x1s, x, z)
     assert np.all(np.isfinite(got))
     terms = np.stack([
         _behind_path_closed_form(lam, z_s, x_s, z1, b0, b1, x0, x1, x, z)
